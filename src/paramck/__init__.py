@@ -3,8 +3,7 @@
 from .machines import (Action, Fsm, Pdm, PdmRule, Network, Transition,
                        BudgetExceeded, buchi_product, make_network, validate,
                        UNINIT, LEADER, CONTRIBUTOR, READ, WRITE)
-from .explicit import (ConcreteConfig, Witness, Verdict, check_explicit,
-                       replay, monotone_check)
+from .explicit import ConcreteConfig, Witness, Verdict, check_explicit, replay
 from .cyclesearch import check_fsm_fsm
 from .pushdown import check_pdm_fsm
 from .reduction import (check_pdm_pdm, restrict, restrict_network, compute_N,
@@ -19,7 +18,7 @@ __all__ = [
     "BudgetExceeded", "buchi_product", "make_network", "validate",
     "UNINIT", "LEADER", "CONTRIBUTOR", "READ", "WRITE",
     "ConcreteConfig", "Witness", "Verdict", "check_explicit", "replay",
-    "monotone_check", "check_fsm_fsm", "check_pdm_fsm", "check_pdm_pdm",
+    "check_fsm_fsm", "check_pdm_fsm", "check_pdm_pdm",
     "restrict", "restrict_network", "compute_N", "effective_stack_height",
     "kbounded_agreement", "parikh_fsa", "parikh_cfg", "solve", "to_smtlib",
     "ParseError", "parse_machine_file", "print_machine", "parse_witness",

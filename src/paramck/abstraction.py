@@ -2,17 +2,16 @@
 
 An abstract configuration keeps the leader state and store value but replaces
 the population by the set Q of contributor states that hold at least one
-token.  The map alpha (populated states) and gamma (populations supported on
-Q) form a Galois insertion, the abstraction simulates every concrete path,
-and Q only ever grows along abstract paths.
+token.  The abstraction simulates every concrete path, and Q only ever grows
+along abstract paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .machines import BudgetExceeded, Fsm, Pdm, UNINIT, READ, WRITE, LEADER
-from .explicit import state_budget
+from .machines import (EXPLORE_BUDGET, BudgetExceeded, Fsm, UNINIT,
+                       abstract_moves, env_budget)
 
 
 @dataclass(frozen=True)
@@ -22,71 +21,12 @@ class AbstractConfig:
     Q: frozenset           # populated contributor states, never empty
 
 
-def alpha(populations):
-    """Set of contributor states populated by at least one member."""
-    out = set()
-    for pop in populations:
-        for state, count in pop:
-            if count >= 1:
-                out.add(state)
-    return frozenset(out)
-
-
-def gamma(Q):
-    """Predicate over populations: no tokens outside Q."""
-    Q = frozenset(Q)
-
-    def admits(population):
-        return all(state in Q for state, count in population if count >= 1)
-
-    return admits
-
-
-def delta(t):
-    """Net population change of one firing of t, as a state -> int map.
-
-    Leader moves never touch the population; a contributor move transfers one
-    token from source to target.
-    """
-    if t.owner == LEADER:
-        return {}
-    src, _, dst = t.payload
-    if src == dst:
-        return {}
-    return {src: -1, dst: +1}
-
-
-def contributor_abstract_moves(net, store, Q):
-    """Abstract contributor steps from (store, Q): enabled transitions with a
-    populated source, yielding the updated store and the grown Q."""
-    moves = []
-    for t in net.contributor_transitions:
-        src, act, dst = t.payload
-        if src not in Q:
-            continue
-        if act.kind == READ and store != act.value:
-            continue
-        new_store = act.value if act.kind == WRITE else store
-        moves.append((t, new_store, Q | {dst}))
-    return moves
-
-
 def abstract_successors(net, a):
     """Successors in the abstract system (FSM leader and contributor)."""
     if not isinstance(net.leader, Fsm) or not isinstance(net.contributor, Fsm):
         raise ValueError("abstract_successors needs FSM leader and contributor")
-    moves = []
-    for t in net.leader_transitions:
-        src, act, dst = t.payload
-        if src != a.leader_state:
-            continue
-        if act.kind == READ and a.store != act.value:
-            continue
-        store = act.value if act.kind == WRITE else a.store
-        moves.append((t, AbstractConfig(dst, store, a.Q)))
-    for t, store, Q in contributor_abstract_moves(net, a.store, a.Q):
-        moves.append((t, AbstractConfig(a.leader_state, store, Q)))
-    return moves
+    return [(t, AbstractConfig(d, g, Q))
+            for t, d, g, Q, _ in abstract_moves(net, a.leader_state, a.store, a.Q)]
 
 
 @dataclass(frozen=True)
@@ -109,7 +49,7 @@ def reachable_abstract(net, budget=None):
     sufficiently large concrete population.
     """
     if budget is None:
-        budget = state_budget()
+        budget = env_budget(EXPLORE_BUDGET)
     init = initial_abstract(net)
     order = [init]
     seen = {init}

@@ -2,23 +2,13 @@
 
 from __future__ import annotations
 
-import os
-
-from .machines import Fsm, Pdm
+from .machines import SOLVE_BUDGET, Pdm, env_budget
 from .explicit import check_explicit, Verdict
 from .cyclesearch import check_fsm_fsm
 from .pushdown import check_pdm_fsm
 from .reduction import restrict_network, check_pdm_pdm
 
 MODES = ("auto", "fsm-fsm", "pdm-fsm", "pdm-pdm", "explicit")
-
-
-def solver_budget():
-    """Node budget for the linear solver; PARAMCK_BUDGET overrides it."""
-    try:
-        return int(os.environ.get("PARAMCK_BUDGET", ""))
-    except ValueError:
-        return 500_000
 
 
 def resolve_mode(net, mode="auto"):
@@ -61,7 +51,7 @@ def run_check(net, mode="auto", k=None, stack_bound=None, node_budget=None):
     to replay_network(net); explicit-mode witnesses refer to net itself.
     """
     if node_budget is None:
-        node_budget = solver_budget()
+        node_budget = env_budget(SOLVE_BUDGET)
     mode = resolve_mode(net, mode)
     if mode == "explicit":
         if k is None:

@@ -7,8 +7,8 @@
 
 Exit codes for check: 0 decided (NONEMPTY or EMPTY), 2 input error,
 3 budget exceeded.  For replay: 0 valid, 1 invalid, 2 parse/input error.
-The PARAMCK_BUDGET environment variable caps both the state exploration and
-the solver search.
+The PARAMCK_BUDGET environment variable caps each state exploration and
+each solve (see the README for the defaults).
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ import sys
 
 from .machines import (BudgetExceeded, Fsm, Pdm, LEADER, CONTRIBUTOR,
                        buchi_product, make_network, validate)
-from .explicit import Witness, replay, _ReplayState
+from .explicit import Verdict, Witness, replay, _ReplayState
 from .fileformat import (ParseError, parse_machine_file, parse_witness,
                          print_witness)
-from .api import MODES, run_check, replay_network
+from .api import MODES, resolve_mode, run_check, replay_network
 
 
 class InputError(Exception):
@@ -86,8 +86,9 @@ def _cmd_check(args):
     except ValueError as e:
         raise InputError(str(e))
     except BudgetExceeded as e:
-        print(f"BUDGET: {e}")
-        return 3
+        # raised outside the checkers, e.g. by the window restriction
+        verdict = Verdict("BUDGET", stats={"reason": str(e)})
+        mode = resolve_mode(net, args.mode)
 
     if args.json:
         report = {"verdict": verdict.kind, "mode": mode,

@@ -12,30 +12,17 @@ by an Euler walk) and replayed for confirmation.
 
 from __future__ import annotations
 
-import networkx
-
-from .machines import BudgetExceeded, LEADER, CONTRIBUTOR, READ, WRITE
-from .abstraction import (AbstractConfig, contributor_abstract_moves,
-                          reachable_abstract, abstract_stem)
-from .explicit import Witness, Verdict, replay
+from .machines import BudgetExceeded, CONTRIBUTOR, abstract_moves
+from .abstraction import AbstractConfig, reachable_abstract, abstract_stem
+from .explicit import Witness, Verdict, _ReplayState, replay
 from . import parikh
 
 
 def q_preserving_successors(net, a):
     """Abstract moves from a that leave the populated set unchanged."""
-    moves = []
-    for t in net.leader_transitions:
-        src, act, dst = t.payload
-        if src != a.leader_state:
-            continue
-        if act.kind == READ and a.store != act.value:
-            continue
-        store = act.value if act.kind == WRITE else a.store
-        moves.append((t, AbstractConfig(dst, store, a.Q)))
-    for t, store, Q in contributor_abstract_moves(net, a.store, a.Q):
-        if Q == a.Q:
-            moves.append((t, AbstractConfig(a.leader_state, store, Q)))
-    return moves
+    return [(t, AbstractConfig(d, g, Q))
+            for t, d, g, Q, _ in abstract_moves(net, a.leader_state, a.store, a.Q)
+            if Q == a.Q]
 
 
 def build_cycle_fsa(net, a):
@@ -44,7 +31,8 @@ def build_cycle_fsa(net, a):
 
     A closed walk through a can only use edges of a's strongly connected
     component, so the automaton is trimmed to it up front; this keeps the
-    realizability system small.
+    realizability system small.  Every state is reachable from a, so the
+    component is the set of states that reach a back.
     """
     states = [a]
     seen = {a}
@@ -59,11 +47,16 @@ def build_cycle_fsa(net, a):
                 seen.add(c2)
                 states.append(c2)
 
-    graph = networkx.DiGraph()
-    graph.add_nodes_from(states)
-    graph.add_edges_from((src, dst) for src, _, dst in edges)
-    comp = next(c for c in networkx.strongly_connected_components(graph)
-                if a in c)
+    preds = {}
+    for src, _, dst in edges:
+        preds.setdefault(dst, []).append(src)
+    comp = {a}
+    work = [a]
+    while work:
+        for src in preds.get(work.pop(), ()):
+            if src not in comp:
+                comp.add(src)
+                work.append(src)
     states = [s for s in states if s in comp]
     edges = [(src, lab, dst) for src, lab, dst in edges
              if src in comp and dst in comp]
@@ -95,63 +88,6 @@ def realizability_system(net, fsa):
     return system.conjoin(extra)
 
 
-class _Sim:
-    """Concrete simulation used while laying down witness steps.
-
-    Contributor actors are numbered 1..k; the leader is actor 0.  Firing a
-    contributor transition always picks the lowest-numbered actor whose local
-    state matches, which is exactly what replay does.
-    """
-
-    def __init__(self, net, k):
-        from .machines import UNINIT, Pdm
-        self.net = net
-        self.leader_state = net.leader.initial
-        self.leader_stack = (net.leader.bottom,) if isinstance(net.leader, Pdm) \
-            else ()
-        self.store = UNINIT
-        self.locals = [None] + [net.contributor.initial] * k
-        self.steps = []
-
-    def fire(self, t):
-        from .machines import PdmRule
-        if t.owner == LEADER:
-            if isinstance(t.payload, PdmRule):
-                rule = t.payload
-                assert rule.src == self.leader_state
-                assert self.leader_stack and rule.top == self.leader_stack[0]
-                if rule.action.kind == READ:
-                    assert self.store == rule.action.value
-                else:
-                    self.store = rule.action.value
-                if rule.effect[0] == "push":
-                    self.leader_stack = (rule.effect[1],) + self.leader_stack
-                else:
-                    self.leader_stack = self.leader_stack[1:]
-                    assert self.leader_stack, "pop would empty the leader stack"
-                self.leader_state = rule.dst
-                self.steps.append((0, t.tid))
-                return
-            src, act, dst = t.payload
-            assert src == self.leader_state
-            if act.kind == READ:
-                assert self.store == act.value
-            else:
-                self.store = act.value
-            self.leader_state = dst
-            self.steps.append((0, t.tid))
-            return
-        src, act, dst = t.payload
-        actor = next(i for i in range(1, len(self.locals))
-                     if self.locals[i] == src)
-        if act.kind == READ:
-            assert self.store == act.value
-        else:
-            self.store = act.value
-        self.locals[actor] = dst
-        self.steps.append((actor, t.tid))
-
-
 def _stem_multiplicities(net, stem, Q_a, tokens_per_state):
     """Backward-demand pass: how often each stem step fires, and the needed k.
 
@@ -168,7 +104,7 @@ def _stem_multiplicities(net, stem, Q_a, tokens_per_state):
         _, t, _ = stem[i]
         if t.owner != CONTRIBUTOR:
             continue
-        src, _, dst = t.payload
+        src, dst = t.src, t.dst
         if src == dst:
             continue
         m = max(demand.get(dst, 0), 1)
@@ -191,7 +127,7 @@ def concretize(net, reach, a, fsa, model):
     stem = abstract_stem(reach, a)
     mults, k = _stem_multiplicities(net, stem, a.Q, tokens)
 
-    sim = _Sim(net, k)
+    sim = _ReplayState(net, k)
     for (_, t, _), m in zip(stem, mults):
         for _ in range(m if t.owner == CONTRIBUTOR else 1):
             sim.fire(t)

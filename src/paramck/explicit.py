@@ -11,22 +11,10 @@ take a stack bound and are semi-decisions: EMPTY means empty within the bound.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-from .machines import (
-    BudgetExceeded, Fsm, Pdm, PdmRule, Transition, UNINIT, READ, WRITE,
-    LEADER, CONTRIBUTOR,
-)
-
-DEFAULT_BUDGET = 5_000_000
-
-
-def state_budget():
-    try:
-        return int(os.environ.get("PARAMCK_BUDGET", ""))
-    except ValueError:
-        return DEFAULT_BUDGET
+from .machines import (EXPLORE_BUDGET, BudgetExceeded, Pdm, UNINIT, LEADER,
+                       CONTRIBUTOR, env_budget, step)
 
 
 @dataclass(frozen=True)
@@ -64,10 +52,6 @@ def _pop_of(items):
     return tuple(sorted(items, key=repr))
 
 
-def _pop_counts(population):
-    return dict(population)
-
-
 def _pop_move(population, src_local, dst_local):
     counts = dict(population)
     counts[src_local] -= 1
@@ -96,35 +80,12 @@ def initial_config(net, k):
 
 def _leader_moves(net, c, stack_bound):
     moves = []
-    if isinstance(net.leader, Pdm):
-        for t in net.leader_transitions:
-            rule = t.payload
-            if rule.src != c.leader_state or not c.leader_stack:
-                continue
-            if rule.top != c.leader_stack[0]:
-                continue
-            act = rule.action
-            if act.kind == READ and c.store != act.value:
-                continue
-            store = act.value if act.kind == WRITE else c.store
-            if rule.effect[0] == "push":
-                stack = (rule.effect[1],) + c.leader_stack
-                if stack_bound is not None and len(stack) > stack_bound:
-                    continue
-            else:
-                stack = c.leader_stack[1:]
-                if not stack:
-                    continue   # popping the last symbol leaves a dead machine
-            moves.append((t, ConcreteConfig(rule.dst, stack, store, c.population)))
-    else:
-        for t in net.leader_transitions:
-            src, act, dst = t.payload
-            if src != c.leader_state:
-                continue
-            if act.kind == READ and c.store != act.value:
-                continue
-            store = act.value if act.kind == WRITE else c.store
-            moves.append((t, ConcreteConfig(dst, (), store, c.population)))
+    for t in net.leader_transitions:
+        res = step(t, c.leader_state, c.leader_stack, c.store)
+        if res is None or stack_bound is not None and len(res[1]) > stack_bound:
+            continue
+        state, stack, store = res
+        moves.append((t, ConcreteConfig(state, stack, store, c.population)))
     return moves
 
 
@@ -133,31 +94,13 @@ def contributor_local_moves(net, t, local, store, stack_bound=None):
 
     Returns None if not applicable, else (new_local, new_store).
     """
-    if isinstance(net.contributor, Pdm):
-        rule = t.payload
-        state, stack = local
-        if rule.src != state or not stack or rule.top != stack[0]:
-            return None
-        act = rule.action
-        if act.kind == READ and store != act.value:
-            return None
-        if rule.effect[0] == "push":
-            new_stack = (rule.effect[1],) + stack
-            if stack_bound is not None and len(new_stack) > stack_bound:
-                return None
-        else:
-            new_stack = stack[1:]
-            if not new_stack:
-                return None
-        new_store = act.value if act.kind == WRITE else store
-        return ((rule.dst, new_stack), new_store)
-    src, act, dst = t.payload
-    if src != local:
+    pdm = isinstance(net.contributor, Pdm)
+    state, stack = local if pdm else (local, ())
+    res = step(t, state, stack, store)
+    if res is None or stack_bound is not None and len(res[1]) > stack_bound:
         return None
-    if act.kind == READ and store != act.value:
-        return None
-    new_store = act.value if act.kind == WRITE else store
-    return (dst, new_store)
+    state, stack, store = res
+    return ((state, stack) if pdm else state), store
 
 
 def successors(net, c, stack_bound=None):
@@ -300,8 +243,8 @@ def _assign_actors(net, k, steps):
         if t.owner == LEADER:
             out.append((0, t.tid))
             continue
-        before = _pop_counts(src_cfg.population)
-        after = _pop_counts(dst_cfg.population)
+        before = dict(src_cfg.population)
+        after = dict(dst_cfg.population)
         moved_from = moved_to = None
         for local, n in before.items():
             if after.get(local, 0) < n:
@@ -334,7 +277,7 @@ def check_explicit(net, k, stack_bound=None, budget=None):
             and stack_bound is None:
         raise ValueError("stack_bound required for pushdown machines")
     if budget is None:
-        budget = state_budget()
+        budget = env_budget(EXPLORE_BUDGET)
     try:
         order, edges, parent = _explore(net, k, stack_bound, budget)
     except BudgetExceeded as e:
@@ -375,12 +318,19 @@ def check_explicit(net, k, stack_bound=None, budget=None):
 
 
 class _ReplayState:
+    """A concrete run laid down step by step from the initial configuration.
+
+    Actor 0 is the leader, actors 1..k are contributors; steps lists the
+    (actor, tid) pairs applied so far.
+    """
+
     def __init__(self, net, k):
         self.net = net
         self.leader_state = net.leader.initial
         self.leader_stack = (net.leader.bottom,) if isinstance(net.leader, Pdm) else ()
         self.store = UNINIT
         self.locals = [contributor_initial_local(net)] * k
+        self.steps = []
 
     def apply(self, actor, tid):
         """Apply one step; returns None on success, else a failure reason."""
@@ -392,42 +342,39 @@ class _ReplayState:
         if actor == 0:
             if t.owner != LEADER:
                 return f"{tid} is not a leader transition"
-            if isinstance(net.leader, Pdm):
-                rule = t.payload
-                if rule.src != self.leader_state:
-                    return f"leader is at {self.leader_state!r}, not {rule.src!r}"
-                if not self.leader_stack or rule.top != self.leader_stack[0]:
-                    return f"leader stack top is not {rule.top!r}"
-                if rule.action.kind == READ and self.store != rule.action.value:
-                    return f"store holds {self.store!r}, read needs {rule.action.value!r}"
-                if rule.effect[0] == "push":
-                    self.leader_stack = (rule.effect[1],) + self.leader_stack
-                else:
-                    if len(self.leader_stack) == 1:
-                        return "pop would empty the leader stack"
-                    self.leader_stack = self.leader_stack[1:]
-                if rule.action.kind == WRITE:
-                    self.store = rule.action.value
-                self.leader_state = rule.dst
-            else:
-                src, act, dst = t.payload
-                if src != self.leader_state:
-                    return f"leader is at {self.leader_state!r}, not {src!r}"
-                if act.kind == READ and self.store != act.value:
-                    return f"store holds {self.store!r}, read needs {act.value!r}"
-                if act.kind == WRITE:
-                    self.store = act.value
-                self.leader_state = dst
-            return None
-        if t.owner != CONTRIBUTOR:
-            return f"{tid} is not a contributor transition"
-        if not 1 <= actor <= len(self.locals):
-            return f"actor index {actor} out of range"
-        res = contributor_local_moves(net, t, self.locals[actor - 1], self.store)
-        if res is None:
-            return f"contributor {actor} cannot take {tid}"
-        self.locals[actor - 1], self.store = res
+            res = step(t, self.leader_state, self.leader_stack, self.store)
+            if res is None:
+                return (f"leader cannot take {tid} at {self.leader_state!r}"
+                        f" with stack {self.leader_stack!r} and store"
+                        f" {self.store!r}")
+            self.leader_state, self.leader_stack, self.store = res
+        else:
+            if t.owner != CONTRIBUTOR:
+                return f"{tid} is not a contributor transition"
+            if not 1 <= actor <= len(self.locals):
+                return f"actor index {actor} out of range"
+            res = contributor_local_moves(net, t, self.locals[actor - 1],
+                                          self.store)
+            if res is None:
+                return f"contributor {actor} cannot take {tid}"
+            self.locals[actor - 1], self.store = res
+        self.steps.append((actor, tid))
         return None
+
+    def fire(self, t):
+        """Apply t by the leader, or by the lowest-numbered contributor in
+        t's source state (FSM contributors); raises AssertionError when t
+        cannot fire."""
+        actor = 0
+        if t.owner == CONTRIBUTOR:
+            actor = next((i for i, local in enumerate(self.locals, 1)
+                          if local == t.src), None)
+            if actor is None:
+                raise AssertionError(f"no contributor is at {t.src!r} to take"
+                                     f" {t.tid}")
+        err = self.apply(actor, t.tid)
+        if err is not None:
+            raise AssertionError(err)
 
     def config(self):
         from collections import Counter
@@ -486,17 +433,3 @@ def replay(net, w):
         if end != start:
             return ("invalid", (idx, "cycle does not return to the same configuration"))
     return ("valid", None)
-
-
-def monotone_check(net, k, stack_bound=None):
-    """NONEMPTY at k must imply NONEMPTY at k+1 (one extra contributor can
-    simply stay put).  Returns ("holds", None) or ("counterexample", info)."""
-    if isinstance(net.leader, Pdm) and stack_bound is None:
-        raise ValueError("monotone_check needs an FSM leader or a stack bound")
-    at_k = check_explicit(net, k, stack_bound)
-    if at_k.kind != "NONEMPTY":
-        return ("holds", None)
-    at_k1 = check_explicit(net, k + 1, stack_bound)
-    if at_k1.kind == "NONEMPTY":
-        return ("holds", None)
-    return ("counterexample", {"k": k, "at_k": at_k.kind, "at_k+1": at_k1.kind})

@@ -1,4 +1,6 @@
-"""Core automata model: read/write actions, FSMs, PDMs and the leader/property product.
+"""Core automata model: read/write actions, FSMs, PDMs, the leader/property
+product, and the step rules (register, stack, concrete and abstract moves)
+that every procedure runs on.
 
 A network couples one leader machine and arbitrarily many copies of a
 contributor machine through a shared register holding values from a finite
@@ -9,6 +11,7 @@ write action.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 #: marker for the uninitialized store; not a member of G
@@ -21,8 +24,22 @@ READ = "read"
 WRITE = "write"
 
 
+#: default budgets when PARAMCK_BUDGET is unset: configurations, saturation
+#: edges or window states per exploration, and search nodes per solve
+EXPLORE_BUDGET = 5_000_000
+SOLVE_BUDGET = 500_000
+
+
 class BudgetExceeded(Exception):
     """Raised when a search or solver exceeds its configured budget."""
+
+
+def env_budget(default):
+    """PARAMCK_BUDGET if it holds an integer, else default."""
+    try:
+        return int(os.environ.get("PARAMCK_BUDGET", ""))
+    except ValueError:
+        return default
 
 
 @dataclass(frozen=True)
@@ -94,29 +111,89 @@ class Transition:
 
     The tid is unique across the union of both machines' transitions and is
     used as a letter in cycle automata and as a constraint-variable index.
+    src, action and dst are copied from the payload on construction.
     """
 
     owner: str             # LEADER or CONTRIBUTOR
     tid: str
     payload: object        # an Fsm transition triple or a PdmRule
 
-    @property
-    def action(self):
-        if isinstance(self.payload, PdmRule):
-            return self.payload.action
-        return self.payload[1]
+    def __post_init__(self):
+        p = self.payload
+        triple = (p.src, p.action, p.dst) if isinstance(p, PdmRule) else p
+        for name, value in zip(("src", "action", "dst"), triple):
+            object.__setattr__(self, name, value)
 
-    @property
-    def src(self):
-        if isinstance(self.payload, PdmRule):
-            return self.payload.src
-        return self.payload[0]
 
-    @property
-    def dst(self):
-        if isinstance(self.payload, PdmRule):
-            return self.payload.dst
-        return self.payload[2]
+def register_step(action, store):
+    """The register rule: the store after action, or None when a read finds
+    another value there."""
+    if action.kind == READ:
+        return store if store == action.value else None
+    return action.value
+
+
+def top_replacement(rule, top):
+    """The stack rule on the top symbol: what rule puts in place of top, ()
+    for a pop and (pushed, top) for a push, or None when top does not match."""
+    if rule.top != top:
+        return None
+    return () if rule.effect[0] == "pop" else (rule.effect[1], top)
+
+
+def stack_step(rule, stack):
+    """The stack (top first) after rule fires, or None when the top does not
+    match or a pop would empty it: a machine without a stack is dead."""
+    repl = top_replacement(rule, stack[0]) if stack else None
+    if repl is None:
+        return None
+    return repl + stack[1:] or None
+
+
+def step(t, state, stack, store):
+    """One concrete move of transition t by a machine at (state, stack) on the
+    shared store; stack is () for an FSM.  Returns (state', stack', store')
+    or None when t is not enabled."""
+    if t.src != state:
+        return None
+    store = register_step(t.action, store)
+    if store is None:
+        return None
+    if isinstance(t.payload, PdmRule):
+        stack = stack_step(t.payload, stack)
+        if stack is None:
+            return None
+    return t.dst, stack, store
+
+
+def abstract_moves(net, leader_state, store, Q, top=None):
+    """Abstract moves from (leader state, store, populated contributor states
+    Q), with top the leader's top symbol when the leader is a PDM.
+
+    Returns (t, leader_state', store', Q', replacement) for the leader's
+    moves, then the contributors', each in tid order.  The replacement is
+    what the move puts in place of top: () for a pop, (pushed, top) for a
+    push, and (top,) for FSM leader moves and for contributor moves, which
+    keep the leader's stack.  A contributor move needs a populated source and
+    adds its target to Q.
+    """
+    out = []
+    for t in net.leader_transitions:
+        if t.src != leader_state:
+            continue
+        repl = (top,) if top is None else top_replacement(t.payload, top)
+        if repl is None:
+            continue
+        store2 = register_step(t.action, store)
+        if store2 is not None:
+            out.append((t, t.dst, store2, Q, repl))
+    for t in net.contributor_transitions:
+        if t.src not in Q:
+            continue
+        store2 = register_step(t.action, store)
+        if store2 is not None:
+            out.append((t, leader_state, store2, Q | {t.dst}, (top,)))
+    return out
 
 
 def validate(machine, values):
@@ -274,12 +351,6 @@ class Network:
                      for t in self.leader_transitions + self.contributor_transitions}
             object.__setattr__(self, "_tid_cache", cache)
         return cache
-
-    def leader_is_pdm(self):
-        return isinstance(self.leader, Pdm)
-
-    def contributor_is_pdm(self):
-        return isinstance(self.contributor, Pdm)
 
 
 def make_network(values, leader, contributor):

@@ -25,9 +25,10 @@ argument as in the finite-state case.
 
 from __future__ import annotations
 
-from .machines import BudgetExceeded, Pdm, Fsm, READ, WRITE, LEADER, CONTRIBUTOR
-from .explicit import Witness, Verdict, replay, state_budget
-from .cyclesearch import _Sim, _stem_multiplicities
+from .machines import (EXPLORE_BUDGET, UNINIT, BudgetExceeded, Pdm, Fsm,
+                       CONTRIBUTOR, abstract_moves, env_budget)
+from .explicit import Witness, Verdict, _ReplayState, replay
+from .cyclesearch import _stem_multiplicities
 from . import parikh
 
 
@@ -46,31 +47,11 @@ def abstract_pdm_rules(net, control, top):
     pop, (top,) for a stack-neutral contributor move and (pushed, top) for a
     push.
     """
-    d, g, Q = control
-    out = []
-    for t in net.leader_transitions:
-        rule = t.payload
-        if rule.src != d or rule.top != top:
-            continue
-        act = rule.action
-        if act.kind == READ and g != act.value:
-            continue
-        g2 = act.value if act.kind == WRITE else g
-        repl = () if rule.effect[0] == "pop" else (rule.effect[1], top)
-        out.append((t.tid, (rule.dst, g2, Q), repl))
-    for t in net.contributor_transitions:
-        src, act, dst = t.payload
-        if src not in Q:
-            continue
-        if act.kind == READ and g != act.value:
-            continue
-        g2 = act.value if act.kind == WRITE else g
-        out.append((t.tid, (d, g2, Q | {dst}), (top,)))
-    return out
+    return [(t.tid, (d, g, Q), repl)
+            for t, d, g, Q, repl in abstract_moves(net, *control, top)]
 
 
 def initial_control(net):
-    from .machines import UNINIT
     return (net.leader.initial, UNINIT, frozenset([net.contributor.initial]))
 
 
@@ -86,7 +67,7 @@ def post_star(net, budget=None):
     configuration with control p and gamma on top.
     """
     if budget is None:
-        budget = state_budget()
+        budget = env_budget(EXPLORE_BUDGET)
     trans = {}                # (p, gamma, q) -> None, insertion ordered
     trans_from = {}           # q -> list of (gamma, q2)
     eps_into = {}             # q -> list of p with an epsilon edge p -> q
@@ -145,7 +126,6 @@ def post_star(net, budget=None):
 def _loop_controls(net, Q):
     """All abstract controls sharing the populated set Q, paired with the
     seen-accepting bit."""
-    from .machines import UNINIT
     stores = [UNINIT] + sorted(net.values)
     out = []
     for d in sorted(net.leader.states, key=repr):
@@ -371,7 +351,7 @@ def _build_witness(net, pivot_control, pivot_symbol, grammar, model):
         raise BudgetExceeded("no concrete stem found within the stack cap")
 
     mults, k = _stem_multiplicities(net, stem_path, pivot_control[2], tokens)
-    sim = _Sim(net, k)
+    sim = _ReplayState(net, k)
     for (_, t, _), m in zip(stem_path, mults):
         for _ in range(m if t.owner == CONTRIBUTOR else 1):
             sim.fire(t)

@@ -1,5 +1,5 @@
 """Pushdown contributors: effective stack height, the k-restriction FSM,
-run-distribution utilities, and the PDM/PDM checker.
+and the PDM/PDM checker.
 
 A pushdown contributor can be replaced by a finite-state machine that keeps
 only a bounded window of the stack: every omega-word the contributor can
@@ -7,19 +7,15 @@ produce, it can also produce with a run whose "effective stack height" stays
 below a bound N depending only on the machine's size.  The k-restriction
 simulates exactly the effectively k-bounded runs, so the PDM/PDM problem
 reduces to the PDM/FSM one with the N-restricted contributor.
-
-The distribution utilities (embedding validation and the flattening split)
-are the run-surgery tools behind that bound; they are exposed for testing
-rather than used by the checker itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .machines import (BudgetExceeded, Fsm, Pdm, PdmRule, CONTRIBUTOR,
-                       make_network)
-from .explicit import state_budget, Verdict
+from .machines import (EXPLORE_BUDGET, BudgetExceeded, Fsm, Pdm, env_budget,
+                       make_network, stack_step)
+from .explicit import Verdict
 
 
 @dataclass(frozen=True)
@@ -44,14 +40,10 @@ def run_configs(run, rules=None):
     for i, rule in enumerate(rules):
         if rule.src != state:
             raise ValueError(f"rule {i} expects state {rule.src!r}, run is at {state!r}")
-        if not stack or stack[0] != rule.top:
-            raise ValueError(f"rule {i} expects top {rule.top!r}")
-        if rule.effect[0] == "push":
-            stack = (rule.effect[1],) + stack
-        else:
-            stack = stack[1:]
-            if not stack:
-                raise ValueError(f"rule {i} pops the bottom symbol")
+        stack = stack_step(rule, stack)
+        if stack is None:
+            raise ValueError(f"rule {i} expects top {rule.top!r} and may not"
+                             f" pop the bottom symbol")
         state = rule.dst
         out.append((state, stack))
     return out
@@ -91,10 +83,6 @@ def effective_stack_height(run, i):
     return heights[i] - min(heights[i:]) + 1
 
 
-def run_word(run):
-    return tuple(r.action for r in run.rules)
-
-
 def restrict(pdm, k, budget=None):
     """The k-restriction: an FSM over states (q, window) where the window is
     the top min(k, height) stack symbols.
@@ -107,7 +95,7 @@ def restrict(pdm, k, budget=None):
     if k < 1:
         raise ValueError("k must be at least 1")
     if budget is None:
-        budget = state_budget()
+        budget = env_budget(EXPLORE_BUDGET)
     initial = (pdm.initial, (pdm.bottom,))
     order = [initial]
     seen = {initial}
@@ -118,15 +106,12 @@ def restrict(pdm, k, budget=None):
         i += 1
         q, window = state
         for rule in pdm.rules:
-            if rule.src != q or rule.top != window[0]:
+            if rule.src != q:
                 continue
-            if rule.effect[0] == "push":
-                new_window = ((rule.effect[1],) + window)[:k]
-            else:
-                if len(window) < 2:
-                    continue
-                new_window = window[1:]
-            target = (rule.dst, new_window)
+            new_window = stack_step(rule, window)
+            if new_window is None:
+                continue
+            target = (rule.dst, new_window[:k])
             transitions.append((state, rule.action, target))
             if target not in seen:
                 seen.add(target)
@@ -248,174 +233,3 @@ def check_pdm_pdm(net, node_budget=500_000):
     verdict = check_pdm_fsm(restricted_net, node_budget=node_budget)
     verdict.stats["window_bound"] = n
     return verdict
-
-
-# ---------------------------------------------------------------------------
-# run distributions
-
-@dataclass(frozen=True)
-class Distribution:
-    """A multiset of child runs covering a parent run.
-
-    embeddings[c] maps child c's step i (1-based, as index i-1) to the parent
-    step it replays; together the children must cover every parent step, each
-    child must replay its steps in order, and a child step must apply the very
-    rule the parent applied there.
-    """
-
-    parent: RunPrefix
-    children: tuple
-    embeddings: tuple      # per child, a tuple of parent positions (1-based)
-
-
-def validate_distribution(d):
-    """("valid", None), or ("invalid", reason)."""
-    try:
-        run_configs(d.parent)
-    except ValueError as e:
-        return ("invalid", f"parent is not a legal run: {e}")
-    if len(d.children) != len(d.embeddings):
-        return ("invalid", "one embedding per child required")
-    covered = set()
-    for ci, (child, psi) in enumerate(zip(d.children, d.embeddings)):
-        if child.machine is not d.parent.machine \
-                and child.machine != d.parent.machine:
-            return ("invalid", f"child {ci} runs on a different machine")
-        try:
-            run_configs(child)
-        except ValueError as e:
-            return ("invalid", f"child {ci} is not a legal run: {e}")
-        if len(psi) != len(child.rules):
-            return ("invalid", f"child {ci}: embedding arity mismatch")
-        prev = 0
-        for i, pos in enumerate(psi):
-            if not 1 <= pos <= len(d.parent.rules):
-                return ("invalid", f"child {ci}: position {pos} out of range")
-            if pos <= prev:
-                return ("invalid", f"child {ci}: embedding not strictly increasing")
-            prev = pos
-            if child.rules[i] != d.parent.rules[pos - 1]:
-                return ("invalid",
-                        f"child {ci}: rule at step {i + 1} differs from parent"
-                        f" step {pos}")
-            covered.add(pos)
-    missing = set(range(1, len(d.parent.rules) + 1)) - covered
-    if missing:
-        return ("invalid", f"parent steps not covered: {sorted(missing)}")
-    return ("valid", None)
-
-
-def last_position(psi, i):
-    """Largest child step whose parent position is <= i; 0 if none."""
-    last = 0
-    for k, pos in enumerate(psi, start=1):
-        if pos <= i:
-            last = k
-    return last
-
-
-def child_config_at(child, psi, i):
-    """Configuration of the child after replaying all its steps that embed at
-    or before parent position i."""
-    return run_configs(child)[last_position(psi, i)]
-
-
-def is_zk_bounded(d, Z, K):
-    """Every child stays effectively K-bounded while the parent runs its
-    first Z steps."""
-    for child, psi in zip(d.children, d.embeddings):
-        for i in range(Z + 1):
-            if effective_stack_height(child, last_position(psi, i)) > K:
-                return False
-    return True
-
-
-def is_synchronized(d):
-    """At every parent position of effective stack height 1, every child has
-    caught up to the identical configuration, also at height 1."""
-    parent_cfgs = run_configs(d.parent)
-    for i in range(len(d.parent.rules) + 1):
-        if effective_stack_height(d.parent, i) != 1:
-            continue
-        for child, psi in zip(d.children, d.embeddings):
-            last = last_position(psi, i)
-            if run_configs(child)[last] != parent_cfgs[i]:
-                return False
-            if effective_stack_height(child, last) != 1:
-                return False
-    return True
-
-
-def flatten_run(run, Z):
-    """Split a run at its first position Z of effective stack height N+1 into
-    two children, each effectively N-bounded up to (the image of) Z.
-
-    The stack at Z has N+1 active symbols; each active symbol except the
-    bottommost one has a well-defined push position before Z and pop position
-    after Z (the remaining run dips exactly to the bottom of the active
-    prefix, so every strictly higher symbol is popped).  Among the N
-    (state-at-push, symbol, state-at-pop) triples, three must coincide, and
-    cutting the matched push/pop segments pairwise yields two legal runs that
-    cover the parent between them.
-    """
-    n = compute_N(run.machine)
-    configs = run_configs(run)
-    heights = [len(s) for _, s in configs]
-    if not 0 <= Z < len(configs):
-        raise ValueError("Z out of range")
-    esh_z = effective_stack_height(run, Z)
-    if esh_z != n + 1:
-        raise ValueError(
-            f"position {Z} has effective stack height {esh_z}, expected {n + 1}")
-    for i in range(Z):
-        if effective_stack_height(run, i) > n:
-            raise ValueError(f"position {i} already exceeds the bound")
-
-    m = min(heights[Z:])
-    stack_z = configs[Z][1]
-    # index i = 1..N picks the active symbol at absolute height m + i
-    # (skipping the bottommost active symbol at height m); top-first stacks
-    def symbol(i):
-        return stack_z[heights[Z] - m - i]
-
-    pushes = {}
-    pops = {}
-    for i in range(1, n + 1):
-        h = m + i
-        pushes[i] = max(j for j in range(Z + 1) if heights[j] == h)
-        after = [j for j in range(Z, len(configs)) if heights[j] == h - 1]
-        if not after:
-            raise ValueError(f"active symbol {i} is never popped in the run")
-        pops[i] = min(after)
-
-    triples = {i: (configs[pushes[i]][0], symbol(i), configs[pops[i]][0])
-               for i in range(1, n + 1)}
-    found = None
-    for j1 in range(1, n + 1):
-        for j2 in range(j1 + 1, n + 1):
-            if triples[j1] != triples[j2]:
-                continue
-            for j3 in range(j2 + 1, n + 1):
-                if triples[j1] == triples[j3]:
-                    found = (j1, j2, j3)
-                    break
-            if found:
-                break
-        if found:
-            break
-    if found is None:
-        raise AssertionError("pigeonhole triple missing; bound miscomputed")
-    j1, j2, j3 = found
-
-    def child(del_push, del_pop):
-        lo1, hi1 = pushes[del_push[0]] + 1, pushes[del_push[1]]
-        lo2, hi2 = pops[del_pop[0]] + 1, pops[del_pop[1]]
-        keep = [p for p in range(1, len(run.rules) + 1)
-                if not (lo1 <= p <= hi1 or lo2 <= p <= hi2)]
-        rules = tuple(run.rules[p - 1] for p in keep)
-        return RunPrefix(run.machine, rules), tuple(keep)
-
-    # the pop of symbol j2 happens after the pop of j3 and before that of j1
-    child_a, keep_a = child((j1, j2), (j2, j1))
-    child_b, keep_b = child((j2, j3), (j3, j2))
-    return Distribution(run, (child_a, child_b), (keep_a, keep_b))

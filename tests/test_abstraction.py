@@ -1,27 +1,10 @@
 import random
 
 from paramck.machines import UNINIT
-from paramck.abstraction import (AbstractConfig, abstract_stem, alpha, delta,
-                                 gamma, initial_abstract, reachable_abstract)
+from paramck.abstraction import (AbstractConfig, abstract_stem,
+                                 initial_abstract, reachable_abstract)
 from paramck.explicit import check_explicit, initial_config, successors
 from fixtures import ring_network, random_fsm_network
-
-
-def test_alpha_gamma_galois():
-    pops = [(("A", 2), ("B", 0)), (("C", 1),)]
-    Q = alpha(pops)
-    assert Q == frozenset(["A", "C"])
-    admits = gamma(Q)
-    for pop in pops:
-        assert admits(pop)
-    assert not admits((("B", 1),))
-
-
-def test_delta_is_unit_transfer():
-    net = ring_network()
-    t = net.transition("c0")
-    assert delta(t) == {"A": -1, "B": +1}
-    assert delta(net.transition("d0")) == {}
 
 
 def test_initial_abstract():
@@ -62,7 +45,7 @@ def test_abstract_simulates_concrete():
                     nxt.append(d)
                     key = (d.leader_state, d.store)
                     assert key in merged
-                    assert alpha([d.population]) <= merged[key]
+                    assert {s for s, _ in d.population} <= merged[key]
             frontier = nxt
 
 

@@ -15,7 +15,7 @@ from paramck.parikh import parikh_cfg, parikh_fsa
 from fixtures import (ca, la, lift_fsm_to_pdm, random_fsm_network,
                       random_small_pdm, ring_network, stalled_network,
                       updown_run)
-from test_parikh import (cfg_vectors, characterized_vectors, fsa_words,
+from test_parikh import (cfg_vectors, characterized_vectors, fsa_vectors,
                          random_cfg, random_fsa)
 
 
@@ -57,8 +57,7 @@ def test_parikh_vectors_exact_on_100_fsas():
     rng = random.Random(8)
     for _ in range(100):
         fsa, alphabet = random_fsa(rng)
-        truth = {tuple(w.count(a) for a in alphabet)
-                 for w in fsa_words(fsa, 8)}
+        truth = fsa_vectors(fsa, alphabet, 8)
         system = parikh_fsa(fsa, alphabet=alphabet)
         assert characterized_vectors(system, alphabet, 8) == truth
 

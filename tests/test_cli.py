@@ -222,3 +222,45 @@ def test_budget_env_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PARAMCK_BUDGET", "3")
     assert main(check_args(paths)) == 3
     assert "BUDGET" in capsys.readouterr().out
+
+
+WINDOW_LEADER = """\
+kind = fsm
+values = 1
+states = p
+initial = p
+trans = p r(1) p
+"""
+
+WINDOW_CONTRIB = """\
+kind = pdm
+values = 1
+states = q
+initial = q
+stack = Z A
+rule = q w(1) Z -> q push A
+rule = q w(1) A -> q push A
+rule = q w(1) A -> q pop
+"""
+
+WINDOW_PROP = """\
+kind = buchi-fsm
+values = 1
+states = a
+initial = a
+accepting = a
+trans = a r(1) a
+"""
+
+
+def test_budget_in_window_restriction_is_json(tmp_path, capsys, monkeypatch):
+    # under auto the PDM contributor is restricted before any checker runs,
+    # and the restriction's BudgetExceeded must still give a JSON report
+    paths = write_net(tmp_path, WINDOW_LEADER, WINDOW_CONTRIB, WINDOW_PROP)
+    monkeypatch.setenv("PARAMCK_BUDGET", "3")
+    assert main(check_args(paths, "--json")) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "BUDGET"
+    assert report["mode"] == "fsm-fsm"
+    assert report["statistics"]["reason"] == \
+        "5-restriction exceeds 3 states (window bound N = 5)"

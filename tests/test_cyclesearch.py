@@ -1,11 +1,14 @@
 import random
 
+import networkx
+import pytest
+
 from paramck.machines import Fsm, buchi_product, make_network
 from paramck.abstraction import reachable_abstract
 from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
                                  q_preserving_successors,
                                  realizability_system)
-from paramck.explicit import check_explicit, replay
+from paramck.explicit import _ReplayState, check_explicit, replay
 from paramck import parikh
 from fixtures import la, ca, ring_network, stalled_network, \
     random_fsm_network
@@ -22,6 +25,25 @@ def full_q_accepting_config(net):
     return reach, best
 
 
+def anchor_scc(net, a):
+    """States and edges, in BFS order, of a's strongly connected component
+    among the Q-preserving moves reachable from a, by networkx."""
+    states, edges, i = [a], [], 0
+    while i < len(states):
+        c = states[i]
+        i += 1
+        for t, c2 in q_preserving_successors(net, c):
+            edges.append((c, t.tid, c2))
+            if c2 not in states:
+                states.append(c2)
+    g = networkx.DiGraph()
+    g.add_nodes_from(states)
+    g.add_edges_from((src, dst) for src, _, dst in edges)
+    comp = next(c for c in networkx.strongly_connected_components(g) if a in c)
+    return (tuple(s for s in states if s in comp),
+            tuple(e for e in edges if e[0] in comp and e[2] in comp))
+
+
 def test_cycle_fsa_is_strongly_connected_on_ring():
     net = ring_network()
     _, a = full_q_accepting_config(net)
@@ -33,10 +55,26 @@ def test_cycle_fsa_is_strongly_connected_on_ring():
                            for _, lab, _ in fsa.edges if lab.startswith("d")}
     assert used_leader_actions == {"r(1)", "r(2)", "r(3)"}
     # every state can reach and be reached from the anchor by construction
-    import networkx
     g = networkx.DiGraph((src, dst) for src, _, dst in fsa.edges)
     for s in fsa.states:
         assert networkx.has_path(g, a, s) and networkx.has_path(g, s, a)
+    assert (fsa.states, fsa.edges) == anchor_scc(net, a)
+    # and on random nets, at every reachable configuration
+    rng = random.Random(12)
+    for _ in range(60):
+        net = random_fsm_network(rng)
+        for a in reachable_abstract(net).order:
+            fsa = build_cycle_fsa(net, a)
+            assert (fsa.states, fsa.edges) == anchor_scc(net, a)
+
+
+def test_fire_raises_assertion_when_no_contributor_can_move():
+    net = stalled_network()
+    sim = _ReplayState(net, 1)
+    sim.fire(net.transition("c0"))        # the one contributor leaves q0
+    assert sim.steps == [(1, "c0")]
+    with pytest.raises(AssertionError):
+        sim.fire(net.transition("c0"))    # nobody is left in q0
 
 
 def test_q_preserving_moves_keep_q():

@@ -5,7 +5,7 @@ import pytest
 from paramck.machines import Fsm, Pdm, PdmRule, UNINIT, buchi_product, \
     make_network
 from paramck.explicit import (Witness, check_explicit, initial_config,
-                              monotone_check, replay, successors)
+                              replay, successors)
 from fixtures import (la, ca, ring_network, stalled_network,
                       random_fsm_network, random_pdm_leader_network)
 
@@ -99,13 +99,18 @@ def test_pdm_leader_witness_pivot_contract():
     assert replay(net, Witness(1, ((0, "d0"),), ((0, "d1"),)))[0] == "invalid"
 
 
+def assert_monotone(net, k):
+    # NONEMPTY at k implies NONEMPTY at k + 1: the extra contributor can
+    # simply stay put
+    if check_explicit(net, k).kind == "NONEMPTY":
+        assert check_explicit(net, k + 1).kind == "NONEMPTY"
+
+
 def test_monotone_on_ring():
-    net = ring_network()
-    assert monotone_check(net, 4) == ("holds", None)
+    assert_monotone(ring_network(), 4)
 
 
 def test_monotone_on_random_nets():
     rng = random.Random(1234)
     for _ in range(40):
-        net = random_fsm_network(rng)
-        assert monotone_check(net, 2) == ("holds", None)
+        assert_monotone(random_fsm_network(rng), 2)

@@ -14,49 +14,43 @@ from paramck.parikh import (FALSE, Fsa, Grammar, LinearSystem, eq, ge, land,
 # ---------------------------------------------------------------------------
 # enumeration oracles
 
-def fsa_words(fsa, max_len):
+def fsa_vectors(fsa, alphabet, max_len):
+    """Letter-count vectors over alphabet of the words of length at most
+    max_len from the initial to the final state, by dynamic programming
+    over (state, count vector), one letter at a time."""
+    def bump(vec, lab):
+        return tuple(n + (a == lab) for n, a in zip(vec, alphabet))
+
     out = set()
-    frontier = [(fsa.initial, ())]
-    for _ in range(max_len + 1):
-        nxt = []
-        for state, word in frontier:
-            if state == fsa.final:
-                out.add(word)
-            if len(word) < max_len:
-                for src, lab, dst in fsa.edges:
-                    if src == state:
-                        nxt.append((dst, word + (lab,)))
-        frontier = nxt
+    layer = {(fsa.initial, (0,) * len(alphabet))}
+    for length in range(max_len + 1):
+        out |= {vec for state, vec in layer if state == fsa.final}
+        if length < max_len:
+            layer = {(dst, bump(vec, lab)) for state, vec in layer
+                     for src, lab, dst in fsa.edges if src == state}
     return out
 
 
 def cfg_vectors(g, max_sum):
     """Terminal-count vectors of derivable words with at most max_sum
-    terminals, by saturating sentential forms."""
-    terms = set(g.terminals)
-    out = set()
-    seen = set()
-    frontier = {(g.start,)}
-    while frontier:
-        nxt = set()
-        for form in frontier:
-            i = next((j for j, s in enumerate(form) if s not in terms), None)
-            if i is None:
-                out.add(tuple(form.count(t) for t in g.terminals))
-                continue
-            for lhs, rhs in g.productions:
-                if lhs != form[i]:
-                    continue
-                new = form[:i] + rhs + form[i + 1:]
-                if sum(1 for s in new if s in terms) > max_sum:
-                    continue
-                if sum(1 for s in new if s not in terms) > max_sum + 4:
-                    continue
-                if new not in seen:
-                    seen.add(new)
-                    nxt.add(new)
-        frontier = nxt
-    return out
+    terminals, by a least fixpoint over (nonterminal, count vector)."""
+    terms = g.terminals
+    unit = {t: tuple(int(t == u) for u in terms) for t in terms}
+    vecs = {n: set() for n in g.nonterminals}
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in g.productions:
+            sums = {(0,) * len(terms)}
+            for sym in rhs:
+                parts = vecs[sym] if sym in vecs else {unit[sym]}
+                sums = {tuple(x + y for x, y in zip(s, p))
+                        for s in sums for p in parts
+                        if sum(s) + sum(p) <= max_sum}
+            if not sums <= vecs[lhs]:
+                vecs[lhs] |= sums
+                changed = True
+    return vecs[g.start]
 
 
 def characterized_vectors(system, alphabet, max_sum):
@@ -100,8 +94,7 @@ def test_fsa_encoding_matches_enumeration_sample():
     rng = random.Random(20)
     for _ in range(25):
         fsa, alphabet = random_fsa(rng)
-        truth = {tuple(w.count(a) for a in alphabet)
-                 for w in fsa_words(fsa, 6)}
+        truth = fsa_vectors(fsa, alphabet, 6)
         system = parikh_fsa(fsa, alphabet=alphabet)
         assert characterized_vectors(system, alphabet, 6) == truth
 

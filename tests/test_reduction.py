@@ -4,11 +4,9 @@ import pytest
 
 from paramck.machines import Fsm, Pdm, PdmRule, make_network
 from paramck.explicit import replay
-from paramck.reduction import (Distribution, RunPrefix, compute_N,
-                               check_pdm_pdm, effective_stack_height,
-                               flatten_run, is_synchronized, is_zk_bounded,
-                               kbounded_agreement, restrict, restrict_network,
-                               run_configs, run_word, validate_distribution)
+from paramck.reduction import (RunPrefix, compute_N, check_pdm_pdm,
+                               effective_stack_height, kbounded_agreement,
+                               restrict, restrict_network, run_configs)
 from fixtures import ca, la, random_small_pdm, updown_pdm, updown_run
 
 
@@ -152,88 +150,3 @@ def test_check_pdm_pdm_nonempty_with_restricted_replay():
 
 def test_check_pdm_pdm_empty_without_accepting_states():
     assert check_pdm_pdm(small_pdm_pdm_network(accepting=False)).kind == "EMPTY"
-
-
-# ---------------------------------------------------------------------------
-# run distributions
-
-def unsynchronized_distribution():
-    """Three children of a b b c c c that cover it but end mid-descent."""
-    pdm, (r_a, r_b, r_c) = updown_pdm()
-    parent = updown_run()
-    return Distribution(
-        parent,
-        (RunPrefix(pdm, (r_a, r_c)),
-         RunPrefix(pdm, (r_a, r_b, r_c)),
-         RunPrefix(pdm, (r_a, r_b, r_c))),
-        ((1, 6), (1, 2, 5), (1, 3, 4)))
-
-
-def synchronized_distribution():
-    """Three children of a b b c c c, each back at the bottom at the end."""
-    pdm, (r_a, r_b, r_c) = updown_pdm()
-    parent = updown_run()
-    return Distribution(
-        parent,
-        (RunPrefix(pdm, (r_a, r_c)),
-         RunPrefix(pdm, (r_a, r_b, r_c, r_c)),
-         RunPrefix(pdm, (r_a, r_b, r_c, r_c))),
-        ((1, 4), (1, 2, 4, 5), (1, 3, 5, 6)))
-
-
-def test_fixture_distributions_are_valid():
-    assert validate_distribution(unsynchronized_distribution()) == ("valid", None)
-    assert validate_distribution(synchronized_distribution()) == ("valid", None)
-
-
-def test_synchronization_flags():
-    assert not is_synchronized(unsynchronized_distribution())
-    assert is_synchronized(synchronized_distribution())
-
-
-def test_zk_boundedness():
-    d = unsynchronized_distribution()
-    # the parent reaches esh 4, but each child stays within 3
-    assert is_zk_bounded(d, 6, 3)
-    assert not is_zk_bounded(d, 6, 1)
-    assert is_zk_bounded(synchronized_distribution(), 6, 3)
-
-
-def test_invalid_distributions_are_rejected():
-    pdm, (r_a, r_b, r_c) = updown_pdm()
-    parent = updown_run()
-    kind, why = validate_distribution(Distribution(
-        parent, (RunPrefix(pdm, (r_a, r_b)),), ((1, 4),)))
-    assert kind == "invalid" and "differs from parent" in why
-    kind, why = validate_distribution(Distribution(
-        parent, (RunPrefix(pdm, (r_a, r_b)),), ((1, 1),)))
-    assert kind == "invalid" and "increasing" in why
-    kind, why = validate_distribution(Distribution(
-        parent, (RunPrefix(pdm, (r_a, r_c)),), ((1, 6),)))
-    assert kind == "invalid" and "not covered" in why
-    kind, why = validate_distribution(Distribution(
-        parent, (RunPrefix(pdm, (r_c,)),), ((4,),)))
-    assert kind == "invalid" and "legal run" in why
-
-
-def test_flatten_run_splits_at_the_overflow():
-    pdm, (r_a, r_b, r_c) = updown_pdm()
-    # climb to height 6 = N + 1 and come all the way back down
-    run = RunPrefix(pdm, (r_a,) + (r_b,) * 4 + (r_c,) * 5)
-    d = flatten_run(run, 5)
-    assert validate_distribution(d) == ("valid", None)
-    assert len(d.children) == 2
-    n = compute_N(pdm)
-    assert is_zk_bounded(d, 5, n)
-    for child in d.children:
-        for i in range(len(child.rules) + 1):
-            assert effective_stack_height(child, i) <= n
-    # the two children jointly cover all ten parent steps
-    covered = set().union(*map(set, d.embeddings))
-    assert covered == set(range(1, 11))
-
-
-def test_flatten_run_rejects_wrong_position():
-    run = updown_run()
-    with pytest.raises(ValueError):
-        flatten_run(run, 3)               # esh there is 4, not N + 1
