@@ -1,9 +1,11 @@
 import pytest
 
 from paramck.machines import (Action, Fsm, Pdm, PdmRule, Transition, UNINIT,
-                              LEADER, CONTRIBUTOR, buchi_product,
-                              make_network, validate)
-from fixtures import la, ca, ring_network
+                              LEADER, CONTRIBUTOR, abstract_moves,
+                              buchi_product, env_budget, make_network,
+                              register_step, stack_step, step,
+                              top_replacement, validate)
+from fixtures import la, ca, ring_network, updown_pdm
 
 
 def test_action_str_roundtrip():
@@ -119,3 +121,90 @@ def test_make_network_requires_buchi_leader():
     contrib = Fsm(frozenset(["q"]), "q", ())
     with pytest.raises(ValueError):
         make_network(["1"], leader, contrib)
+
+
+# ---------------------------------------------------------------------------
+# step rules
+
+def test_register_step_read_needs_stored_value_write_sets_it():
+    assert register_step(ca("read", "1"), "1") == "1"
+    assert register_step(ca("read", "1"), "2") is None
+    assert register_step(ca("read", "1"), UNINIT) is None
+    assert register_step(la("write", "2"), UNINIT) == "2"
+    assert register_step(la("write", "2"), "1") == "2"
+
+
+def test_top_replacement_push_pop_and_mismatch():
+    _, (r_a, r_b, r_c) = updown_pdm()
+    assert top_replacement(r_a, "Z") == ("X", "Z")
+    assert top_replacement(r_b, "X") == ("X", "X")
+    assert top_replacement(r_c, "X") == ()
+    assert top_replacement(r_a, "X") is None
+    assert top_replacement(r_c, "Z") is None
+
+
+def test_stack_step_pushes_pops_and_never_empties():
+    _, (r_a, r_b, r_c) = updown_pdm()
+    assert stack_step(r_a, ("Z",)) == ("X", "Z")
+    assert stack_step(r_b, ("X", "Z")) == ("X", "X", "Z")
+    assert stack_step(r_c, ("X", "X", "Z")) == ("X", "Z")
+    assert stack_step(r_a, ("X", "Z")) is None      # top does not match
+    assert stack_step(r_c, ("X",)) is None          # a pop may not empty it
+    assert stack_step(r_a, ()) is None              # a dead machine
+
+
+def test_step_on_fsm_transitions():
+    net = ring_network()
+    c0, c1 = net.transition("c0"), net.transition("c1")   # A w(1) B, B r(3) C
+    assert step(c0, "A", (), UNINIT) == ("B", (), "1")
+    assert step(c0, "B", (), UNINIT) is None
+    assert step(c1, "B", (), "3") == ("C", (), "3")
+    assert step(c1, "B", (), "1") is None
+
+
+def test_step_on_pdm_rules_needs_register_and_stack():
+    rule = PdmRule("q0", ca("read", "1"), "X", "q1", ("pop",))
+    t = Transition(CONTRIBUTOR, "c0", rule)
+    assert step(t, "q0", ("X", "Z"), "1") == ("q1", ("Z",), "1")
+    assert step(t, "q0", ("X", "Z"), "2") is None   # register rule fails
+    assert step(t, "q0", ("Z",), "1") is None       # stack rule fails
+    assert step(t, "q1", ("X", "Z"), "1") is None   # wrong source state
+
+
+def test_abstract_moves_on_fsm_leader_keep_order_and_grow_q():
+    net = ring_network()
+    moves = abstract_moves(net, ("s0", "p0"), "1", frozenset("AB"))
+    # leader moves first, then contributor moves, each in tid order; B's
+    # only move reads 3 and is not enabled on store 1
+    assert [m[0].tid for m in moves] == ["d0", "c0", "c3", "c6"]
+    assert moves[0][1:] == (("s1", "p1"), "1", frozenset("AB"), (None,))
+    assert moves[1][1:] == (("s0", "p0"), "1", frozenset("AB"), (None,))
+    assert moves[2][1:] == (("s0", "p0"), "2", frozenset("ABD"), (None,))
+    assert moves[3][1:] == (("s0", "p0"), "3", frozenset("ABF"), (None,))
+    # no populated contributor state, no contributor move
+    assert [m[0].tid for m in abstract_moves(
+        net, ("s0", "p0"), "1", frozenset())] == ["d0"]
+
+
+def test_abstract_moves_on_pdm_leader_report_top_replacement():
+    pdm, _ = updown_pdm()
+    leader = Pdm(pdm.states, pdm.stack_alphabet, pdm.initial,
+                 tuple(PdmRule(r.src, la(r.action.kind, r.action.value),
+                               r.top, r.dst, r.effect) for r in pdm.rules),
+                 frozenset(pdm.states))
+    contrib = Fsm(frozenset(["q"]), "q", (("q", ca("read", "3"), "q"),))
+    net = make_network(["1", "2", "3"], leader, contrib)
+    moves = abstract_moves(net, "p", "3", frozenset(["q"]), top="X")
+    assert [(m[0].tid, m[2], m[4]) for m in moves] == \
+        [("d1", "2", ("X", "X")), ("d2", "3", ()), ("c0", "3", ("X",))]
+    assert [m[0].tid for m in abstract_moves(
+        net, "p", "2", frozenset(["q"]), top="Z")] == ["d0"]
+
+
+def test_env_budget_reads_an_integer_or_falls_back(monkeypatch):
+    monkeypatch.delenv("PARAMCK_BUDGET", raising=False)
+    assert env_budget(7) == 7
+    monkeypatch.setenv("PARAMCK_BUDGET", "42")
+    assert env_budget(7) == 42
+    monkeypatch.setenv("PARAMCK_BUDGET", "lots")
+    assert env_budget(7) == 7
