@@ -19,11 +19,14 @@ search exceeds its node budget it raises instead of guessing.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.sparse import csr_array
 
 from .machines import BudgetExceeded
 
@@ -219,70 +222,92 @@ def parikh_cfg(g):
 # ---------------------------------------------------------------------------
 # solver
 
-def _farkas_infeasible(rows):
+def _matrix(rows, n):
+    """The coefficients of rows, each a dict from column index to a nonzero
+    coefficient, as a sparse float matrix with n columns."""
+    data, indices, indptr = [], [], [0]
+    for coeffs, _ in rows:
+        indices.extend(coeffs)
+        data.extend(coeffs.values())
+        indptr.append(len(indices))
+    return csr_array((numpy.array(data, dtype=float), indices, indptr),
+                     shape=(len(rows), n))
+
+
+def _farkas_infeasible(rows, n):
     """Try to certify infeasibility of {Ax <= b, x >= 0} exactly.
 
-    Solves min b'y subject to A'y >= 0, 0 <= y <= 1 in floats; a negative
-    optimum suggests a Farkas certificate, which is rationalized and then
-    verified in exact arithmetic.  Returns True only on a verified
-    certificate, so a True answer is trustworthy; False just means no
-    certificate was found this way.
+    rows: list of (coeffs, const), coeffs a dict from column index to a
+    nonzero coefficient; n is the number of columns.  Solves
+    min b'y subject to A'y >= 0, 0 <= y <= 1 in floats; a negative optimum
+    suggests a Farkas certificate y, which is rationalized and then verified
+    in exact integer arithmetic over its support: only the rows with y_i > 0
+    and their nonzero coefficients enter the sums.  Returns True only on a
+    verified certificate, so a True answer is trustworthy; False just means
+    no certificate was found this way.
     """
-    m = len(rows)
-    n = len(rows[0][0])
-    a = numpy.array([coeffs for coeffs, _ in rows], dtype=float)
-    b = numpy.array([const for _, const in rows], dtype=float)
-    res = linprog(c=b, A_ub=-a.T, b_ub=numpy.zeros(n), bounds=(0, 1),
-                  method="highs")
+    b = numpy.array([float(const) for _, const in rows])
+    res = linprog(c=b, A_ub=-_matrix(rows, n).T, b_ub=numpy.zeros(n),
+                  bounds=(0, 1), method="highs")
     if res.status != 0 or res.x is None or res.fun > -1e-9:
         return False
+    support = [(i, Fraction(v)) for i, v in enumerate(res.x) if v]
     for denom in (1, 16, 1024, 10 ** 6):
-        y = [Fraction(v).limit_denominator(denom) for v in res.x]
-        if any(yi < 0 for yi in y):
+        y = [(i, f.limit_denominator(denom)) for i, f in support]
+        y = [(i, f) for i, f in y if f]
+        if any(f < 0 for _, f in y):
             continue
-        combo = [sum(y[i] * rows[i][0][j] for i in range(m)) for j in range(n)]
-        rhs = sum(y[i] * rows[i][1] for i in range(m))
-        if all(c >= 0 for c in combo) and rhs < 0:
+        # y scaled by the common denominator of its entries: the signs of
+        # y'A and y'b are unchanged and the sums stay in integers
+        scale = math.lcm(*(f.denominator for _, f in y))
+        combo = {}
+        rhs = 0
+        for i, f in y:
+            w = f.numerator * (scale // f.denominator)
+            coeffs, const = rows[i]
+            rhs += w * const
+            for j, c in coeffs.items():
+                combo[j] = combo.get(j, 0) + w * c
+        if rhs < 0 and all(c >= 0 for c in combo.values()):
             return True
     return False
 
 
-def _lp_feasible(rows):
+def _lp_feasible(rows, n):
     """Feasibility of {Ax <= b, x >= 0} over the rationals, exactly.
 
-    rows: list of (coeff-list, const).  A float LP answers first: a feasible
-    answer is accepted as-is (wrongly accepting feasibility only costs
-    pruning, never correctness), an infeasible answer must be backed by an
-    exact Farkas certificate or confirmed by the exact simplex fallback.
+    rows: list of (coeffs, const), coeffs a dict from column index to a
+    nonzero coefficient; n is the number of columns.  A float LP answers
+    first: a feasible answer is accepted as-is (wrongly accepting feasibility
+    only costs pruning, never correctness), an infeasible answer must be
+    backed by an exact Farkas certificate or confirmed by the exact simplex
+    fallback.
     """
-    m = len(rows)
-    if m == 0:
-        return True
-    n = len(rows[0][0])
     if all(const >= 0 for _, const in rows):
         return True
-    a = numpy.array([coeffs for coeffs, _ in rows], dtype=float)
-    b = numpy.array([const for _, const in rows], dtype=float)
-    res = linprog(c=numpy.zeros(n), A_ub=a, b_ub=b, bounds=(0, None),
-                  method="highs")
+    b = numpy.array([float(const) for _, const in rows])
+    res = linprog(c=numpy.zeros(n), A_ub=_matrix(rows, n), b_ub=b,
+                  bounds=(0, None), method="highs")
     if res.status == 0:
         return True
-    if res.status == 2 and _farkas_infeasible(rows):
+    if res.status == 2 and _farkas_infeasible(rows, n):
         return False
-    return _lp_feasible_exact(rows)
+    return _lp_feasible_exact(rows, n)
 
 
-def _lp_feasible_exact(rows):
+def _lp_feasible_exact(rows, n):
     """Exact feasibility of {Ax <= b, x >= 0}: phase-1 simplex with Bland's
-    rule on a dense Fraction tableau."""
+    rule on a dense Fraction tableau.  rows as for _lp_feasible, at least
+    one."""
     m = len(rows)
-    n = len(rows[0][0])
     # columns: 0..n-1 structural, n the phase-1 variable x0, n+1..n+m slacks,
     # last the right-hand side
     zero, one = Fraction(0), Fraction(1)
     tab = []
     for i, (coeffs, const) in enumerate(rows):
-        row = [Fraction(c) for c in coeffs] + [Fraction(-1)] + [zero] * m
+        row = [zero] * n + [Fraction(-1)] + [zero] * m
+        for j, c in coeffs.items():
+            row[j] = Fraction(c)
         row[n + 1 + i] = one
         row.append(Fraction(const))
         tab.append(row)
@@ -411,26 +436,19 @@ def _check_all(atoms, model):
     return True
 
 
-def _milp_model(variables, atoms, lb, ub):
-    """Ask HiGHS for an integer model.  A returned model is checked exactly by
+def _milp_model(variables, atoms, rows, lb, ub):
+    """Ask HiGHS for an integer model.  rows holds each atom as (coeffs,
+    const), coeffs by column index as _lp_feasible takes them.  A returned model is checked exactly by
     the caller; None only means HiGHS found nothing, never a trusted UNSAT."""
     n = len(variables)
-    vi = {v: i for i, v in enumerate(variables)}
-    rows = []
-    lo = []
-    hi = []
-    for kind, coeffs, const in atoms:
-        row = [0.0] * n
-        for v, c in coeffs.items():
-            row[vi[v]] = float(c)
-        rows.append(row)
-        hi.append(float(const))
-        lo.append(float(const) if kind == "eq" else -numpy.inf)
+    hi = [float(const) for _, _, const in atoms]
+    lo = [h if kind == "eq" else -numpy.inf
+          for (kind, _, _), h in zip(atoms, hi)]
     lower = [float(lb[v]) for v in variables]
     upper = [numpy.inf if ub[v] is None else float(ub[v]) for v in variables]
     try:
         res = milp(c=numpy.zeros(n),
-                   constraints=LinearConstraint(numpy.array(rows),
+                   constraints=LinearConstraint(_matrix(rows, n),
                                                 numpy.array(lo),
                                                 numpy.array(hi)),
                    bounds=Bounds(numpy.array(lower), numpy.array(upper)),
@@ -439,7 +457,7 @@ def _milp_model(variables, atoms, lb, ub):
         return None
     if res.status != 0 or res.x is None:
         return None
-    return {v: int(round(res.x[vi[v]])) for v in variables}
+    return {v: int(round(x)) for v, x in zip(variables, res.x)}
 
 
 def _solve_conjunction(variables, atoms, budget):
@@ -456,14 +474,25 @@ def _solve_conjunction(variables, atoms, budget):
         return {} if _check_all(atoms, {}) else None
     lb = {v: 0 for v in variables}
     ub = {v: None for v in variables}
-    cap = _value_cap(len(variables), atoms)
+    vi = {v: i for i, v in enumerate(variables)}
+    # each atom as (coeffs, const), coeffs a dict from column index to
+    # nonzero coefficient; the LP takes an equation as two inequalities
+    atom_rows = [({vi[v]: c for v, c in coeffs.items() if c}, const)
+                 for _, coeffs, const in atoms]
+    lp_rows = []
+    for (kind, _, _), (coeffs, const) in zip(atoms, atom_rows):
+        lp_rows.append((coeffs, const))
+        if kind == "eq":
+            lp_rows.append(({j: -c for j, c in coeffs.items()}, -const))
+    # only a branch on a variable without an upper bound needs the cap
+    cap = functools.cache(lambda: _value_cap(len(variables), atoms))
 
     budget.tick()
     first = {v: 0 for v in variables}
     if not _propagate(atoms, dict(lb), dict(ub)):
         return None
     if atoms:
-        model = _milp_model(variables, atoms, lb, ub)
+        model = _milp_model(variables, atoms, atom_rows, lb, ub)
         if model is not None and _check_all(atoms, model):
             return model
         # fall through to the exact search: a missing HiGHS model is not a
@@ -472,26 +501,13 @@ def _solve_conjunction(variables, atoms, budget):
         return first
 
     def lp_ok(lb, ub):
-        rows = []
-        order = list(variables)
-        vi = {v: i for i, v in enumerate(order)}
-        for kind, coeffs, const in atoms:
-            row = [0] * len(order)
-            for v, c in coeffs.items():
-                row[vi[v]] = c
-            rows.append((row, const))
-            if kind == "eq":
-                rows.append(([-c for c in row], -const))
-        for v in order:
+        rows = list(lp_rows)
+        for v in variables:
             if lb[v] > 0:
-                row = [0] * len(order)
-                row[vi[v]] = -1
-                rows.append((row, -lb[v]))
+                rows.append(({vi[v]: -1}, -lb[v]))
             if ub[v] is not None:
-                row = [0] * len(order)
-                row[vi[v]] = 1
-                rows.append((row, ub[v]))
-        return _lp_feasible(rows)
+                rows.append(({vi[v]: 1}, ub[v]))
+        return _lp_feasible(rows, len(variables))
 
     def search(lb, ub):
         budget.tick()
@@ -505,7 +521,7 @@ def _solve_conjunction(variables, atoms, budget):
         if not lp_ok(lb, ub):
             return None
         v = free[0]
-        hi = ub[v] if ub[v] is not None else cap
+        hi = ub[v] if ub[v] is not None else cap()
         val = lb[v]
         while val <= hi:
             budget.tick()
@@ -524,7 +540,7 @@ def _solve_conjunction(variables, atoms, budget):
                 return None
             lb, ub = lb2, ub2
             val = max(val + 1, lb[v])
-            hi = cap if ub[v] is None else ub[v]
+            hi = cap() if ub[v] is None else ub[v]
         return None
 
     return search(lb, ub)

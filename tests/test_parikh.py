@@ -1,8 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from paramck.machines import BudgetExceeded
 from paramck import parikh
@@ -167,6 +170,86 @@ def test_solver_agrees_with_brute_force(data):
     assert (got is None) == (want is None)
     if got is not None:
         assert parikh._eval_node(constraint, got)
+
+
+# ---------------------------------------------------------------------------
+# LP layer
+
+def dense_farkas_infeasible(rows, n):
+    """Reference for parikh._farkas_infeasible: the same certificate LP on a
+    dense matrix, checked with Fraction sums over every row and column."""
+    dense = [[coeffs.get(j, 0) for j in range(n)] for coeffs, _ in rows]
+    consts = [const for _, const in rows]
+    a = numpy.array(dense, dtype=float)
+    b = numpy.array(consts, dtype=float)
+    res = linprog(c=b, A_ub=-a.T, b_ub=numpy.zeros(n), bounds=(0, 1),
+                  method="highs")
+    if res.status != 0 or res.x is None or res.fun > -1e-9:
+        return False
+    for denom in (1, 16, 1024, 10 ** 6):
+        y = [Fraction(v).limit_denominator(denom) for v in res.x]
+        if any(yi < 0 for yi in y):
+            continue
+        combo = [sum(yi * row[j] for yi, row in zip(y, dense))
+                 for j in range(n)]
+        rhs = sum(yi * b for yi, b in zip(y, consts))
+        if all(c >= 0 for c in combo) and rhs < 0:
+            return True
+    return False
+
+
+def random_lp(rng):
+    """Rows of {Ax <= b, x >= 0} in the solver's sparse form: about half
+    the coefficients zero, and constants of either sign."""
+    n = rng.randint(1, 5)
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        coeffs = {j: c for j in range(n)
+                  if (c := rng.choice([0, 0, 0, -3, -2, -1, 1, 2, 3]))}
+        rows.append((coeffs, rng.randint(-6, 6)))
+    return rows, n
+
+
+def test_lp_layer_agrees_with_exact_simplex_and_dense_oracle():
+    rng = random.Random(31)
+    certified = feasible = 0
+    for _ in range(400):
+        rows, n = random_lp(rng)
+        exact = parikh._lp_feasible_exact(rows, n)
+        certificate = parikh._farkas_infeasible(rows, n)
+        assert certificate == dense_farkas_infeasible(rows, n)
+        if certificate:
+            assert not exact
+        assert parikh._lp_feasible(rows, n) == exact
+        certified += certificate
+        feasible += exact
+    assert certified > 0 and 0 < feasible < 400
+
+
+def test_farkas_certificate_with_fractional_multipliers():
+    # x0 - x1 <= -1 and 2 x1 - x0 <= -1 sum, with y = (1, 1), to x1 <= -2;
+    # with x1 >= 0 in the third row, y = (1, 1, 1) certifies infeasibility
+    rows = [({0: 1, 1: -1}, -1), ({0: -1, 1: 2}, -1), ({1: -1}, 0)]
+    assert parikh._farkas_infeasible(rows, 2)
+    assert dense_farkas_infeasible(rows, 2)
+    assert not parikh._lp_feasible_exact(rows, 2)
+    assert not parikh._lp_feasible(rows, 2)
+
+
+def test_infeasibility_without_a_small_certificate_falls_back_to_simplex():
+    # x0 >= 1, x1 >= N x0 and x1 <= N - 1: the only certificates are
+    # multiples of (N, 1, 1), so within y <= 1 two entries are 1/N, which
+    # no denominator up to 10**6 approximates well enough
+    big = 10 ** 7 + 19
+    rows = [({0: -1}, -1), ({0: big, 1: -1}, 0), ({1: 1}, big - 1)]
+    assert not parikh._farkas_infeasible(rows, 2)
+    assert not dense_farkas_infeasible(rows, 2)
+    assert not parikh._lp_feasible_exact(rows, 2)
+    assert not parikh._lp_feasible(rows, 2)
+
+
+def test_lp_without_rows_is_feasible():
+    assert parikh._lp_feasible([], 3)
 
 
 def test_solver_handles_disjunction():
