@@ -1,8 +1,9 @@
 """paramck: liveness checking for leader/contributor register networks."""
 
 from .machines import (Action, Fsm, Pdm, PdmRule, Network, Transition,
-                       BudgetExceeded, buchi_product, make_network, validate,
-                       UNINIT, LEADER, CONTRIBUTOR, READ, WRITE)
+                       BudgetExceeded, InternalError, buchi_product,
+                       make_network, validate, UNINIT, LEADER, CONTRIBUTOR,
+                       READ, WRITE)
 from .explicit import ConcreteConfig, Witness, Verdict, check_explicit, replay
 from .cyclesearch import check_fsm_fsm
 from .pushdown import check_pdm_fsm
@@ -15,7 +16,8 @@ from .api import MODES, resolve_mode, replay_network, run_check
 
 __all__ = [
     "Action", "Fsm", "Pdm", "PdmRule", "Network", "Transition",
-    "BudgetExceeded", "buchi_product", "make_network", "validate",
+    "BudgetExceeded", "InternalError", "buchi_product", "make_network",
+    "validate",
     "UNINIT", "LEADER", "CONTRIBUTOR", "READ", "WRITE",
     "ConcreteConfig", "Witness", "Verdict", "check_explicit", "replay",
     "check_fsm_fsm", "check_pdm_fsm", "check_pdm_pdm",

@@ -6,7 +6,8 @@
     paramck replay --witness F --leader F --contributor F --property F
 
 Exit codes for check: 0 decided (NONEMPTY or EMPTY), 2 input error,
-3 budget exceeded.  For replay: 0 valid, 1 invalid, 2 parse/input error.
+3 budget exceeded, 4 internal error (a model found but no witness built).
+For replay: 0 valid, 1 invalid, 2 parse/input error.
 The PARAMCK_BUDGET environment variable caps each state exploration and
 each solve (see the README for the defaults).
 """
@@ -17,8 +18,8 @@ import argparse
 import json
 import sys
 
-from .machines import (BudgetExceeded, Fsm, Pdm, LEADER, CONTRIBUTOR,
-                       buchi_product, make_network, validate)
+from .machines import (BudgetExceeded, Fsm, InternalError, Pdm, LEADER,
+                       CONTRIBUTOR, buchi_product, make_network, validate)
 from .explicit import Verdict, Witness, replay, _ReplayState
 from .fileformat import (ParseError, parse_machine_file, parse_witness,
                          print_witness)
@@ -89,6 +90,9 @@ def _cmd_check(args):
         # raised outside the checkers, e.g. by the window restriction
         verdict = Verdict("BUDGET", stats={"reason": str(e)})
         mode = resolve_mode(net, args.mode)
+    except InternalError as e:
+        verdict = Verdict("ERROR", stats={"reason": str(e)})
+        mode = resolve_mode(net, args.mode)
 
     if args.json:
         report = {"verdict": verdict.kind, "mode": mode,
@@ -103,6 +107,8 @@ def _cmd_check(args):
                 print(f"  {key}: {verdict.stats[key]}", file=sys.stderr)
     if verdict.kind == "BUDGET":
         return 3
+    if verdict.kind == "ERROR":
+        return 4
     if verdict.witness is not None and args.witness:
         with open(args.witness, "w", encoding="utf-8") as f:
             f.write(print_witness(verdict.witness))

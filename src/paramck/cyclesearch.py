@@ -12,7 +12,8 @@ by an Euler walk) and replayed for confirmation.
 
 from __future__ import annotations
 
-from .machines import BudgetExceeded, CONTRIBUTOR, abstract_moves
+from .machines import (BudgetExceeded, CONTRIBUTOR, InternalError,
+                       abstract_moves)
 from .abstraction import AbstractConfig, reachable_abstract, abstract_stem
 from .explicit import Witness, Verdict, _ReplayState, replay
 from . import parikh
@@ -178,6 +179,6 @@ def check_fsm_fsm(net, node_budget=500_000):
             if status == "valid":
                 return Verdict("NONEMPTY", witness, stats)
             last_err = str(detail)
-        raise AssertionError(
+        raise InternalError(
             f"could not concretize a feasible cycle at {a}: {last_err}")
     return Verdict("EMPTY", None, stats)

@@ -43,7 +43,7 @@ class Witness:
 
 @dataclass(frozen=True)
 class Verdict:
-    kind: str              # "NONEMPTY", "EMPTY" or "BUDGET"
+    kind: str              # "NONEMPTY", "EMPTY", "BUDGET" or "ERROR"
     witness: Witness | None = None
     stats: dict = field(default_factory=dict, compare=False)
 

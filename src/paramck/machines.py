@@ -25,13 +25,22 @@ WRITE = "write"
 
 
 #: default budgets when PARAMCK_BUDGET is unset: configurations, saturation
-#: edges or window states per exploration, and search nodes per solve
+#: edges or window states per exploration, search nodes per solve,
+#: configurations per pdm-fsm stem search and search nodes per loop-word
+#: derivation
 EXPLORE_BUDGET = 5_000_000
 SOLVE_BUDGET = 500_000
+STEM_BUDGET = 300_000
+DERIVE_BUDGET = 200_000
 
 
 class BudgetExceeded(Exception):
     """Raised when a search or solver exceeds its configured budget."""
+
+
+class InternalError(Exception):
+    """Raised when a checker cannot turn a model it found into a witness
+    that replays: a defect of the checker, not a verdict."""
 
 
 def env_budget(default):

@@ -25,8 +25,9 @@ argument as in the finite-state case.
 
 from __future__ import annotations
 
-from .machines import (EXPLORE_BUDGET, UNINIT, BudgetExceeded, Pdm, Fsm,
-                       CONTRIBUTOR, abstract_moves, env_budget)
+from .machines import (DERIVE_BUDGET, EXPLORE_BUDGET, STEM_BUDGET, UNINIT,
+                       BudgetExceeded, InternalError, Pdm, Fsm, CONTRIBUTOR,
+                       abstract_moves, env_budget)
 from .explicit import Witness, Verdict, _ReplayState, replay
 from .cyclesearch import _stem_multiplicities
 from . import parikh
@@ -260,13 +261,15 @@ def loop_system(net, grammar):
     return system.conjoin(extra)
 
 
-def derive_word(grammar, counts, budget=200_000):
+def derive_word(grammar, counts, budget=None):
     """A word derivable using each production exactly counts[i] times.
 
     Leftmost derivation with backtracking over the production choice; the
     counts come from a Parikh model, so a derivation exists, but a greedy
     choice can strand part of the multiset.
     """
+    if budget is None:
+        budget = env_budget(DERIVE_BUDGET)
     nodes = [budget]
 
     def go(stack, counts):
@@ -294,9 +297,12 @@ def derive_word(grammar, counts, budget=200_000):
     return go([grammar.start], start_counts)
 
 
-def find_stem(net, pivot_control, pivot_symbol, stack_cap, budget=300_000):
+def find_stem(net, pivot_control, pivot_symbol, stack_cap, budget=None):
     """Bounded BFS through abstract pushdown configurations (control, stack)
-    for a path from the initial configuration to the pivot."""
+    for a path from the initial configuration to the pivot; None when the
+    pivot is not found within the stack cap and the configuration budget."""
+    if budget is None:
+        budget = env_budget(STEM_BUDGET)
     init = (initial_control(net), (net.leader.bottom,))
     if init[0] == pivot_control and init[1][0] == pivot_symbol:
         return []
@@ -411,7 +417,7 @@ def check_pdm_fsm(net, node_budget=500_000):
                 if status == "valid":
                     return Verdict("NONEMPTY", witness, stats)
                 last_err = str(detail)
-            raise AssertionError(
+            raise InternalError(
                 f"could not concretize a feasible loop at {(control, gamma)}:"
                 f" {last_err}")
         except BudgetExceeded:

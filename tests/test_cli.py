@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from paramck import cyclesearch, pushdown
 from paramck.cli import main
 
 
@@ -264,3 +265,33 @@ def test_budget_in_window_restriction_is_json(tmp_path, capsys, monkeypatch):
     assert report["mode"] == "fsm-fsm"
     assert report["statistics"]["reason"] == \
         "5-restriction exceeds 3 states (window bound N = 5)"
+
+
+def test_failed_concretization_is_an_internal_error(tmp_path, capsys,
+                                                   monkeypatch):
+    def broken(*args):
+        raise AssertionError("broken on purpose")
+    monkeypatch.setattr(cyclesearch, "concretize", broken)
+    paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB, RING_PROP)
+    assert main(check_args(paths, "--json")) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report == {"verdict": "ERROR", "mode": "fsm-fsm",
+                      "statistics": {"reason": report["statistics"]["reason"]}}
+    assert report["statistics"]["reason"].startswith(
+        "could not concretize a feasible cycle at ")
+    assert report["statistics"]["reason"].endswith(": broken on purpose")
+    assert main(check_args(paths)) == 4
+    assert capsys.readouterr().out == "ERROR\n"
+
+
+def test_failed_pdm_witness_is_an_internal_error(tmp_path, capsys,
+                                                 monkeypatch):
+    def broken(*args):
+        raise AssertionError("broken on purpose")
+    monkeypatch.setattr(pushdown, "_build_witness", broken)
+    paths = write_net(tmp_path, COUNTER_LEADER, COUNTER_CONTRIB, COUNTER_PROP)
+    assert main(check_args(paths, "--json")) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "ERROR" and report["mode"] == "pdm-fsm"
+    assert report["statistics"]["reason"].startswith(
+        "could not concretize a feasible loop at ")

@@ -1,6 +1,9 @@
 import random
 
-from paramck.machines import Fsm, Pdm, PdmRule, UNINIT, make_network
+import pytest
+
+from paramck.machines import (BudgetExceeded, Fsm, Pdm, PdmRule, UNINIT,
+                              make_network)
 from paramck.pushdown import (abstract_pdm_rules, build_loop_grammar,
                               check_pdm_fsm, derive_word, find_stem,
                               initial_control, pop_relation, post_star)
@@ -95,6 +98,25 @@ def test_find_stem_reaches_pivot():
         if path:
             last_control, last_stack = path[-1][2]
             assert last_control == control and last_stack[0] == gamma
+
+
+def test_budget_env_variable_caps_find_stem(monkeypatch):
+    net = counter_network()
+    paths = {pair: find_stem(net, *pair, stack_cap=8)
+             for pair in post_star(net)}
+    pivot = max(paths, key=lambda pair: len(paths[pair]))
+    assert len(paths[pivot]) >= 3
+    monkeypatch.setenv("PARAMCK_BUDGET", "2")
+    assert find_stem(net, *pivot, stack_cap=8) is None
+    assert find_stem(net, *pivot, stack_cap=8, budget=300_000) == paths[pivot]
+
+
+def test_budget_env_variable_caps_derive_word(monkeypatch):
+    g = parikh.Grammar(("S",), ("a",), "S", (("S", ("a",)),))
+    assert derive_word(g, {0: 1}) == ["a"]
+    monkeypatch.setenv("PARAMCK_BUDGET", "0")
+    with pytest.raises(BudgetExceeded):
+        derive_word(g, {0: 1})
 
 
 def test_counter_nonempty_with_replay():
