@@ -71,7 +71,7 @@ def realizability_system(net, fsa):
     tids = [t.tid for t in net.leader_transitions + net.contributor_transitions]
     system = parikh.parikh_fsa(fsa, alphabet=tids)
     extra = []
-    for q in net.contributor.states:
+    for q in sorted(net.contributor.states, key=repr):
         coeffs = {}
         for t in net.contributor_transitions:
             src, _, dst = t.payload
@@ -179,6 +179,7 @@ def check_fsm_fsm(net, node_budget=500_000):
             if status == "valid":
                 return Verdict("NONEMPTY", witness, stats)
             last_err = str(detail)
+        at = (a.leader_state, a.store, sorted(a.Q, key=repr))
         raise InternalError(
-            f"could not concretize a feasible cycle at {a}: {last_err}")
+            f"could not concretize a feasible cycle at {at}: {last_err}")
     return Verdict("EMPTY", None, stats)

@@ -589,7 +589,7 @@ def _conn_cut(node, model):
     bad = used - reach
     if not bad:
         return None
-    crossing = {v for v, s, d in edges if d in bad and s not in bad}
+    crossing = sorted({v for v, s, d in edges if d in bad and s not in bad})
     incident = sorted({v for v, s, d in edges if s in bad or d in bad})
     enter = ge({v: 1 for v in crossing}, 1) if crossing else FALSE
     unused = land([eq({v: 1}, 0) for v in incident])

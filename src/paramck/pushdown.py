@@ -151,30 +151,32 @@ def _loop_rules(net, state, top):
 
 def pop_relation(net, states, alphabet):
     """Least set of triples (s, gamma, s') such that the loop automaton can go
-    from s with [gamma] to s' with the gamma popped, by naive fixpoint."""
+    from s with [gamma] to s' with the gamma popped, by naive fixpoint.  The
+    set is a dict in the order the triples are found, so the loop grammar's
+    productions come out in an order that does not follow the hash seed."""
     rules = {}
     for s in states:
         for gamma in alphabet:
             rules[(s, gamma)] = _loop_rules(net, s, gamma)
-    P = set()
+    P = {}
     changed = True
     while changed:
         changed = False
         for (s, gamma), rs in rules.items():
             for tid, s2, repl in rs:
                 if repl == ():
-                    new = {(s, gamma, s2)}
+                    new = [(s, gamma, s2)]
                 elif len(repl) == 1:
-                    new = {(s, gamma, x) for (a, g2, x) in P
-                           if a == s2 and g2 == repl[0]}
+                    new = [(s, gamma, x) for (a, g2, x) in P
+                           if a == s2 and g2 == repl[0]]
                 else:
                     beta, below = repl
                     mids = [x for (a, g2, x) in P if a == s2 and g2 == beta]
-                    new = {(s, gamma, y) for x in mids
-                           for (a, g2, y) in P if a == x and g2 == below}
+                    new = [(s, gamma, y) for x in mids
+                           for (a, g2, y) in P if a == x and g2 == below]
                 for triple in new:
                     if triple not in P:
-                        P.add(triple)
+                        P[triple] = None
                         changed = True
     return P, rules
 
@@ -242,7 +244,7 @@ def loop_system(net, grammar):
     if system.constraint == parikh.FALSE:
         return system
     extra = []
-    for q in net.contributor.states:
+    for q in sorted(net.contributor.states, key=repr):
         coeffs = {}
         for t in net.contributor_transitions:
             src, _, dst = t.payload
@@ -417,9 +419,9 @@ def check_pdm_fsm(net, node_budget=500_000):
                 if status == "valid":
                     return Verdict("NONEMPTY", witness, stats)
                 last_err = str(detail)
+            at = (*control[:2], sorted(control[2], key=repr), gamma)
             raise InternalError(
-                f"could not concretize a feasible loop at {(control, gamma)}:"
-                f" {last_err}")
+                f"could not concretize a feasible loop at {at}: {last_err}")
         except BudgetExceeded:
             budget_hit = True
             continue

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import paramck
 from paramck import cyclesearch, pushdown
 from paramck.cli import main
 
@@ -295,3 +299,125 @@ def test_failed_pdm_witness_is_an_internal_error(tmp_path, capsys,
     assert report["verdict"] == "ERROR" and report["mode"] == "pdm-fsm"
     assert report["statistics"]["reason"].startswith(
         "could not concretize a feasible loop at ")
+
+
+# Two random nets whose witness followed PYTHONHASHSEED while the
+# constraint order of the Parikh systems followed set iteration order.
+HASH_FSM_LEADER = """\
+kind = fsm
+values = 0 1 2
+states = p0 p1 p2
+initial = p0
+trans = p0 r(1) p1
+trans = p1 r(1) p2
+trans = p2 w(0) p0
+trans = p1 w(2) p2
+trans = p1 w(0) p0
+trans = p1 w(1) p2
+"""
+
+HASH_FSM_CONTRIB = """\
+kind = fsm
+values = 0 1 2
+states = q0 q1 q2 q3
+initial = q0
+trans = q0 w(1) q1
+trans = q1 r(0) q2
+trans = q2 w(0) q3
+trans = q3 r(0) q0
+trans = q0 r(0) q1
+trans = q2 w(2) q0
+trans = q3 r(2) q3
+trans = q2 w(0) q0
+"""
+
+HASH_FSM_PROP = """\
+kind = buchi-fsm
+values = 0 1 2
+states = s0 s1
+initial = s0
+accepting = s1
+trans = s0 r(0) s0
+trans = s0 w(0) s0
+trans = s0 r(1) s0
+trans = s0 w(1) s1
+trans = s0 r(2) s0
+trans = s0 w(2) s0
+trans = s1 r(0) s0
+trans = s1 w(0) s0
+trans = s1 r(1) s0
+trans = s1 w(1) s1
+trans = s1 r(2) s0
+trans = s1 w(2) s0
+"""
+
+HASH_PDM_LEADER = """\
+kind = pdm
+values = 0 1
+states = p0 p1 p2
+initial = p0
+stack = Z A B
+rule = p0 w(1) Z -> p2 push B
+rule = p0 w(1) A -> p0 push B
+rule = p0 r(0) B -> p2 push A
+rule = p1 r(1) Z -> p2 push B
+rule = p1 r(1) A -> p1 pop
+rule = p1 r(1) B -> p2 push A
+rule = p2 r(0) Z -> p1 push A
+rule = p2 w(0) A -> p2 pop
+rule = p2 r(0) B -> p2 pop
+rule = p2 w(0) A -> p0 push B
+rule = p0 w(0) Z -> p2 push A
+rule = p1 r(1) A -> p2 pop
+"""
+
+HASH_PDM_CONTRIB = """\
+kind = fsm
+values = 0 1
+states = q0 q1 q2
+initial = q0
+trans = q0 r(0) q1
+trans = q1 r(0) q2
+trans = q2 w(0) q0
+trans = q1 r(0) q1
+trans = q0 w(1) q2
+"""
+
+HASH_PDM_PROP = """\
+kind = buchi-fsm
+values = 0 1
+states = s0 s1
+initial = s0
+accepting = s1
+trans = s0 r(0) s0
+trans = s0 w(0) s0
+trans = s0 r(1) s1
+trans = s0 w(1) s0
+trans = s1 r(0) s0
+trans = s1 w(0) s0
+trans = s1 r(1) s1
+trans = s1 w(1) s0
+"""
+
+
+@pytest.mark.parametrize("net", [
+    (HASH_FSM_LEADER, HASH_FSM_CONTRIB, HASH_FSM_PROP),
+    (HASH_PDM_LEADER, HASH_PDM_CONTRIB, HASH_PDM_PROP),
+], ids=["fsm-fsm", "pdm-fsm"])
+def test_report_does_not_depend_on_the_hash_seed(tmp_path, net):
+    paths = write_net(tmp_path, *net)
+    src = os.path.dirname(os.path.dirname(paramck.__file__))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + os.environ.get("PYTHONPATH", "").split(
+                           os.pathsep)))
+        env.pop("PARAMCK_BUDGET", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "paramck.cli",
+             *check_args(paths, "--json")],
+            env=env, capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert json.loads(outputs[0])["verdict"] == "NONEMPTY"
+    assert outputs[0] == outputs[1]
