@@ -11,10 +11,14 @@ named natural variables.
 
 The solver finds integer models of the conjunctive part (HiGHS first, with
 exact model verification, falling back to bounds propagation plus branch and
-bound pruned by an exact rational simplex), treats explicit disjunctions
-lazily, and enforces connectivity by checking the model's support graph and
-adding a valid cut when it is disconnected.  Verdicts are exact; if the
-search exceeds its node budget it raises instead of guessing.
+bound pruned by the LP relaxation), treats explicit disjunctions lazily, and
+enforces connectivity by checking the model's support graph and adding a
+valid cut when it is disconnected.  HiGHS gets sparse matrices built from the
+nonzero coefficients.  An LP it calls infeasible prunes only when a Farkas
+certificate, rationalized from a float solution, checks exactly over its
+support (the rows it weighs and their nonzero coefficients), or when an exact
+rational simplex agrees.  Verdicts are exact; if the search exceeds its node
+budget it raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -438,8 +442,9 @@ def _check_all(atoms, model):
 
 def _milp_model(variables, atoms, rows, lb, ub):
     """Ask HiGHS for an integer model.  rows holds each atom as (coeffs,
-    const), coeffs by column index as _lp_feasible takes them.  A returned model is checked exactly by
-    the caller; None only means HiGHS found nothing, never a trusted UNSAT."""
+    const), coeffs by column index as _lp_feasible takes them.  A returned
+    model is checked exactly by the caller; None only means HiGHS found
+    nothing, never a trusted UNSAT."""
     n = len(variables)
     hi = [float(const) for _, _, const in atoms]
     lo = [h if kind == "eq" else -numpy.inf
