@@ -149,31 +149,51 @@ def parikh_fsa(fsa, alphabet=None):
 
 
 def reduce_grammar(g):
-    """Remove unproductive and unreachable symbols; may leave no productions."""
+    """Remove unproductive and unreachable symbols; may leave no productions.
+
+    Linear in the size of the grammar: a production becomes usable when the
+    count of its right-hand occurrences of symbols not yet known productive
+    drops to zero, and reachability is a worklist over the usable productions
+    indexed by left-hand side.  Productions and nonterminals keep their
+    order.
+    """
+    terminals = set(g.terminals)
+    waiting = []                   # per production: occurrences still needed
+    uses = {}                      # symbol -> [production index] per occurrence
+    work = []
+    for i, (lhs, rhs) in enumerate(g.productions):
+        need = 0
+        for sym in rhs:
+            if sym not in terminals:
+                need += 1
+                uses.setdefault(sym, []).append(i)
+        waiting.append(need)
+        if not need:
+            work.append(lhs)
     productive = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in g.productions:
-            if lhs in productive:
-                continue
-            if all(sym in productive or sym in g.terminals for sym in rhs):
-                productive.add(lhs)
-                changed = True
-    prods = [(lhs, rhs) for lhs, rhs in g.productions
-             if lhs in productive
-             and all(s in productive or s in g.terminals for s in rhs)]
+    while work:
+        sym = work.pop()
+        if sym in productive:
+            continue
+        productive.add(sym)
+        for i in uses.get(sym, ()):
+            waiting[i] -= 1
+            if not waiting[i]:
+                work.append(g.productions[i][0])
+    by_lhs = {}
+    for i, (lhs, rhs) in enumerate(g.productions):
+        if not waiting[i]:
+            by_lhs.setdefault(lhs, []).append(rhs)
     reachable = {g.start}
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in prods:
-            if lhs in reachable:
-                for sym in rhs:
-                    if sym not in g.terminals and sym not in reachable:
-                        reachable.add(sym)
-                        changed = True
-    prods = tuple((lhs, rhs) for lhs, rhs in prods if lhs in reachable)
+    work = [g.start]
+    while work:
+        for rhs in by_lhs.get(work.pop(), ()):
+            for sym in rhs:
+                if sym not in terminals and sym not in reachable:
+                    reachable.add(sym)
+                    work.append(sym)
+    prods = tuple((lhs, rhs) for i, (lhs, rhs) in enumerate(g.productions)
+                  if not waiting[i] and lhs in reachable)
     nts = tuple(nt for nt in g.nonterminals if nt in reachable and nt in productive)
     return Grammar(nts, g.terminals, g.start, prods)
 
@@ -184,7 +204,7 @@ def parikh_cfg(g):
     Variables: y{i} per production and x[t] per terminal.  Balance: each
     nonterminal is produced as often as it is expanded (the start symbol once
     more); connectivity mirrors the automaton case over the derivation
-    forest.
+    forest.  All rows are filled in one pass over the productions.
     """
     g = reduce_grammar(g)
     if g.start not in g.nonterminals:
@@ -193,32 +213,31 @@ def parikh_cfg(g):
     yvars = [f"y{i}" for i in range(len(g.productions))]
     xvars = [letter_var(t) for t in g.terminals]
     variables = tuple(xvars + yvars)
-    atoms = []
+    terminals = set(g.terminals)
 
-    for nt in g.nonterminals:
-        coeffs = {}
-        for i, (lhs, rhs) in enumerate(g.productions):
-            c = (1 if lhs == nt else 0) - sum(1 for s in rhs if s == nt)
-            if c:
-                coeffs[f"y{i}"] = c
-        atoms.append(eq(coeffs, 1 if nt == g.start else 0))
-
-    for t in g.terminals:
-        coeffs = {letter_var(t): 1}
-        for i, (_, rhs) in enumerate(g.productions):
-            c = sum(1 for s in rhs if s == t)
-            if c:
-                coeffs[f"y{i}"] = -c
-        atoms.append(eq(coeffs, 0))
-
-    # every used nonterminal must be reachable from the start in the
-    # derivation forest
+    nt_rows = {nt: {} for nt in g.nonterminals}
+    t_rows = {t: {letter_var(t): 1} for t in g.terminals}
     conn_edges = []
     for i, (lhs, rhs) in enumerate(g.productions):
-        # the self edge marks lhs as used even when rhs is all terminals
-        conn_edges.append((f"y{i}", lhs, lhs))
-        for nt in dict.fromkeys(s for s in rhs if s not in g.terminals):
-            conn_edges.append((f"y{i}", lhs, nt))
+        y = f"y{i}"
+        uses = {lhs: 0}
+        for sym in rhs:
+            uses[sym] = uses.get(sym, 0) + 1
+        for sym, n in uses.items():
+            c = (1 if sym == lhs else 0) - n
+            if c and sym in nt_rows:
+                nt_rows[sym][y] = c
+            if n and sym in t_rows:
+                t_rows[sym][y] = -n
+        # every used nonterminal must be reachable from the start in the
+        # derivation forest; the self edge marks lhs as used even when rhs
+        # is all terminals
+        conn_edges.append((y, lhs, lhs))
+        for nt in dict.fromkeys(s for s in rhs if s not in terminals):
+            conn_edges.append((y, lhs, nt))
+    atoms = [eq(nt_rows[nt], 1 if nt == g.start else 0)
+             for nt in g.nonterminals]
+    atoms += [eq(t_rows[t], 0) for t in g.terminals]
     atoms.append(connected(g.start, conn_edges))
     return LinearSystem(variables, land(atoms))
 

@@ -12,7 +12,10 @@ The decision runs in three stages:
      with the pivot symbol on top, never pop below it, visit an accepting
      control, and return to the pivot control with the pivot symbol on top.
      These form a context-free language over transition ids, described by a
-     grammar with the usual balanced-segment nonterminals;
+     grammar with the usual balanced-segment nonterminals.  The grammar is
+     read off the loop automaton of the pivot's Q (its rule table and pop
+     relation, found by worklist saturation), built once per Q and shared
+     by every pivot with that Q;
   3. a Parikh model of that grammar, strengthened with contributor flow
      balance and nonemptiness, denotes a concretely realizable cycle.  The
      witness is assembled from a derivation of the model's production counts
@@ -24,6 +27,8 @@ argument as in the finite-state case.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .machines import (DERIVE_BUDGET, EXPLORE_BUDGET, STEM_BUDGET, UNINIT,
                        BudgetExceeded, InternalError, Pdm, Fsm, CONTRIBUTOR,
@@ -151,37 +156,82 @@ def _loop_rules(net, state, top):
 
 def pop_relation(net, states, alphabet):
     """Least set of triples (s, gamma, s') such that the loop automaton can go
-    from s with [gamma] to s' with the gamma popped, by naive fixpoint.  The
-    set is a dict in the order the triples are found, so the loop grammar's
-    productions come out in an order that does not follow the hash seed."""
+    from s with [gamma] to s' with the gamma popped.
+
+    Worklist saturation (Schwoon, Model-Checking Pushdown Systems, 2002).
+    Pop rules seed the triples, and each new triple (a, g, x) wakes only the
+    rules waiting on (a, g): a neutral rule that moves to a with g on top, a
+    push rule that moves to a and pushes g, and a push rule whose pushed
+    symbol has been popped again at a, waiting to pop the g it left below.
+
+    The set is a dict in the order in which the naive fixpoint (rounds that
+    scan the rule table in order, each rule reading the triples found so
+    far) finds the triples, so the loop grammar's productions keep one
+    fixed order.  The worklist settles triples in that order: the rule at
+    scan position pos derives a triple in the first round in which it sees
+    all its premises, and the key (round, pos, rank of each premise) sorts
+    the triples as the scan finds them.
+    """
     rules = {}
     for s in states:
         for gamma in alphabet:
             rules[(s, gamma)] = _loop_rules(net, s, gamma)
-    P = {}
-    changed = True
-    while changed:
-        changed = False
-        for (s, gamma), rs in rules.items():
-            for tid, s2, repl in rs:
-                if repl == ():
-                    new = [(s, gamma, s2)]
-                elif len(repl) == 1:
-                    new = [(s, gamma, x) for (a, g2, x) in P
-                           if a == s2 and g2 == repl[0]]
-                else:
-                    beta, below = repl
-                    mids = [x for (a, g2, x) in P if a == s2 and g2 == beta]
-                    new = [(s, gamma, y) for x in mids
-                           for (a, g2, y) in P if a == x and g2 == below]
-                for triple in new:
-                    if triple not in P:
-                        P[triple] = None
-                        changed = True
-    return P, rules
+    heap = []
+    first = {}        # (a, g) -> [(pos, s, gamma, below or None if neutral)]
+    second = {}       # (x, below) -> [(pos, s, gamma, settled first premise)]
+    pos = 0
+    for (s, gamma), rs in rules.items():
+        for _, s2, repl in rs:
+            if repl == ():
+                heap.append(((1, pos), (s, gamma, s2)))
+            else:
+                below = repl[1] if len(repl) == 2 else None
+                first.setdefault((s2, repl[0]), []).append(
+                    (pos, s, gamma, below))
+            pos += 1
+    heapq.heapify(heap)
+
+    def key(at, *premises):
+        # the scan at position at sees a premise in the round it was found
+        # only when the rule that found it comes earlier in the scan
+        k, p, _ = max(premises)
+        return (k if p < at else k + 1, at) + tuple(r for _, _, r in premises)
+
+    settled = {}      # triple -> (round, pos, rank)
+    after = {}        # (a, g) -> [x] in settling order
+    while heap:
+        prio, triple = heapq.heappop(heap)
+        if triple in settled:
+            continue
+        mine = settled[triple] = (prio[0], prio[1], len(settled))
+        a, g, x = triple
+        after.setdefault((a, g), []).append(x)
+        for at, s, gamma, prem in second.get((a, g), ()):
+            heapq.heappush(heap, (key(at, prem, mine), (s, gamma, x)))
+        for at, s, gamma, below in first.get((a, g), ()):
+            if below is None:
+                heapq.heappush(heap, (key(at, mine), (s, gamma, x)))
+                continue
+            for y in after.get((x, below), ()):
+                heapq.heappush(heap, (key(at, mine, settled[(x, below, y)]),
+                                      (s, gamma, y)))
+            second.setdefault((x, below), []).append((at, s, gamma, mine))
+    return dict.fromkeys(settled), rules
 
 
-def build_loop_grammar(net, pivot_control, pivot_symbol):
+def loop_automaton(net, Q):
+    """The loop automaton at the populated set Q: its rule table by
+    (state, top) and its pop relation as an index (s, gamma) -> [s'] in the
+    order pop_relation finds the triples.  Both depend only on Q."""
+    P, rules = pop_relation(net, _loop_controls(net, Q),
+                            net.leader.stack_alphabet)
+    after = {}
+    for s, gamma, s2 in P:
+        after.setdefault((s, gamma), []).append(s2)
+    return rules, after
+
+
+def build_loop_grammar(net, pivot_control, pivot_symbol, automata=None):
     """Grammar of the loop-run words at the given pivot.
 
     Nonterminals: ("T", s, gamma, s') for balanced segments that pop gamma,
@@ -189,11 +239,18 @@ def build_loop_grammar(net, pivot_control, pivot_symbol):
     accepting condition (pivot control revisited, accepting bit set, pivot
     symbol on top).  The pivot symbol at the bottom is never popped, so "never
     below the floor" holds by construction.
+
+    The loop automaton depends only on Q = pivot_control[2]; automata, a dict
+    from Q to loop_automaton(net, Q), lets pivots that share a Q share it.
+    Without it the automaton is built afresh.  Productions come out of the
+    pop-relation index, one per rule and per matching triple.
     """
     Q = pivot_control[2]
-    states = _loop_controls(net, Q)
-    alphabet = net.leader.stack_alphabet
-    P, rules = pop_relation(net, states, alphabet)
+    if automata is None:
+        automata = {}
+    if Q not in automata:
+        automata[Q] = loop_automaton(net, Q)
+    rules, after = automata[Q]
 
     start_state = (pivot_control, 1 if accepting_control(net, pivot_control) else 0)
     accept_state = (pivot_control, 1)
@@ -207,22 +264,18 @@ def build_loop_grammar(net, pivot_control, pivot_symbol):
                 prods.append((("T", s, gamma, s2), (tid,)))
             elif len(repl) == 1:
                 prods.append((R, (tid, ("R", s2, repl[0]))))
-                for (a, g2, x) in P:
-                    if a == s2 and g2 == repl[0]:
-                        prods.append((("T", s, gamma, x),
-                                      (tid, ("T", s2, repl[0], x))))
+                for x in after.get((s2, repl[0]), ()):
+                    prods.append((("T", s, gamma, x),
+                                  (tid, ("T", s2, repl[0], x))))
             else:
                 beta, below = repl
                 prods.append((R, (tid, ("R", s2, beta))))
-                for (a, g2, x) in P:
-                    if a == s2 and g2 == beta:
-                        prods.append((R, (tid, ("T", s2, beta, x),
-                                          ("R", x, below))))
-                        for (a2, g3, y) in P:
-                            if a2 == x and g3 == below:
-                                prods.append((("T", s, gamma, y),
-                                              (tid, ("T", s2, beta, x),
-                                               ("T", x, below, y))))
+                for x in after.get((s2, beta), ()):
+                    T1 = ("T", s2, beta, x)
+                    prods.append((R, (tid, T1, ("R", x, below))))
+                    for y in after.get((x, below), ()):
+                        prods.append((("T", s, gamma, y),
+                                      (tid, T1, ("T", x, below, y))))
     nts = []
     seen = set()
     for lhs, rhs in prods:
@@ -389,9 +442,11 @@ def check_pdm_fsm(net, node_budget=500_000):
         return Verdict("BUDGET", None, stats)
     stats["pivots"] = len(pairs)
     budget_hit = False
+    automata = {}             # Q -> loop_automaton(net, Q), for this check
     for control, gamma in pairs:
         stats["pivots_checked"] += 1
-        grammar = parikh.reduce_grammar(build_loop_grammar(net, control, gamma))
+        grammar = parikh.reduce_grammar(
+            build_loop_grammar(net, control, gamma, automata))
         if grammar.start not in grammar.nonterminals:
             continue
         system = loop_system(net, grammar)

@@ -136,6 +136,91 @@ def test_reduce_grammar_removes_junk_and_is_idempotent():
     assert reduce_grammar(r) == r
 
 
+def naive_reduce_grammar(g):
+    """reduce_grammar by naive fixpoints that rescan every production."""
+    productive = set()
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in g.productions:
+            if lhs in productive:
+                continue
+            if all(sym in productive or sym in g.terminals for sym in rhs):
+                productive.add(lhs)
+                changed = True
+    prods = [(lhs, rhs) for lhs, rhs in g.productions
+             if lhs in productive
+             and all(s in productive or s in g.terminals for s in rhs)]
+    reachable = {g.start}
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in prods:
+            if lhs in reachable:
+                for sym in rhs:
+                    if sym not in g.terminals and sym not in reachable:
+                        reachable.add(sym)
+                        changed = True
+    prods = tuple((lhs, rhs) for lhs, rhs in prods if lhs in reachable)
+    nts = tuple(nt for nt in g.nonterminals
+                if nt in reachable and nt in productive)
+    return Grammar(nts, g.terminals, g.start, prods)
+
+
+def naive_parikh_cfg(g):
+    """parikh_cfg with one pass over the productions per symbol."""
+    g = naive_reduce_grammar(g)
+    if g.start not in g.nonterminals:
+        return LinearSystem((), FALSE)
+    variables = tuple([letter_var(t) for t in g.terminals]
+                      + [f"y{i}" for i in range(len(g.productions))])
+    atoms = []
+    for nt in g.nonterminals:
+        coeffs = {}
+        for i, (lhs, rhs) in enumerate(g.productions):
+            c = (1 if lhs == nt else 0) - sum(1 for s in rhs if s == nt)
+            if c:
+                coeffs[f"y{i}"] = c
+        atoms.append(eq(coeffs, 1 if nt == g.start else 0))
+    for t in g.terminals:
+        coeffs = {letter_var(t): 1}
+        for i, (_, rhs) in enumerate(g.productions):
+            c = sum(1 for s in rhs if s == t)
+            if c:
+                coeffs[f"y{i}"] = -c
+        atoms.append(eq(coeffs, 0))
+    conn_edges = []
+    for i, (lhs, rhs) in enumerate(g.productions):
+        conn_edges.append((f"y{i}", lhs, lhs))
+        for nt in dict.fromkeys(s for s in rhs if s not in g.terminals):
+            conn_edges.append((f"y{i}", lhs, nt))
+    atoms.append(parikh.connected(g.start, conn_edges))
+    return LinearSystem(variables, land(atoms))
+
+
+def odd_cfg(rng):
+    """A random grammar that may also use undeclared symbols, a terminal on
+    a left-hand side, a nonterminal that is also a terminal, or an
+    undeclared start symbol."""
+    nts = tuple(f"N{i}" for i in range(rng.randint(1, 6)))
+    terms = ("a", "b", "N0")[:rng.randint(1, 3)]
+    prods = []
+    for _ in range(rng.randint(1, 12)):
+        rhs = tuple(rng.choice(nts + terms + ("X",))
+                    for _ in range(rng.randint(0, 4)))
+        prods.append((rng.choice(nts + ("a",)), rhs))
+    return Grammar(nts, terms, rng.choice(nts + ("Z",)), tuple(prods))
+
+
+def test_grammar_passes_agree_with_naive_fixpoints():
+    rng = random.Random(22)
+    for i in range(3000):
+        g = random_cfg(rng, max_nts=6) if i % 2 else odd_cfg(rng)
+        assert reduce_grammar(g) == naive_reduce_grammar(g)
+        # same atoms, same order, same coefficient key order
+        assert repr(parikh_cfg(g)) == repr(naive_parikh_cfg(g))
+
+
 def test_unproductive_start_gives_false():
     g = Grammar(("S",), ("a",), "S", (("S", ("S", "a")),))
     assert parikh_cfg(g).constraint == FALSE

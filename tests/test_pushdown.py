@@ -4,12 +4,15 @@ import pytest
 
 from paramck.machines import (BudgetExceeded, Fsm, Pdm, PdmRule, UNINIT,
                               make_network)
-from paramck.pushdown import (abstract_pdm_rules, build_loop_grammar,
+from paramck.pushdown import (_loop_controls, _loop_rules,
+                              abstract_pdm_rules, build_loop_grammar,
                               check_pdm_fsm, derive_word, find_stem,
                               initial_control, pop_relation, post_star)
 from paramck.explicit import check_explicit, replay
-from paramck import parikh
-from fixtures import la, ca, random_pdm_leader_network
+from paramck.reduction import restrict_network
+from paramck import parikh, pushdown
+from fixtures import (la, ca, random_pdm_leader_network,
+                      random_pdm_pdm_network)
 
 
 def counter_network(accept_high=False):
@@ -65,6 +68,94 @@ def test_pop_relation_on_loop_automaton():
                for s, gamma, s2 in P)
     # nothing can pop the bottom symbol: no rule pops Z
     assert not any(gamma == "Z" for _, gamma, _ in P)
+
+
+def naive_pop_relation(net, states, alphabet):
+    """The pop relation by naive fixpoint: every round scans the whole rule
+    table and, for each rule, the whole relation found so far."""
+    rules = {}
+    for s in states:
+        for gamma in alphabet:
+            rules[(s, gamma)] = _loop_rules(net, s, gamma)
+    P = {}
+    changed = True
+    while changed:
+        changed = False
+        for (s, gamma), rs in rules.items():
+            for tid, s2, repl in rs:
+                if repl == ():
+                    new = [(s, gamma, s2)]
+                elif len(repl) == 1:
+                    new = [(s, gamma, x) for (a, g2, x) in P
+                           if a == s2 and g2 == repl[0]]
+                else:
+                    beta, below = repl
+                    mids = [x for (a, g2, x) in P if a == s2 and g2 == beta]
+                    new = [(s, gamma, y) for x in mids
+                           for (a, g2, y) in P if a == x and g2 == below]
+                for triple in new:
+                    if triple not in P:
+                        P[triple] = None
+                        changed = True
+    return P, rules
+
+
+def pivot_qs(net):
+    return list(dict.fromkeys(control[2] for control, _ in post_star(net)))
+
+
+def test_pop_relation_agrees_with_naive_fixpoint():
+    rng = random.Random(31)
+    nets = [counter_network(), counter_network(accept_high=True)]
+    for _ in range(20):
+        nets.append(random_pdm_leader_network(rng))
+        nets.append(restrict_network(random_pdm_pdm_network(rng))[0])
+    triples = 0
+    for net in nets:
+        for Q in pivot_qs(net):
+            states = _loop_controls(net, Q)
+            P, rules = pop_relation(net, states, net.leader.stack_alphabet)
+            P0, rules0 = naive_pop_relation(net, states,
+                                            net.leader.stack_alphabet)
+            assert set(P) == set(P0)
+            # the same order, too, so the loop grammars do not change
+            assert list(P) == list(P0)
+            assert rules == rules0
+            triples += len(P)
+    assert triples > 100
+
+
+def test_check_builds_one_loop_automaton_per_q(monkeypatch):
+    calls = []
+    original = pushdown.pop_relation
+
+    def counting(net, states, alphabet):
+        calls.append(states[0][0][2])
+        return original(net, states, alphabet)
+
+    monkeypatch.setattr(pushdown, "pop_relation", counting)
+    rng = random.Random(88)
+    shared = 0
+    for _ in range(50):
+        net = random_pdm_leader_network(rng)
+        calls.clear()
+        v = check_pdm_fsm(net)
+        checked = post_star(net)[:v.stats["pivots_checked"]]
+        qs = list(dict.fromkeys(control[2] for control, _ in checked))
+        assert calls == qs
+        shared += len(checked) - len(qs)
+    assert shared > 0
+
+
+def test_shared_loop_automata_give_the_same_grammars():
+    rng = random.Random(32)
+    for _ in range(15):
+        net = random_pdm_leader_network(rng)
+        automata = {}
+        for control, gamma in post_star(net):
+            assert build_loop_grammar(net, control, gamma, automata) == \
+                build_loop_grammar(net, control, gamma)
+        assert list(automata) == pivot_qs(net)
 
 
 def test_loop_grammar_derives_balanced_words():
