@@ -321,35 +321,56 @@ def derive_word(grammar, counts, budget=None):
 
     Leftmost derivation with backtracking over the production choice; the
     counts come from a Parikh model, so a derivation exists, but a greedy
-    choice can strand part of the multiset.
+    choice can strand part of the multiset.  The search is depth first with
+    an explicit stack of choice points, so a long derivation needs no deep
+    recursion; every configuration it visits costs one unit of the budget.
     """
     if budget is None:
         budget = env_budget(DERIVE_BUDGET)
-    nodes = [budget]
-
-    def go(stack, counts):
-        nodes[0] -= 1
-        if nodes[0] < 0:
+    nonterminals = set(grammar.nonterminals)
+    by_lhs = {}
+    for i, (lhs, _) in enumerate(grammar.productions):
+        by_lhs.setdefault(lhs, []).append(i)
+    left = [counts.get(i, 0) for i in range(len(grammar.productions))]
+    open_counts = sum(1 for c in left if c)    # productions with uses left
+    word = []
+    stack = [grammar.start]
+    # choice points: [candidates, next candidate, production taken,
+    #                 stack below the expanded nonterminal, len(word)]
+    choices = []
+    while True:
+        budget -= 1
+        if budget < 0:
             raise BudgetExceeded("derivation backtracking budget exhausted")
-        out = []
-        while stack:
+        while stack and stack[-1] not in nonterminals:
+            word.append(stack.pop())
+        if stack:
             sym = stack.pop()
-            if sym not in grammar.nonterminals:
-                out.append(sym)
-                continue
-            for i, (lhs, rhs) in enumerate(grammar.productions):
-                if lhs != sym or counts[i] == 0:
-                    continue
-                counts2 = dict(counts)
-                counts2[i] -= 1
-                rest = go(stack + list(reversed(rhs)), counts2)
-                if rest is not None:
-                    return out + rest
+            choices.append([by_lhs.get(sym, ()), 0, None, tuple(stack),
+                            len(word)])
+        elif not open_counts:
+            return word
+        # take the next production of the innermost choice point that has
+        # one left, giving back the uses of the productions tried before
+        while choices:
+            choice = choices[-1]
+            cands, k, taken, below, mark = choice
+            if taken is not None:
+                left[taken] += 1
+                open_counts += left[taken] == 1
+            while k < len(cands) and left[cands[k]] == 0:
+                k += 1
+            if k < len(cands):
+                i = cands[k]
+                left[i] -= 1
+                open_counts -= left[i] == 0
+                choice[1:3] = k + 1, i
+                del word[mark:]
+                stack = list(below) + list(reversed(grammar.productions[i][1]))
+                break
+            choices.pop()
+        else:
             return None
-        return out if all(c == 0 for c in counts.values()) else None
-
-    start_counts = {i: counts.get(i, 0) for i in range(len(grammar.productions))}
-    return go([grammar.start], start_counts)
 
 
 def find_stem(net, pivot_control, pivot_symbol, stack_cap, budget=None):

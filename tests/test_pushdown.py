@@ -179,6 +179,25 @@ def test_loop_grammar_derives_balanced_words():
     assert word.count("d2") >= word.count("d3")
 
 
+def test_derive_word_needs_no_deep_recursion():
+    g = parikh.Grammar(("S",), ("a",), "S",
+                       (("S", ("a", "S")), ("S", ("a",))))
+    assert derive_word(g, {0: 1500, 1: 1}) == ["a"] * 1501
+    assert derive_word(g, {0: 1500}) is None
+
+
+def test_derive_word_backtracks_in_production_order():
+    # S -> A strands the second use of A -> a, so the search backs up and
+    # takes S -> A S; each configuration visited costs one unit of budget
+    g = parikh.Grammar(("S", "A"), ("a",), "S",
+                       (("S", ("A",)), ("S", ("A", "S")), ("A", ("a",))))
+    counts = {0: 1, 1: 1, 2: 2}
+    assert derive_word(g, counts, budget=7) == ["a", "a"]
+    with pytest.raises(BudgetExceeded):
+        derive_word(g, counts, budget=6)
+    assert derive_word(g, {0: 2, 2: 2}) is None
+
+
 def test_find_stem_reaches_pivot():
     net = counter_network()
     pairs = post_star(net)
