@@ -64,29 +64,35 @@ def build_cycle_fsa(net, a):
     return parikh.Fsa(tuple(states), tuple(edges), a, a)
 
 
-def realizability_system(net, fsa):
-    """Parikh constraints of the cycle automaton strengthened to concrete
-    realizability: zero net population change per contributor state, and at
-    least one move."""
-    tids = [t.tid for t in net.leader_transitions + net.contributor_transitions]
-    system = parikh.parikh_fsa(fsa, alphabet=tids)
-    extra = []
+def contributor_flow_rows(net):
+    """The atoms that make a Parikh vector of moves concretely realizable:
+    zero net population change per contributor state, then at least one
+    move.  Shared by the fsm-fsm and pdm-fsm checks."""
+    rows = []
     for q in sorted(net.contributor.states, key=repr):
         coeffs = {}
         for t in net.contributor_transitions:
             src, _, dst = t.payload
             if src == dst:
                 continue
+            var = parikh.letter_var(t.tid)
             if dst == q:
-                coeffs[parikh.letter_var(t.tid)] = \
-                    coeffs.get(parikh.letter_var(t.tid), 0) + 1
+                coeffs[var] = coeffs.get(var, 0) + 1
             if src == q:
-                coeffs[parikh.letter_var(t.tid)] = \
-                    coeffs.get(parikh.letter_var(t.tid), 0) - 1
-        coeffs = {v: c for v, c in coeffs.items() if c}
-        extra.append(parikh.eq(coeffs, 0))
-    extra.append(parikh.ge({parikh.letter_var(tid): 1 for tid in tids}, 1))
-    return system.conjoin(extra)
+                coeffs[var] = coeffs.get(var, 0) - 1
+        rows.append(parikh.eq({v: c for v, c in coeffs.items() if c}, 0))
+    rows.append(parikh.ge(
+        {parikh.letter_var(t.tid): 1
+         for t in net.leader_transitions + net.contributor_transitions}, 1))
+    return rows
+
+
+def realizability_system(net, fsa):
+    """Parikh constraints of the cycle automaton strengthened to concrete
+    realizability (contributor_flow_rows)."""
+    tids = [t.tid for t in net.leader_transitions + net.contributor_transitions]
+    system = parikh.parikh_fsa(fsa, alphabet=tids)
+    return system.conjoin(contributor_flow_rows(net))
 
 
 def _stem_multiplicities(net, stem, Q_a, tokens_per_state):

@@ -34,7 +34,7 @@ from .machines import (DERIVE_BUDGET, EXPLORE_BUDGET, STEM_BUDGET, UNINIT,
                        BudgetExceeded, InternalError, Pdm, Fsm, CONTRIBUTOR,
                        abstract_moves, env_budget)
 from .explicit import Witness, Verdict, _ReplayState, replay
-from .cyclesearch import _stem_multiplicities
+from .cyclesearch import _stem_multiplicities, contributor_flow_rows
 from . import parikh
 
 
@@ -291,29 +291,12 @@ def build_loop_grammar(net, pivot_control, pivot_symbol, automata=None):
 
 
 def loop_system(net, grammar):
-    """Parikh constraints of the loop grammar plus concrete realizability:
-    contributor flow balance per state and at least one move."""
+    """Parikh constraints of the loop grammar plus concrete realizability
+    (cyclesearch.contributor_flow_rows)."""
     system = parikh.parikh_cfg(grammar)
     if system.constraint == parikh.FALSE:
         return system
-    extra = []
-    for q in sorted(net.contributor.states, key=repr):
-        coeffs = {}
-        for t in net.contributor_transitions:
-            src, _, dst = t.payload
-            if src == dst:
-                continue
-            var = parikh.letter_var(t.tid)
-            if dst == q:
-                coeffs[var] = coeffs.get(var, 0) + 1
-            if src == q:
-                coeffs[var] = coeffs.get(var, 0) - 1
-        coeffs = {v: c for v, c in coeffs.items() if c}
-        extra.append(parikh.eq(coeffs, 0))
-    extra.append(parikh.ge(
-        {parikh.letter_var(t.tid): 1
-         for t in net.leader_transitions + net.contributor_transitions}, 1))
-    return system.conjoin(extra)
+    return system.conjoin(contributor_flow_rows(net))
 
 
 def derive_word(grammar, counts, budget=None):
