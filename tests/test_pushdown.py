@@ -11,8 +11,8 @@ from paramck.pushdown import (_loop_controls, _loop_rules,
 from paramck.explicit import check_explicit, replay
 from paramck.reduction import restrict_network
 from paramck import parikh, pushdown
-from fixtures import (la, ca, random_pdm_leader_network,
-                      random_pdm_pdm_network)
+from fixtures import (la, ca, random_fsm_contributor,
+                      random_pdm_leader_network, random_pdm_pdm_network)
 
 
 def counter_network(accept_high=False):
@@ -100,6 +100,28 @@ def naive_pop_relation(net, states, alphabet):
     return P, rules
 
 
+def random_deep_pdm_network(rng):
+    """A PDM leader with three states, two pushable symbols and up to ten
+    rules, so that pops nest several symbols deep, with a random FSM
+    contributor."""
+    values = ["1", "2"]
+    states = ["p0", "p1", "p2"]
+    stack = ("Z", "A", "B")
+    rules = []
+    for _ in range(rng.randint(5, 10)):
+        top = rng.choice(stack)
+        effect = rng.choice([("push", "A"), ("push", "B"), ("pop",)])
+        if top == "Z":
+            effect = ("push", rng.choice(stack[1:]))
+        rules.append(PdmRule(rng.choice(states),
+                             la(rng.choice(["read", "write"]),
+                                rng.choice(values)),
+                             top, rng.choice(states), effect))
+    leader = Pdm(frozenset(states), stack, "p0", tuple(rules),
+                 frozenset(rng.sample(states, rng.randint(1, 3))))
+    return make_network(values, leader, random_fsm_contributor(rng, values))
+
+
 def pivot_qs(net):
     return list(dict.fromkeys(control[2] for control, _ in post_star(net)))
 
@@ -110,6 +132,7 @@ def test_pop_relation_agrees_with_naive_fixpoint():
     for _ in range(20):
         nets.append(random_pdm_leader_network(rng))
         nets.append(restrict_network(random_pdm_pdm_network(rng))[0])
+        nets.append(random_deep_pdm_network(rng))
     triples = 0
     for net in nets:
         for Q in pivot_qs(net):
@@ -122,7 +145,7 @@ def test_pop_relation_agrees_with_naive_fixpoint():
             assert list(P) == list(P0)
             assert rules == rules0
             triples += len(P)
-    assert triples > 100
+    assert triples > 500
 
 
 def test_check_builds_one_loop_automaton_per_q(monkeypatch):
