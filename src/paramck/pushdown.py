@@ -340,14 +340,16 @@ def derive_word(grammar, counts, budget=None):
             cands, k, taken, below, mark = choice
             if taken is not None:
                 left[taken] += 1
-                open_counts += left[taken] == 1
+                if left[taken] == 1:
+                    open_counts += 1
             while k < len(cands) and left[cands[k]] == 0:
                 k += 1
             if k < len(cands):
                 i = cands[k]
                 left[i] -= 1
-                open_counts -= left[i] == 0
-                choice[1:3] = k + 1, i
+                if left[i] == 0:
+                    open_counts -= 1
+                choice[1], choice[2] = k + 1, i
                 del word[mark:]
                 stack = list(below) + list(reversed(grammar.productions[i][1]))
                 break
