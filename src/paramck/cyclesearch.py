@@ -5,9 +5,13 @@ abstract configuration a build the cycle automaton of moves that keep the
 populated-state set Q fixed at Q_a, with a as both entry and exit.  A Parikh
 vector of that automaton describes a candidate abstract cycle; it lifts to a
 concrete cycle iff the contributor moves are flow-balanced per contributor
-state and the cycle is nonempty.  A model is turned into a concrete lasso
-witness (stem by backward-demand concretization of the abstract stem, cycle
-by an Euler walk) and replayed for confirmation.
+state and the cycle is nonempty.  One more row says that some edge leaving a
+is used.  The connectivity atom already implies it (a nonempty cycle whose
+edges are all reachable from a), but as a linear row it keeps the solver from
+proposing circulations that avoid a, each of which would cost a connectivity
+cut.  A model is turned into a concrete lasso witness (stem by
+backward-demand concretization of the abstract stem, cycle by an Euler walk)
+and replayed for confirmation.
 """
 
 from __future__ import annotations
@@ -89,10 +93,14 @@ def contributor_flow_rows(net):
 
 def realizability_system(net, fsa):
     """Parikh constraints of the cycle automaton strengthened to concrete
-    realizability (contributor_flow_rows)."""
+    realizability (contributor_flow_rows), plus the implied row that some
+    edge leaving the anchor fsa.initial is used."""
     tids = [t.tid for t in net.leader_transitions + net.contributor_transitions]
     system = parikh.parikh_fsa(fsa, alphabet=tids)
-    return system.conjoin(contributor_flow_rows(net))
+    leaves = parikh.ge({parikh.edge_var(i): 1
+                        for i, (src, _, _) in enumerate(fsa.edges)
+                        if src == fsa.initial}, 1)
+    return system.conjoin(contributor_flow_rows(net) + [leaves])
 
 
 def _stem_multiplicities(net, stem, Q_a, tokens_per_state):
@@ -101,9 +109,10 @@ def _stem_multiplicities(net, stem, Q_a, tokens_per_state):
     Walking the abstract stem backwards with demand initialized to the cycle's
     token requirement, a contributor step fires max(demand at its target, 1)
     times: at least once so its store effect survives, and enough times to
-    feed every later consumer.  Surplus tokens park on states inside Q_a and
-    never move again.  All residual demand lands on the contributor's initial
-    state, which fixes the population size.
+    feed every later consumer.  A contributor self-loop fires once and needs
+    one token at its state, which it leaves there.  Surplus tokens park on
+    states inside Q_a and never move again.  All residual demand lands on the
+    contributor's initial state, which fixes the population size.
     """
     demand = {q: tokens_per_state for q in Q_a}
     mults = [1] * len(stem)
@@ -113,6 +122,7 @@ def _stem_multiplicities(net, stem, Q_a, tokens_per_state):
             continue
         src, dst = t.src, t.dst
         if src == dst:
+            demand[src] = max(demand.get(src, 0), 1)
             continue
         m = max(demand.get(dst, 0), 1)
         mults[i] = m
@@ -169,23 +179,15 @@ def check_fsm_fsm(net, node_budget=500_000):
             return Verdict("BUDGET", None, stats)
         if model is None:
             continue
-        last_err = None
-        for attempt in range(4):
-            scaled = dict(model)
-            if attempt:
-                for key in scaled:
-                    if key.startswith("x[") or key.startswith("e"):
-                        scaled[key] *= 2 ** attempt
-            try:
-                witness = concretize(net, reach, a, fsa, scaled)
-            except AssertionError as exc:
-                last_err = str(exc)
-                continue
-            status, detail = replay(net, witness)
+        try:
+            witness = concretize(net, reach, a, fsa, model)
+        except AssertionError as exc:
+            err = str(exc)
+        else:
+            status, err = replay(net, witness)
             if status == "valid":
                 return Verdict("NONEMPTY", witness, stats)
-            last_err = str(detail)
         at = (a.leader_state, a.store, sorted(a.Q, key=repr))
         raise InternalError(
-            f"could not concretize a feasible cycle at {at}: {last_err}")
+            f"could not concretize a feasible cycle at {at}: {err}")
     return Verdict("EMPTY", None, stats)

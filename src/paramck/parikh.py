@@ -101,6 +101,11 @@ def letter_var(label):
     return f"x[{label}]"
 
 
+def edge_var(i):
+    """The multiplicity variable of the i-th edge in parikh_fsa."""
+    return f"e{i}"
+
+
 def parikh_fsa(fsa, alphabet=None):
     """Linear system whose solutions, projected to the letter variables
     x[label], are exactly the Parikh vectors of the automaton's language.
@@ -109,42 +114,36 @@ def parikh_fsa(fsa, alphabet=None):
     flow-balance system plus the connectivity side condition.  Letters of the
     alphabet without any edge are constrained to zero; by default the
     alphabet is the set of labels appearing on edges.
-    """
-    states = list(fsa.states)
-    labels = list(alphabet) if alphabet is not None else []
-    for _, lab, _ in fsa.edges:
-        if lab not in labels:
-            labels.append(lab)
 
-    evars = [f"e{i}" for i in range(len(fsa.edges))]
+    All rows are filled in one pass over the edges.  Each row lists its edge
+    variables in edge order, and a self-loop keeps its zero coefficient in
+    its state's flow row.
+    """
+    labels = dict.fromkeys(alphabet if alphabet is not None else ())
+    for _, lab, _ in fsa.edges:
+        labels.setdefault(lab)
+
+    evars = [edge_var(i) for i in range(len(fsa.edges))]
     xvars = [letter_var(lab) for lab in labels]
     variables = tuple(xvars + evars)
 
-    atoms = []
-
-    # flow balance: in - out = [final] - [initial]
-    for s in states:
-        coeffs = {}
-        for i, (src, _, dst) in enumerate(fsa.edges):
-            if dst == s:
-                coeffs[f"e{i}"] = coeffs.get(f"e{i}", 0) + 1
-            if src == s:
-                coeffs[f"e{i}"] = coeffs.get(f"e{i}", 0) - 1
-        rhs = (1 if s == fsa.final else 0) - (1 if s == fsa.initial else 0)
-        atoms.append(eq(coeffs, rhs))
-
-    # letters count edge uses
-    for lab in labels:
-        coeffs = {letter_var(lab): 1}
-        for i, (_, elab, _) in enumerate(fsa.edges):
-            if elab == lab:
-                coeffs[f"e{i}"] = coeffs.get(f"e{i}", 0) - 1
-        atoms.append(eq(coeffs, 0))
+    # flow balance: in - out = [final] - [initial]; letters count edge uses
+    flow = {s: {} for s in fsa.states}
+    letters = {lab: {x: 1} for lab, x in zip(labels, xvars)}
+    for e, (src, lab, dst) in zip(evars, fsa.edges):
+        if dst in flow:
+            flow[dst][e] = 1
+        if src in flow:
+            flow[src][e] = flow[src].get(e, 0) - 1
+        letters[lab][e] = -1
+    atoms = [eq(flow[s], (1 if s == fsa.final else 0)
+                - (1 if s == fsa.initial else 0)) for s in fsa.states]
+    atoms += [eq(letters[lab], 0) for lab in labels]
 
     # every used edge must be reachable from the initial state
     atoms.append(connected(fsa.initial,
-                           [(f"e{i}", src, dst)
-                            for i, (src, _, dst) in enumerate(fsa.edges)]))
+                           [(e, src, dst)
+                            for e, (src, _, dst) in zip(evars, fsa.edges)]))
     return LinearSystem(variables, land(atoms))
 
 
@@ -685,7 +684,7 @@ def euler_witness(fsa, assignment):
     remaining = {}
     total = 0
     for i, e in enumerate(fsa.edges):
-        cnt = assignment.get(f"e{i}", 0)
+        cnt = assignment.get(edge_var(i), 0)
         if cnt:
             remaining[i] = cnt
             total += cnt

@@ -463,29 +463,20 @@ def check_pdm_fsm(net, node_budget=500_000):
             continue
         if model is None:
             continue
-        last_err = None
         try:
-            for attempt in range(4):
-                scaled = dict(model)
-                if attempt:
-                    for key in scaled:
-                        if key.startswith("x[") or key.startswith("y"):
-                            scaled[key] *= 2 ** attempt
-                try:
-                    witness = _build_witness(net, control, gamma, grammar, scaled)
-                except AssertionError as exc:
-                    last_err = str(exc)
-                    continue
-                status, detail = replay(net, witness)
-                if status == "valid":
-                    return Verdict("NONEMPTY", witness, stats)
-                last_err = str(detail)
-            at = (*control[:2], sorted(control[2], key=repr), gamma)
-            raise InternalError(
-                f"could not concretize a feasible loop at {at}: {last_err}")
+            witness = _build_witness(net, control, gamma, grammar, model)
+        except AssertionError as exc:
+            err = str(exc)
         except BudgetExceeded:
             budget_hit = True
             continue
+        else:
+            status, err = replay(net, witness)
+            if status == "valid":
+                return Verdict("NONEMPTY", witness, stats)
+        at = (*control[:2], sorted(control[2], key=repr), gamma)
+        raise InternalError(
+            f"could not concretize a feasible loop at {at}: {err}")
     if budget_hit:
         return Verdict("BUDGET", None, stats)
     return Verdict("EMPTY", None, stats)

@@ -273,11 +273,15 @@ def test_budget_in_window_restriction_is_json(tmp_path, capsys, monkeypatch):
 
 def test_failed_concretization_is_an_internal_error(tmp_path, capsys,
                                                    monkeypatch):
+    calls = []
+
     def broken(*args):
+        calls.append(args)
         raise AssertionError("broken on purpose")
     monkeypatch.setattr(cyclesearch, "concretize", broken)
     paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB, RING_PROP)
     assert main(check_args(paths, "--json")) == 4
+    assert len(calls) == 1            # concretized once, never rescaled
     report = json.loads(capsys.readouterr().out)
     assert sorted(report) == ["mode", "statistics", "verdict"]
     assert report["verdict"] == "ERROR" and report["mode"] == "fsm-fsm"
@@ -291,15 +295,84 @@ def test_failed_concretization_is_an_internal_error(tmp_path, capsys,
 
 def test_failed_pdm_witness_is_an_internal_error(tmp_path, capsys,
                                                  monkeypatch):
+    calls = []
+
     def broken(*args):
+        calls.append(args)
         raise AssertionError("broken on purpose")
     monkeypatch.setattr(pushdown, "_build_witness", broken)
     paths = write_net(tmp_path, COUNTER_LEADER, COUNTER_CONTRIB, COUNTER_PROP)
     assert main(check_args(paths, "--json")) == 4
+    assert len(calls) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "ERROR" and report["mode"] == "pdm-fsm"
     assert report["statistics"]["reason"].startswith(
         "could not concretize a feasible loop at ")
+
+
+# A NONEMPTY net whose abstract stem takes the contributor self-loop
+# q0 w(0) q0 (c5) twice.  The stem's demand pass used to reserve no token
+# at q0 for the second one, so with k = 3 the three firings of c0 emptied
+# q0 and the check ended in ERROR.
+SELF_LOOP_LEADER = """\
+kind = fsm
+values = 0 1
+states = p0 p1 p2 p3 p4
+initial = p0
+trans = p0 r(0) p1
+trans = p1 r(0) p2
+trans = p2 w(0) p3
+trans = p3 w(1) p4
+trans = p4 r(0) p0
+trans = p2 r(1) p1
+trans = p1 r(0) p2
+trans = p2 r(1) p4
+trans = p1 r(1) p4
+trans = p3 r(1) p0
+"""
+
+SELF_LOOP_CONTRIB = """\
+kind = fsm
+values = 0 1
+states = q0 q1 q2
+initial = q0
+trans = q0 r(1) q1
+trans = q1 r(1) q2
+trans = q2 w(1) q0
+trans = q2 r(1) q0
+trans = q0 r(1) q0
+trans = q0 w(0) q0
+"""
+
+READS_ONE_PROP = """\
+kind = buchi-fsm
+values = 0 1
+states = s0 s1
+initial = s0
+accepting = s1
+trans = s0 r(0) s0
+trans = s0 w(0) s0
+trans = s0 r(1) s1
+trans = s0 w(1) s0
+trans = s1 r(0) s0
+trans = s1 w(0) s0
+trans = s1 r(1) s1
+trans = s1 w(1) s0
+"""
+
+
+def test_stem_through_contributor_self_loop_replays(tmp_path, capsys):
+    paths = write_net(tmp_path, SELF_LOOP_LEADER, SELF_LOOP_CONTRIB,
+                      READS_ONE_PROP)
+    assert main(check_args(paths, "--json")) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "NONEMPTY" and report["mode"] == "fsm-fsm"
+    assert [1, "c5"] in report["witness"]["stem"]
+    out = str(tmp_path / "out.wit")
+    assert main(check_args(paths, "--witness", out)) == 0
+    capsys.readouterr()
+    assert main(replay_args(paths, out)) == 0
+    assert capsys.readouterr().out.strip() == "valid"
 
 
 # Two random nets whose witness followed PYTHONHASHSEED while the

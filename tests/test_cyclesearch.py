@@ -6,6 +6,7 @@ import pytest
 from paramck.machines import Fsm, buchi_product, make_network
 from paramck.abstraction import reachable_abstract
 from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
+                                 contributor_flow_rows,
                                  q_preserving_successors,
                                  realizability_system)
 from paramck.explicit import _ReplayState, check_explicit, replay
@@ -93,6 +94,37 @@ def test_realizability_infeasible_for_stalled_net():
         fsa = build_cycle_fsa(net, a)
         system = realizability_system(net, fsa)
         assert parikh.solve(system) is None
+
+
+def test_row_leaving_the_anchor_is_implied():
+    # realizability_system adds "some edge leaving a is used" to the flow
+    # encoding, whose connectivity atom already implies it: both systems
+    # must have the same models, up to which one the solver returns
+    rng = random.Random(31)
+    solved = 0
+    for _ in range(200):
+        net = random_fsm_network(rng)
+        tids = [t.tid for t in net.leader_transitions
+                + net.contributor_transitions]
+        for a in reachable_abstract(net).order:
+            if a.leader_state not in net.leader.accepting:
+                continue
+            fsa = build_cycle_fsa(net, a)
+            with_row = realizability_system(net, fsa)
+            row_free = parikh.parikh_fsa(fsa, alphabet=tids).conjoin(
+                contributor_flow_rows(net))
+            row = with_row.constraint[1][-1]
+            assert row == parikh.ge({parikh.edge_var(i): 1
+                                     for i, (src, _, _) in enumerate(fsa.edges)
+                                     if src == a}, 1)
+            model = parikh.solve(with_row)
+            free_model = parikh.solve(row_free)
+            assert (model is None) == (free_model is None)
+            if model is not None:
+                solved += 1
+                assert parikh._eval_node(row_free.constraint, model)
+                assert parikh._eval_node(row, free_model)
+    assert solved >= 250          # of 458 accepting configurations
 
 
 def test_ring_decision_with_witness():

@@ -111,6 +111,35 @@ def test_cfg_encoding_matches_enumeration_sample():
         assert characterized_vectors(system, g.terminals, 6) == truth
 
 
+@pytest.mark.parametrize("fsa", [
+    # self-loop on the initial (and final) state
+    Fsa((0, 1), ((0, "a", 0), (0, "b", 1), (1, "a", 0)), 0, 0),
+    # self-loop on a state that is neither initial nor final
+    Fsa((0, 1, 2), ((0, "a", 1), (1, "b", 1), (1, "a", 2), (2, "b", 0)),
+        0, 0),
+    # initial != final, self-loops on both and on a third state
+    Fsa((0, 1, 2), ((0, "a", 0), (0, "b", 1), (1, "a", 2), (2, "b", 2),
+                    (2, "a", 1), (1, "b", 1)), 0, 1),
+    # initial != final with no edge between them
+    Fsa((0, 1), ((0, "a", 0), (1, "b", 1)), 0, 1),
+], ids=["initial-loop", "inner-loop", "initial-ne-final", "unreachable"])
+def test_fsa_encoding_edge_cases(fsa):
+    alphabet = ("a", "b")
+    system = parikh_fsa(fsa, alphabet=alphabet)
+    assert characterized_vectors(system, alphabet, 6) == \
+        fsa_vectors(fsa, alphabet, 6)
+    # one flow row per state, in state order; a self-loop keeps its zero
+    # coefficient there
+    flow = system.constraint[1][:len(fsa.states)]
+    for s, (kind, coeffs, const) in zip(fsa.states, flow):
+        assert kind == "eq"
+        assert const == (s == fsa.final) - (s == fsa.initial)
+        assert coeffs == {f"e{i}": (dst == s) - (src == s)
+                          for i, (src, _, dst) in enumerate(fsa.edges)
+                          if s in (src, dst)}
+        assert list(coeffs) == sorted(coeffs, key=lambda v: int(v[1:]))
+
+
 def test_absent_letters_forced_to_zero():
     fsa = Fsa((0,), ((0, "a", 0),), 0, 0)
     system = parikh_fsa(fsa, alphabet=("a", "b"))
