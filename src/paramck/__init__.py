@@ -9,7 +9,7 @@ from .cyclesearch import check_fsm_fsm
 from .pushdown import check_pdm_fsm
 from .reduction import (check_pdm_pdm, restrict, restrict_network, compute_N,
                         effective_stack_height, kbounded_agreement)
-from .parikh import parikh_fsa, parikh_cfg, solve, to_smtlib
+from .parikh import parikh_fsa, parikh_cfg, solve
 from .fileformat import (ParseError, parse_machine_file, print_machine,
                          parse_witness, print_witness)
 from .api import MODES, resolve_mode, replay_network, run_check
@@ -22,7 +22,7 @@ __all__ = [
     "ConcreteConfig", "Witness", "Verdict", "check_explicit", "replay",
     "check_fsm_fsm", "check_pdm_fsm", "check_pdm_pdm",
     "restrict", "restrict_network", "compute_N", "effective_stack_height",
-    "kbounded_agreement", "parikh_fsa", "parikh_cfg", "solve", "to_smtlib",
+    "kbounded_agreement", "parikh_fsa", "parikh_cfg", "solve",
     "ParseError", "parse_machine_file", "print_machine", "parse_witness",
     "print_witness", "MODES", "resolve_mode", "replay_network", "run_check",
 ]

@@ -117,7 +117,7 @@ def _stem_multiplicities(net, stem, Q_a, tokens_per_state):
     demand = {q: tokens_per_state for q in Q_a}
     mults = [1] * len(stem)
     for i in range(len(stem) - 1, -1, -1):
-        _, t, _ = stem[i]
+        t = stem[i]
         if t.owner != CONTRIBUTOR:
             continue
         src, dst = t.src, t.dst
@@ -135,38 +135,49 @@ def _stem_multiplicities(net, stem, Q_a, tokens_per_state):
     return mults, k
 
 
+def lasso(net, stem, Q, cycle, pivot=None):
+    """The concrete lasso witness of an abstract stem (the transitions of an
+    abstract path to a configuration with populated set Q) and a cycle there
+    (transition ids).  Every contributor move of the cycle needs a token in
+    Q, and the stem's multiplicities bring them there.  pivot is the
+    witness's (leader state, stack symbol) for a PDM leader."""
+    tokens = sum(1 for tid in cycle
+                 if net.transition(tid).owner == CONTRIBUTOR)
+    mults, k = _stem_multiplicities(net, stem, Q, tokens)
+    sim = _ReplayState(net, k)
+    for t, m in zip(stem, mults):
+        for _ in range(m):
+            sim.fire(t)
+    stem_steps, sim.steps = sim.steps, []
+    for tid in cycle:
+        sim.fire(net.transition(tid))
+    return Witness(k, tuple(stem_steps), tuple(sim.steps), pivot)
+
+
 def concretize(net, reach, a, fsa, model):
     """Turn a realizability model at accepting configuration a into a concrete
-    lasso witness."""
-    trail = parikh.euler_witness(fsa, model)
-    tokens = sum(model.get(parikh.letter_var(t.tid), 0)
-                 for t in net.contributor_transitions)
-    stem = abstract_stem(reach, a)
-    mults, k = _stem_multiplicities(net, stem, a.Q, tokens)
-
-    sim = _ReplayState(net, k)
-    for (_, t, _), m in zip(stem, mults):
-        for _ in range(m if t.owner == CONTRIBUTOR else 1):
-            sim.fire(t)
-    assert sim.leader_state == a.leader_state and sim.store == a.store
-    stem_steps = sim.steps
-
-    sim.steps = []
-    for tid in trail:
-        sim.fire(net.transition(tid))
-    return Witness(k, tuple(stem_steps), tuple(sim.steps), None)
+    lasso witness: the stored abstract stem to a, then an Euler walk of the
+    model's edges."""
+    stem = [t for _, t, _ in abstract_stem(reach, a)]
+    return lasso(net, stem, a.Q, parikh.euler_witness(fsa, model))
 
 
 def check_fsm_fsm(net, node_budget=500_000):
     """Decide nonemptiness of the network's accepted omega-language for some
-    population size, for FSM leader and FSM contributor."""
+    population size, for FSM leader and FSM contributor.
+
+    A solve that runs out of budget does not end the check: the next
+    accepting configuration is tried, and the verdict is BUDGET only when
+    none of them gives NONEMPTY."""
     stats = {"abstract_configs": 0, "accepting_checked": 0}
     try:
         reach = reachable_abstract(net)
-    except BudgetExceeded:
+    except BudgetExceeded as e:
+        stats["reason"] = str(e)
         return Verdict("BUDGET", None, stats)
     stats["abstract_configs"] = len(reach.order)
     accepting = net.leader.accepting
+    exhausted = None          # the last solve that ran out of budget
     for a in reach.order:
         if a.leader_state not in accepting:
             continue
@@ -175,8 +186,9 @@ def check_fsm_fsm(net, node_budget=500_000):
         system = realizability_system(net, fsa)
         try:
             model = parikh.solve(system, node_budget=node_budget)
-        except BudgetExceeded:
-            return Verdict("BUDGET", None, stats)
+        except BudgetExceeded as e:
+            exhausted = e
+            continue
         if model is None:
             continue
         try:
@@ -190,4 +202,7 @@ def check_fsm_fsm(net, node_budget=500_000):
         at = (a.leader_state, a.store, sorted(a.Q, key=repr))
         raise InternalError(
             f"could not concretize a feasible cycle at {at}: {err}")
+    if exhausted is not None:
+        stats["reason"] = str(exhausted)
+        return Verdict("BUDGET", None, stats)
     return Verdict("EMPTY", None, stats)

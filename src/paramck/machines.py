@@ -25,13 +25,10 @@ WRITE = "write"
 
 
 #: default budgets when PARAMCK_BUDGET is unset: configurations, saturation
-#: edges or window states per exploration, search nodes per solve,
-#: configurations per pdm-fsm stem search and search nodes per loop-word
-#: derivation
+#: edges, window states or pdm-fsm stem moves per exploration, and search
+#: nodes per solve
 EXPLORE_BUDGET = 5_000_000
 SOLVE_BUDGET = 500_000
-STEM_BUDGET = 300_000
-DERIVE_BUDGET = 200_000
 
 
 class BudgetExceeded(Exception):

@@ -725,72 +725,3 @@ def euler_witness(fsa, assignment):
         raise AssertionError("Euler walk does not end in the final state")
     return [fsa.edges[i][1] for i in trail]
 
-
-def to_smtlib(system):
-    """Debug dump in SMT-LIB2 (linear integer arithmetic) for cross-checks.
-
-    Connectivity atoms are expanded into the textbook depth-variable
-    encoding with fresh integer variables.
-    """
-    def safe(v):
-        return v.replace("[", "_").replace("]", "_")
-
-    lines = ["(set-logic QF_LIA)"]
-    for v in system.variables:
-        lines.append(f"(declare-const {safe(v)} Int)")
-        lines.append(f"(assert (>= {safe(v)} 0))")
-    extra = []
-    counter = [0]
-
-    def emit(node):
-        kind = node[0]
-        if kind == "true":
-            return "true"
-        if kind == "false":
-            return "false"
-        if kind == "and":
-            return "(and " + " ".join(emit(n) for n in node[1]) + ")" \
-                if node[1] else "true"
-        if kind == "or":
-            return "(or " + " ".join(emit(n) for n in node[1]) + ")" \
-                if node[1] else "false"
-        if kind == "conn":
-            return emit_conn(node)
-        _, coeffs, const = node
-        lhs = "(+ " + " ".join(
-            f"(* {c} {safe(v)})" for v, c in coeffs.items()) + ")" \
-            if coeffs else "0"
-        op = "=" if kind == "eq" else "<="
-        return f"({op} {lhs} {const})"
-
-    def emit_conn(node):
-        _, root, edges = node
-        nodes = sorted({n for _, s, d in edges for n in (s, d)} | {root},
-                       key=repr)
-        idx = counter[0]
-        counter[0] += 1
-        z = {n: f"conn{idx}_z{i}" for i, n in enumerate(nodes)}
-        for n in nodes:
-            extra.append(f"(declare-const {z[n]} Int)")
-        parts = [f"(= {z[root]} 1)"]
-        for n in nodes:
-            if n == root:
-                continue
-            incident = sorted({v for v, s, d in edges if s == n or d == n})
-            options = []
-            for v, s, d in edges:
-                if d != n or s == n:
-                    continue
-                options.append(f"(and (>= {safe(v)} 1)"
-                               f" (= {z[n]} (+ {z[s]} 1)) (>= {z[s]} 1))")
-            options.append("(and " + " ".join(
-                [f"(= {safe(v)} 0)" for v in incident] + [f"(= {z[n]} 0)"])
-                + ")")
-            parts.append("(or " + " ".join(options) + ")")
-        return "(and " + " ".join(parts) + ")"
-
-    body = emit(system.constraint)
-    lines.extend(extra)
-    lines.append(f"(assert {body})")
-    lines.append("(check-sat)")
-    return "\n".join(lines)

@@ -19,7 +19,8 @@ The decision runs in three stages:
   3. a Parikh model of that grammar, strengthened with contributor flow
      balance and nonemptiness, denotes a concretely realizable cycle.  The
      witness is assembled from a derivation of the model's production counts
-     and a bounded search for a concrete stem, then replayed.
+     and a stem read back from post*'s record of how each edge was derived,
+     then replayed.  Neither step searches.
 
 Moves depend only on the control and the top symbol, so a loop run can repeat
 forever above its own garbage; the population argument is the same counting
@@ -30,11 +31,10 @@ from __future__ import annotations
 
 import heapq
 
-from .machines import (DERIVE_BUDGET, EXPLORE_BUDGET, STEM_BUDGET, UNINIT,
-                       BudgetExceeded, InternalError, Pdm, Fsm, CONTRIBUTOR,
-                       abstract_moves, env_budget)
-from .explicit import Witness, Verdict, _ReplayState, replay
-from .cyclesearch import _stem_multiplicities, contributor_flow_rows
+from .machines import (EXPLORE_BUDGET, UNINIT, BudgetExceeded, InternalError,
+                       Pdm, Fsm, abstract_moves, env_budget)
+from .explicit import Verdict, replay
+from .cyclesearch import contributor_flow_rows, lasso
 from . import parikh
 
 
@@ -64,60 +64,75 @@ def initial_control(net):
 FINAL = ("final",)
 
 
-def post_star(net, budget=None):
+def post_star(net, budget=None, reasons=None):
     """Saturation of the reachable-configuration automaton.
 
     Returns the ordered list of reachable (control, top) pairs.  The automaton
     states are abstract controls, one final state, and one middle state per
     (control, pushed-symbol) pair; an edge (p, gamma, q) witnesses a reachable
     configuration with control p and gamma on top.
+
+    reasons, a dict when given, receives every edge with the way it was
+    first derived (Schwoon, Model-Checking Pushdown Systems, 2002), for
+    find_stem to read back.  A configuration is a path of edges, and a
+    reason names the configuration its first edge or two came from:
+      None: the initial configuration;
+      (tid, e): rule tid applied at edge e.  A neutral move's edge replaces
+        e; a push's reason sits on the edge below the pushed symbol, and
+        the two edges replace e;
+      (tid, e, f): rule tid popped edge e and left f on top (an epsilon
+        edge composed with f);
+      (None, f): a pushed symbol, whose push is on the edge below it; f,
+        inserted with it, stands in when nothing is below.
+    Premises are inserted before the edges they explain.
     """
     if budget is None:
         budget = env_budget(EXPLORE_BUDGET)
-    trans = {}                # (p, gamma, q) -> None, insertion ordered
+    trans = {} if reasons is None else reasons   # (p, gamma, q) -> reason
     trans_from = {}           # q -> list of (gamma, q2)
     eps_into = {}             # q -> list of p with an epsilon edge p -> q
-    eps = set()
+    eps = {}                  # (p, q) -> (tid, popped edge)
     work = []
 
-    def add_trans(p, gamma, q):
+    def add_trans(p, gamma, q, reason):
         key = (p, gamma, q)
         if key in trans:
             return
         if len(trans) > budget:
             raise BudgetExceeded(f"more than {budget} saturation edges")
-        trans[key] = None
+        trans[key] = reason
         trans_from.setdefault(p, []).append((gamma, q))
         work.append(key)
         for r in eps_into.get(p, []):
-            add_trans(r, gamma, q)
+            tid, popped = eps[(r, p)]
+            add_trans(r, gamma, q, (tid, popped, key))
 
-    def add_eps(p, q):
+    def add_eps(p, q, tid, popped):
         if (p, q) in eps:
             return
-        eps.add((p, q))
+        eps[(p, q)] = (tid, popped)
         eps_into.setdefault(q, []).append(p)
         for gamma, q2 in list(trans_from.get(q, [])):
-            add_trans(p, gamma, q2)
+            add_trans(p, gamma, q2, (tid, popped, (q, gamma, q2)))
 
-    add_trans(initial_control(net), net.leader.bottom, FINAL)
+    add_trans(initial_control(net), net.leader.bottom, FINAL, None)
     wi = 0
     while wi < len(work):
-        p, gamma, q = work[wi]
+        edge = p, gamma, q = work[wi]
         wi += 1
         if not (isinstance(p, tuple) and len(p) == 3
                 and is_abstract_control(net, p)):
             continue
         for tid, p2, repl in abstract_pdm_rules(net, p, gamma):
             if repl == ():
-                add_eps(p2, q)
+                add_eps(p2, q, tid, edge)
             elif len(repl) == 1:
-                add_trans(p2, repl[0], q)
+                add_trans(p2, repl[0], q, (tid, edge))
             else:
                 beta, below = repl
                 mid = ("mid", p2, beta)
-                add_trans(p2, beta, mid)
-                add_trans(mid, below, q)
+                add_trans(p2, beta, mid, (None, (mid, below, q)))
+                add_trans(mid, below, q, (tid, edge))
 
     pairs = []
     seen = set()
@@ -299,155 +314,170 @@ def loop_system(net, grammar):
     return system.conjoin(contributor_flow_rows(net))
 
 
-def derive_word(grammar, counts, budget=None):
-    """A word derivable using each production exactly counts[i] times.
+def derive_word(grammar, counts):
+    """A word derivable using each production exactly counts[i] times, or
+    None when the counts are not balanced (each nonterminal expanded as
+    often as it occurs on right-hand sides, the start symbol once more) and
+    connected (each used nonterminal reachable from the start through used
+    productions).  The proof that such counts come from a derivation
+    (Esparza, Fundamenta Informaticae 1997) builds one without search:
 
-    Leftmost derivation with backtracking over the production choice; the
-    counts come from a Parikh model, so a derivation exists, but a greedy
-    choice can strand part of the multiset.  The search is depth first with
-    an explicit stack of choice points, so a long derivation needs no deep
-    recursion; every configuration it visits costs one unit of the budget.
+      1. A leftmost tree takes at each node the first production with uses
+         left.  Balance keeps it from getting stuck, and what it leaves over
+         is balanced on its own.
+      2. While productions are left, connectivity puts some tree symbol X on
+         a cycle of leftover productions (the tree enters every source
+         component of their graph).  A shortest such cycle is the spine of a
+         context X =>* uXv.  Its other nodes are expanded from the leftovers,
+         X only while two or more X nodes are open, which balance again
+         keeps from getting stuck, and the context is spliced in at an X
+         node of the tree.
+
+    The first tree symbol with leftovers will not always do: its leftover
+    productions may all end in terminals.  Nodes are lists [symbol,
+    children], so long derivations need no recursion.
     """
-    if budget is None:
-        budget = env_budget(DERIVE_BUDGET)
+    prods = grammar.productions
     nonterminals = set(grammar.nonterminals)
     by_lhs = {}
-    for i, (lhs, _) in enumerate(grammar.productions):
+    for i, (lhs, _) in enumerate(prods):
         by_lhs.setdefault(lhs, []).append(i)
-    left = [counts.get(i, 0) for i in range(len(grammar.productions))]
-    open_counts = sum(1 for c in left if c)    # productions with uses left
-    word = []
-    stack = [grammar.start]
-    # choice points: [candidates, next candidate, production taken,
-    #                 stack below the expanded nonterminal, len(word)]
-    choices = []
-    while True:
-        budget -= 1
-        if budget < 0:
-            raise BudgetExceeded("derivation backtracking budget exhausted")
-        while stack and stack[-1] not in nonterminals:
-            word.append(stack.pop())
-        if stack:
-            sym = stack.pop()
-            choices.append([by_lhs.get(sym, ()), 0, None, tuple(stack),
-                            len(word)])
-        elif not open_counts:
-            return word
-        # take the next production of the innermost choice point that has
-        # one left, giving back the uses of the productions tried before
-        while choices:
-            choice = choices[-1]
-            cands, k, taken, below, mark = choice
-            if taken is not None:
-                left[taken] += 1
-                if left[taken] == 1:
-                    open_counts += 1
-            while k < len(cands) and left[cands[k]] == 0:
-                k += 1
-            if k < len(cands):
-                i = cands[k]
-                left[i] -= 1
-                if left[i] == 0:
-                    open_counts -= 1
-                choice[1], choice[2] = k + 1, i
-                del word[mark:]
-                stack = list(below) + list(reversed(grammar.productions[i][1]))
-                break
-            choices.pop()
-        else:
-            return None
+    left = [counts.get(i, 0) for i in range(len(prods))]
+    nodes = {}                # symbol -> a tree node labelled with it
 
+    def expand(node, i):
+        """Use production i at node; returns the new open nodes."""
+        left[i] -= 1
+        nodes.setdefault(node[0], node)
+        node[1] = [[sym, None] if sym in nonterminals else sym
+                   for sym in prods[i][1]]
+        return [kid for kid in node[1] if isinstance(kid, list)]
 
-def find_stem(net, pivot_control, pivot_symbol, stack_cap, budget=None):
-    """Bounded BFS through abstract pushdown configurations (control, stack)
-    for a path from the initial configuration to the pivot; None when the
-    pivot is not found within the stack cap and the configuration budget."""
-    if budget is None:
-        budget = env_budget(STEM_BUDGET)
-    init = (initial_control(net), (net.leader.bottom,))
-    if init[0] == pivot_control and init[1][0] == pivot_symbol:
-        return []
-    order = [init]
-    seen = {init}
-    parent = {init: None}
-    i = 0
-    while i < len(order):
-        cfg = order[i]
-        i += 1
-        control, stack = cfg
-        for tid, c2, repl in abstract_pdm_rules(net, control, stack[0]):
-            stack2 = tuple(repl) + stack[1:]
-            if not stack2 or len(stack2) > stack_cap:
-                continue
-            nxt = (c2, stack2)
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            parent[nxt] = (cfg, tid)
-            if c2 == pivot_control and stack2[0] == pivot_symbol:
-                path = []
-                cur = nxt
-                while parent[cur] is not None:
-                    prev, t = parent[cur]
-                    path.append((prev, net.transition(t), cur))
-                    cur = prev
-                path.reverse()
-                return path
-            order.append(nxt)
-            if len(order) > budget:
+    def grow(todo, x=None):
+        """Expand the open nodes in todo and every node below them, last
+        first, each by the first production of its symbol with uses left,
+        but leave one node labelled x open.  Returns the nodes left open,
+        or None when a node has no production left."""
+        held = [node for node in todo if node[0] == x]
+        todo = [node for node in todo if node[0] != x]
+        while todo or len(held) > 1:
+            node = todo.pop() if todo else held.pop()
+            i = next((i for i in by_lhs.get(node[0], ()) if left[i]), None)
+            if i is None:
                 return None
-    return None
+            for kid in reversed(expand(node, i)):
+                (held if kid[0] == x else todo).append(kid)
+        return held
+
+    def spine(x):
+        """A shortest cycle of leftover productions through x, as pairs of a
+        production and the position of the next spine symbol in it."""
+        parent = {}           # symbol -> (symbol, production, position)
+        queue = [x]
+        for sym in queue:
+            for i in by_lhs.get(sym, ()):
+                if not left[i]:
+                    continue
+                for j, nxt in enumerate(prods[i][1]):
+                    if nxt == x:
+                        chain = [(i, j)]
+                        while sym != x:
+                            sym, i, j = parent[sym]
+                            chain.append((i, j))
+                        return chain[::-1]
+                    if nxt in nonterminals and nxt not in parent:
+                        parent[nxt] = (sym, i, j)
+                        queue.append(nxt)
+        return None
+
+    root = [grammar.start, None]
+    if grow([root]) is None:
+        return None
+    while any(left):
+        chain = next(filter(None, map(spine, nodes)), None)
+        if chain is None:
+            return None
+        x = prods[chain[0][0]][0]
+        context = node = [x, None]
+        side = []
+        for i, j in chain:
+            kids = expand(node, i)
+            node = node[1][j]
+            side += [kid for kid in kids if kid is not node]
+        held = grow(side + [node], x)
+        if held is None:
+            return None
+        at = nodes[x]
+        held[0][1], at[1] = at[1], context[1]
+
+    word = []
+    todo = [root]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, list):
+            todo.extend(reversed(item[1]))
+        else:
+            word.append(item)
+    return word
 
 
-def _build_witness(net, pivot_control, pivot_symbol, grammar, model):
+def find_stem(net, pivot_control, pivot_symbol, reasons):
+    """The abstract stem to the pivot, read back from the reasons post_star
+    recorded: the transitions of a path from the initial configuration to
+    one with the pivot control and the pivot symbol on top.
+
+    It starts from the first edge (pivot control, pivot symbol, q) and
+    replaces the first one or two edges of the configuration's path by
+    their premises until only the initial edge is left, collecting the
+    rules in reverse.  Premises are inserted before the edges they explain,
+    so this ends.  A stem longer than the exploration budget
+    (PARAMCK_BUDGET) raises BudgetExceeded.
+    """
+    budget = env_budget(EXPLORE_BUDGET)
+    path = [next(edge for edge in reasons     # first edge last
+                 if edge[:2] == (pivot_control, pivot_symbol))]
+    tids = []                 # last move first
+    while reasons[path[-1]] is not None:
+        tid, *premises = reasons[path.pop()]
+        if tid is None:       # a pushed symbol: read the edge below it
+            tid, *premises = reasons[path.pop() if path else premises[0]]
+        if len(tids) == budget:
+            raise BudgetExceeded(f"stem longer than {budget} moves")
+        tids.append(tid)
+        path.extend(reversed(premises))
+    return [net.transition(tid) for tid in reversed(tids)]
+
+
+def _build_witness(net, pivot_control, pivot_symbol, grammar, model, reasons):
     counts = {i: model.get(f"y{i}", 0) for i in range(len(grammar.productions))}
     word = derive_word(grammar, counts)
     if word is None:
         raise AssertionError("Parikh model admits no derivation")
-    tokens = sum(model.get(parikh.letter_var(t.tid), 0)
-                 for t in net.contributor_transitions)
-
-    stem_path = None
-    cap = max(6, 2 * len(net.leader.stack_alphabet) + 2)
-    for _ in range(3):
-        stem_path = find_stem(net, pivot_control, pivot_symbol, cap)
-        if stem_path is not None:
-            break
-        cap *= 2
-    if stem_path is None:
-        raise BudgetExceeded("no concrete stem found within the stack cap")
-
-    mults, k = _stem_multiplicities(net, stem_path, pivot_control[2], tokens)
-    sim = _ReplayState(net, k)
-    for (_, t, _), m in zip(stem_path, mults):
-        for _ in range(m if t.owner == CONTRIBUTOR else 1):
-            sim.fire(t)
-    assert sim.leader_state == pivot_control[0]
-    assert sim.leader_stack[0] == pivot_symbol
-    assert sim.store == pivot_control[1]
-    stem_steps = sim.steps
-
-    sim.steps = []
-    for tid in word:
-        sim.fire(net.transition(tid))
-    pivot = (pivot_control[0], pivot_symbol)
-    return Witness(k, tuple(stem_steps), tuple(sim.steps), pivot)
+    stem = find_stem(net, pivot_control, pivot_symbol, reasons)
+    return lasso(net, stem, pivot_control[2], word,
+                 (pivot_control[0], pivot_symbol))
 
 
 def check_pdm_fsm(net, node_budget=500_000):
     """Decide nonemptiness of the accepted omega-language for some population
-    size, for a PDM leader and an FSM contributor."""
+    size, for a PDM leader and an FSM contributor.
+
+    As in check_fsm_fsm, a solve that runs out of budget moves on to the
+    next pivot.  A stem longer than the exploration budget raises
+    BudgetExceeded."""
     if not isinstance(net.leader, Pdm) or not isinstance(net.contributor, Fsm):
         raise ValueError("check_pdm_fsm needs a PDM leader and an FSM contributor")
     stats = {"pivots": 0, "pivots_checked": 0}
     if not net.leader.accepting:
         return Verdict("EMPTY", None, stats)
+    reasons = {}              # post*'s edge derivations, for find_stem
     try:
-        pairs = post_star(net)
-    except BudgetExceeded:
+        pairs = post_star(net, reasons=reasons)
+    except BudgetExceeded as e:
+        stats["reason"] = str(e)
         return Verdict("BUDGET", None, stats)
     stats["pivots"] = len(pairs)
-    budget_hit = False
+    exhausted = None          # the last solve that ran out of budget
     automata = {}             # Q -> loop_automaton(net, Q), for this check
     for control, gamma in pairs:
         stats["pivots_checked"] += 1
@@ -458,18 +488,16 @@ def check_pdm_fsm(net, node_budget=500_000):
         system = loop_system(net, grammar)
         try:
             model = parikh.solve(system, node_budget=node_budget)
-        except BudgetExceeded:
-            budget_hit = True
+        except BudgetExceeded as e:
+            exhausted = e
             continue
         if model is None:
             continue
         try:
-            witness = _build_witness(net, control, gamma, grammar, model)
+            witness = _build_witness(net, control, gamma, grammar, model,
+                                     reasons)
         except AssertionError as exc:
             err = str(exc)
-        except BudgetExceeded:
-            budget_hit = True
-            continue
         else:
             status, err = replay(net, witness)
             if status == "valid":
@@ -477,6 +505,7 @@ def check_pdm_fsm(net, node_budget=500_000):
         at = (*control[:2], sorted(control[2], key=repr), gamma)
         raise InternalError(
             f"could not concretize a feasible loop at {at}: {err}")
-    if budget_hit:
+    if exhausted is not None:
+        stats["reason"] = str(exhausted)
         return Verdict("BUDGET", None, stats)
     return Verdict("EMPTY", None, stats)

@@ -228,8 +228,9 @@ def check_pdm_pdm(net, node_budget=500_000):
         raise ValueError("check_pdm_pdm needs a PDM leader and a PDM contributor")
     try:
         restricted_net, n = restrict_network(net)
-    except BudgetExceeded:
-        return Verdict("BUDGET", None, {"reason": "restriction too large"})
+    except BudgetExceeded as e:
+        stats = {"reason": str(e), "window_bound": compute_N(net.contributor)}
+        return Verdict("BUDGET", None, stats)
     verdict = check_pdm_fsm(restricted_net, node_budget=node_budget)
     verdict.stats["window_bound"] = n
     return verdict

@@ -11,7 +11,7 @@ from paramck.machines import BudgetExceeded
 from paramck import parikh
 from paramck.parikh import (FALSE, Fsa, Grammar, LinearSystem, eq, ge, land,
                             le, letter_var, lor, euler_witness, parikh_cfg,
-                            parikh_fsa, reduce_grammar, solve, to_smtlib)
+                            parikh_fsa, reduce_grammar, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +405,3 @@ def test_euler_witness_rejects_bogus_assignment():
     with pytest.raises(AssertionError):
         euler_witness(fsa, {"e0": 1})
 
-
-def test_smtlib_dump_is_wellformed():
-    fsa = Fsa((0, 1), ((0, "a", 1), (1, "b", 0)), 0, 0)
-    text = to_smtlib(parikh_fsa(fsa))
-    assert text.startswith("(set-logic QF_LIA)")
-    assert text.count("(") == text.count(")")
-    assert "(check-sat)" in text

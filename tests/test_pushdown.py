@@ -209,47 +209,199 @@ def test_derive_word_needs_no_deep_recursion():
     assert derive_word(g, {0: 1500}) is None
 
 
-def test_derive_word_backtracks_in_production_order():
-    # S -> A strands the second use of A -> a, so the search backs up and
-    # takes S -> A S; each configuration visited costs one unit of budget
+def test_derive_word_splices_where_greedy_strands():
+    # the leftmost derivation takes S -> A and strands S -> A S with a use
+    # of A -> a; the leftovers form the context S => a S around the root
     g = parikh.Grammar(("S", "A"), ("a",), "S",
                        (("S", ("A",)), ("S", ("A", "S")), ("A", ("a",))))
-    counts = {0: 1, 1: 1, 2: 2}
-    assert derive_word(g, counts, budget=7) == ["a", "a"]
-    with pytest.raises(BudgetExceeded):
-        derive_word(g, counts, budget=6)
+    assert derive_word(g, {0: 1, 1: 1, 2: 2}) == ["a", "a"]
+    # unbalanced: S is expanded twice but occurs on no right-hand side
     assert derive_word(g, {0: 2, 2: 2}) is None
+    # the greedy tree S -> X W, X -> a, W -> b leaves W -> X W and X -> a:
+    # X comes first in the tree, but only W lies on a cycle of leftovers
+    g = parikh.Grammar(("S", "X", "W"), ("a", "b"), "S",
+                       (("S", ("X", "W")), ("W", ("b",)),
+                        ("W", ("X", "W")), ("X", ("a",))))
+    assert derive_word(g, {0: 1, 1: 1, 2: 1, 3: 2}) == ["a", "a", "b"]
+    # balanced but disconnected: nothing derives Y
+    g = parikh.Grammar(("S", "Y"), ("a",), "S",
+                       (("S", ("a",)), ("Y", ("a", "Y"))))
+    assert derive_word(g, {0: 1, 1: 1}) is None
 
 
-def test_find_stem_reaches_pivot():
-    net = counter_network()
-    pairs = post_star(net)
-    for control, gamma in pairs:
-        path = find_stem(net, control, gamma, stack_cap=8)
-        assert path is not None
-        # the path must end at the pivot
-        if path:
-            last_control, last_stack = path[-1][2]
-            assert last_control == control and last_stack[0] == gamma
-
-
-def test_budget_env_variable_caps_find_stem(monkeypatch):
-    net = counter_network()
-    paths = {pair: find_stem(net, *pair, stack_cap=8)
-             for pair in post_star(net)}
-    pivot = max(paths, key=lambda pair: len(paths[pair]))
-    assert len(paths[pivot]) >= 3
-    monkeypatch.setenv("PARAMCK_BUDGET", "2")
-    assert find_stem(net, *pivot, stack_cap=8) is None
-    assert find_stem(net, *pivot, stack_cap=8, budget=300_000) == paths[pivot]
-
-
-def test_budget_env_variable_caps_derive_word(monkeypatch):
-    g = parikh.Grammar(("S",), ("a",), "S", (("S", ("a",)),))
-    assert derive_word(g, {0: 1}) == ["a"]
+def test_derive_word_has_no_budget(monkeypatch):
+    g = parikh.Grammar(("S", "A"), ("a",), "S",
+                       (("S", ("A",)), ("S", ("A", "S")), ("A", ("a",))))
     monkeypatch.setenv("PARAMCK_BUDGET", "0")
-    with pytest.raises(BudgetExceeded):
-        derive_word(g, {0: 1})
+    assert derive_word(g, {0: 1, 1: 400, 2: 401}) == ["a"] * 401
+
+
+def tagged_cfg(rng):
+    """A random grammar whose i-th production carries its own terminal t<i>,
+    so the letters of a word count the productions of its derivation."""
+    nts = tuple(f"N{i}" for i in range(rng.randint(1, 5)))
+    prods = []
+    for i in range(rng.randint(1, 8)):
+        rhs = [rng.choice(nts + ("a",)) for _ in range(rng.randint(0, 3))]
+        rhs.insert(rng.randint(0, len(rhs)), f"t{i}")
+        prods.append((rng.choice(nts), tuple(rhs)))
+    terminals = ("a",) + tuple(f"t{i}" for i in range(len(prods)))
+    return parikh.Grammar(nts, terminals, nts[0], tuple(prods))
+
+
+def earley_derives(g, word):
+    """Earley recognizer for grammars without empty right-hand sides."""
+    nts = set(g.nonterminals)
+    chart = [set() for _ in range(len(word) + 1)]
+    for k in range(len(word) + 1):
+        agenda = []
+
+        def add(item, k=k):
+            if item not in chart[k]:
+                chart[k].add(item)
+                agenda.append(item)
+        if k == 0:
+            for lhs, rhs in g.productions:
+                if lhs == g.start:
+                    add((lhs, rhs, 0, 0))
+        agenda.extend(chart[k])
+        while agenda:
+            lhs, rhs, dot, origin = agenda.pop()
+            if dot == len(rhs):
+                for l2, r2, d2, o2 in list(chart[origin]):
+                    if d2 < len(r2) and r2[d2] == lhs:
+                        add((l2, r2, d2 + 1, o2))
+            elif rhs[dot] in nts:
+                for l2, r2 in g.productions:
+                    if l2 == rhs[dot]:
+                        add((l2, r2, 0, k))
+            elif k < len(word) and word[k] == rhs[dot]:
+                chart[k + 1].add((lhs, rhs, dot + 1, origin))
+    return any(lhs == g.start and dot == len(rhs) and origin == 0
+               for lhs, rhs, dot, origin in chart[-1])
+
+
+def test_derive_word_realizes_every_parikh_model():
+    # models of parikh_cfg are balanced and connected; random lower bounds
+    # on production counts make the greedy derivation strand leftovers
+    rng = random.Random(31)
+    models = stranded = 0
+    while models < 3000:
+        g = parikh.reduce_grammar(tagged_cfg(rng))
+        system = parikh.parikh_cfg(g)
+        if system.constraint == parikh.FALSE:
+            continue
+        bounds = [parikh.ge({f"y{i}": 1}, rng.randint(1, 3))
+                  for i in range(len(g.productions)) if rng.random() < 0.4]
+        model = parikh.solve(system.conjoin(bounds))
+        if model is None:
+            continue
+        models += 1
+        counts = {i: model.get(f"y{i}", 0)
+                  for i in range(len(g.productions))}
+        word = derive_word(g, counts)
+        assert word is not None
+        tags = [next(sym for sym in rhs if sym.startswith("t"))
+                for _, rhs in g.productions]
+        assert {i: word.count(tags[i]) for i in counts} == counts
+        assert word.count("a") == model.get(parikh.letter_var("a"), 0)
+        assert earley_derives(g, word)
+        greedy = leftmost_greedy(g, counts)
+        if greedy is None:
+            stranded += 1
+        else:
+            assert word == greedy
+    assert stranded >= 100
+
+
+def leftmost_greedy(g, counts):
+    """The leftmost derivation that takes the first production with uses
+    left, or None when it gets stuck or strands productions."""
+    nts = set(g.nonterminals)
+    left = dict(counts)
+    word, stack = [], [g.start]
+    while stack:
+        sym = stack.pop()
+        if sym not in nts:
+            word.append(sym)
+            continue
+        i = next((i for i, (lhs, _) in enumerate(g.productions)
+                  if lhs == sym and left.get(i)), None)
+        if i is None:
+            return None
+        left[i] -= 1
+        stack.extend(reversed(g.productions[i][1]))
+    return word if not any(left.values()) else None
+
+
+def is_abstract_chain(net, stem, pivot_control, pivot_symbol):
+    """stem fires as abstract moves from the initial configuration and ends
+    at the pivot control with the pivot symbol on top."""
+    control, stack = initial_control(net), (net.leader.bottom,)
+    for t in stem:
+        moves = [(c2, repl) for tid, c2, repl
+                 in abstract_pdm_rules(net, control, stack[0])
+                 if tid == t.tid]
+        if len(moves) != 1:
+            return False
+        control, repl = moves[0]
+        stack = repl + stack[1:]
+        if not stack:
+            return False
+    return control == pivot_control and stack[0] == pivot_symbol
+
+
+def test_read_back_stem_is_a_chain_of_abstract_moves():
+    rng = random.Random(41)
+    nets = [counter_network()]
+    nets += [random_pdm_leader_network(rng) for _ in range(40)]
+    nets += [restrict_network(random_pdm_pdm_network(rng))[0]
+             for _ in range(40)]
+    for net in nets:
+        reasons = {}
+        for control, gamma in post_star(net, reasons=reasons):
+            stem = find_stem(net, control, gamma, reasons)
+            assert is_abstract_chain(net, stem, control, gamma)
+
+
+def test_budget_env_variable_caps_the_stem(monkeypatch):
+    net = deep_stem_network(8)
+    reasons = {}
+    pairs = post_star(net, reasons=reasons)
+    stems = {pair: find_stem(net, *pair, reasons) for pair in pairs}
+    pivot = max(stems, key=lambda pair: len(stems[pair]))
+    n = len(stems[pivot])
+    assert n >= 8
+    monkeypatch.setenv("PARAMCK_BUDGET", str(n - 1))
+    with pytest.raises(BudgetExceeded, match=f"stem longer than {n - 1}"):
+        find_stem(net, *pivot, reasons)
+    monkeypatch.setenv("PARAMCK_BUDGET", str(n))
+    assert find_stem(net, *pivot, reasons) == stems[pivot]
+
+
+def deep_stem_network(d):
+    """The leader pushes d symbols writing 0, then loops at s<d> writing 1
+    (push) and reading it back (pop); the contributor only reads 1."""
+    states = [f"s{i}" for i in range(d + 2)]
+    rules = [PdmRule(states[i], la("write", "0"), "A" if i else "Z",
+                     states[i + 1], ("push", "A")) for i in range(d)]
+    rules += [PdmRule(states[d], la("write", "1"), "A", states[d + 1],
+                      ("push", "A")),
+              PdmRule(states[d + 1], la("read", "1"), "A", states[d],
+                      ("pop",))]
+    leader = Pdm(frozenset(states), ("Z", "A"), "s0", tuple(rules),
+                 frozenset([states[d]]))
+    contrib = Fsm(frozenset(["q0"]), "q0", (("q0", ca("read", "1"), "q0"),))
+    return make_network(["0", "1"], leader, contrib)
+
+
+def test_deep_stem_is_nonempty():
+    # the stem pushes 30 symbols before the loop
+    net = deep_stem_network(30)
+    v = check_pdm_fsm(net)
+    assert v.kind == "NONEMPTY"
+    assert replay(net, v.witness) == ("valid", None)
+    assert sum(1 for actor, _ in v.witness.stem if actor == 0) >= 30
 
 
 def test_counter_nonempty_with_replay():
