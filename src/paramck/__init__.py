@@ -7,8 +7,7 @@ from .machines import (Action, Fsm, Pdm, PdmRule, Network, Transition,
 from .explicit import ConcreteConfig, Witness, Verdict, check_explicit, replay
 from .cyclesearch import check_fsm_fsm
 from .pushdown import check_pdm_fsm
-from .reduction import (check_pdm_pdm, restrict, restrict_network, compute_N,
-                        effective_stack_height, kbounded_agreement)
+from .reduction import check_pdm_pdm, restrict, restrict_network, compute_N
 from .parikh import parikh_fsa, parikh_cfg, solve
 from .fileformat import (ParseError, parse_machine_file, print_machine,
                          parse_witness, print_witness)
@@ -21,8 +20,8 @@ __all__ = [
     "UNINIT", "LEADER", "CONTRIBUTOR", "READ", "WRITE",
     "ConcreteConfig", "Witness", "Verdict", "check_explicit", "replay",
     "check_fsm_fsm", "check_pdm_fsm", "check_pdm_pdm",
-    "restrict", "restrict_network", "compute_N", "effective_stack_height",
-    "kbounded_agreement", "parikh_fsa", "parikh_cfg", "solve",
+    "restrict", "restrict_network", "compute_N",
+    "parikh_fsa", "parikh_cfg", "solve",
     "ParseError", "parse_machine_file", "print_machine", "parse_witness",
     "print_witness", "MODES", "resolve_mode", "replay_network", "run_check",
 ]

@@ -16,23 +16,17 @@ and replayed for confirmation.
 
 from __future__ import annotations
 
-from .machines import (BudgetExceeded, CONTRIBUTOR, InternalError,
-                       abstract_moves)
-from .abstraction import AbstractConfig, reachable_abstract, abstract_stem
+from .machines import BudgetExceeded, CONTRIBUTOR, InternalError
+from .abstraction import reachable_abstract, abstract_stem
 from .explicit import Witness, Verdict, _ReplayState, replay
 from . import parikh
 
 
-def q_preserving_successors(net, a):
-    """Abstract moves from a that leave the populated set unchanged."""
-    return [(t, AbstractConfig(d, g, Q))
-            for t, d, g, Q, _ in abstract_moves(net, a.leader_state, a.store, a.Q)
-            if Q == a.Q]
-
-
-def build_cycle_fsa(net, a):
+def build_cycle_fsa(reach, a):
     """Automaton over transition ids of the Q-preserving abstract moves
-    reachable from a, with a as initial and final state.
+    reachable from a, with a as initial and final state.  The moves are
+    read from the saturation's stored successors (reach.edges, in
+    abstract_moves order), keeping those with the same Q.
 
     A closed walk through a can only use edges of a's strongly connected
     component, so the automaton is trimmed to it up front; this keeps the
@@ -46,7 +40,9 @@ def build_cycle_fsa(net, a):
     while i < len(states):
         c = states[i]
         i += 1
-        for t, c2 in q_preserving_successors(net, c):
+        for t, c2 in reach.edges[c]:
+            if c2.Q != a.Q:
+                continue
             edges.append((c, t.tid, c2))
             if c2 not in seen:
                 seen.add(c2)
@@ -182,7 +178,7 @@ def check_fsm_fsm(net, node_budget=500_000):
         if a.leader_state not in accepting:
             continue
         stats["accepting_checked"] += 1
-        fsa = build_cycle_fsa(net, a)
+        fsa = build_cycle_fsa(reach, a)
         system = realizability_system(net, fsa)
         try:
             model = parikh.solve(system, node_budget=node_budget)

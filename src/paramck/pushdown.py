@@ -15,7 +15,11 @@ The decision runs in three stages:
      grammar with the usual balanced-segment nonterminals.  The grammar is
      read off the loop automaton of the pivot's Q (its rule table and pop
      relation, found by worklist saturation), built once per Q and shared
-     by every pivot with that Q;
+     by every pivot with that Q.  Each pivot is first decided by
+     reachability on the automaton's graph of (state, top) nodes, also
+     built once per Q: the grammar derives a word exactly when the accept
+     node is reachable from the start node, and only the pivots where it
+     does get a grammar and a solve;
   3. a Parikh model of that grammar, strengthened with contributor flow
      balance and nonemptiness, denotes a concretely realizable cycle.  The
      witness is assembled from a derivation of the model's production counts
@@ -32,7 +36,8 @@ from __future__ import annotations
 import heapq
 
 from .machines import (EXPLORE_BUDGET, UNINIT, BudgetExceeded, InternalError,
-                       Pdm, Fsm, abstract_moves, env_budget)
+                       Pdm, Fsm, abstract_moves, env_budget, register_step,
+                       top_replacement)
 from .explicit import Verdict, replay
 from .cyclesearch import contributor_flow_rows, lasso
 from . import parikh
@@ -156,22 +161,54 @@ def _loop_controls(net, Q):
     return out
 
 
-def _loop_rules(net, state, top):
-    """Loop-automaton rules: abstract rules that keep Q fixed, with the
-    sticky accepting bit folded into the control."""
-    control, b = state
-    out = []
-    for tid, c2, repl in abstract_pdm_rules(net, control, top):
-        if c2[2] != control[2]:
-            continue
-        b2 = 1 if accepting_control(net, c2) else b
-        out.append((tid, (c2, b2), repl))
-    return out
+def leader_move_table(net):
+    """The leader's abstract moves by (leader state, store, top): lists of
+    (tid, leader state', store', replacement) in tid order.  They do not
+    depend on Q, so a check computes them once for all its loop automata."""
+    stores = [UNINIT] + sorted(net.values)
+    moves = {}
+    for t in net.leader_transitions:
+        top = t.payload.top
+        repl = top_replacement(t.payload, top)
+        for g in stores:
+            g2 = register_step(t.action, g)
+            if g2 is not None:
+                moves.setdefault((t.src, g, top), []).append(
+                    (t.tid, t.dst, g2, repl))
+    return moves
 
 
-def pop_relation(net, states, alphabet):
-    """Least set of triples (s, gamma, s') such that the loop automaton can go
-    from s with [gamma] to s' with the gamma popped.
+def loop_rules(net, Q, leader_moves):
+    """The loop automaton's rule table at Q: for each (state, top), the
+    abstract rules that keep Q fixed, as (tid, state', replacement), with
+    the sticky accepting bit folded into the state.  The leader's moves come
+    first, then the contributors', each in tid order, as in abstract_moves.
+    leader_moves is leader_move_table(net); the contributor moves that keep Q
+    depend only on the store."""
+    accepting = net.leader.accepting
+    stores = [UNINIT] + sorted(net.values)
+    kept = [t for t in net.contributor_transitions
+            if t.src in Q and t.dst in Q]
+    contributor = {g: [(t.tid, g2) for t in kept
+                       if (g2 := register_step(t.action, g)) is not None]
+                   for g in stores}
+    rules = {}
+    for s in _loop_controls(net, Q):
+        (d, g, _), b = s
+        stay = 1 if d in accepting else b    # contributor moves keep d
+        for top in net.leader.stack_alphabet:
+            out = [(tid, ((d2, g2, Q), 1 if d2 in accepting else b), repl)
+                   for tid, d2, g2, repl in leader_moves.get((d, g, top), ())]
+            out += [(tid, ((d, g2, Q), stay), (top,))
+                    for tid, g2 in contributor[g]]
+            rules[(s, top)] = out
+    return rules
+
+
+def pop_relation(rules):
+    """Least set of triples (s, gamma, s') such that the loop automaton with
+    the rule table rules (loop_rules) can go from s with [gamma] to s' with
+    the gamma popped.
 
     Worklist saturation (Schwoon, Model-Checking Pushdown Systems, 2002).
     Pop rules seed the triples, and each new triple (a, g, x) wakes only the
@@ -187,10 +224,6 @@ def pop_relation(net, states, alphabet):
     all its premises, and the key (round, pos, rank of each premise) sorts
     the triples as the scan finds them.
     """
-    rules = {}
-    for s in states:
-        for gamma in alphabet:
-            rules[(s, gamma)] = _loop_rules(net, s, gamma)
     heap = []
     first = {}        # (a, g) -> [(pos, s, gamma, below or None if neutral)]
     second = {}       # (x, below) -> [(pos, s, gamma, settled first premise)]
@@ -231,19 +264,70 @@ def pop_relation(net, states, alphabet):
                 heapq.heappush(heap, (key(at, mine, settled[(x, below, y)]),
                                       (s, gamma, y)))
             second.setdefault((x, below), []).append((at, s, gamma, mine))
-    return dict.fromkeys(settled), rules
+    return dict.fromkeys(settled)
 
 
-def loop_automaton(net, Q):
-    """The loop automaton at the populated set Q: its rule table by
-    (state, top) and its pop relation as an index (s, gamma) -> [s'] in the
-    order pop_relation finds the triples.  Both depend only on Q."""
-    P, rules = pop_relation(net, _loop_controls(net, Q),
-                            net.leader.stack_alphabet)
+def loop_automaton(net, Q, leader_moves):
+    """The loop automaton at the populated set Q, which is all it depends
+    on: its rule table by (state, top) (loop_rules, with leader_moves from
+    leader_move_table), its pop relation as an index (s, gamma) -> [s'] in
+    the order pop_relation finds the triples, and its reachability graph.
+
+    The graph's nodes are (state, top) pairs, and it has an edge wherever a
+    loop grammar has a production ("R", node) -> ... ("R", node') that ends
+    in node': a neutral rule moves to (s', top), and a push of beta with
+    gamma below moves to (s', beta) and, for each x in the index at
+    (s', beta), to (x, gamma).  Pops add no edge.
+    """
+    rules = loop_rules(net, Q, leader_moves)
     after = {}
-    for s, gamma, s2 in P:
+    for s, gamma, s2 in pop_relation(rules):
         after.setdefault((s, gamma), []).append(s2)
-    return rules, after
+    graph = {}
+    for node, rs in rules.items():
+        succ = graph[node] = []
+        for _, s2, repl in rs:
+            if len(repl) == 1:
+                succ.append((s2, repl[0]))
+            elif repl:
+                beta, below = repl
+                succ.append((s2, beta))
+                succ += [(x, below) for x in after.get((s2, beta), ())]
+    return rules, after, graph
+
+
+def _loop_ends(net, pivot_control):
+    """The loop automaton's start and accept states at a pivot control."""
+    bit = 1 if accepting_control(net, pivot_control) else 0
+    return (pivot_control, bit), (pivot_control, 1)
+
+
+def loop_nonempty(net, automaton, pivot_control, pivot_symbol):
+    """Whether the pivot's loop grammar derives a word, by a search of the
+    loop automaton's graph, without building the grammar.
+
+    The productive "T" symbols of a loop grammar are exactly the triples of
+    the pop relation, so an ("R", s, gamma) symbol is productive exactly
+    when the accept node (accept state, pivot symbol) is reachable from
+    (s, gamma) in the graph.  The reduced grammar keeps its start symbol
+    exactly when the accept node is reachable from the start node (start
+    state, pivot symbol), which it is when the two are equal.
+    """
+    _, _, graph = automaton
+    start_state, accept_state = _loop_ends(net, pivot_control)
+    start = (start_state, pivot_symbol)
+    accept = (accept_state, pivot_symbol)
+    seen = {start}
+    todo = [start]
+    while todo:
+        node = todo.pop()
+        if node == accept:
+            return True
+        for nxt in graph[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return False
 
 
 def build_loop_grammar(net, pivot_control, pivot_symbol, automata=None):
@@ -256,19 +340,21 @@ def build_loop_grammar(net, pivot_control, pivot_symbol, automata=None):
     below the floor" holds by construction.
 
     The loop automaton depends only on Q = pivot_control[2]; automata, a dict
-    from Q to loop_automaton(net, Q), lets pivots that share a Q share it.
-    Without it the automaton is built afresh.  Productions come out of the
-    pop-relation index, one per rule and per matching triple.
+    from Q to loop_automaton(net, Q, ...), lets pivots that share a Q share
+    it.  Without it the automaton is built afresh.  Productions come out of
+    the pop-relation index, one per rule and per matching triple.
+    check_pdm_fsm first decides each pivot by reachability on the
+    automaton's graph (loop_nonempty) and builds the grammar only for the
+    pivots whose grammar derives a word.
     """
     Q = pivot_control[2]
     if automata is None:
         automata = {}
     if Q not in automata:
-        automata[Q] = loop_automaton(net, Q)
-    rules, after = automata[Q]
+        automata[Q] = loop_automaton(net, Q, leader_move_table(net))
+    rules, after, _ = automata[Q]
 
-    start_state = (pivot_control, 1 if accepting_control(net, pivot_control) else 0)
-    accept_state = (pivot_control, 1)
+    start_state, accept_state = _loop_ends(net, pivot_control)
     prods = []
     for (s, gamma), rs in rules.items():
         R = ("R", s, gamma)
@@ -478,13 +564,17 @@ def check_pdm_fsm(net, node_budget=500_000):
         return Verdict("BUDGET", None, stats)
     stats["pivots"] = len(pairs)
     exhausted = None          # the last solve that ran out of budget
-    automata = {}             # Q -> loop_automaton(net, Q), for this check
+    leader_moves = leader_move_table(net)
+    automata = {}             # Q -> its loop automaton, for this check
     for control, gamma in pairs:
         stats["pivots_checked"] += 1
+        Q = control[2]
+        if Q not in automata:
+            automata[Q] = loop_automaton(net, Q, leader_moves)
+        if not loop_nonempty(net, automata[Q], control, gamma):
+            continue
         grammar = parikh.reduce_grammar(
             build_loop_grammar(net, control, gamma, automata))
-        if grammar.start not in grammar.nonterminals:
-            continue
         system = loop_system(net, grammar)
         try:
             model = parikh.solve(system, node_budget=node_budget)

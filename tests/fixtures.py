@@ -79,7 +79,7 @@ def updown_pdm():
 
 def updown_run():
     """The a b b c c c prefix of updown_pdm: up to height 4, down to 1."""
-    from paramck.reduction import RunPrefix
+    from window_oracles import RunPrefix
     pdm, (r_a, r_b, r_c) = updown_pdm()
     return RunPrefix(pdm, (r_a, r_b, r_b, r_c, r_c, r_c))
 

@@ -9,14 +9,14 @@ from paramck.api import run_check
 from paramck.explicit import check_explicit, replay
 from paramck.cyclesearch import check_fsm_fsm
 from paramck.machines import Pdm, PdmRule, make_network
-from paramck.reduction import (check_pdm_pdm, compute_N, effective_stack_height,
-                               kbounded_agreement, restrict_network)
+from paramck.reduction import check_pdm_pdm, compute_N, restrict_network
 from paramck.parikh import parikh_cfg, parikh_fsa
 from fixtures import (ca, la, lift_fsm_to_pdm, random_fsm_network,
                       random_small_pdm, ring_network, stalled_network,
                       updown_run)
 from test_parikh import (cfg_vectors, characterized_vectors, fsa_vectors,
                          random_cfg, random_fsa)
+from window_oracles import effective_stack_height, kbounded_agreement
 
 
 def test_ring_example_nonempty_and_replayable():

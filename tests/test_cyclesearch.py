@@ -3,11 +3,10 @@ import random
 import networkx
 import pytest
 
-from paramck.machines import Fsm, buchi_product, make_network
-from paramck.abstraction import reachable_abstract
+from paramck.machines import Fsm, abstract_moves, buchi_product, make_network
+from paramck.abstraction import AbstractConfig, reachable_abstract
 from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
                                  contributor_flow_rows,
-                                 q_preserving_successors,
                                  realizability_system)
 from paramck.explicit import _ReplayState, check_explicit, replay
 from paramck import parikh
@@ -24,6 +23,14 @@ def full_q_accepting_config(net):
         if best is None or len(a.Q) > len(best.Q):
             best = a
     return reach, best
+
+
+def q_preserving_successors(net, a):
+    """Abstract moves from a that leave the populated set unchanged, from
+    the step kernel."""
+    return [(t, AbstractConfig(d, g, Q))
+            for t, d, g, Q, _ in abstract_moves(net, a.leader_state, a.store, a.Q)
+            if Q == a.Q]
 
 
 def anchor_scc(net, a):
@@ -47,9 +54,9 @@ def anchor_scc(net, a):
 
 def test_cycle_fsa_is_strongly_connected_on_ring():
     net = ring_network()
-    _, a = full_q_accepting_config(net)
+    reach, a = full_q_accepting_config(net)
     assert a.Q == frozenset("ABCDEFG")
-    fsa = build_cycle_fsa(net, a)
+    fsa = build_cycle_fsa(reach, a)
     # anchored at a with only mutually reachable configurations kept
     assert fsa.initial == fsa.final == a
     used_leader_actions = {str(net.transition(lab).action)
@@ -64,8 +71,9 @@ def test_cycle_fsa_is_strongly_connected_on_ring():
     rng = random.Random(12)
     for _ in range(60):
         net = random_fsm_network(rng)
-        for a in reachable_abstract(net).order:
-            fsa = build_cycle_fsa(net, a)
+        reach = reachable_abstract(net)
+        for a in reach.order:
+            fsa = build_cycle_fsa(reach, a)
             assert (fsa.states, fsa.edges) == anchor_scc(net, a)
 
 
@@ -80,9 +88,15 @@ def test_fire_raises_assertion_when_no_contributor_can_move():
 
 def test_q_preserving_moves_keep_q():
     net = ring_network()
-    _, a = full_q_accepting_config(net)
-    for _, b in q_preserving_successors(net, a):
-        assert b.Q == a.Q
+    reach = reachable_abstract(net)
+    dropped = 0
+    for a in reach.order:
+        fsa = build_cycle_fsa(reach, a)
+        assert all(b.Q == a.Q for b in fsa.states)
+        # the saturation also stored moves that grow Q, which it drops
+        dropped += sum(b.Q != a.Q for c in fsa.states
+                       for _, b in reach.edges[c])
+    assert dropped > 0
 
 
 def test_realizability_infeasible_for_stalled_net():
@@ -91,7 +105,7 @@ def test_realizability_infeasible_for_stalled_net():
     for a in reach.order:
         if a.leader_state not in net.leader.accepting:
             continue
-        fsa = build_cycle_fsa(net, a)
+        fsa = build_cycle_fsa(reach, a)
         system = realizability_system(net, fsa)
         assert parikh.solve(system) is None
 
@@ -106,10 +120,11 @@ def test_row_leaving_the_anchor_is_implied():
         net = random_fsm_network(rng)
         tids = [t.tid for t in net.leader_transitions
                 + net.contributor_transitions]
-        for a in reachable_abstract(net).order:
+        reach = reachable_abstract(net)
+        for a in reach.order:
             if a.leader_state not in net.leader.accepting:
                 continue
-            fsa = build_cycle_fsa(net, a)
+            fsa = build_cycle_fsa(reach, a)
             with_row = realizability_system(net, fsa)
             row_free = parikh.parikh_fsa(fsa, alphabet=tids).conjoin(
                 contributor_flow_rows(net))

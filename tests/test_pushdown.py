@@ -1,13 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 
 from paramck.machines import (BudgetExceeded, Fsm, Pdm, PdmRule, UNINIT,
-                              make_network)
-from paramck.pushdown import (_loop_controls, _loop_rules,
-                              abstract_pdm_rules, build_loop_grammar,
+                              buchi_product, make_network)
+from paramck.pushdown import (_loop_controls, abstract_pdm_rules,
+                              accepting_control, build_loop_grammar,
                               check_pdm_fsm, derive_word, find_stem,
-                              initial_control, pop_relation, post_star)
+                              initial_control, leader_move_table,
+                              loop_automaton, loop_nonempty, loop_rules,
+                              pop_relation, post_star)
 from paramck.explicit import check_explicit, replay
 from paramck.reduction import restrict_network
 from paramck import parikh, pushdown
@@ -60,9 +63,7 @@ def test_post_star_finds_deep_tops():
 def test_pop_relation_on_loop_automaton():
     net = counter_network()
     Q = frozenset(["q0", "q1"])
-    from paramck.pushdown import _loop_controls
-    states = _loop_controls(net, Q)
-    P, _ = pop_relation(net, states, net.leader.stack_alphabet)
+    P = pop_relation(loop_rules(net, Q, leader_move_table(net)))
     # an A pushed at d1 can be popped again at d1 (read 1 up, read 2 down)
     assert any(s[0][0] == "d1" and gamma == "A" and s2[0][0] == "d1"
                for s, gamma, s2 in P)
@@ -70,13 +71,29 @@ def test_pop_relation_on_loop_automaton():
     assert not any(gamma == "Z" for _, gamma, _ in P)
 
 
-def naive_pop_relation(net, states, alphabet):
+def naive_loop_rules(net, state, top):
+    """Loop-automaton rules at one (state, top), straight from the step
+    kernel: abstract rules that keep Q fixed, with the sticky accepting bit
+    folded into the control."""
+    control, b = state
+    out = []
+    for tid, c2, repl in abstract_pdm_rules(net, control, top):
+        if c2[2] != control[2]:
+            continue
+        b2 = 1 if accepting_control(net, c2) else b
+        out.append((tid, (c2, b2), repl))
+    return out
+
+
+def naive_rule_table(net, Q):
+    return {(s, gamma): naive_loop_rules(net, s, gamma)
+            for s in _loop_controls(net, Q)
+            for gamma in net.leader.stack_alphabet}
+
+
+def naive_pop_relation(rules):
     """The pop relation by naive fixpoint: every round scans the whole rule
     table and, for each rule, the whole relation found so far."""
-    rules = {}
-    for s in states:
-        for gamma in alphabet:
-            rules[(s, gamma)] = _loop_rules(net, s, gamma)
     P = {}
     changed = True
     while changed:
@@ -97,7 +114,7 @@ def naive_pop_relation(net, states, alphabet):
                     if triple not in P:
                         P[triple] = None
                         changed = True
-    return P, rules
+    return P
 
 
 def random_deep_pdm_network(rng):
@@ -126,24 +143,31 @@ def pivot_qs(net):
     return list(dict.fromkeys(control[2] for control, _ in post_star(net)))
 
 
-def test_pop_relation_agrees_with_naive_fixpoint():
+def loop_test_nets():
+    """The counter nets and 20 each of random PDM-leader, restricted
+    PDM-PDM and deep PDM-leader nets."""
     rng = random.Random(31)
     nets = [counter_network(), counter_network(accept_high=True)]
     for _ in range(20):
         nets.append(random_pdm_leader_network(rng))
         nets.append(restrict_network(random_pdm_pdm_network(rng))[0])
         nets.append(random_deep_pdm_network(rng))
+    return nets
+
+
+def test_pop_relation_agrees_with_naive_fixpoint():
     triples = 0
-    for net in nets:
+    for net in loop_test_nets():
+        leader_moves = leader_move_table(net)
         for Q in pivot_qs(net):
-            states = _loop_controls(net, Q)
-            P, rules = pop_relation(net, states, net.leader.stack_alphabet)
-            P0, rules0 = naive_pop_relation(net, states,
-                                            net.leader.stack_alphabet)
+            rules = loop_rules(net, Q, leader_moves)
+            # the same rules in the same order as the step kernel gives
+            assert rules == naive_rule_table(net, Q)
+            P = pop_relation(rules)
+            P0 = naive_pop_relation(rules)
             assert set(P) == set(P0)
             # the same order, too, so the loop grammars do not change
             assert list(P) == list(P0)
-            assert rules == rules0
             triples += len(P)
     assert triples > 500
 
@@ -152,9 +176,10 @@ def test_check_builds_one_loop_automaton_per_q(monkeypatch):
     calls = []
     original = pushdown.pop_relation
 
-    def counting(net, states, alphabet):
-        calls.append(states[0][0][2])
-        return original(net, states, alphabet)
+    def counting(rules):
+        (state, _), *_ = rules
+        calls.append(state[0][2])
+        return original(rules)
 
     monkeypatch.setattr(pushdown, "pop_relation", counting)
     rng = random.Random(88)
@@ -168,6 +193,89 @@ def test_check_builds_one_loop_automaton_per_q(monkeypatch):
         assert calls == qs
         shared += len(checked) - len(qs)
     assert shared > 0
+
+
+def gf_product_network(rng):
+    """A random PDM-leader net whose leader is taken in product with "some
+    leader action a infinitely often", so that many loops pass through
+    controls that are not accepting."""
+    net = random_pdm_leader_network(rng)
+    actions = sorted({r.action for r in net.leader.rules}, key=str)
+    a = rng.choice(actions)
+    prop = Fsm(frozenset(["s0", "s1"]), "s0",
+               tuple((s, b, "s1" if b == a else "s0")
+                     for s in ("s0", "s1") for b in actions),
+               frozenset(["s1"]))
+    return make_network(net.values, buchi_product(prop, net.leader),
+                        net.contributor)
+
+
+def test_reachability_decides_the_reduced_grammar():
+    rng = random.Random(53)
+    nets = loop_test_nets() + [gf_product_network(rng) for _ in range(100)]
+    verdicts = Counter()
+    for net in nets:
+        leader_moves = leader_move_table(net)
+        automata = {}
+        for control, gamma in post_star(net):
+            Q = control[2]
+            if Q not in automata:
+                automata[Q] = loop_automaton(net, Q, leader_moves)
+            grammar = parikh.reduce_grammar(
+                build_loop_grammar(net, control, gamma, automata))
+            found = loop_nonempty(net, automata[Q], control, gamma)
+            assert found == (grammar.start in grammar.nonterminals)
+            # an accepting pivot control starts with its bit set: the start
+            # node is the accept node, and the empty loop is in the grammar
+            verdicts[found, accepting_control(net, control)] += 1
+    assert verdicts[False, False] > 200
+    assert verdicts[True, False] > 30      # accept reached from the start
+    assert verdicts[True, True] > 100      # start is accept
+    assert verdicts[False, True] == 0
+
+
+def unreachable_accepting_network():
+    """The leader pushes forever at d0 and never reaches its accepting
+    state d1, so no pivot's loop grammar derives a word."""
+    rules = (PdmRule("d0", la("write", "1"), "Z", "d0", ("push", "A")),
+             PdmRule("d0", la("write", "2"), "A", "d0", ("push", "A")),
+             PdmRule("d1", la("read", "1"), "A", "d1", ("pop",)))
+    leader = Pdm(frozenset(["d0", "d1"]), ("Z", "A"), "d0", rules,
+                 frozenset(["d1"]))
+    contrib = Fsm(frozenset(["q0", "q1"]), "q0",
+                  (("q0", ca("read", "1"), "q1"),
+                   ("q1", ca("write", "2"), "q0")))
+    return make_network(["1", "2"], leader, contrib)
+
+
+def test_check_builds_grammars_only_for_pivots_that_pass(monkeypatch):
+    built = []
+    original = pushdown.build_loop_grammar
+
+    def counting(net, control, gamma, automata=None):
+        built.append((control, gamma))
+        return original(net, control, gamma, automata)
+
+    monkeypatch.setattr(pushdown, "build_loop_grammar", counting)
+    net = unreachable_accepting_network()
+    v = check_pdm_fsm(net)
+    assert v.kind == "EMPTY" and v.stats["pivots_checked"] >= 4
+    assert built == []
+    rng = random.Random(88)
+    skipped = 0
+    for _ in range(50):
+        net = random_pdm_leader_network(rng)
+        built.clear()
+        v = check_pdm_fsm(net)
+        leader_moves = leader_move_table(net)
+        checked = post_star(net)[:v.stats["pivots_checked"]]
+        passing = [(control, gamma) for control, gamma in checked
+                   if loop_nonempty(net, loop_automaton(net, control[2],
+                                                        leader_moves),
+                                    control, gamma)]
+        assert built == passing
+        skipped += len(checked) - len(passing)
+    assert skipped > 0
 
 
 def test_shared_loop_automata_give_the_same_grammars():

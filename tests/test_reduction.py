@@ -4,10 +4,11 @@ import pytest
 
 from paramck.machines import Fsm, Pdm, PdmRule, make_network
 from paramck.explicit import replay
-from paramck.reduction import (RunPrefix, compute_N, check_pdm_pdm,
-                               effective_stack_height, kbounded_agreement,
-                               restrict, restrict_network, run_configs)
+from paramck.reduction import (compute_N, check_pdm_pdm, restrict,
+                               restrict_network)
 from fixtures import ca, la, random_small_pdm, updown_pdm, updown_run
+from window_oracles import (RunPrefix, effective_stack_height,
+                            kbounded_agreement, run_configs)
 
 
 # ---------------------------------------------------------------------------
