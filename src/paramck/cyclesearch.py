@@ -1,15 +1,31 @@
 """Liveness decision for FSM leader / FSM contributor networks.
 
-Strategy: saturate the abstract system, then for every reachable accepting
-abstract configuration a build the cycle automaton of moves that keep the
-populated-state set Q fixed at Q_a, with a as both entry and exit.  A Parikh
-vector of that automaton describes a candidate abstract cycle; it lifts to a
-concrete cycle iff the contributor moves are flow-balanced per contributor
-state and the cycle is nonempty.  One more row says that some edge leaving a
-is used.  The connectivity atom already implies it (a nonempty cycle whose
-edges are all reachable from a), but as a linear row it keeps the solver from
+Strategy: saturate the abstract system, then decide, for every reachable
+accepting abstract configuration a, whether a concrete cycle passes through
+it.  Such a cycle only uses moves that keep the populated-state set Q fixed
+at Q_a, so it lies in a's strongly connected component of the Q-preserving
+graph (build_cycle_fsa).  A Parikh vector of that component's automaton,
+anchored at a, describes a candidate abstract cycle; it lifts to a concrete
+cycle iff the contributor moves are flow-balanced per contributor state and
+the cycle is nonempty.  One more row says that some edge leaving a is used.
+The connectivity atom already implies it (a nonempty cycle whose edges are
+all reachable from a), but as a linear row it keeps the solver from
 proposing circulations that avoid a, each of which would cost a connectivity
-cut.  A model is turned into a concrete lasso witness (stem by
+cut.
+
+Most configurations are decided by the graph alone (refine).  A balanced
+contributor flow is a sum of cycles of contributor moves (flow
+decomposition), so a contributor move that lies on no cycle of the moves
+still available has count 0 in every model, and so does every edge that
+loses its place on a cycle once those moves are gone.  Deleting both until
+nothing changes leaves components that contain the support of every model.
+A configuration in no component has no cycle.  A closed walk through a
+whose contributor moves are all self-loops moves no token, so it is a model
+if the component has one; it always does when the component's contributor
+moves are all self-loops.  Only the other configurations need a solve, of
+the full system at a.
+
+A model or walk is turned into a concrete lasso witness (stem by
 backward-demand concretization of the abstract stem, cycle by an Euler walk)
 and replayed for confirmation.
 """
@@ -62,6 +78,103 @@ def build_cycle_fsa(reach, a):
     edges = [(src, lab, dst) for src, lab, dst in edges
              if src in comp and dst in comp]
     return parikh.Fsa(tuple(states), tuple(edges), a, a)
+
+
+def _scc_index(arcs):
+    """Map each node of the graph with the given (src, dst) arcs to a
+    representative of its strongly connected component (iterative Tarjan)."""
+    succ = {}
+    for u, v in arcs:
+        succ.setdefault(u, []).append(v)
+        succ.setdefault(v, [])
+    index, low, comp = {}, {}, {}
+    stack = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w not in comp:             # still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = v
+                        if w == v:
+                            break
+    return comp
+
+
+def refine(net, edges):
+    """The parts of a strongly connected edge set that can carry the support
+    of a realizable cycle, each a tuple of edges in the given order.
+
+    Repeats, per part: drop the edges of every contributor move that lies
+    on no cycle of the part's contributor moves (a self-loop is a cycle),
+    then split what is left into strongly connected components.  A part
+    that loses no move is final.  Each round removes a contributor move, so
+    this is O(E * |contributor moves|).
+    """
+    contributor = {t.tid: t for t in net.contributor_transitions}
+    final = []
+    work = [tuple(edges)] if edges else []
+    while work:
+        part = work.pop()
+        moves = [contributor[lab] for _, lab, _ in part if lab in contributor]
+        states = _scc_index((t.src, t.dst) for t in moves)
+        dead = {t.tid for t in moves if states[t.src] != states[t.dst]}
+        if not dead:
+            final.append(part)
+            continue
+        kept = [e for e in part if e[1] not in dead]
+        comp = _scc_index((src, dst) for src, _, dst in kept)
+        split = {}
+        for e in kept:
+            if comp[e[0]] == comp[e[2]]:
+                split.setdefault(comp[e[0]], []).append(e)
+        work.extend(tuple(p) for p in split.values())
+    return final
+
+
+def closed_walk(net, part, a):
+    """A shortest closed walk through a, as transition ids, over the edges
+    of the part that move no token (leader moves and contributor
+    self-loops), or None.  Such a walk leaves every contributor state's
+    count as it was."""
+    succ = {}
+    for src, lab, dst in part:
+        t = net.transition(lab)
+        if t.owner != CONTRIBUTOR or t.src == t.dst:
+            succ.setdefault(src, []).append((lab, dst))
+    parent = {a: None}
+    queue = [a]
+    for c in queue:
+        for lab, dst in succ.get(c, ()):
+            if dst == a:
+                walk, node = [lab], c
+                while parent[node] is not None:
+                    node, step = parent[node]
+                    walk.append(step)
+                walk.reverse()
+                return walk
+            if dst not in parent:
+                parent[dst] = (c, lab)
+                queue.append(dst)
+    return None
 
 
 def contributor_flow_rows(net):
@@ -150,22 +263,25 @@ def lasso(net, stem, Q, cycle, pivot=None):
     return Witness(k, tuple(stem_steps), tuple(sim.steps), pivot)
 
 
-def concretize(net, reach, a, fsa, model):
-    """Turn a realizability model at accepting configuration a into a concrete
-    lasso witness: the stored abstract stem to a, then an Euler walk of the
-    model's edges."""
+def concretize(net, reach, a, cycle):
+    """The concrete lasso witness of a cycle (transition ids) at accepting
+    configuration a: the stored abstract stem to a, then the cycle."""
     stem = [t for _, t, _ in abstract_stem(reach, a)]
-    return lasso(net, stem, a.Q, parikh.euler_witness(fsa, model))
+    return lasso(net, stem, a.Q, cycle)
 
 
 def check_fsm_fsm(net, node_budget=500_000):
     """Decide nonemptiness of the network's accepted omega-language for some
     population size, for FSM leader and FSM contributor.
 
+    Accepting configurations are visited in discovery order; each strongly
+    connected component of the Q-preserving graph is refined the first time
+    one of its configurations comes up.  The statistics count the accepting
+    configurations visited (accepting_checked) and the solves among them.
     A solve that runs out of budget does not end the check: the next
     accepting configuration is tried, and the verdict is BUDGET only when
     none of them gives NONEMPTY."""
-    stats = {"abstract_configs": 0, "accepting_checked": 0}
+    stats = {"abstract_configs": 0, "accepting_checked": 0, "solves": 0}
     try:
         reach = reachable_abstract(net)
     except BudgetExceeded as e:
@@ -173,22 +289,38 @@ def check_fsm_fsm(net, node_budget=500_000):
         return Verdict("BUDGET", None, stats)
     stats["abstract_configs"] = len(reach.order)
     accepting = net.leader.accepting
+    parts = {}                # configuration -> its refined part, or None
     exhausted = None          # the last solve that ran out of budget
     for a in reach.order:
         if a.leader_state not in accepting:
             continue
         stats["accepting_checked"] += 1
-        fsa = build_cycle_fsa(reach, a)
-        system = realizability_system(net, fsa)
-        try:
-            model = parikh.solve(system, node_budget=node_budget)
-        except BudgetExceeded as e:
-            exhausted = e
+        fsa = None
+        if a not in parts:
+            fsa = build_cycle_fsa(reach, a)
+            parts.update(dict.fromkeys(fsa.states))
+            for part in refine(net, fsa.edges):
+                parts.update((src, part) for src, _, _ in part)
+        part = parts[a]
+        if part is None:
             continue
-        if model is None:
-            continue
+        cycle = closed_walk(net, part, a)
+        if cycle is None:
+            if fsa is None:
+                fsa = build_cycle_fsa(reach, a)
+            stats["solves"] += 1
+            try:
+                model = parikh.solve(realizability_system(net, fsa),
+                                     node_budget=node_budget)
+            except BudgetExceeded as e:
+                exhausted = e
+                continue
+            if model is None:
+                continue
         try:
-            witness = concretize(net, reach, a, fsa, model)
+            if cycle is None:
+                cycle = parikh.euler_witness(fsa, model)
+            witness = concretize(net, reach, a, cycle)
         except AssertionError as exc:
             err = str(exc)
         else:

@@ -548,12 +548,13 @@ def check_pdm_fsm(net, node_budget=500_000):
     """Decide nonemptiness of the accepted omega-language for some population
     size, for a PDM leader and an FSM contributor.
 
-    As in check_fsm_fsm, a solve that runs out of budget moves on to the
-    next pivot.  A stem longer than the exploration budget raises
-    BudgetExceeded."""
+    The statistics count the pivots post* finds, the pivots visited
+    (pivots_checked) and the solves among them.  As in check_fsm_fsm, a
+    solve that runs out of budget moves on to the next pivot.  A stem longer
+    than the exploration budget raises BudgetExceeded."""
     if not isinstance(net.leader, Pdm) or not isinstance(net.contributor, Fsm):
         raise ValueError("check_pdm_fsm needs a PDM leader and an FSM contributor")
-    stats = {"pivots": 0, "pivots_checked": 0}
+    stats = {"pivots": 0, "pivots_checked": 0, "solves": 0}
     if not net.leader.accepting:
         return Verdict("EMPTY", None, stats)
     reasons = {}              # post*'s edge derivations, for find_stem
@@ -576,6 +577,7 @@ def check_pdm_fsm(net, node_budget=500_000):
         grammar = parikh.reduce_grammar(
             build_loop_grammar(net, control, gamma, automata))
         system = loop_system(net, grammar)
+        stats["solves"] += 1
         try:
             model = parikh.solve(system, node_budget=node_budget)
         except BudgetExceeded as e:

@@ -432,6 +432,24 @@ def test_stem_through_contributor_self_loop_replays(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "valid"
 
 
+def test_self_loop_net_needs_no_solve(tmp_path, capsys, monkeypatch):
+    # the contributor self-loop c4 is a closed walk through the first
+    # accepting configuration that moves no token, so it is the cycle and
+    # no system is solved
+    calls = []
+    monkeypatch.setattr(parikh, "solve", lambda *args, **kwargs:
+                        calls.append(args))
+    paths = write_net(tmp_path, SELF_LOOP_LEADER, SELF_LOOP_CONTRIB,
+                      READS_ONE_PROP)
+    out = str(tmp_path / "out.wit")
+    assert main(check_args(paths, "--json", "--witness", out)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "NONEMPTY" and calls == []
+    assert report["statistics"]["solves"] == 0
+    assert main(replay_args(paths, out)) == 0
+    assert capsys.readouterr().out.strip() == "valid"
+
+
 # Two random nets whose witness followed PYTHONHASHSEED while the
 # constraint order of the Parikh systems followed set iteration order.
 HASH_FSM_LEADER = """\

@@ -3,15 +3,18 @@ import random
 import networkx
 import pytest
 
-from paramck.machines import Fsm, abstract_moves, buchi_product, make_network
+from paramck.machines import (BudgetExceeded, Fsm, abstract_moves,
+                              buchi_product, make_network)
 from paramck.abstraction import AbstractConfig, reachable_abstract
+from paramck.api import replay_network
 from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
+                                 closed_walk, concretize,
                                  contributor_flow_rows,
-                                 realizability_system)
-from paramck.explicit import _ReplayState, check_explicit, replay
+                                 realizability_system, refine)
+from paramck.explicit import Verdict, _ReplayState, check_explicit, replay
 from paramck import parikh
 from fixtures import la, ca, ring_network, stalled_network, \
-    random_fsm_network
+    random_fsm_leader, random_fsm_network, random_pdm_contributor
 
 
 def full_q_accepting_config(net):
@@ -177,3 +180,159 @@ def test_agrees_with_explicit_oracle():
                 assert check_explicit(net, k).kind == "EMPTY"
         if check_explicit(net, 3).kind == "NONEMPTY":
             assert v.kind == "NONEMPTY"
+
+
+def per_configuration_oracle(net):
+    """check_fsm_fsm without the graph pre-decision: one solve of the
+    realizability system at every accepting configuration, in discovery
+    order."""
+    reach = reachable_abstract(net)
+    exhausted = False
+    for a in reach.order:
+        if a.leader_state not in net.leader.accepting:
+            continue
+        fsa = build_cycle_fsa(reach, a)
+        try:
+            model = parikh.solve(realizability_system(net, fsa))
+        except BudgetExceeded:
+            exhausted = True
+            continue
+        if model is not None:
+            cycle = parikh.euler_witness(fsa, model)
+            return Verdict("NONEMPTY", concretize(net, reach, a, cycle))
+    return Verdict("BUDGET" if exhausted else "EMPTY")
+
+
+def refinement_nets():
+    """200 random FSM/FSM nets, then 60 FSM-leader nets whose PDM
+    contributor is replaced by its window restriction."""
+    rng = random.Random(9)
+    nets = [random_fsm_network(rng) for _ in range(200)]
+    for _ in range(60):
+        values = ["1", "2"][:rng.randint(1, 2)]
+        nets.append(replay_network(make_network(
+            values, random_fsm_leader(rng, values),
+            random_pdm_contributor(rng, values))))
+    return nets
+
+
+def refined_part(net, reach, a):
+    """The part of refine that holds a, or None."""
+    parts = refine(net, build_cycle_fsa(reach, a).edges)
+    return next((p for p in parts if any(e[0] == a for e in p)), None)
+
+
+def test_refinement_agrees_with_the_per_configuration_oracle():
+    kinds = []
+    for net in refinement_nets():
+        v = check_fsm_fsm(net)
+        oracle = per_configuration_oracle(net)
+        assert v.kind == oracle.kind
+        kinds.append(v.kind)
+        if v.kind == "NONEMPTY":
+            assert replay(net, v.witness) == ("valid", None)
+            assert replay(net, oracle.witness) == ("valid", None)
+    assert 40 <= kinds.count("NONEMPTY") <= 220
+
+
+def test_graph_decisions_agree_with_the_solver():
+    # at every accepting configuration: a configuration that refine drops
+    # has no model, and one with a closed walk through it that moves no
+    # token has one, of which that walk is a witness; such a walk exists
+    # whenever the part's contributor moves are all self-loops
+    dropped = walked = loops_only = 0
+    for net in refinement_nets():
+        reach = reachable_abstract(net)
+        for a in reach.order:
+            if a.leader_state not in net.leader.accepting:
+                continue
+            part = refined_part(net, reach, a)
+            system = realizability_system(net, build_cycle_fsa(reach, a))
+            if part is None:
+                dropped += 1
+                assert parikh.solve(system) is None
+                continue
+            walk = closed_walk(net, part, a)
+            if all(net.transition(lab).src == net.transition(lab).dst
+                   for _, lab, _ in part if lab.startswith("c")):
+                loops_only += 1
+                assert walk is not None
+            if walk is not None:
+                walked += 1
+                assert parikh.solve(system) is not None
+                witness = concretize(net, reach, a, walk)
+                assert replay(net, witness) == ("valid", None)
+    assert dropped >= 100 and loops_only >= 100 and walked > loops_only
+
+
+def counting_solves(monkeypatch):
+    calls = []
+    real_solve = parikh.solve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_solve(*args, **kwargs)
+    monkeypatch.setattr(parikh, "solve", counting)
+    return calls
+
+
+def test_forward_contributor_moves_need_no_solve(monkeypatch):
+    # the leader reads 1 and 2 in turn, and each contributor writes 1 and
+    # then 2 once: the abstract system cycles, but no contributor move
+    # lies on a contributor cycle
+    leader = Fsm(frozenset(["p0", "p1"]), "p0",
+                 (("p0", la("read", "1"), "p1"),
+                  ("p1", la("read", "2"), "p0")), frozenset(["p0", "p1"]))
+    contrib = Fsm(frozenset(["q0", "q1", "q2"]), "q0",
+                  (("q0", ca("write", "1"), "q1"),
+                   ("q1", ca("write", "2"), "q2")))
+    net = make_network(["1", "2"], leader, contrib)
+    calls = counting_solves(monkeypatch)
+    v = check_fsm_fsm(net)
+    assert v.kind == "EMPTY" and calls == []
+    assert v.stats["solves"] == 0 and v.stats["accepting_checked"] > 0
+    reach = reachable_abstract(net)
+    assert any(build_cycle_fsa(reach, a).edges for a in reach.order)
+
+
+def test_refinement_runs_to_a_fixpoint(monkeypatch):
+    # One component, in which c2 (q1 w(3) q2) is on no contributor cycle.
+    # Without c2 the component splits into a self-loop of c0 (q0 r(1) q1)
+    # at store 1 and one of c1 (q1 r(2) q0) at store 2, and in each of
+    # them that move is on no contributor cycle either.
+    leader = Fsm(frozenset(["pi", "p0", "p1", "p2"]), "pi",
+                 (("pi", la("write", "1"), "p0"),
+                  ("p0", la("read", "3"), "p1"),
+                  ("p1", la("write", "2"), "p2"),
+                  ("p2", la("write", "1"), "p0")),
+                 frozenset(["p0", "p1", "p2"]))
+    contrib = Fsm(frozenset(["q0", "q1", "q2"]), "q0",
+                  (("q0", ca("read", "1"), "q1"),
+                   ("q1", ca("read", "2"), "q0"),
+                   ("q1", ca("write", "3"), "q2")))
+    net = make_network(["1", "2", "3"], leader, contrib)
+    reach = reachable_abstract(net)
+    full = [a for a in reach.order if len(a.Q) == 3]
+    fsa = build_cycle_fsa(reach, full[0])
+    assert set(fsa.states) == set(full)
+    assert {lab for _, lab, _ in fsa.edges} == {"d1", "d2", "d3",
+                                                "c0", "c1", "c2"}
+    # one round leaves two components, each with a contributor move that
+    # is not a self-loop, and would send both to the solver
+    rest = [e for e in fsa.edges if e[1] != "c2"]
+    g = networkx.DiGraph((src, dst) for src, _, dst in rest)
+    labels = [{lab for src, lab, dst in rest if src in comp and dst in comp}
+              for comp in networkx.strongly_connected_components(g)]
+    assert sorted(sorted(labs) for labs in labels if labs) == [["c0"], ["c1"]]
+    assert refine(net, fsa.edges) == []
+    calls = counting_solves(monkeypatch)
+    v = check_fsm_fsm(net)
+    assert v.kind == "EMPTY" and calls == []
+    assert check_explicit(net, 3).kind == "EMPTY"
+
+
+def test_ring_still_solves(monkeypatch):
+    calls = counting_solves(monkeypatch)
+    v = check_fsm_fsm(ring_network())
+    assert v.kind == "NONEMPTY"
+    assert v.stats["solves"] == len(calls) >= 1
