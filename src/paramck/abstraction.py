@@ -9,13 +9,13 @@ along abstract paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .machines import (EXPLORE_BUDGET, BudgetExceeded, Fsm, UNINIT,
                        abstract_moves, env_budget)
 
 
-@dataclass(frozen=True)
-class AbstractConfig:
+class AbstractConfig(NamedTuple):
     leader_state: object
     store: str
     Q: frozenset           # populated contributor states, never empty

@@ -32,7 +32,7 @@ and replayed for confirmation.
 
 from __future__ import annotations
 
-from .machines import BudgetExceeded, CONTRIBUTOR, InternalError
+from .machines import BudgetExceeded, CONTRIBUTOR, InternalError, SOLVE_BUDGET
 from .abstraction import reachable_abstract, abstract_stem
 from .explicit import Witness, Verdict, _ReplayState, replay
 from . import parikh
@@ -270,7 +270,7 @@ def concretize(net, reach, a, cycle):
     return lasso(net, stem, a.Q, cycle)
 
 
-def check_fsm_fsm(net, node_budget=500_000):
+def check_fsm_fsm(net, node_budget=SOLVE_BUDGET):
     """Decide nonemptiness of the network's accepted omega-language for some
     population size, for FSM leader and FSM contributor.
 

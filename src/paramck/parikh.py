@@ -6,19 +6,19 @@ per edge (or production), flow balance per state (or nonterminal), and a
 connectivity side condition forcing the used part of the graph to be
 reachable from the start.  Connectivity is a first-class atom interpreted
 semantically by the solver rather than being expanded into disjunctions, so a
-system is a boolean combination of integer-linear and connectivity atoms over
+system is a conjunction of integer-linear rows and connectivity atoms over
 named natural variables.
 
-The solver finds integer models of the conjunctive part (HiGHS first, with
-exact model verification, falling back to bounds propagation plus branch and
-bound pruned by the LP relaxation), treats explicit disjunctions lazily, and
-enforces connectivity by checking the model's support graph and adding a
-valid cut when it is disconnected.  HiGHS gets sparse matrices built from the
-nonzero coefficients.  An LP it calls infeasible prunes only when a Farkas
-certificate, rationalized from a float solution, checks exactly over its
-support (the rows it weighs and their nonzero coefficients), or when an exact
-rational simplex agrees.  Verdicts are exact; if the search exceeds its node
-budget it raises instead of guessing.
+The solver finds integer models of the linear rows (HiGHS first, with exact
+model verification, falling back to bounds propagation plus branch and bound
+pruned by the LP relaxation), and enforces connectivity by checking the
+model's support graph and adding a valid cut when it is disconnected.  HiGHS
+gets sparse matrices built from the nonzero coefficients.  An LP it calls
+infeasible prunes only when a Farkas certificate, rationalized from a float
+solution, checks exactly over its support (the rows it weighs and their
+nonzero coefficients), or when an exact rational simplex agrees.  Verdicts
+are exact; if the search exceeds its node budget it raises instead of
+guessing.
 """
 
 from __future__ import annotations
@@ -32,10 +32,7 @@ import numpy
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csr_array
 
-from .machines import BudgetExceeded
-
-TRUE = ("true",)
-FALSE = ("false",)
+from .machines import SOLVE_BUDGET, BudgetExceeded
 
 
 def le(coeffs, const):
@@ -50,12 +47,8 @@ def eq(coeffs, const):
     return ("eq", dict(coeffs), const)
 
 
-def land(parts):
-    return ("and", list(parts))
-
-
-def lor(parts):
-    return ("or", list(parts))
+#: the row 0 <= -1, which no assignment satisfies
+FALSE = le({}, -1)
 
 
 def connected(root, edges):
@@ -67,15 +60,14 @@ def connected(root, edges):
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Existential natural-number variables under a boolean combination of
-    integer-linear constraints."""
+    """Existential natural-number variables under a conjunction of
+    integer-linear rows and connectivity atoms."""
 
     variables: tuple       # declaration order; also the branching order
-    constraint: tuple
+    atoms: tuple
 
     def conjoin(self, atoms):
-        return LinearSystem(self.variables,
-                            land([self.constraint] + list(atoms)))
+        return LinearSystem(self.variables, self.atoms + tuple(atoms))
 
 
 @dataclass(frozen=True)
@@ -144,7 +136,7 @@ def parikh_fsa(fsa, alphabet=None):
     atoms.append(connected(fsa.initial,
                            [(e, src, dst)
                             for e, (src, _, dst) in zip(evars, fsa.edges)]))
-    return LinearSystem(variables, land(atoms))
+    return LinearSystem(variables, tuple(atoms))
 
 
 def reduce_grammar(g):
@@ -207,7 +199,7 @@ def parikh_cfg(g):
     """
     g = reduce_grammar(g)
     if g.start not in g.nonterminals:
-        return LinearSystem((), FALSE)
+        return LinearSystem((), (FALSE,))
 
     yvars = [f"y{i}" for i in range(len(g.productions))]
     xvars = [letter_var(t) for t in g.terminals]
@@ -238,7 +230,7 @@ def parikh_cfg(g):
              for nt in g.nonterminals]
     atoms += [eq(t_rows[t], 0) for t in g.terminals]
     atoms.append(connected(g.start, conn_edges))
-    return LinearSystem(variables, land(atoms))
+    return LinearSystem(variables, tuple(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +476,7 @@ def _milp_model(variables, atoms, rows, lb, ub):
 
 
 def _solve_conjunction(variables, atoms, budget):
-    for a in atoms:
-        if a[0] == "false":
-            return None
-    atoms = [a for a in atoms if a[0] in ("le", "eq")]
+    """An integer model of the linear rows in atoms, or None if none exists."""
     variables = list(variables)
     for _, coeffs, _ in atoms:
         for v in coeffs:
@@ -569,30 +558,14 @@ def _solve_conjunction(variables, atoms, budget):
     return search(lb, ub)
 
 
-def _eval_node(node, model):
-    kind = node[0]
-    if kind == "true":
-        return True
-    if kind == "false":
-        return False
-    if kind == "and":
-        return all(_eval_node(n, model) for n in node[1])
-    if kind == "or":
-        return any(_eval_node(n, model) for n in node[1])
-    if kind == "conn":
-        return _conn_cut(node, model) is None
-    _, coeffs, const = node
-    s = sum(c * model.get(v, 0) for v, c in coeffs.items())
-    return s == const if kind == "eq" else s <= const
-
-
 def _conn_cut(node, model):
     """Check a connectivity atom against a model.
 
-    Returns None when satisfied.  Otherwise returns a pair of branch atoms
-    that every model of the atom satisfies one of, while the current model
-    satisfies neither: either some edge enters the stranded node set from
-    outside, or the stranded set is not used at all.
+    Returns None when satisfied.  Otherwise returns the options of a cut,
+    each a list of rows, such that every model of the atom satisfies one of
+    them while the current model satisfies none: either some edge enters
+    the stranded node set from outside, or the stranded set is not used at
+    all.  With no edge that could enter, only the second option is left.
     """
     _, root, edges = node
     present = [(v, s, d) for v, s, d in edges if model.get(v, 0) > 0]
@@ -614,64 +587,36 @@ def _conn_cut(node, model):
         return None
     crossing = sorted({v for v, s, d in edges if d in bad and s not in bad})
     incident = sorted({v for v, s, d in edges if s in bad or d in bad})
-    enter = ge({v: 1 for v in crossing}, 1) if crossing else FALSE
-    unused = land([eq({v: 1}, 0) for v in incident])
-    return (enter, unused)
+    options = [[ge({v: 1 for v in crossing}, 1)]] if crossing else []
+    options.append([eq({v: 1}, 0) for v in incident])
+    return options
 
 
-def _dpll(variables, conjuncts, budget):
-    """Lazy handling of non-conjunctive structure: solve the conjunctive part
-    first, then branch only on a disjunction the model violates, and enforce
-    connectivity atoms by support-graph cuts.  When the conjunction's model
-    already satisfies everything (the common case), no case split happens."""
-    flat = []
-    ors = []
-    conns = []
-    stack = list(conjuncts)
-    while stack:
-        c = stack.pop()
-        if c[0] == "and":
-            stack.extend(c[1])
-        elif c[0] == "true":
-            continue
-        elif c[0] == "or":
-            ors.append(c)
-        elif c[0] == "conn":
-            conns.append(c)
-        else:
-            flat.append(c)
-    model = _solve_conjunction(variables, flat, budget)
-    if model is None:
-        return None
-    for c in ors:
-        if not _eval_node(c, model):
-            rest = flat + conns + [o for o in ors if o is not c]
-            for option in c[1]:
-                res = _dpll(variables, rest + [option], budget)
-                if res is not None:
-                    return res
-            return None
-    for c in conns:
-        cut = _conn_cut(c, model)
-        if cut is not None:
-            rest = flat + conns + ors
-            for option in cut:
-                res = _dpll(variables, rest + [option], budget)
-                if res is not None:
-                    return res
-            return None
-    return model
-
-
-def solve(system, node_budget=500_000):
+def solve(system, node_budget=SOLVE_BUDGET):
     """Find a natural-number model of the system, or None if there is none.
 
-    Deterministic: disjuncts are tried in order and values smallest-first, so
-    the returned model is the first one of a fixed depth-first search.  Raises
+    The linear rows are solved first, and a connectivity atom the model
+    violates adds a cut: each of its options is tried in turn, with its rows
+    appended to the rows solved so far.  When the first model already
+    satisfies every atom (the common case), nothing is cut.  Deterministic:
+    cut options are tried in order and values smallest-first, so the
+    returned model is the first one of a fixed depth-first search.  Raises
     BudgetExceeded instead of returning a wrong verdict when out of budget.
     """
     budget = _Budget(node_budget)
-    return _dpll(system.variables, [system.constraint], budget)
+    rows = [a for a in system.atoms if a[0] != "conn"]
+    conns = [a for a in system.atoms if a[0] == "conn"]
+    todo = [rows]
+    while todo:
+        rows = todo.pop()
+        model = _solve_conjunction(system.variables, rows, budget)
+        if model is None:
+            continue
+        cut = next(filter(None, (_conn_cut(c, model) for c in conns)), None)
+        if cut is None:
+            return model
+        todo += [rows + option for option in reversed(cut)]
+    return None
 
 
 def euler_witness(fsa, assignment):

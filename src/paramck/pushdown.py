@@ -33,11 +33,9 @@ argument as in the finite-state case.
 
 from __future__ import annotations
 
-import heapq
-
-from .machines import (EXPLORE_BUDGET, UNINIT, BudgetExceeded, InternalError,
-                       Pdm, Fsm, abstract_moves, env_budget, register_step,
-                       top_replacement)
+from .machines import (EXPLORE_BUDGET, SOLVE_BUDGET, UNINIT, BudgetExceeded,
+                       InternalError, Pdm, Fsm, abstract_moves, env_budget,
+                       register_step, top_replacement)
 from .explicit import Verdict, replay
 from .cyclesearch import contributor_flow_rows, lasso
 from . import parikh
@@ -216,55 +214,37 @@ def pop_relation(rules):
     push rule that moves to a and pushes g, and a push rule whose pushed
     symbol has been popped again at a, waiting to pop the g it left below.
 
-    The set is a dict in the order in which the naive fixpoint (rounds that
-    scan the rule table in order, each rule reading the triples found so
-    far) finds the triples, so the loop grammar's productions keep one
-    fixed order.  The worklist settles triples in that order: the rule at
-    scan position pos derives a triple in the first round in which it sees
-    all its premises, and the key (round, pos, rank of each premise) sorts
-    the triples as the scan finds them.
+    The set is a dict in the order in which the worklist finds the
+    triples, so the loop grammar's productions keep one fixed order.
     """
-    heap = []
-    first = {}        # (a, g) -> [(pos, s, gamma, below or None if neutral)]
-    second = {}       # (x, below) -> [(pos, s, gamma, settled first premise)]
-    pos = 0
+    work = []
+    first = {}        # (a, g) -> [(s, gamma, below or None if neutral)]
+    second = {}       # (x, below) -> [(s, gamma)] waiting for (x, below, y)
     for (s, gamma), rs in rules.items():
         for _, s2, repl in rs:
             if repl == ():
-                heap.append(((1, pos), (s, gamma, s2)))
+                work.append((s, gamma, s2))
             else:
                 below = repl[1] if len(repl) == 2 else None
-                first.setdefault((s2, repl[0]), []).append(
-                    (pos, s, gamma, below))
-            pos += 1
-    heapq.heapify(heap)
-
-    def key(at, *premises):
-        # the scan at position at sees a premise in the round it was found
-        # only when the rule that found it comes earlier in the scan
-        k, p, _ = max(premises)
-        return (k if p < at else k + 1, at) + tuple(r for _, _, r in premises)
-
-    settled = {}      # triple -> (round, pos, rank)
-    after = {}        # (a, g) -> [x] in settling order
-    while heap:
-        prio, triple = heapq.heappop(heap)
-        if triple in settled:
+                first.setdefault((s2, repl[0]), []).append((s, gamma, below))
+    found = {}
+    after = {}        # (a, g) -> [x] in the order found
+    while work:
+        triple = work.pop()
+        if triple in found:
             continue
-        mine = settled[triple] = (prio[0], prio[1], len(settled))
+        found[triple] = None
         a, g, x = triple
         after.setdefault((a, g), []).append(x)
-        for at, s, gamma, prem in second.get((a, g), ()):
-            heapq.heappush(heap, (key(at, prem, mine), (s, gamma, x)))
-        for at, s, gamma, below in first.get((a, g), ()):
+        for s, gamma in second.get((a, g), ()):
+            work.append((s, gamma, x))
+        for s, gamma, below in first.get((a, g), ()):
             if below is None:
-                heapq.heappush(heap, (key(at, mine), (s, gamma, x)))
+                work.append((s, gamma, x))
                 continue
-            for y in after.get((x, below), ()):
-                heapq.heappush(heap, (key(at, mine, settled[(x, below, y)]),
-                                      (s, gamma, y)))
-            second.setdefault((x, below), []).append((at, s, gamma, mine))
-    return dict.fromkeys(settled)
+            work += [(s, gamma, y) for y in after.get((x, below), ())]
+            second.setdefault((x, below), []).append((s, gamma))
+    return found
 
 
 def loop_automaton(net, Q, leader_moves):
@@ -394,10 +374,7 @@ def build_loop_grammar(net, pivot_control, pivot_symbol, automata=None):
 def loop_system(net, grammar):
     """Parikh constraints of the loop grammar plus concrete realizability
     (cyclesearch.contributor_flow_rows)."""
-    system = parikh.parikh_cfg(grammar)
-    if system.constraint == parikh.FALSE:
-        return system
-    return system.conjoin(contributor_flow_rows(net))
+    return parikh.parikh_cfg(grammar).conjoin(contributor_flow_rows(net))
 
 
 def derive_word(grammar, counts):
@@ -544,7 +521,7 @@ def _build_witness(net, pivot_control, pivot_symbol, grammar, model, reasons):
                  (pivot_control[0], pivot_symbol))
 
 
-def check_pdm_fsm(net, node_budget=500_000):
+def check_pdm_fsm(net, node_budget=SOLVE_BUDGET):
     """Decide nonemptiness of the accepted omega-language for some population
     size, for a PDM leader and an FSM contributor.
 

@@ -10,6 +10,33 @@ from paramck.machines import (Action, Fsm, Pdm, PdmRule, LEADER, CONTRIBUTOR,
                               buchi_product, make_network)
 
 
+def satisfies(atoms, model):
+    """Whether model satisfies every atom of a Parikh system (variables it
+    leaves out count as 0): each linear row, and each connectivity atom,
+    whose present edges (variable positive) must all be reachable from its
+    root along present edges."""
+    for atom in atoms:
+        if atom[0] == "conn":
+            _, root, edges = atom
+            present = [(s, d) for v, s, d in edges if model.get(v, 0) > 0]
+            reach = {root}
+            grew = True
+            while grew:
+                grew = False
+                for s, d in present:
+                    if s in reach and d not in reach:
+                        reach.add(d)
+                        grew = True
+            if any(s not in reach for s, _ in present):
+                return False
+            continue
+        kind, coeffs, const = atom
+        total = sum(c * model.get(v, 0) for v, c in coeffs.items())
+        if total > const or (kind == "eq" and total != const):
+            return False
+    return True
+
+
 def la(kind, value):
     return Action(LEADER, kind, value)
 

@@ -14,7 +14,7 @@ from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
 from paramck.explicit import Verdict, _ReplayState, check_explicit, replay
 from paramck import parikh
 from fixtures import la, ca, ring_network, stalled_network, \
-    random_fsm_leader, random_fsm_network, random_pdm_contributor
+    random_fsm_leader, random_fsm_network, random_pdm_contributor, satisfies
 
 
 def full_q_accepting_config(net):
@@ -131,7 +131,7 @@ def test_row_leaving_the_anchor_is_implied():
             with_row = realizability_system(net, fsa)
             row_free = parikh.parikh_fsa(fsa, alphabet=tids).conjoin(
                 contributor_flow_rows(net))
-            row = with_row.constraint[1][-1]
+            row = with_row.atoms[-1]
             assert row == parikh.ge({parikh.edge_var(i): 1
                                      for i, (src, _, _) in enumerate(fsa.edges)
                                      if src == a}, 1)
@@ -140,8 +140,8 @@ def test_row_leaving_the_anchor_is_implied():
             assert (model is None) == (free_model is None)
             if model is not None:
                 solved += 1
-                assert parikh._eval_node(row_free.constraint, model)
-                assert parikh._eval_node(row, free_model)
+                assert satisfies(row_free.atoms, model)
+                assert satisfies([row], free_model)
     assert solved >= 250          # of 458 accepting configurations
 
 

@@ -9,9 +9,10 @@ from scipy.optimize import linprog
 
 from paramck.machines import BudgetExceeded
 from paramck import parikh
-from paramck.parikh import (FALSE, Fsa, Grammar, LinearSystem, eq, ge, land,
-                            le, letter_var, lor, euler_witness, parikh_cfg,
-                            parikh_fsa, reduce_grammar, solve)
+from paramck.parikh import (FALSE, Fsa, Grammar, LinearSystem, eq, ge, le,
+                            letter_var, euler_witness, parikh_cfg, parikh_fsa,
+                            reduce_grammar, solve)
+from fixtures import satisfies
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +61,6 @@ def characterized_vectors(system, alphabet, max_sum):
     out = set()
     for cand in itertools.product(range(max_sum + 1), repeat=len(alphabet)):
         if sum(cand) > max_sum:
-            continue
-        if system.constraint == FALSE:
             continue
         pinned = system.conjoin(
             [eq({letter_var(a): 1}, c) for a, c in zip(alphabet, cand)])
@@ -130,7 +129,7 @@ def test_fsa_encoding_edge_cases(fsa):
         fsa_vectors(fsa, alphabet, 6)
     # one flow row per state, in state order; a self-loop keeps its zero
     # coefficient there
-    flow = system.constraint[1][:len(fsa.states)]
+    flow = system.atoms[:len(fsa.states)]
     for s, (kind, coeffs, const) in zip(fsa.states, flow):
         assert kind == "eq"
         assert const == (s == fsa.final) - (s == fsa.initial)
@@ -154,6 +153,74 @@ def test_disconnected_flow_rejected():
     system = parikh_fsa(fsa)
     assert solve(system.conjoin([eq({letter_var("b"): 1}, 1)])) is None
     assert solve(system.conjoin([eq({letter_var("a"): 1}, 2)])) is not None
+
+
+def recording_solves(monkeypatch):
+    """Record every _solve_conjunction call of solve as (rows, model)."""
+    calls = []
+    original = parikh._solve_conjunction
+
+    def recording(variables, rows, budget):
+        model = original(variables, rows, budget)
+        calls.append((list(rows), model))
+        return model
+
+    monkeypatch.setattr(parikh, "_solve_conjunction", recording)
+    return calls
+
+
+def test_cut_options_are_appended_to_the_rows_in_order(monkeypatch):
+    # every model of the rows uses the self-loop e2 at state 1, which only
+    # e1 enters; e1 comes from state 2, which nothing enters, so both cut
+    # options fail
+    fsa = Fsa((0, 1, 2), ((0, "a", 0), (2, "c", 1), (1, "b", 1)), 0, 0)
+    system = parikh_fsa(fsa).conjoin([eq({letter_var("b"): 1}, 1)])
+    rows = [a for a in system.atoms if a[0] != "conn"]
+    calls = recording_solves(monkeypatch)
+    assert solve(system) is None
+    assert [r for r, _ in calls] == [
+        rows,
+        rows + [ge({"e1": 1}, 1)],
+        rows + [eq({"e1": 1}, 0), eq({"e2": 1}, 0)],
+    ]
+
+
+def test_cut_without_a_crossing_edge_offers_only_unused(monkeypatch):
+    fsa = Fsa((0, 1), ((0, "a", 0), (1, "b", 1)), 0, 0)
+    system = parikh_fsa(fsa).conjoin([eq({letter_var("b"): 1}, 1)])
+    conn = system.atoms[-2]
+    assert conn[0] == "conn"
+    assert parikh._conn_cut(conn, {"e1": 1}) == [[eq({"e1": 1}, 0)]]
+    rows = [a for a in system.atoms if a[0] != "conn"]
+    calls = recording_solves(monkeypatch)
+    assert solve(system) is None
+    assert [r for r, _ in calls] == [rows, rows + [eq({"e1": 1}, 0)]]
+
+
+def test_every_solve_extends_an_earlier_one_by_a_cut(monkeypatch):
+    # the first call gets the system's rows in order; every later call gets
+    # the rows of an earlier call whose model the connectivity atom cuts,
+    # with one of the cut's options appended
+    rng = random.Random(23)
+    calls = recording_solves(monkeypatch)
+    cut = 0
+    for _ in range(60):
+        fsa, alphabet = random_fsa(rng, max_states=6)
+        system = parikh_fsa(fsa, alphabet=alphabet).conjoin(
+            [ge({letter_var(a): 1}, rng.randint(0, 2)) for a in alphabet])
+        rows = [a for a in system.atoms if a[0] != "conn"]
+        (conn,) = [a for a in system.atoms if a[0] == "conn"]
+        calls.clear()
+        model = solve(system)
+        cut += len(calls) > 1
+        assert calls[0][0] == rows
+        for i, (rows_i, _) in enumerate(calls[1:], 1):
+            assert any(rows_i == rows_j + option
+                       for rows_j, model_j in calls[:i] if model_j is not None
+                       for option in parikh._conn_cut(conn, model_j) or ())
+        if model is not None:
+            assert satisfies(system.atoms, model)
+    assert cut >= 3               # of 60 systems
 
 
 def test_reduce_grammar_removes_junk_and_is_idempotent():
@@ -200,7 +267,7 @@ def naive_parikh_cfg(g):
     """parikh_cfg with one pass over the productions per symbol."""
     g = naive_reduce_grammar(g)
     if g.start not in g.nonterminals:
-        return LinearSystem((), FALSE)
+        return LinearSystem((), (FALSE,))
     variables = tuple([letter_var(t) for t in g.terminals]
                       + [f"y{i}" for i in range(len(g.productions))])
     atoms = []
@@ -224,7 +291,7 @@ def naive_parikh_cfg(g):
         for nt in dict.fromkeys(s for s in rhs if s not in g.terminals):
             conn_edges.append((f"y{i}", lhs, nt))
     atoms.append(parikh.connected(g.start, conn_edges))
-    return LinearSystem(variables, land(atoms))
+    return LinearSystem(variables, tuple(atoms))
 
 
 def odd_cfg(rng):
@@ -252,16 +319,16 @@ def test_grammar_passes_agree_with_naive_fixpoints():
 
 def test_unproductive_start_gives_false():
     g = Grammar(("S",), ("a",), "S", (("S", ("S", "a")),))
-    assert parikh_cfg(g).constraint == FALSE
+    assert parikh_cfg(g).atoms == (FALSE,)
 
 
 # ---------------------------------------------------------------------------
 # solver
 
-def brute_force(variables, constraint, bound=6):
+def brute_force(variables, atoms, bound=6):
     for vals in itertools.product(range(bound + 1), repeat=len(variables)):
         model = dict(zip(variables, vals))
-        if parikh._eval_node(constraint, model):
+        if satisfies(atoms, model):
             return model
     return None
 
@@ -278,12 +345,11 @@ def test_solver_agrees_with_brute_force(data):
         atoms.append((rng.choice([eq, le, ge]))(coeffs, const))
     # keep the search space finite so the brute force oracle terminates
     atoms.append(le({v: 1 for v in variables}, 6))
-    constraint = land(atoms)
-    got = solve(LinearSystem(variables, constraint))
-    want = brute_force(variables, constraint)
+    got = solve(LinearSystem(variables, tuple(atoms)))
+    want = brute_force(variables, atoms)
     assert (got is None) == (want is None)
     if got is not None:
-        assert parikh._eval_node(constraint, got)
+        assert satisfies(atoms, got)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +432,8 @@ def test_lp_without_rows_is_feasible():
     assert parikh._lp_feasible([], 3)
 
 
-def test_solver_handles_disjunction():
-    system = LinearSystem(("u",), lor([eq({"u": 1}, 3), eq({"u": 1}, 5)]))
-    model = solve(system)
-    assert model["u"] in (3, 5)
-
-
 def test_solver_mentions_fresh_variables():
-    system = LinearSystem((), eq({"fresh": 1}, 2))
+    system = LinearSystem((), (eq({"fresh": 1}, 2),))
     assert solve(system) == {"fresh": 2}
 
 
@@ -381,7 +441,7 @@ def test_solver_budget_raises():
     variables = tuple(f"v{i}" for i in range(12))
     atoms = [ge({v: 1 for v in variables}, 5)]
     with pytest.raises(BudgetExceeded):
-        solve(LinearSystem(variables, land(atoms)), node_budget=0)
+        solve(LinearSystem(variables, tuple(atoms)), node_budget=0)
 
 
 def test_euler_witness_matches_model():
