@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .machines import SOLVE_BUDGET, Pdm, env_budget
+from .machines import Pdm
 from .explicit import check_explicit, Verdict
 from .cyclesearch import check_fsm_fsm
 from .pushdown import check_pdm_fsm
@@ -44,24 +44,22 @@ def replay_network(net):
     return net
 
 
-def run_check(net, mode="auto", k=None, stack_bound=None, node_budget=None):
+def run_check(net, mode="auto", k=None, stack_bound=None):
     """Run the requested decision procedure.
 
     Returns (verdict, resolved mode).  Witnesses in parameterized modes refer
     to replay_network(net); explicit-mode witnesses refer to net itself.
     """
-    if node_budget is None:
-        node_budget = env_budget(SOLVE_BUDGET)
     mode = resolve_mode(net, mode)
     if mode == "explicit":
         if k is None:
             raise ValueError("explicit mode needs a contributor count")
         return check_explicit(net, k, stack_bound), mode
     if mode == "pdm-pdm":
-        return check_pdm_pdm(net, node_budget=node_budget), mode
+        return check_pdm_pdm(net), mode
     if mode == "pdm-fsm":
-        return check_pdm_fsm(net, node_budget=node_budget), mode
+        return check_pdm_fsm(net), mode
     if isinstance(net.contributor, Pdm):
         restricted = replay_network(net)
-        return check_fsm_fsm(restricted, node_budget=node_budget), mode
-    return check_fsm_fsm(net, node_budget=node_budget), mode
+        return check_fsm_fsm(restricted), mode
+    return check_fsm_fsm(net), mode

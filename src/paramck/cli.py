@@ -8,8 +8,8 @@
 Exit codes for check: 0 decided (NONEMPTY or EMPTY), 2 input error,
 3 budget exceeded, 4 internal error (a model found but no witness built).
 For replay: 0 valid, 1 invalid, 2 parse/input error.
-The PARAMCK_BUDGET environment variable caps each state exploration and
-each solve (see the README for the defaults).
+The PARAMCK_BUDGET environment variable caps each state exploration (see
+the README for the default); solves have no budget.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ anchored at a, describes a candidate abstract cycle; it lifts to a concrete
 cycle iff the contributor moves are flow-balanced per contributor state and
 the cycle is nonempty.  One more row says that some edge leaving a is used.
 The connectivity atom already implies it (a nonempty cycle whose edges are
-all reachable from a), but as a linear row it keeps the solver from
-proposing circulations that avoid a, each of which would cost a connectivity
-cut.
+all reachable from a).  As an "at least one" row it is a condition that
+parikh.solve checks on the support of the cone, and it makes the short
+points that solve tries first leave a.
 
 Most configurations are decided by the graph alone (refine).  A balanced
 contributor flow is a sum of cycles of contributor moves (flow
@@ -32,7 +32,7 @@ and replayed for confirmation.
 
 from __future__ import annotations
 
-from .machines import BudgetExceeded, CONTRIBUTOR, InternalError, SOLVE_BUDGET
+from .machines import BudgetExceeded, CONTRIBUTOR, InternalError
 from .abstraction import reachable_abstract, abstract_stem
 from .explicit import Witness, Verdict, _ReplayState, replay
 from . import parikh
@@ -270,17 +270,14 @@ def concretize(net, reach, a, cycle):
     return lasso(net, stem, a.Q, cycle)
 
 
-def check_fsm_fsm(net, node_budget=SOLVE_BUDGET):
+def check_fsm_fsm(net):
     """Decide nonemptiness of the network's accepted omega-language for some
     population size, for FSM leader and FSM contributor.
 
     Accepting configurations are visited in discovery order; each strongly
     connected component of the Q-preserving graph is refined the first time
     one of its configurations comes up.  The statistics count the accepting
-    configurations visited (accepting_checked) and the solves among them.
-    A solve that runs out of budget does not end the check: the next
-    accepting configuration is tried, and the verdict is BUDGET only when
-    none of them gives NONEMPTY."""
+    configurations visited (accepting_checked) and the solves among them."""
     stats = {"abstract_configs": 0, "accepting_checked": 0, "solves": 0}
     try:
         reach = reachable_abstract(net)
@@ -290,7 +287,6 @@ def check_fsm_fsm(net, node_budget=SOLVE_BUDGET):
     stats["abstract_configs"] = len(reach.order)
     accepting = net.leader.accepting
     parts = {}                # configuration -> its refined part, or None
-    exhausted = None          # the last solve that ran out of budget
     for a in reach.order:
         if a.leader_state not in accepting:
             continue
@@ -309,12 +305,7 @@ def check_fsm_fsm(net, node_budget=SOLVE_BUDGET):
             if fsa is None:
                 fsa = build_cycle_fsa(reach, a)
             stats["solves"] += 1
-            try:
-                model = parikh.solve(realizability_system(net, fsa),
-                                     node_budget=node_budget)
-            except BudgetExceeded as e:
-                exhausted = e
-                continue
+            model = parikh.solve(realizability_system(net, fsa))
             if model is None:
                 continue
         try:
@@ -330,7 +321,4 @@ def check_fsm_fsm(net, node_budget=SOLVE_BUDGET):
         at = (a.leader_state, a.store, sorted(a.Q, key=repr))
         raise InternalError(
             f"could not concretize a feasible cycle at {at}: {err}")
-    if exhausted is not None:
-        stats["reason"] = str(exhausted)
-        return Verdict("BUDGET", None, stats)
     return Verdict("EMPTY", None, stats)

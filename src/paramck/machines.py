@@ -24,15 +24,14 @@ READ = "read"
 WRITE = "write"
 
 
-#: default budgets when PARAMCK_BUDGET is unset: configurations, saturation
-#: edges, window states or pdm-fsm stem moves per exploration, and search
-#: nodes per solve
+#: default budget when PARAMCK_BUDGET is unset: configurations, saturation
+#: edges, window states or pdm-fsm stem moves per exploration (solves have
+#: no budget: parikh.solve runs a bounded number of LPs)
 EXPLORE_BUDGET = 5_000_000
-SOLVE_BUDGET = 500_000
 
 
 class BudgetExceeded(Exception):
-    """Raised when a search or solver exceeds its configured budget."""
+    """Raised when an exploration exceeds its configured budget."""
 
 
 class InternalError(Exception):

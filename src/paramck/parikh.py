@@ -1,29 +1,23 @@
-"""Parikh images of finite automata and context-free grammars, and a
-feasibility solver for the resulting natural-number linear systems.
+"""Parikh images of finite automata and context-free grammars, and the
+decision of the resulting natural-number linear systems.
 
 The encodings follow the classic flow construction: one multiplicity variable
 per edge (or production), flow balance per state (or nonterminal), and a
 connectivity side condition forcing the used part of the graph to be
-reachable from the start.  Connectivity is a first-class atom interpreted
-semantically by the solver rather than being expanded into disjunctions, so a
-system is a conjunction of integer-linear rows and connectivity atoms over
-named natural variables.
+reachable from the start.  Connectivity is a first-class atom, so a system is
+a conjunction of integer-linear rows and connectivity atoms over named
+natural variables.
 
-The solver finds integer models of the linear rows (HiGHS first, with exact
-model verification, falling back to bounds propagation plus branch and bound
-pruned by the LP relaxation), and enforces connectivity by checking the
-model's support graph and adding a valid cut when it is disconnected.  HiGHS
-gets sparse matrices built from the nonzero coefficients.  An LP it calls
-infeasible prunes only when a Farkas certificate, rationalized from a float
-solution, checks exactly over its support (the rows it weighs and their
-nonzero coefficients), or when an exact rational simplex agrees.  Verdicts
-are exact; if the search exceeds its node budget it raises instead of
-guessing.
-"""
+solve decides the systems the checkers build: homogeneous rows, "at least
+one" rows and one connectivity atom.  There integer and rational models
+have the same supports, so the decision is a fixpoint of linear programs
+(HiGHS) and graph pruning, with no search and no budget.  Every model it
+returns is checked in integers, and a "no model" answer rests on
+strict-complementarity certificates checked in integers, or on an exact
+rational simplex."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,8 +25,6 @@ from fractions import Fraction
 import numpy
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csr_array
-
-from .machines import SOLVE_BUDGET, BudgetExceeded
 
 
 def le(coeffs, const):
@@ -234,13 +226,46 @@ def parikh_cfg(g):
 
 
 # ---------------------------------------------------------------------------
-# solver
+# decision
+
+#: the most cuts _shrink adds before it keeps the model it was given
+SHRINK_CUTS = 12
+
+
+def _split(system):
+    """The system's variables (declared ones first, then the ones only
+    mentioned), its "= 0" rows as dicts from column to nonzero coefficient,
+    the column sets of its "at least one" rows, and its connectivity atom
+    as (root, [(column, src, dst)]) or None; ValueError outside that
+    class."""
+    variables = dict.fromkeys(system.variables)
+    for atom in system.atoms:
+        names = [v for v, _, _ in atom[2]] if atom[0] == "conn" else atom[1]
+        variables.update(dict.fromkeys(names))
+    col = {v: j for j, v in enumerate(variables)}
+    cone, least, conns = [], [], []
+    for atom in system.atoms:
+        kind, coeffs, const = atom
+        if kind == "conn":
+            conns.append((coeffs, [(col[v], s, d) for v, s, d in const]))
+        elif kind == "eq" and const == 0:
+            cone.append({col[v]: c for v, c in coeffs.items() if c})
+        elif kind == "le" and const == -1 and \
+                all(c <= 0 for c in coeffs.values()):
+            least.append({col[v] for v, c in coeffs.items() if c})
+        else:
+            raise ValueError("solve takes '= 0' rows and '>= 1' rows over "
+                             f"non-negative coefficients, not {atom!r}")
+    if len(conns) > 1:
+        raise ValueError("solve takes at most one connectivity atom")
+    return tuple(variables), cone, least, (conns[0] if conns else None)
+
 
 def _matrix(rows, n):
     """The coefficients of rows, each a dict from column index to a nonzero
     coefficient, as a sparse float matrix with n columns."""
     data, indices, indptr = [], [], [0]
-    for coeffs, _ in rows:
+    for coeffs in rows:
         indices.extend(coeffs)
         data.extend(coeffs.values())
         indptr.append(len(indices))
@@ -248,75 +273,205 @@ def _matrix(rows, n):
                      shape=(len(rows), n))
 
 
-def _farkas_infeasible(rows, n):
-    """Try to certify infeasibility of {Ax <= b, x >= 0} exactly.
+def _distances(conn, cols):
+    """The distance from the root of each node that the root reaches along
+    the connectivity edges of the columns cols."""
+    root, edges = conn
+    succ = {}
+    for j, src, dst in edges:
+        if j in cols:
+            succ.setdefault(src, []).append(dst)
+    dist = {root: 0}
+    queue = [root]
+    for node in queue:
+        for dst in succ.get(node, ()):
+            if dst not in dist:
+                dist[dst] = dist[node] + 1
+                queue.append(dst)
+    return dist
 
-    rows: list of (coeffs, const), coeffs a dict from column index to a
-    nonzero coefficient; n is the number of columns.  Solves
-    min b'y subject to A'y >= 0, 0 <= y <= 1 in floats; a negative optimum
-    suggests a Farkas certificate y, which is rationalized and then verified
-    in exact integer arithmetic over its support: only the rows with y_i > 0
-    and their nonzero coefficients enter the sums.  Returns True only on a
-    verified certificate, so a True answer is trustworthy; False just means
-    no certificate was found this way.
+
+def _reached(conn, cols):
+    """The columns of cols whose connectivity edges all leave nodes that the
+    root reaches along edges of cols."""
+    if conn is None:
+        return cols
+    dist = _distances(conn, cols)
+    return cols - {j for j, src, _ in conn[1] if src not in dist}
+
+
+def _prune(cone, conn, alive):
+    """The columns of alive that can be positive in a model, as far as
+    single rows and connectivity tell.  A row whose coefficients on alive
+    all have one sign sums to 0 only with those columns at 0, so it is its
+    own Goldman-Tucker certificate; a column whose connectivity edge leaves
+    a node the root cannot reach along alive edges is 0 too."""
+    while True:
+        kept = _reached(conn, alive)
+        for row in cone:
+            if len({c > 0 for j, c in row.items() if j in kept}) == 1:
+                kept = kept - row.keys()
+        if kept == alive:
+            return alive
+        alive = kept
+
+
+def _balls(conn, alive):
+    """Growing sets of columns around the root, the last one alive: for
+    each distance d, the columns whose connectivity edges all leave nodes
+    at most d from the root.  alive must be _prune's."""
+    if conn is None:
+        return [alive]
+    dist = _distances(conn, alive)
+    depth = dict.fromkeys(alive, 0)
+    for j, src, _ in conn[1]:
+        if j in alive:
+            depth[j] = max(depth[j], dist[src])
+    return [{j for j in alive if depth[j] <= d}
+            for d in sorted(set(depth.values()))]
+
+
+def _rationalize(values, exact):
+    """Integers proportional to the float values, or None: the nearest
+    integers, or else each value's nearest fraction with denominator at
+    most 16, 1024 or 10**6 scaled by their common denominator, whichever
+    the predicate exact accepts first."""
+    ints = [round(v) for v in values]
+    if exact(ints):
+        return ints
+    for denom in (16, 1024, 10 ** 6):
+        fracs = [Fraction(v).limit_denominator(denom) for v in values]
+        scale = math.lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (scale // f.denominator) for f in fracs]
+        if exact(ints):
+            return ints
+    return None
+
+
+def _cone_point(lp, cone, least, n, cols, largest, cuts=()):
+    """A point x = t + s of the cone {x >= 0 : cone rows = 0} that is 0 off
+    the columns cols, by one HiGHS LP over the columns [t | s] of lp;
+    rationalized and checked in integers, or None.
+
+    largest: maximise the sum of t subject to t <= 1.  The cone is closed
+    under scaling, so the optimum has t_j = 1 on every column that some
+    point uses and t_j = 0 elsewhere; that the point's support is the
+    largest is taken on trust until _certified checks it.  Otherwise
+    minimise the sum of x = t subject to every "at least one" row and every
+    cut (a column set) summing to >= 1: a short point that meets those rows,
+    whose support need not be connected.
     """
-    b = numpy.array([float(const) for _, const in rows])
-    res = linprog(c=b, A_ub=-_matrix(rows, n).T, b_ub=numpy.zeros(n),
-                  bounds=(0, 1), method="highs")
-    if res.status != 0 or res.x is None or res.fun > -1e-9:
-        return False
-    support = [(i, Fraction(v)) for i, v in enumerate(res.x) if v]
-    for denom in (1, 16, 1024, 10 ** 6):
-        y = [(i, f.limit_denominator(denom)) for i, f in support]
-        y = [(i, f) for i, f in y if f]
-        if any(f < 0 for _, f in y):
-            continue
-        # y scaled by the common denominator of its entries: the signs of
-        # y'A and y'b are unchanged and the sums stay in integers
-        scale = math.lcm(*(f.denominator for _, f in y))
-        combo = {}
-        rhs = 0
-        for i, f in y:
-            w = f.numerator * (scale // f.denominator)
-            coeffs, const = rows[i]
-            rhs += w * const
-            for j, c in coeffs.items():
-                combo[j] = combo.get(j, 0) + w * c
-        if rhs < 0 and all(c >= 0 for c in combo.values()):
-            return True
-    return False
+    upper = numpy.zeros(2 * n)
+    upper[list(cols)] = 1 if largest else numpy.inf
+    if largest:
+        upper[[n + j for j in cols]] = numpy.inf
+    low = -numpy.inf if largest else 1
+    rows = [LinearConstraint(lp, numpy.r_[numpy.zeros(len(cone)),
+                                          numpy.full(len(least), low)],
+                             numpy.r_[numpy.zeros(len(cone)),
+                                      numpy.full(len(least), numpy.inf)])]
+    if cuts:
+        rows.append(LinearConstraint(
+            _matrix([dict.fromkeys(cut, 1) for cut in cuts], 2 * n),
+            1, numpy.inf))
+    res = milp(c=numpy.repeat([-1.0 if largest else 1.0, 0.0], n),
+               constraints=rows, bounds=Bounds(0, upper))
+    if res.status != 0 or res.x is None:
+        return None
+
+    def exact(x):
+        return min(x) >= 0 and all(
+            sum(c * x[j] for j, c in row.items()) == 0 for row in cone) and (
+            largest or all(any(x[j] for j in row) for row in least))
+
+    return _rationalize((res.x[:n] + res.x[n:]).tolist(), exact)
 
 
-def _lp_feasible(rows, n):
-    """Feasibility of {Ax <= b, x >= 0} over the rationals, exactly.
+def _shrink(lp, cone, least, conn, n, x):
+    """A model inside the support of the model x with a small sum and a
+    connected support: the shortest point of that support that meets the
+    "at least one" rows, with a cut for each earlier point whose support
+    was not connected.  A cut says that some edge of the support enters
+    the nodes that point strands; x meets every such cut, since its support
+    reaches all of them, so every LP has a point.  After SHRINK_CUTS cuts,
+    x itself."""
+    support = {j for j in range(n) if x[j]}
+    cuts = []
+    while len(cuts) <= SHRINK_CUTS:
+        y = _cone_point(lp, cone, least, n, support, False, cuts)
+        if y is None:
+            break
+        used = {j for j in support if y[j]}
+        dist = _distances(conn, used)
+        stranded = {node for j, src, dst in conn[1] if j in used
+                    for node in (src, dst) if node not in dist}
+        if not stranded:
+            return y
+        cuts.append({j for j, src, dst in conn[1] if j in support
+                     and dst in stranded and src not in stranded})
+    return x
 
-    rows: list of (coeffs, const), coeffs a dict from column index to a
-    nonzero coefficient; n is the number of columns.  A float LP answers
-    first: a feasible answer is accepted as-is (wrongly accepting feasibility
-    only costs pruning, never correctness), an infeasible answer must be
-    backed by an exact Farkas certificate or confirmed by the exact simplex
-    fallback.
-    """
-    if all(const >= 0 for _, const in rows):
-        return True
-    b = numpy.array([float(const) for _, const in rows])
-    res = linprog(c=numpy.zeros(n), A_ub=_matrix(rows, n), b_ub=b,
-                  bounds=(0, None), method="highs")
-    if res.status == 0:
-        return True
-    if res.status == 2 and _farkas_infeasible(rows, n):
-        return False
-    return _lp_feasible_exact(rows, n)
+
+def _exact_point(cone, n, alive):
+    """A point of the cone on alive with the largest support, as integers,
+    by the exact simplex: each run asks for a point that uses a column no
+    earlier point used, and the first empty one proves that the columns
+    left are 0 in every point."""
+    cols = sorted(alive)
+    pos = {j: k for k, j in enumerate(cols)}
+    rows = []
+    for row in cone:
+        coeffs = {pos[j]: c for j, c in row.items() if j in pos}
+        rows += [(coeffs, 0), ({k: -c for k, c in coeffs.items()}, 0)]
+    total = [0] * n
+    unused = cols
+    while unused:
+        x = _lp_feasible_exact(rows + [({pos[j]: -1 for j in unused}, -1)],
+                               len(cols))
+        if x is None:
+            break
+        scale = math.lcm(*(f.denominator for f in x))
+        for j, f in zip(cols, x):
+            total[j] += f.numerator * (scale // f.denominator)
+        unused = [j for j in unused if not total[j]]
+    return total
+
+
+def _certified(lp, cone, alive, support):
+    """Whether a Goldman-Tucker certificate (Goldman & Tucker, 1956) shows
+    that the columns of alive outside support are 0 in every point of the
+    cone on alive: a y with y'A >= 0 on alive and y'A > 0 off support, so
+    that y'Ax = 0 forces those columns to 0.  The y of one float LP is
+    rationalized and checked in integers.  lp holds the cone's
+    coefficients in its first rows and columns."""
+    cols = sorted(alive)
+    res = linprog(c=numpy.zeros(len(cone)), A_ub=-lp[:len(cone), cols].T,
+                  b_ub=[0 if j in support else -1 for j in cols],
+                  bounds=(None, None), method="highs")
+
+    def exact(y):
+        combo = dict.fromkeys(cols, 0)
+        for w, row in zip(y, cone):
+            for j, c in row.items():
+                if w and j in combo:
+                    combo[j] += w * c
+        return all(c > 0 or (c == 0 and j in support)
+                   for j, c in combo.items())
+
+    return res.status == 0 and _rationalize(res.x.tolist(), exact) is not None
 
 
 def _lp_feasible_exact(rows, n):
-    """Exact feasibility of {Ax <= b, x >= 0}: phase-1 simplex with Bland's
-    rule on a dense Fraction tableau.  rows as for _lp_feasible, at least
-    one."""
+    """A point of {Ax <= b, x >= 0} as n Fractions, or None if it is empty:
+    phase-1 simplex with Bland's rule on a dense Fraction tableau.  rows:
+    list of (coeffs, const), coeffs a dict from column index to a nonzero
+    coefficient."""
+    zero, one = Fraction(0), Fraction(1)
+    if all(const >= 0 for _, const in rows):
+        return [zero] * n
     m = len(rows)
     # columns: 0..n-1 structural, n the phase-1 variable x0, n+1..n+m slacks,
     # last the right-hand side
-    zero, one = Fraction(0), Fraction(1)
     tab = []
     for i, (coeffs, const) in enumerate(rows):
         row = [zero] * n + [Fraction(-1)] + [zero] * m
@@ -330,22 +485,23 @@ def _lp_feasible_exact(rows, n):
     piv = min(range(m), key=lambda i: (tab[i][-1], i))
     _pivot(tab, basis, piv, n)
     # minimize x0; only x0 carries cost, so with x0 basic in row r the reduced
-    # cost of column j is [j == n] - tab[r][j]
+    # cost of column j is [j == n] - tab[r][j], and row r always passes the
+    # ratio test of an improving column
     while True:
-        r = None
-        for i in range(m):
-            if basis[i] == n:
-                r = i
-        if r is None:
-            return True            # x0 left the basis: optimum is 0
+        r = next((i for i in range(m) if basis[i] == n), None)
         entering = None
-        for j in range(n + 1 + m):
-            red = (one if j == n else zero) - tab[r][j]
-            if red < 0:
-                entering = j       # Bland: smallest improving index
-                break
+        if r is not None:
+            entering = next((j for j in range(n + 1 + m)
+                             if (one if j == n else zero) - tab[r][j] < 0),
+                            None)     # Bland: smallest improving index
         if entering is None:
-            return tab[r][-1] <= 0
+            if r is not None and tab[r][-1] > 0:
+                return None
+            x = [zero] * n
+            for i, col in enumerate(basis):
+                if col < n:
+                    x[col] = tab[i][-1]
+            return x
         leaving = None
         best = None
         for i in range(m):
@@ -355,8 +511,6 @@ def _lp_feasible_exact(rows, n):
                         (ratio == best and basis[i] < basis[leaving]):
                     best = ratio
                     leaving = i
-        if leaving is None:
-            return True            # cost unbounded below, so it reaches 0
         _pivot(tab, basis, leaving, entering)
 
 
@@ -372,250 +526,95 @@ def _pivot(tab, basis, row, col):
     basis[row] = col
 
 
-def _value_cap(n_vars, atoms):
-    a = 2
-    for _, coeffs, const in atoms:
-        for c in coeffs.values():
-            a = max(a, abs(c))
-        a = max(a, abs(const))
-    m = len(atoms)
-    return (a * (m + n_vars + 2)) ** (2 * min(m + n_vars, 12) + 1)
+def _fixpoint(cone, least, conn, n, point, alive):
+    """The largest support that a model on alive can have, found by
+    repeating _prune and one point(alive) until nothing changes: the
+    fixpoint's point as integers, or None if it misses an "at least one"
+    row; and the rounds (alive, support) whose support point did not prove
+    to be the largest.  point returns (x, proven)."""
+    rounds = []
+    while True:
+        alive = _prune(cone, conn, alive)
+        if not all(row & alive for row in least):
+            return None, rounds
+        x, proven = point(alive)
+        support = {j for j in alive if x[j]}
+        if support == alive:
+            return x, rounds
+        if not proven:
+            rounds.append((alive, support))
+        alive = support
 
 
-class _Budget:
-    def __init__(self, nodes):
-        self.left = nodes
+def solve(system):
+    """A natural-number model of the system, or None if it has none.
 
-    def tick(self):
-        self.left -= 1
-        if self.left < 0:
-            raise BudgetExceeded("solver node budget exhausted")
+    The system must be homogeneous apart from "at least one" rows: each row
+    is "= 0", or ">= 1" over non-negative coefficients, and there is at
+    most one connectivity atom; anything else raises ValueError.  A
+    rational model scaled by its common denominator is then an integer
+    model with the same support, and connectivity depends on the support
+    only.  So the support of every model lies in the fixpoint of two steps
+    (_fixpoint): drop the columns that single rows or connectivity force to
+    0 (_prune), and shrink to the largest support of a point of the cone
+    {x >= 0 : "= 0" rows} on the columns left, found by one LP.  A model
+    exists exactly when the fixpoint meets every "at least one" row, and
+    then the fixpoint's point is one.
 
+    That point uses every column it can, and witnesses should be short.
+    So balls of columns around the root are tried first, smallest first
+    (_balls): in each, the shortest point that meets every "at least one"
+    row is a model if its support is connected; if not, the ball's
+    fixpoint is tried, and a model it gives is shortened (_shrink).  The
+    last ball holds every column, and its fixpoint decides.
 
-def _propagate(atoms, lb, ub):
-    """Interval tightening to (bounded-round) fixpoint; False on conflict."""
-    for _ in range(50):
-        changed = False
-        for kind, coeffs, const in atoms:
-            forms = [(coeffs, const)]
-            if kind == "eq":
-                forms.append(({v: -c for v, c in coeffs.items()}, -const))
-            for cs, b in forms:
-                # sum cs*x <= b
-                lo = 0
-                unbounded = []
-                for v, c in cs.items():
-                    if c > 0:
-                        lo += c * lb[v]
-                    elif ub[v] is None:
-                        unbounded.append(v)
-                    else:
-                        lo += c * ub[v]
-                if not unbounded and lo > b:
-                    return False
-                for v, c in cs.items():
-                    if c > 0:
-                        if unbounded:
-                            continue   # some other term has no lower bound
-                        rest = lo - c * lb[v]
-                        new_ub = (b - rest) // c
-                        if new_ub < lb[v]:
-                            return False
-                        if ub[v] is None or new_ub < ub[v]:
-                            ub[v] = new_ub
-                            changed = True
-                    elif c < 0:
-                        if unbounded != [v] and unbounded:
-                            continue
-                        rest = lo if v in unbounded else lo - c * ub[v]
-                        # c*x <= b - rest with c < 0 gives x >= (rest-b)/(-c)
-                        new_lb = (rest - b + (-c) - 1) // (-c)
-                        if new_lb > lb[v]:
-                            if ub[v] is not None and new_lb > ub[v]:
-                                return False
-                            lb[v] = new_lb
-                            changed = True
-        if not changed:
-            return True
-    return True
-
-
-def _check_all(atoms, model):
-    for kind, coeffs, const in atoms:
-        s = sum(c * model[v] for v, c in coeffs.items())
-        if kind == "eq" and s != const:
-            return False
-        if kind == "le" and s > const:
-            return False
-    return True
-
-
-def _milp_model(variables, atoms, rows, lb, ub):
-    """Ask HiGHS for an integer model.  rows holds each atom as (coeffs,
-    const), coeffs by column index as _lp_feasible takes them.  A returned
-    model is checked exactly by the caller; None only means HiGHS found
-    nothing, never a trusted UNSAT."""
+    Every point is checked in integers.  A round whose LP point does not
+    rationalize takes its point from the exact simplex.  A "no model"
+    answer stands only when every column an LP dropped has a certificate
+    (_certified); otherwise the fixpoint runs again on points of the exact
+    simplex, which need none.
+    """
+    variables, cone, least, conn = _split(system)
     n = len(variables)
-    hi = [float(const) for _, _, const in atoms]
-    lo = [h if kind == "eq" else -numpy.inf
-          for (kind, _, _), h in zip(atoms, hi)]
-    lower = [float(lb[v]) for v in variables]
-    upper = [numpy.inf if ub[v] is None else float(ub[v]) for v in variables]
-    try:
-        res = milp(c=numpy.zeros(n),
-                   constraints=LinearConstraint(_matrix(rows, n),
-                                                numpy.array(lo),
-                                                numpy.array(hi)),
-                   bounds=Bounds(numpy.array(lower), numpy.array(upper)),
-                   integrality=numpy.ones(n))
-    except ValueError:
+    alive = _prune(cone, conn, set(range(n)))
+    if not all(row & alive for row in least):
         return None
-    if res.status != 0 or res.x is None:
-        return None
-    return {v: int(round(x)) for v, x in zip(variables, res.x)}
+    if not least:
+        return dict.fromkeys(variables, 0)
+    # one matrix for every LP: the cone rows over [t | s], for x = t + s,
+    # then the "at least one" rows over t
+    lp = _matrix([{**row, **{n + j: c for j, c in row.items()}}
+                  for row in cone] + [dict.fromkeys(row, 1) for row in least],
+                 2 * n).tocsc()
 
+    def point(alive):
+        x = _cone_point(lp, cone, least, n, alive, True)
+        return (x, False) if x is not None else \
+            (_exact_point(cone, n, alive), True)
 
-def _solve_conjunction(variables, atoms, budget):
-    """An integer model of the linear rows in atoms, or None if none exists."""
-    variables = list(variables)
-    for _, coeffs, _ in atoms:
-        for v in coeffs:
-            if v not in variables:
-                variables.append(v)   # mentioned but undeclared: fresh natural
-    if not variables:
-        return {} if _check_all(atoms, {}) else None
-    lb = {v: 0 for v in variables}
-    ub = {v: None for v in variables}
-    vi = {v: i for i, v in enumerate(variables)}
-    # each atom as (coeffs, const), coeffs a dict from column index to
-    # nonzero coefficient; the LP takes an equation as two inequalities
-    atom_rows = [({vi[v]: c for v, c in coeffs.items() if c}, const)
-                 for _, coeffs, const in atoms]
-    lp_rows = []
-    for (kind, _, _), (coeffs, const) in zip(atoms, atom_rows):
-        lp_rows.append((coeffs, const))
-        if kind == "eq":
-            lp_rows.append(({j: -c for j, c in coeffs.items()}, -const))
-    # only a branch on a variable without an upper bound needs the cap
-    cap = functools.cache(lambda: _value_cap(len(variables), atoms))
-
-    budget.tick()
-    first = {v: 0 for v in variables}
-    if not _propagate(atoms, dict(lb), dict(ub)):
-        return None
-    if atoms:
-        model = _milp_model(variables, atoms, atom_rows, lb, ub)
-        if model is not None and _check_all(atoms, model):
-            return model
-        # fall through to the exact search: a missing HiGHS model is not a
-        # trusted unsatisfiability verdict
-    elif _check_all(atoms, first):
-        return first
-
-    def lp_ok(lb, ub):
-        rows = list(lp_rows)
-        for v in variables:
-            if lb[v] > 0:
-                rows.append(({vi[v]: -1}, -lb[v]))
-            if ub[v] is not None:
-                rows.append(({vi[v]: 1}, ub[v]))
-        return _lp_feasible(rows, len(variables))
-
-    def search(lb, ub):
-        budget.tick()
-        lb, ub = dict(lb), dict(ub)
-        if not _propagate(atoms, lb, ub):
-            return None
-        free = [v for v in variables if ub[v] is None or lb[v] < ub[v]]
-        if not free:
-            model = {v: lb[v] for v in variables}
-            return model if _check_all(atoms, model) else None
-        if not lp_ok(lb, ub):
-            return None
-        v = free[0]
-        hi = ub[v] if ub[v] is not None else cap()
-        val = lb[v]
-        while val <= hi:
-            budget.tick()
-            lb2, ub2 = dict(lb), dict(ub)
-            lb2[v] = ub2[v] = val
-            res = search(lb2, ub2)
-            if res is not None:
-                return res
-            # before trying the next value, ask propagation and the LP whether
-            # any larger value can work at all
-            lb2, ub2 = dict(lb), dict(ub)
-            lb2[v] = val + 1
-            if not _propagate(atoms, lb2, ub2):
-                return None
-            if not lp_ok(lb2, ub2):
-                return None
-            lb, ub = lb2, ub2
-            val = max(val + 1, lb[v])
-            hi = cap() if ub[v] is None else ub[v]
-        return None
-
-    return search(lb, ub)
-
-
-def _conn_cut(node, model):
-    """Check a connectivity atom against a model.
-
-    Returns None when satisfied.  Otherwise returns the options of a cut,
-    each a list of rows, such that every model of the atom satisfies one of
-    them while the current model satisfies none: either some edge enters
-    the stranded node set from outside, or the stranded set is not used at
-    all.  With no edge that could enter, only the second option is left.
-    """
-    _, root, edges = node
-    present = [(v, s, d) for v, s, d in edges if model.get(v, 0) > 0]
-    used = set()
-    adj = {}
-    for v, s, d in present:
-        used.add(s)
-        used.add(d)
-        adj.setdefault(s, []).append(d)
-    reach = {root}
-    stack = [root]
-    while stack:
-        for d in adj.get(stack.pop(), ()):
-            if d not in reach:
-                reach.add(d)
-                stack.append(d)
-    bad = used - reach
-    if not bad:
-        return None
-    crossing = sorted({v for v, s, d in edges if d in bad and s not in bad})
-    incident = sorted({v for v, s, d in edges if s in bad or d in bad})
-    options = [[ge({v: 1 for v in crossing}, 1)]] if crossing else []
-    options.append([eq({v: 1}, 0) for v in incident])
-    return options
-
-
-def solve(system, node_budget=SOLVE_BUDGET):
-    """Find a natural-number model of the system, or None if there is none.
-
-    The linear rows are solved first, and a connectivity atom the model
-    violates adds a cut: each of its options is tried in turn, with its rows
-    appended to the rows solved so far.  When the first model already
-    satisfies every atom (the common case), nothing is cut.  Deterministic:
-    cut options are tried in order and values smallest-first, so the
-    returned model is the first one of a fixed depth-first search.  Raises
-    BudgetExceeded instead of returning a wrong verdict when out of budget.
-    """
-    budget = _Budget(node_budget)
-    rows = [a for a in system.atoms if a[0] != "conn"]
-    conns = [a for a in system.atoms if a[0] == "conn"]
-    todo = [rows]
-    while todo:
-        rows = todo.pop()
-        model = _solve_conjunction(system.variables, rows, budget)
-        if model is None:
+    for ball in _balls(conn, alive):
+        ball = _prune(cone, conn, ball)
+        if not all(row & ball for row in least):
             continue
-        cut = next(filter(None, (_conn_cut(c, model) for c in conns)), None)
-        if cut is None:
-            return model
-        todo += [rows + option for option in reversed(cut)]
+        x = _cone_point(lp, cone, least, n, ball, False)
+        if x is not None:
+            support = {j for j in range(n) if x[j]}
+            if _reached(conn, support) == support:
+                return dict(zip(variables, x))
+        if x is not None or ball == alive:
+            x, rounds = _fixpoint(cone, least, conn, n, point, ball)
+            if x is not None:
+                if conn is not None:
+                    x = _shrink(lp, cone, least, conn, n, x)
+                return dict(zip(variables, x))
+    # the last ball was alive, and its fixpoint met no model
+    if not all(_certified(lp, cone, alive, support)
+               for alive, support in rounds):
+        x, _ = _fixpoint(cone, least, conn, n,
+                         lambda alive: (_exact_point(cone, n, alive), True),
+                         alive)
+        if x is not None:
+            return dict(zip(variables, x))
     return None
 
 

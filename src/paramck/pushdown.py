@@ -33,9 +33,9 @@ argument as in the finite-state case.
 
 from __future__ import annotations
 
-from .machines import (EXPLORE_BUDGET, SOLVE_BUDGET, UNINIT, BudgetExceeded,
-                       InternalError, Pdm, Fsm, abstract_moves, env_budget,
-                       register_step, top_replacement)
+from .machines import (EXPLORE_BUDGET, UNINIT, BudgetExceeded, InternalError,
+                       Pdm, Fsm, abstract_moves, env_budget, register_step,
+                       top_replacement)
 from .explicit import Verdict, replay
 from .cyclesearch import contributor_flow_rows, lasso
 from . import parikh
@@ -371,10 +371,23 @@ def build_loop_grammar(net, pivot_control, pivot_symbol, automata=None):
     return parikh.Grammar(tuple(nts), tids, start, tuple(prods))
 
 
+#: the number of loop words in a row that a loop_system model counts
+LOOPS = "loops"
+
+
 def loop_system(net, grammar):
-    """Parikh constraints of the loop grammar plus concrete realizability
-    (cyclesearch.contributor_flow_rows)."""
-    return parikh.parikh_cfg(grammar).conjoin(contributor_flow_rows(net))
+    """Parikh constraints of the loop grammar, with the start symbol
+    expanded LOOPS >= 1 times more than it is produced, plus concrete
+    realizability (cyclesearch.contributor_flow_rows).  Loop words in a row
+    make a loop word (each ends at the pivot control with the pivot symbol
+    on top), so this has a model exactly when LOOPS = 1 has one, and it is
+    the kind of system parikh.solve decides."""
+    system = parikh.parikh_cfg(grammar)
+    atoms = tuple(("eq", {**atom[1], LOOPS: -1}, 0)
+                  if atom[0] == "eq" and atom[2] == 1 else atom
+                  for atom in system.atoms)
+    return parikh.LinearSystem(system.variables + (LOOPS,), atoms).conjoin(
+        [parikh.ge({LOOPS: 1}, 1)] + contributor_flow_rows(net))
 
 
 def derive_word(grammar, counts):
@@ -512,8 +525,19 @@ def find_stem(net, pivot_control, pivot_symbol, reasons):
 
 
 def _build_witness(net, pivot_control, pivot_symbol, grammar, model, reasons):
-    counts = {i: model.get(f"y{i}", 0) for i in range(len(grammar.productions))}
-    word = derive_word(grammar, counts)
+    """The lasso of a loop_system model: its LOOPS loop words are derived
+    as one word from a fresh start symbol with the productions
+    start -> S start | S, used LOOPS - 1 times and once."""
+    prods = grammar.productions
+    start = ("loops",)
+    pumped = parikh.Grammar(grammar.nonterminals + (start,),
+                            grammar.terminals, start,
+                            prods + ((start, (grammar.start, start)),
+                                     (start, (grammar.start,))))
+    counts = {i: model.get(f"y{i}", 0) for i in range(len(prods))}
+    counts[len(prods)] = model[LOOPS] - 1
+    counts[len(prods) + 1] = 1
+    word = derive_word(pumped, counts)
     if word is None:
         raise AssertionError("Parikh model admits no derivation")
     stem = find_stem(net, pivot_control, pivot_symbol, reasons)
@@ -521,14 +545,13 @@ def _build_witness(net, pivot_control, pivot_symbol, grammar, model, reasons):
                  (pivot_control[0], pivot_symbol))
 
 
-def check_pdm_fsm(net, node_budget=SOLVE_BUDGET):
+def check_pdm_fsm(net):
     """Decide nonemptiness of the accepted omega-language for some population
     size, for a PDM leader and an FSM contributor.
 
     The statistics count the pivots post* finds, the pivots visited
-    (pivots_checked) and the solves among them.  As in check_fsm_fsm, a
-    solve that runs out of budget moves on to the next pivot.  A stem longer
-    than the exploration budget raises BudgetExceeded."""
+    (pivots_checked) and the solves among them.  A stem longer than the
+    exploration budget raises BudgetExceeded."""
     if not isinstance(net.leader, Pdm) or not isinstance(net.contributor, Fsm):
         raise ValueError("check_pdm_fsm needs a PDM leader and an FSM contributor")
     stats = {"pivots": 0, "pivots_checked": 0, "solves": 0}
@@ -541,7 +564,6 @@ def check_pdm_fsm(net, node_budget=SOLVE_BUDGET):
         stats["reason"] = str(e)
         return Verdict("BUDGET", None, stats)
     stats["pivots"] = len(pairs)
-    exhausted = None          # the last solve that ran out of budget
     leader_moves = leader_move_table(net)
     automata = {}             # Q -> its loop automaton, for this check
     for control, gamma in pairs:
@@ -555,11 +577,7 @@ def check_pdm_fsm(net, node_budget=SOLVE_BUDGET):
             build_loop_grammar(net, control, gamma, automata))
         system = loop_system(net, grammar)
         stats["solves"] += 1
-        try:
-            model = parikh.solve(system, node_budget=node_budget)
-        except BudgetExceeded as e:
-            exhausted = e
-            continue
+        model = parikh.solve(system)
         if model is None:
             continue
         try:
@@ -574,7 +592,4 @@ def check_pdm_fsm(net, node_budget=SOLVE_BUDGET):
         at = (*control[:2], sorted(control[2], key=repr), gamma)
         raise InternalError(
             f"could not concretize a feasible loop at {at}: {err}")
-    if exhausted is not None:
-        stats["reason"] = str(exhausted)
-        return Verdict("BUDGET", None, stats)
     return Verdict("EMPTY", None, stats)

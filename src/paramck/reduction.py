@@ -10,8 +10,8 @@ reduces to the PDM/FSM one with the N-restricted contributor.
 
 from __future__ import annotations
 
-from .machines import (EXPLORE_BUDGET, SOLVE_BUDGET, BudgetExceeded, Fsm, Pdm,
-                       env_budget, make_network, stack_step)
+from .machines import (EXPLORE_BUDGET, BudgetExceeded, Fsm, Pdm, env_budget,
+                       make_network, stack_step)
 from .explicit import Verdict
 
 
@@ -76,7 +76,7 @@ def restrict_network(net):
     return make_network(net.values, net.leader, restricted), n
 
 
-def check_pdm_pdm(net, node_budget=SOLVE_BUDGET):
+def check_pdm_pdm(net):
     """Decide the PDM leader / PDM contributor problem by restricting the
     contributor to its N-bounded window FSM and deferring to the PDM/FSM
     checker.  The witness replays against the restricted network."""
@@ -88,6 +88,6 @@ def check_pdm_pdm(net, node_budget=SOLVE_BUDGET):
     except BudgetExceeded as e:
         stats = {"reason": str(e), "window_bound": compute_N(net.contributor)}
         return Verdict("BUDGET", None, stats)
-    verdict = check_pdm_fsm(restricted_net, node_budget=node_budget)
+    verdict = check_pdm_fsm(restricted_net)
     verdict.stats["window_bound"] = n
     return verdict

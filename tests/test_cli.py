@@ -8,7 +8,6 @@ import pytest
 import paramck
 from paramck import cyclesearch, parikh, pushdown
 from paramck.cli import main
-from paramck.machines import BudgetExceeded
 
 
 RING_LEADER = """\
@@ -291,41 +290,6 @@ def test_budget_verdict_carries_a_reason(tmp_path, capsys, monkeypatch, net,
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "BUDGET"
     assert report["statistics"]["reason"] == reason
-
-
-@pytest.mark.parametrize("net", [
-    (RING_LEADER, RING_CONTRIB, RING_PROP),
-    (COUNTER_LEADER, COUNTER_CONTRIB, COUNTER_PROP),
-], ids=["fsm-fsm", "pdm-fsm"])
-def test_exhausted_solves_give_budget_with_a_reason(tmp_path, capsys,
-                                                    monkeypatch, net):
-    def exhausted(*args, **kwargs):
-        raise BudgetExceeded("solver node budget exhausted")
-    monkeypatch.setattr(parikh, "solve", exhausted)
-    paths = write_net(tmp_path, *net)
-    assert main(check_args(paths, "--json")) == 3
-    report = json.loads(capsys.readouterr().out)
-    assert report["verdict"] == "BUDGET"
-    assert report["statistics"]["reason"] == "solver node budget exhausted"
-
-
-def test_exhausted_solve_moves_on_to_the_next_configuration(tmp_path, capsys,
-                                                           monkeypatch):
-    # fsm-fsm, like pdm-fsm, answers BUDGET only when no accepting
-    # configuration gives NONEMPTY
-    calls = []
-    real_solve = parikh.solve
-
-    def once(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 1:
-            raise BudgetExceeded("solver node budget exhausted")
-        return real_solve(*args, **kwargs)
-    monkeypatch.setattr(parikh, "solve", once)
-    paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB, RING_PROP)
-    assert main(check_args(paths, "--json")) == 0
-    assert json.loads(capsys.readouterr().out)["verdict"] == "NONEMPTY"
-    assert len(calls) > 1
 
 
 def test_failed_concretization_is_an_internal_error(tmp_path, capsys,

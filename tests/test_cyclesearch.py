@@ -13,6 +13,7 @@ from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
                                  realizability_system, refine)
 from paramck.explicit import Verdict, _ReplayState, check_explicit, replay
 from paramck import parikh
+import integer_oracle
 from fixtures import la, ca, ring_network, stalled_network, \
     random_fsm_leader, random_fsm_network, random_pdm_contributor, satisfies
 
@@ -183,9 +184,9 @@ def test_agrees_with_explicit_oracle():
 
 
 def per_configuration_oracle(net):
-    """check_fsm_fsm without the graph pre-decision: one solve of the
-    realizability system at every accepting configuration, in discovery
-    order."""
+    """check_fsm_fsm without the graph pre-decision and with the integer
+    oracle as its solver: one solve of the realizability system at every
+    accepting configuration, in discovery order."""
     reach = reachable_abstract(net)
     exhausted = False
     for a in reach.order:
@@ -193,7 +194,7 @@ def per_configuration_oracle(net):
             continue
         fsa = build_cycle_fsa(reach, a)
         try:
-            model = parikh.solve(realizability_system(net, fsa))
+            model = integer_oracle.solve(realizability_system(net, fsa))
         except BudgetExceeded:
             exhausted = True
             continue

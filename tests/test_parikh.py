@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
-from paramck.machines import BudgetExceeded
+import integer_oracle
 from paramck import parikh
 from paramck.parikh import (FALSE, Fsa, Grammar, LinearSystem, eq, ge, le,
                             letter_var, euler_witness, parikh_cfg, parikh_fsa,
@@ -58,13 +58,16 @@ def cfg_vectors(g, max_sum):
 
 
 def characterized_vectors(system, alphabet, max_sum):
+    """The letter vectors of the system with at most max_sum letters, one
+    integer-oracle solve per vector: pinning a letter to a constant takes
+    the system out of the class parikh.solve decides."""
     out = set()
     for cand in itertools.product(range(max_sum + 1), repeat=len(alphabet)):
         if sum(cand) > max_sum:
             continue
         pinned = system.conjoin(
             [eq({letter_var(a): 1}, c) for a, c in zip(alphabet, cand)])
-        if solve(pinned) is not None:
+        if integer_oracle.solve(pinned) is not None:
             out.add(cand)
     return out
 
@@ -142,8 +145,8 @@ def test_fsa_encoding_edge_cases(fsa):
 def test_absent_letters_forced_to_zero():
     fsa = Fsa((0,), ((0, "a", 0),), 0, 0)
     system = parikh_fsa(fsa, alphabet=("a", "b"))
-    model = solve(system.conjoin([eq({letter_var("b"): 1}, 1)]))
-    assert model is None
+    assert solve(system.conjoin([ge({letter_var("b"): 1}, 1)])) is None
+    assert solve(system.conjoin([ge({letter_var("a"): 1}, 1)])) is not None
 
 
 def test_disconnected_flow_rejected():
@@ -151,76 +154,9 @@ def test_disconnected_flow_rejected():
     # balanced but does not describe a word
     fsa = Fsa((0, 1), ((0, "a", 0), (1, "b", 1)), 0, 0)
     system = parikh_fsa(fsa)
-    assert solve(system.conjoin([eq({letter_var("b"): 1}, 1)])) is None
-    assert solve(system.conjoin([eq({letter_var("a"): 1}, 2)])) is not None
-
-
-def recording_solves(monkeypatch):
-    """Record every _solve_conjunction call of solve as (rows, model)."""
-    calls = []
-    original = parikh._solve_conjunction
-
-    def recording(variables, rows, budget):
-        model = original(variables, rows, budget)
-        calls.append((list(rows), model))
-        return model
-
-    monkeypatch.setattr(parikh, "_solve_conjunction", recording)
-    return calls
-
-
-def test_cut_options_are_appended_to_the_rows_in_order(monkeypatch):
-    # every model of the rows uses the self-loop e2 at state 1, which only
-    # e1 enters; e1 comes from state 2, which nothing enters, so both cut
-    # options fail
-    fsa = Fsa((0, 1, 2), ((0, "a", 0), (2, "c", 1), (1, "b", 1)), 0, 0)
-    system = parikh_fsa(fsa).conjoin([eq({letter_var("b"): 1}, 1)])
-    rows = [a for a in system.atoms if a[0] != "conn"]
-    calls = recording_solves(monkeypatch)
-    assert solve(system) is None
-    assert [r for r, _ in calls] == [
-        rows,
-        rows + [ge({"e1": 1}, 1)],
-        rows + [eq({"e1": 1}, 0), eq({"e2": 1}, 0)],
-    ]
-
-
-def test_cut_without_a_crossing_edge_offers_only_unused(monkeypatch):
-    fsa = Fsa((0, 1), ((0, "a", 0), (1, "b", 1)), 0, 0)
-    system = parikh_fsa(fsa).conjoin([eq({letter_var("b"): 1}, 1)])
-    conn = system.atoms[-2]
-    assert conn[0] == "conn"
-    assert parikh._conn_cut(conn, {"e1": 1}) == [[eq({"e1": 1}, 0)]]
-    rows = [a for a in system.atoms if a[0] != "conn"]
-    calls = recording_solves(monkeypatch)
-    assert solve(system) is None
-    assert [r for r, _ in calls] == [rows, rows + [eq({"e1": 1}, 0)]]
-
-
-def test_every_solve_extends_an_earlier_one_by_a_cut(monkeypatch):
-    # the first call gets the system's rows in order; every later call gets
-    # the rows of an earlier call whose model the connectivity atom cuts,
-    # with one of the cut's options appended
-    rng = random.Random(23)
-    calls = recording_solves(monkeypatch)
-    cut = 0
-    for _ in range(60):
-        fsa, alphabet = random_fsa(rng, max_states=6)
-        system = parikh_fsa(fsa, alphabet=alphabet).conjoin(
-            [ge({letter_var(a): 1}, rng.randint(0, 2)) for a in alphabet])
-        rows = [a for a in system.atoms if a[0] != "conn"]
-        (conn,) = [a for a in system.atoms if a[0] == "conn"]
-        calls.clear()
-        model = solve(system)
-        cut += len(calls) > 1
-        assert calls[0][0] == rows
-        for i, (rows_i, _) in enumerate(calls[1:], 1):
-            assert any(rows_i == rows_j + option
-                       for rows_j, model_j in calls[:i] if model_j is not None
-                       for option in parikh._conn_cut(conn, model_j) or ())
-        if model is not None:
-            assert satisfies(system.atoms, model)
-    assert cut >= 3               # of 60 systems
+    assert solve(system.conjoin([ge({letter_var("b"): 1}, 1)])) is None
+    model = solve(system.conjoin([ge({letter_var("a"): 1}, 1)]))
+    assert model["e0"] >= 1 and model["e1"] == 0
 
 
 def test_reduce_grammar_removes_junk_and_is_idempotent():
@@ -345,18 +281,107 @@ def test_solver_agrees_with_brute_force(data):
         atoms.append((rng.choice([eq, le, ge]))(coeffs, const))
     # keep the search space finite so the brute force oracle terminates
     atoms.append(le({v: 1 for v in variables}, 6))
-    got = solve(LinearSystem(variables, tuple(atoms)))
+    got = integer_oracle.solve(LinearSystem(variables, tuple(atoms)))
     want = brute_force(variables, atoms)
     assert (got is None) == (want is None)
     if got is not None:
         assert satisfies(atoms, got)
 
 
+def random_cone(rng):
+    """A random system of the class parikh.solve decides: "= 0" rows with
+    coefficients of either sign, ">= 1" rows over positive ones, and half
+    the time a connectivity atom with an edge per variable."""
+    variables = tuple(f"v{i}" for i in range(rng.randint(1, 6)))
+    atoms = [eq({v: c for v in variables
+                 if (c := rng.choice([0, 0, -2, -1, 1, 2]))}, 0)
+             for _ in range(rng.randint(0, 4))]
+    atoms += [ge({v: rng.randint(1, 2)
+                  for v in rng.sample(variables,
+                                      rng.randint(1, len(variables)))}, 1)
+              for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.5:
+        atoms.append(parikh.connected(0, [(v, rng.randrange(3),
+                                           rng.randrange(3))
+                                          for v in variables]))
+    return LinearSystem(variables, tuple(atoms))
+
+
+def test_solve_agrees_with_the_integer_oracle_on_random_cones():
+    rng = random.Random(41)
+    found = 0
+    for _ in range(400):
+        system = random_cone(rng)
+        model = solve(system)
+        assert (model is None) == (integer_oracle.solve(system) is None)
+        if model is not None:
+            found += 1
+            assert satisfies(system.atoms, model)
+    assert 80 < found < 320
+
+
+@pytest.mark.parametrize("atom", [
+    eq({"u": 1}, 1),
+    le({"u": 1}, 0),
+    ge({"u": 1}, 2),
+    ge({"u": 1, "v": -1}, 1),
+    parikh.connected(1, [("v", 1, 0)]),
+], ids=["eq-1", "le-0", "ge-2", "ge-negative", "second-conn"])
+def test_solve_rejects_systems_outside_its_class(atom):
+    system = LinearSystem(("u", "v"), (
+        eq({"u": 1, "v": -1}, 0), ge({"u": 1}, 1),
+        parikh.connected(0, [("u", 0, 1), ("v", 1, 0)])))
+    assert solve(system) is not None
+    with pytest.raises(ValueError):
+        solve(system.conjoin([atom]))
+
+
+def test_certificate_with_fractional_multipliers(monkeypatch):
+    # the second row makes a = b, and then the first makes d = 0.  A
+    # certificate y has y'A = 0 on a and b, so it is a multiple of (3, 1):
+    # the LP's y = (1, 1/3) checks in integers only scaled by 3
+    system = LinearSystem(("a", "b", "d"), (
+        eq({"a": 1, "b": -1, "d": 1}, 0), eq({"a": -3, "b": 3}, 0),
+        ge({"d": 1}, 1)))
+    seen = []
+    rationalize = parikh._rationalize
+
+    def recording(values, exact):
+        ints = rationalize(values, exact)
+        seen.append((values, ints))
+        return ints
+
+    def no_simplex(rows, n):
+        raise AssertionError("the certificate needs no exact simplex")
+
+    monkeypatch.setattr(parikh, "_rationalize", recording)
+    monkeypatch.setattr(parikh, "_lp_feasible_exact", no_simplex)
+    assert solve(system) is None
+    (point, x), (values, y) = seen
+    assert x[:2] == [x[0]] * 2 and x[0] > 0 and x[2] == 0
+    assert any(v != round(v) for v in values)
+    assert y[0] == 3 * y[1] > 0
+    assert integer_oracle.solve(system) is None
+
+
+def test_certificate_must_check_in_integers(monkeypatch):
+    # y = 0 has y'A >= 0 everywhere but is not > 0 on the dropped column d
+    system = LinearSystem(("a", "b", "d"), (
+        eq({"a": 1, "b": -1, "d": 1}, 0), eq({"a": -3, "b": 3}, 0)))
+    _, cone, _, _ = parikh._split(system)
+    lp = parikh._matrix(cone, 3)
+    assert parikh._certified(lp, cone, {0, 1, 2}, {0, 1})
+    assert not parikh._certified(lp, cone, {0, 1, 2}, {0})
+    monkeypatch.setattr(parikh, "linprog", lambda *args, **kwargs:
+                        OptimizeResult(status=0, x=numpy.zeros(2)))
+    assert not parikh._certified(lp, cone, {0, 1, 2}, {0, 1})
+
+
 # ---------------------------------------------------------------------------
-# LP layer
+# the integer oracle's LP layer
 
 def dense_farkas_infeasible(rows, n):
-    """Reference for parikh._farkas_infeasible: the same certificate LP on a
+    """Reference for the oracle's _farkas_infeasible: the same certificate LP on a
     dense matrix, checked with Fraction sums over every row and column."""
     dense = [[coeffs.get(j, 0) for j in range(n)] for coeffs, _ in rows]
     consts = [const for _, const in rows]
@@ -395,12 +420,17 @@ def test_lp_layer_agrees_with_exact_simplex_and_dense_oracle():
     certified = feasible = 0
     for _ in range(400):
         rows, n = random_lp(rng)
-        exact = parikh._lp_feasible_exact(rows, n)
-        certificate = parikh._farkas_infeasible(rows, n)
+        point = parikh._lp_feasible_exact(rows, n)
+        exact = point is not None
+        if exact:
+            assert all(v >= 0 for v in point)
+            assert all(sum(c * point[j] for j, c in coeffs.items()) <= const
+                       for coeffs, const in rows)
+        certificate = integer_oracle._farkas_infeasible(rows, n)
         assert certificate == dense_farkas_infeasible(rows, n)
         if certificate:
             assert not exact
-        assert parikh._lp_feasible(rows, n) == exact
+        assert integer_oracle._lp_feasible(rows, n) == exact
         certified += certificate
         feasible += exact
     assert certified > 0 and 0 < feasible < 400
@@ -410,10 +440,10 @@ def test_farkas_certificate_with_fractional_multipliers():
     # x0 - x1 <= -1 and 2 x1 - x0 <= -1 sum, with y = (1, 1), to x1 <= -2;
     # with x1 >= 0 in the third row, y = (1, 1, 1) certifies infeasibility
     rows = [({0: 1, 1: -1}, -1), ({0: -1, 1: 2}, -1), ({1: -1}, 0)]
-    assert parikh._farkas_infeasible(rows, 2)
+    assert integer_oracle._farkas_infeasible(rows, 2)
     assert dense_farkas_infeasible(rows, 2)
-    assert not parikh._lp_feasible_exact(rows, 2)
-    assert not parikh._lp_feasible(rows, 2)
+    assert parikh._lp_feasible_exact(rows, 2) is None
+    assert not integer_oracle._lp_feasible(rows, 2)
 
 
 def test_infeasibility_without_a_small_certificate_falls_back_to_simplex():
@@ -422,35 +452,29 @@ def test_infeasibility_without_a_small_certificate_falls_back_to_simplex():
     # no denominator up to 10**6 approximates well enough
     big = 10 ** 7 + 19
     rows = [({0: -1}, -1), ({0: big, 1: -1}, 0), ({1: 1}, big - 1)]
-    assert not parikh._farkas_infeasible(rows, 2)
+    assert not integer_oracle._farkas_infeasible(rows, 2)
     assert not dense_farkas_infeasible(rows, 2)
-    assert not parikh._lp_feasible_exact(rows, 2)
-    assert not parikh._lp_feasible(rows, 2)
+    assert parikh._lp_feasible_exact(rows, 2) is None
+    assert not integer_oracle._lp_feasible(rows, 2)
 
 
 def test_lp_without_rows_is_feasible():
-    assert parikh._lp_feasible([], 3)
+    assert integer_oracle._lp_feasible([], 3)
+    assert parikh._lp_feasible_exact([], 3) == [0, 0, 0]
 
 
 def test_solver_mentions_fresh_variables():
-    system = LinearSystem((), (eq({"fresh": 1}, 2),))
-    assert solve(system) == {"fresh": 2}
-
-
-def test_solver_budget_raises():
-    variables = tuple(f"v{i}" for i in range(12))
-    atoms = [ge({v: 1 for v in variables}, 5)]
-    with pytest.raises(BudgetExceeded):
-        solve(LinearSystem(variables, tuple(atoms)), node_budget=0)
+    system = LinearSystem((), (ge({"fresh": 1}, 1),))
+    assert solve(system)["fresh"] >= 1
 
 
 def test_euler_witness_matches_model():
     fsa = Fsa((0, 1), ((0, "a", 1), (1, "b", 0), (1, "c", 1)), 0, 0)
     system = parikh_fsa(fsa)
-    model = solve(system.conjoin([eq({letter_var("c"): 1}, 2),
+    model = solve(system.conjoin([ge({letter_var("c"): 1}, 1),
                                   ge({letter_var("a"): 1}, 1)]))
     word = euler_witness(fsa, model)
-    assert word.count("c") == 2
+    assert word.count("c") == model[letter_var("c")] >= 1
     assert word.count("a") == word.count("b") == model[letter_var("a")]
     # the trail must be a word of the automaton: simulate it
     state = fsa.initial

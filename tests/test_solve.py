@@ -1,0 +1,178 @@
+"""parikh.solve, the max-support fixpoint, against the integer solver it
+replaced (integer_oracle) on the systems the checkers build, and its exact
+fallbacks against its float path."""
+
+import random
+from collections import Counter
+
+import numpy
+import pytest
+from scipy.optimize import OptimizeResult
+
+import integer_oracle
+from paramck import parikh
+from paramck.abstraction import reachable_abstract
+from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
+                                 contributor_flow_rows, realizability_system)
+from paramck.explicit import replay
+from paramck.pushdown import (LOOPS, _build_witness, build_loop_grammar,
+                              check_pdm_fsm, leader_move_table,
+                              loop_automaton, loop_nonempty, loop_system,
+                              post_star)
+from fixtures import satisfies
+from test_cyclesearch import refinement_nets
+from test_pushdown import gf_product_network, loop_test_nets
+
+
+def fsm_systems(nets):
+    """The realizability system at every accepting configuration."""
+    for net in nets:
+        reach = reachable_abstract(net)
+        for a in reach.order:
+            if a.leader_state in net.leader.accepting:
+                yield realizability_system(net, build_cycle_fsa(reach, a))
+
+
+def pdm_nets():
+    rng = random.Random(53)
+    return loop_test_nets() + [gf_product_network(rng) for _ in range(60)]
+
+
+def loop_grammars(nets):
+    """(net, pivot, reduced loop grammar, post*'s reasons) at every pivot
+    that passes loop_nonempty, as check_pdm_fsm builds them."""
+    for net in nets:
+        leader_moves = leader_move_table(net)
+        automata = {}
+        reasons = {}
+        for control, gamma in post_star(net, reasons=reasons):
+            Q = control[2]
+            if Q not in automata:
+                automata[Q] = loop_automaton(net, Q, leader_moves)
+            if loop_nonempty(net, automata[Q], control, gamma):
+                yield net, (control, gamma), parikh.reduce_grammar(
+                    build_loop_grammar(net, control, gamma, automata)), reasons
+
+
+def test_fixpoint_agrees_with_the_oracle_at_every_accepting_configuration():
+    found = refuted = 0
+    for system in fsm_systems(refinement_nets()):
+        model = parikh.solve(system)
+        assert (model is None) == (integer_oracle.solve(system) is None)
+        if model is None:
+            refuted += 1
+        else:
+            found += 1
+            assert satisfies(system.atoms, model)
+    assert found >= 200 and refuted >= 150
+
+
+def test_fixpoint_agrees_with_the_oracle_on_every_loop_system():
+    # the relaxed start row (LOOPS >= 1 loop words) and the grammar's own
+    # (exactly one) have models for the same pivots, and every model is a
+    # witness, LOOPS loop words long, that replays
+    loops = Counter()
+    refuted = 0
+    for net, pivot, grammar, reasons in loop_grammars(pdm_nets()):
+        system = loop_system(net, grammar)
+        model = parikh.solve(system)
+        assert (model is None) == (integer_oracle.solve(system) is None)
+        once = parikh.parikh_cfg(grammar).conjoin(contributor_flow_rows(net))
+        assert (model is None) == (integer_oracle.solve(once) is None)
+        if model is None:
+            refuted += 1
+            continue
+        assert satisfies(system.atoms, model)
+        witness = _build_witness(net, *pivot, grammar, model, reasons)
+        assert replay(net, witness) == ("valid", None)
+        loops[model[LOOPS] > 1] += 1
+    assert loops[False] >= 50 and loops[True] >= 2 and refuted >= 40
+
+
+def test_every_nonempty_witness_replays():
+    kinds = []
+    for net in refinement_nets():
+        v = check_fsm_fsm(net)
+        kinds.append(v.kind)
+        if v.kind == "NONEMPTY":
+            assert replay(net, v.witness) == ("valid", None)
+    for net in pdm_nets():
+        v = check_pdm_fsm(net)
+        kinds.append(v.kind)
+        if v.kind == "NONEMPTY":
+            assert replay(net, v.witness) == ("valid", None)
+    assert set(kinds) == {"NONEMPTY", "EMPTY"}
+
+
+def small_systems():
+    """Systems of both kinds with at most 16 variables, few enough for the
+    exact simplex to be quick."""
+    systems = list(fsm_systems(refinement_nets()[:80]))
+    systems += [loop_system(net, grammar)
+                for net, _, grammar, _ in loop_grammars(loop_test_nets()[:30])]
+    return [s for s in systems if len(s.variables) <= 16]
+
+
+def zero_point(*args, **kwargs):
+    """A HiGHS answer that claims the all-zero point."""
+    n = len(kwargs["c"])
+    return OptimizeResult(status=0, x=numpy.zeros(n))
+
+
+@pytest.mark.parametrize("fault", [
+    ("_rationalize", lambda values, exact: None),
+    ("milp", zero_point),
+], ids=["no-rationalization", "wrong-lp-point"])
+def test_exact_simplex_gives_the_same_verdicts(monkeypatch, fault):
+    # without rationalized points every round takes the exact simplex; a
+    # float LP whose point is wrong leaves some dropped column without a
+    # certificate, and the fixpoint runs again on exact points
+    systems = small_systems()
+    verdicts = [parikh.solve(s) is not None for s in systems]
+    assert 20 <= sum(verdicts) <= len(verdicts) - 20
+    monkeypatch.setattr(parikh, *fault)
+    for system, verdict in zip(systems, verdicts):
+        model = parikh.solve(system)
+        assert (model is not None) == verdict
+        if model is not None:
+            assert satisfies(system.atoms, model)
+
+
+def counting_highs(monkeypatch):
+    calls = []
+    for name in ("milp", "linprog"):
+        def counting(*args, _real=getattr(parikh, name), **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(parikh, name, counting)
+    return calls
+
+
+def test_edge_order_does_not_change_the_work(monkeypatch, tmp_path):
+    # fsm/random07 of the fsm bench corpus, at the accepting configuration
+    # (('s1', 'p3'), '2', {q0, q1, q2, q3}): the same 250 edges in
+    # build_cycle_fsa order from that configuration and in the order of the
+    # first-visited configuration of its component, which refine keeps.
+    # The integer solver took 2 MILP calls on the first and 56 on the second.
+    from perfbench.corpus import make_corpus, write_corpus
+    from perfbench.worker import load_network
+    inst = next(i for i in make_corpus("fsm", 1) if i.name == "random07")
+    (_, *files), = write_corpus([inst], str(tmp_path))
+    net = load_network(inst, files)
+    reach = reachable_abstract(net)
+    a = next(c for c in reach.order if c.leader_state == ("s1", "p3")
+             and c.store == "2" and c.Q == {"q0", "q1", "q2", "q3"})
+    fsa = build_cycle_fsa(reach, a)
+    first = next(c for c in reach.order if c in fsa.states)
+    edges = build_cycle_fsa(reach, first).edges
+    assert first != a and edges != fsa.edges
+    assert sorted(edges, key=repr) == sorted(fsa.edges, key=repr)
+    calls = counting_highs(monkeypatch)
+    work = []
+    for fsa in (fsa, parikh.Fsa(fsa.states, edges, a, a)):
+        calls.clear()
+        model = parikh.solve(realizability_system(net, fsa))
+        work.append((model is not None, len(calls)))
+    assert work[0] == work[1]
+    has_model, highs_calls = work[0]
+    assert has_model and highs_calls <= 4

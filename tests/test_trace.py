@@ -37,4 +37,6 @@ def test_traced_checks_record_their_layers():
         tracer.close()
     fsm, pdm = names
     assert {"parikh.solve", "explicit.replay"} <= fsm
+    # the LPs of the fixpoint go through the scipy names the tracer wraps
+    assert fsm & {"parikh.highs_milp", "parikh.highs_lp"}
     assert {"parikh.solve", "explicit.replay", "pushdown.pop_relation"} <= pdm
