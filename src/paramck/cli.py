@@ -166,7 +166,7 @@ def main(argv=None):
     p_check.add_argument("--contributors", type=int,
                          help="population size (explicit mode)")
     p_check.add_argument("--stack-bound", type=int,
-                         help="stack cap (explicit mode with PDMs)")
+                         help="stack cap, at least 1 (explicit mode with PDMs)")
     p_check.add_argument("--witness", help="write the witness here")
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=_cmd_check)

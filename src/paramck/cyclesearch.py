@@ -32,10 +32,12 @@ and replayed for confirmation.
 
 from __future__ import annotations
 
+import math
+
 from .machines import BudgetExceeded, CONTRIBUTOR, InternalError
-from .abstraction import reachable_abstract, abstract_stem
+from .abstraction import reachable_abstract
 from .explicit import Witness, Verdict, _ReplayState, replay
-from . import parikh
+from . import graph, parikh
 
 
 def build_cycle_fsa(reach, a):
@@ -49,74 +51,19 @@ def build_cycle_fsa(reach, a):
     realizability system small.  Every state is reachable from a, so the
     component is the set of states that reach a back.
     """
-    states = [a]
-    seen = {a}
-    edges = []
-    i = 0
-    while i < len(states):
-        c = states[i]
-        i += 1
-        for t, c2 in reach.edges[c]:
-            if c2.Q != a.Q:
-                continue
-            edges.append((c, t.tid, c2))
-            if c2 not in seen:
-                seen.add(c2)
-                states.append(c2)
-
+    Q = a.Q
+    moves = graph.explore(
+        a, lambda c: [(t.tid, c2) for t, c2 in reach.edges[c] if c2.Q == Q],
+        math.inf, None)       # a part of reach, which the budget bounded
     preds = {}
-    for src, _, dst in edges:
-        preds.setdefault(dst, []).append(src)
-    comp = {a}
-    work = [a]
-    while work:
-        for src in preds.get(work.pop(), ()):
-            if src not in comp:
-                comp.add(src)
-                work.append(src)
-    states = [s for s in states if s in comp]
-    edges = [(src, lab, dst) for src, lab, dst in edges
-             if src in comp and dst in comp]
-    return parikh.Fsa(tuple(states), tuple(edges), a, a)
-
-
-def _scc_index(arcs):
-    """Map each node of the graph with the given (src, dst) arcs to a
-    representative of its strongly connected component (iterative Tarjan)."""
-    succ = {}
-    for u, v in arcs:
-        succ.setdefault(u, []).append(v)
-        succ.setdefault(v, [])
-    index, low, comp = {}, {}, {}
-    stack = []
-    for root in succ:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if w not in comp:             # still on the stack
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = v
-                        if w == v:
-                            break
-    return comp
+    for c, succ in moves.edges.items():
+        for _, c2 in succ:
+            preds.setdefault(c2, []).append(c)
+    comp = {c for c, _ in graph.bfs(a, lambda c: preds.get(c, ()))}
+    states = tuple(c for c in moves.order if c in comp)
+    edges = tuple((c, lab, c2) for c in states
+                  for lab, c2 in moves.edges[c] if c2 in comp)
+    return parikh.Fsa(states, edges, a, a)
 
 
 def refine(net, edges):
@@ -135,13 +82,13 @@ def refine(net, edges):
     while work:
         part = work.pop()
         moves = [contributor[lab] for _, lab, _ in part if lab in contributor]
-        states = _scc_index((t.src, t.dst) for t in moves)
+        states = graph.scc_index((t.src, t.dst) for t in moves)
         dead = {t.tid for t in moves if states[t.src] != states[t.dst]}
         if not dead:
             final.append(part)
             continue
         kept = [e for e in part if e[1] not in dead]
-        comp = _scc_index((src, dst) for src, _, dst in kept)
+        comp = graph.scc_index((src, dst) for src, _, dst in kept)
         split = {}
         for e in kept:
             if comp[e[0]] == comp[e[2]]:
@@ -160,21 +107,7 @@ def closed_walk(net, part, a):
         t = net.transition(lab)
         if t.owner != CONTRIBUTOR or t.src == t.dst:
             succ.setdefault(src, []).append((lab, dst))
-    parent = {a: None}
-    queue = [a]
-    for c in queue:
-        for lab, dst in succ.get(c, ()):
-            if dst == a:
-                walk, node = [lab], c
-                while parent[node] is not None:
-                    node, step = parent[node]
-                    walk.append(step)
-                walk.reverse()
-                return walk
-            if dst not in parent:
-                parent[dst] = (c, lab)
-                queue.append(dst)
-    return None
+    return graph.closed_walk(lambda c: succ.get(c, ()), a)
 
 
 def contributor_flow_rows(net):
@@ -266,7 +199,7 @@ def lasso(net, stem, Q, cycle, pivot=None):
 def concretize(net, reach, a, cycle):
     """The concrete lasso witness of a cycle (transition ids) at accepting
     configuration a: the stored abstract stem to a, then the cycle."""
-    stem = [t for _, t, _ in abstract_stem(reach, a)]
+    stem = [t for _, t, _ in graph.path_to(reach.parent, a)]
     return lasso(net, stem, a.Q, cycle)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import graph
 from .machines import (EXPLORE_BUDGET, BudgetExceeded, Pdm, UNINIT, LEADER,
                        CONTRIBUTOR, env_budget, step)
 
@@ -118,122 +119,6 @@ def successors(net, c, stack_bound=None):
     return moves
 
 
-def _explore(net, k, stack_bound, budget):
-    """BFS over the reachable configurations.
-
-    Returns (order, edges, parent) where order is the discovery list, edges
-    maps a config to its (transition, successor) list, and parent maps a
-    config to its BFS tree edge.
-    """
-    init = initial_config(net, k)
-    order = [init]
-    seen = {init}
-    edges = {}
-    parent = {init: None}
-    i = 0
-    while i < len(order):
-        c = order[i]
-        i += 1
-        succ = successors(net, c, stack_bound)
-        edges[c] = succ
-        for t, d in succ:
-            if d not in seen:
-                seen.add(d)
-                parent[d] = (c, t)
-                order.append(d)
-                if len(order) > budget:
-                    raise BudgetExceeded(f"more than {budget} configurations")
-    return order, edges, parent
-
-
-def _sccs(order, edges):
-    """Iterative Tarjan; returns a map config -> scc id and per-scc node lists."""
-    index = {}
-    low = {}
-    onstack = set()
-    stack = []
-    scc_of = {}
-    sccs = []
-    counter = [0]
-
-    for root in order:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                onstack.add(v)
-            advanced = False
-            succ = edges[v]
-            while ei < len(succ):
-                w = succ[ei][1]
-                ei += 1
-                if w not in index:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if ei >= len(succ):
-                work.pop()
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        onstack.discard(w)
-                        scc_of[w] = len(sccs)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    sccs.append(comp)
-                if work:
-                    u, _ = work[-1]
-                    low[u] = min(low[u], low[v])
-    return scc_of, sccs
-
-
-def _cycle_through(a, edges, scc_of):
-    """Shortest nonempty path a -> ... -> a staying inside a's SCC."""
-    target = a
-    frontier = []
-    parent = {}
-    for t, d in edges[a]:
-        if scc_of.get(d) != scc_of[a]:
-            continue
-        if d == target:
-            return [(a, t, d)]
-        if d not in parent:
-            parent[d] = (a, t)
-            frontier.append(d)
-    i = 0
-    while i < len(frontier):
-        v = frontier[i]
-        i += 1
-        for t, d in edges[v]:
-            if scc_of.get(d) != scc_of[a]:
-                continue
-            if d == target:
-                steps = [(v, t, d)]
-                cur = v
-                while cur != a:
-                    p, pt = parent[cur]
-                    steps.append((p, pt, cur))
-                    cur = p
-                steps.reverse()
-                return steps
-            if d not in parent:
-                parent[d] = (v, t)
-                frontier.append(d)
-    return None
-
-
 def _assign_actors(net, k, steps):
     """Turn population-level steps (src_cfg, transition, dst_cfg) into
     (actor, tid) pairs with greedy lowest-index contributor assignment."""
@@ -271,41 +156,34 @@ def check_explicit(net, k, stack_bound=None, budget=None):
 
     NONEMPTY iff a reachable accepting configuration lies on a cycle; the
     returned witness replays step by step.  With a PDM anywhere, stack_bound
-    is required and EMPTY only means empty within the bound.
+    is required and EMPTY only means empty within the bound.  A bound below
+    1 is refused: a PDM's stack always holds its bottom symbol.
     """
     if (isinstance(net.leader, Pdm) or isinstance(net.contributor, Pdm)) \
             and stack_bound is None:
         raise ValueError("stack_bound required for pushdown machines")
+    if stack_bound is not None and stack_bound < 1:
+        raise ValueError("stack bound must be at least 1")
     if budget is None:
         budget = env_budget(EXPLORE_BUDGET)
     try:
-        order, edges, parent = _explore(net, k, stack_bound, budget)
+        order, edges, parent = graph.explore(
+            initial_config(net, k), lambda c: successors(net, c, stack_bound),
+            budget, f"more than {budget} configurations")
     except BudgetExceeded as e:
         return Verdict("BUDGET", stats={"reason": str(e)})
-    scc_of, sccs = _sccs(order, edges)
-    accepting = net.leader.accepting
-    nontrivial = set()
-    for i, comp in enumerate(sccs):
-        if len(comp) > 1:
-            nontrivial.add(i)
-    for c in order:
-        if any(d == c for _, d in edges[c]):
-            nontrivial.add(scc_of[c])
-
+    scc = graph.scc_index((c, d) for c in order for _, d in edges[c])
     stats = {"configurations": len(order)}
     for a in order:
-        if a.leader_state not in accepting or scc_of[a] not in nontrivial:
+        if a.leader_state not in net.leader.accepting:
             continue
-        cycle_steps = _cycle_through(a, edges, scc_of)
+        comp = scc.get(a)
+        cycle_steps = graph.closed_walk(
+            lambda c: (((c, t, d), d) for t, d in edges[c] if scc[d] == comp),
+            a)
         if cycle_steps is None:
             continue
-        stem_steps = []
-        cur = a
-        while parent[cur] is not None:
-            p, t = parent[cur]
-            stem_steps.append((p, t, cur))
-            cur = p
-        stem_steps.reverse()
+        stem_steps = graph.path_to(parent, a)
         all_steps = _assign_actors(net, k, stem_steps + cycle_steps)
         stem = all_steps[:len(stem_steps)]
         cycle = all_steps[len(stem_steps):]

@@ -26,6 +26,8 @@ import numpy
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csr_array
 
+from . import graph
+
 
 def le(coeffs, const):
     return ("le", dict(coeffs), const)
@@ -55,7 +57,7 @@ class LinearSystem:
     """Existential natural-number variables under a conjunction of
     integer-linear rows and connectivity atoms."""
 
-    variables: tuple       # declaration order; also the branching order
+    variables: tuple       # declaration order; solve's column order
     atoms: tuple
 
     def conjoin(self, atoms):
@@ -167,14 +169,9 @@ def reduce_grammar(g):
     for i, (lhs, rhs) in enumerate(g.productions):
         if not waiting[i]:
             by_lhs.setdefault(lhs, []).append(rhs)
-    reachable = {g.start}
-    work = [g.start]
-    while work:
-        for rhs in by_lhs.get(work.pop(), ()):
-            for sym in rhs:
-                if sym not in terminals and sym not in reachable:
-                    reachable.add(sym)
-                    work.append(sym)
+    reachable = {sym for sym, _ in graph.bfs(
+        g.start, lambda lhs: [sym for rhs in by_lhs.get(lhs, ()) for sym in rhs
+                              if sym not in terminals])}
     prods = tuple((lhs, rhs) for i, (lhs, rhs) in enumerate(g.productions)
                   if not waiting[i] and lhs in reachable)
     nts = tuple(nt for nt in g.nonterminals if nt in reachable and nt in productive)
@@ -281,14 +278,7 @@ def _distances(conn, cols):
     for j, src, dst in edges:
         if j in cols:
             succ.setdefault(src, []).append(dst)
-    dist = {root: 0}
-    queue = [root]
-    for node in queue:
-        for dst in succ.get(node, ()):
-            if dst not in dist:
-                dist[dst] = dist[node] + 1
-                queue.append(dst)
-    return dist
+    return dict(graph.bfs(root, lambda node: succ.get(node, ())))
 
 
 def _reached(conn, cols):

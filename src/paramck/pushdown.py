@@ -38,7 +38,7 @@ from .machines import (EXPLORE_BUDGET, UNINIT, BudgetExceeded, InternalError,
                        top_replacement)
 from .explicit import Verdict, replay
 from .cyclesearch import contributor_flow_rows, lasso
-from . import parikh
+from . import graph, parikh
 
 
 def is_abstract_control(net, control):
@@ -293,21 +293,11 @@ def loop_nonempty(net, automaton, pivot_control, pivot_symbol):
     exactly when the accept node is reachable from the start node (start
     state, pivot symbol), which it is when the two are equal.
     """
-    _, _, graph = automaton
+    _, _, moves = automaton
     start_state, accept_state = _loop_ends(net, pivot_control)
-    start = (start_state, pivot_symbol)
     accept = (accept_state, pivot_symbol)
-    seen = {start}
-    todo = [start]
-    while todo:
-        node = todo.pop()
-        if node == accept:
-            return True
-        for nxt in graph[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    return False
+    return any(node == accept for node, _ in
+               graph.bfs((start_state, pivot_symbol), moves.__getitem__))
 
 
 def build_loop_grammar(net, pivot_control, pivot_symbol, automata=None):
@@ -448,23 +438,10 @@ def derive_word(grammar, counts):
     def spine(x):
         """A shortest cycle of leftover productions through x, as pairs of a
         production and the position of the next spine symbol in it."""
-        parent = {}           # symbol -> (symbol, production, position)
-        queue = [x]
-        for sym in queue:
-            for i in by_lhs.get(sym, ()):
-                if not left[i]:
-                    continue
-                for j, nxt in enumerate(prods[i][1]):
-                    if nxt == x:
-                        chain = [(i, j)]
-                        while sym != x:
-                            sym, i, j = parent[sym]
-                            chain.append((i, j))
-                        return chain[::-1]
-                    if nxt in nonterminals and nxt not in parent:
-                        parent[nxt] = (sym, i, j)
-                        queue.append(nxt)
-        return None
+        return graph.closed_walk(
+            lambda sym: (((i, j), nxt) for i in by_lhs.get(sym, ()) if left[i]
+                         for j, nxt in enumerate(prods[i][1])
+                         if nxt == x or nxt in nonterminals), x)
 
     root = [grammar.start, None]
     if grow([root]) is None:

@@ -10,6 +10,7 @@ reduces to the PDM/FSM one with the N-restricted contributor.
 
 from __future__ import annotations
 
+from . import graph
 from .machines import (EXPLORE_BUDGET, BudgetExceeded, Fsm, Pdm, env_budget,
                        make_network, stack_step)
 from .explicit import Verdict
@@ -29,29 +30,18 @@ def restrict(pdm, k, budget=None):
     if budget is None:
         budget = env_budget(EXPLORE_BUDGET)
     initial = (pdm.initial, (pdm.bottom,))
-    order = [initial]
-    seen = {initial}
-    transitions = []
-    i = 0
-    while i < len(order):
-        state = order[i]
-        i += 1
+
+    def successors(state):
         q, window = state
-        for rule in pdm.rules:
-            if rule.src != q:
-                continue
-            new_window = stack_step(rule, window)
-            if new_window is None:
-                continue
-            target = (rule.dst, new_window[:k])
-            transitions.append((state, rule.action, target))
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-                if len(order) > budget:
-                    raise BudgetExceeded(
-                        f"{k}-restriction exceeds {budget} states")
-    return Fsm(frozenset(order), initial, tuple(transitions), None)
+        return [(rule.action, (rule.dst, new_window[:k])) for rule in pdm.rules
+                if rule.src == q
+                and (new_window := stack_step(rule, window)) is not None]
+
+    found = graph.explore(initial, successors, budget,
+                          f"{k}-restriction exceeds {budget} states")
+    return Fsm(frozenset(found.order), initial,
+               tuple((state, action, target) for state in found.order
+                     for action, target in found.edges[state]), None)
 
 
 def compute_N(contributor):

@@ -1,9 +1,10 @@
 import random
 
 from paramck.machines import UNINIT
-from paramck.abstraction import (AbstractConfig, abstract_stem,
-                                 initial_abstract, reachable_abstract)
+from paramck.abstraction import (AbstractConfig, initial_abstract,
+                                 reachable_abstract)
 from paramck.explicit import check_explicit, initial_config, successors
+from paramck.graph import path_to
 from fixtures import ring_network, random_fsm_network
 
 
@@ -53,7 +54,7 @@ def test_stem_replays_to_its_target():
     net = ring_network()
     reach = reachable_abstract(net)
     target = reach.order[-1]
-    stem = abstract_stem(reach, target)
+    stem = path_to(reach.parent, target)
     cur = initial_abstract(net)
     for src, t, dst in stem:
         assert src == cur

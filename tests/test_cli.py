@@ -151,6 +151,20 @@ def test_explicit_mode_needs_contributor_count(tmp_path, capsys):
     assert "explicit mode needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_explicit_mode_refuses_a_stack_bound_below_one(tmp_path, capsys,
+                                                       bound):
+    # a PDM stack always holds its bottom symbol, so such a bound blocks
+    # moves and gives a meaningless verdict
+    paths = write_net(tmp_path, COUNTER_LEADER, COUNTER_CONTRIB, COUNTER_PROP)
+    assert main(check_args(paths, "--mode", "explicit", "--contributors",
+                           "2", "--stack-bound", bound)) == 2
+    assert "stack bound must be at least 1" in capsys.readouterr().err
+    assert main(check_args(paths, "--mode", "explicit", "--contributors",
+                           "2", "--stack-bound", "3")) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "NONEMPTY"
+
+
 def test_pdm_leader_end_to_end(tmp_path, capsys):
     paths = write_net(tmp_path, COUNTER_LEADER, COUNTER_CONTRIB, COUNTER_PROP)
     out = str(tmp_path / "out.wit")

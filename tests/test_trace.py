@@ -22,21 +22,39 @@ def push_pop_network():
     return make_network(["1", "2"], leader, contrib)
 
 
+def window_network():
+    """An FSM leader that reads 1 forever and a PDM contributor that writes
+    it while pushing and popping; auto restricts the contributor."""
+    leader = Fsm(frozenset(["p"]), "p", (("p", la("read", "1"), "p"),),
+                 frozenset(["p"]))
+    contrib = Pdm(frozenset(["q"]), ("Z", "A"), "q",
+                  (PdmRule("q", ca("write", "1"), "Z", "q", ("push", "A")),
+                   PdmRule("q", ca("write", "1"), "A", "q", ("push", "A")),
+                   PdmRule("q", ca("write", "1"), "A", "q", ("pop",))))
+    return make_network(["1"], leader, contrib)
+
+
 def test_traced_checks_record_their_layers():
     tracer = Tracer()             # resolves every wrapped name
-    names = []
+    names, counts = [], []
     try:
         tracer.active = True
         for net, mode in ((ring_network(), "fsm-fsm"),
-                          (push_pop_network(), "pdm-fsm")):
+                          (push_pop_network(), "pdm-fsm"),
+                          (window_network(), "fsm-fsm")):
             tracer.reset()
             verdict, used = run_check(net)
             assert (verdict.kind, used) == ("NONEMPTY", mode)
             names.append({span[0] for span in tracer.spans})
+            counts.append(tracer.counts)
     finally:
         tracer.close()
-    fsm, pdm = names
-    assert {"parikh.solve", "explicit.replay"} <= fsm
+    fsm, pdm, window = names
+    assert {"parikh.solve", "explicit.replay", "abstraction.reach",
+            "cyclesearch.cycle_fsa"} <= fsm
+    assert counts[0]["abstraction.configs"] > 0
+    assert "reduction.restrict" in window
+    assert counts[2]["reduction.window_states"] > 0
     # the LPs of the fixpoint go through the scipy names the tracer wraps
     assert fsm & {"parikh.highs_milp", "parikh.highs_lp"}
     assert {"parikh.solve", "explicit.replay", "pushdown.pop_relation"} <= pdm
