@@ -7,7 +7,7 @@ from .machines import (Action, Fsm, Pdm, PdmRule, Network, Transition,
 from .explicit import ConcreteConfig, Witness, Verdict, check_explicit, replay
 from .cyclesearch import check_fsm_fsm
 from .pushdown import check_pdm_fsm
-from .reduction import check_pdm_pdm, restrict, restrict_network, compute_N
+from .reduction import restrict, restrict_network, compute_N
 from .parikh import parikh_fsa, parikh_cfg, solve
 from .fileformat import (ParseError, parse_machine_file, print_machine,
                          parse_witness, print_witness)
@@ -19,7 +19,7 @@ __all__ = [
     "validate",
     "UNINIT", "LEADER", "CONTRIBUTOR", "READ", "WRITE",
     "ConcreteConfig", "Witness", "Verdict", "check_explicit", "replay",
-    "check_fsm_fsm", "check_pdm_fsm", "check_pdm_pdm",
+    "check_fsm_fsm", "check_pdm_fsm",
     "restrict", "restrict_network", "compute_N",
     "parikh_fsa", "parikh_cfg", "solve",
     "ParseError", "parse_machine_file", "print_machine", "parse_witness",

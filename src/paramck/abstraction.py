@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import graph
-from .machines import EXPLORE_BUDGET, Fsm, UNINIT, abstract_moves, env_budget
+from .machines import EXPLORE_BUDGET, Fsm, UNINIT, abstract_moves
 
 
 class AbstractConfig(NamedTuple):
@@ -25,7 +25,7 @@ def initial_abstract(net):
                           frozenset([net.contributor.initial]))
 
 
-def reachable_abstract(net, budget=None):
+def reachable_abstract(net, budget=EXPLORE_BUDGET):
     """Deterministic BFS saturation of the abstract system (FSM leader and
     contributor), as a graph.Exploration: the successors of a configuration
     are (Transition, configuration) pairs in abstract_moves order.
@@ -36,8 +36,6 @@ def reachable_abstract(net, budget=None):
     """
     if not isinstance(net.leader, Fsm) or not isinstance(net.contributor, Fsm):
         raise ValueError("reachable_abstract needs FSM leader and contributor")
-    if budget is None:
-        budget = env_budget(EXPLORE_BUDGET)
     return graph.explore(
         initial_abstract(net),
         lambda a: [(t, AbstractConfig(d, g, Q))

@@ -7,9 +7,13 @@
 
 Exit codes for check: 0 decided (NONEMPTY or EMPTY), 2 input error,
 3 budget exceeded, 4 internal error (a model found but no witness built).
-For replay: 0 valid, 1 invalid, 2 parse/input error.
+For replay: 0 valid, 1 invalid, 2 parse/input error, 3 budget exceeded
+(by the window restriction of a pushdown contributor).
 The PARAMCK_BUDGET environment variable caps each state exploration (see
-the README for the default); solves have no budget.
+the README for the default); solves have no budget.  It is read once per
+command, and a value that is not an integer of at least 1 exits 2.
+BUDGET and ERROR verdicts carry statistics.reason, and every verdict on
+a restricted pushdown contributor carries statistics.window_bound (N).
 """
 
 from __future__ import annotations
@@ -18,12 +22,12 @@ import argparse
 import json
 import sys
 
-from .machines import (BudgetExceeded, Fsm, InternalError, Pdm, LEADER,
-                       CONTRIBUTOR, buchi_product, make_network, validate)
-from .explicit import Verdict, Witness, replay, _ReplayState
+from .machines import (BudgetExceeded, Fsm, Pdm, LEADER, CONTRIBUTOR,
+                       buchi_product, make_network, validate)
+from .explicit import Witness, replay, _ReplayState
 from .fileformat import (ParseError, parse_machine_file, parse_witness,
                          print_witness)
-from .api import MODES, resolve_mode, run_check, replay_network
+from .api import MODES, run_check, replay_network
 
 
 class InputError(Exception):
@@ -86,13 +90,6 @@ def _cmd_check(args):
                                   stack_bound=args.stack_bound)
     except ValueError as e:
         raise InputError(str(e))
-    except BudgetExceeded as e:
-        # raised outside the checkers, e.g. by the window restriction
-        verdict = Verdict("BUDGET", stats={"reason": str(e)})
-        mode = resolve_mode(net, args.mode)
-    except InternalError as e:
-        verdict = Verdict("ERROR", stats={"reason": str(e)})
-        mode = resolve_mode(net, args.mode)
 
     if args.json:
         report = {"verdict": verdict.kind, "mode": mode,
@@ -117,7 +114,13 @@ def _cmd_check(args):
 
 def _cmd_replay(args):
     net = _load_network(args)
-    net = replay_network(net)
+    try:
+        net = replay_network(net)
+    except ValueError as e:
+        raise InputError(str(e))
+    except BudgetExceeded as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     try:
         with open(args.witness, encoding="utf-8") as f:
             text = f.read()

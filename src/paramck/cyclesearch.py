@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 
-from .machines import BudgetExceeded, CONTRIBUTOR, InternalError
+from .machines import CONTRIBUTOR, EXPLORE_BUDGET, InternalError
 from .abstraction import reachable_abstract
 from .explicit import Witness, Verdict, _ReplayState, replay
 from . import graph, parikh
@@ -203,21 +203,19 @@ def concretize(net, reach, a, cycle):
     return lasso(net, stem, a.Q, cycle)
 
 
-def check_fsm_fsm(net):
+def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
     """Decide nonemptiness of the network's accepted omega-language for some
     population size, for FSM leader and FSM contributor.
 
     Accepting configurations are visited in discovery order; each strongly
     connected component of the Q-preserving graph is refined the first time
     one of its configurations comes up.  The statistics count the accepting
-    configurations visited (accepting_checked) and the solves among them."""
-    stats = {"abstract_configs": 0, "accepting_checked": 0, "solves": 0}
-    try:
-        reach = reachable_abstract(net)
-    except BudgetExceeded as e:
-        stats["reason"] = str(e)
-        return Verdict("BUDGET", None, stats)
-    stats["abstract_configs"] = len(reach.order)
+    configurations visited (accepting_checked) and the solves among them.
+    An abstract system of more than budget configurations raises
+    BudgetExceeded, and a model that gives no witness InternalError."""
+    reach = reachable_abstract(net, budget)
+    stats = {"abstract_configs": len(reach.order), "accepting_checked": 0,
+             "solves": 0}
     accepting = net.leader.accepting
     parts = {}                # configuration -> its refined part, or None
     for a in reach.order:

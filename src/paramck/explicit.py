@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import graph
 from .machines import (EXPLORE_BUDGET, BudgetExceeded, Pdm, UNINIT, LEADER,
-                       CONTRIBUTOR, env_budget, step)
+                       CONTRIBUTOR, step)
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def _assign_actors(net, k, steps):
     return tuple(out)
 
 
-def check_explicit(net, k, stack_bound=None, budget=None):
+def check_explicit(net, k, stack_bound=None, budget=EXPLORE_BUDGET):
     """Buchi emptiness of the concrete system with k contributors.
 
     NONEMPTY iff a reachable accepting configuration lies on a cycle; the
@@ -164,8 +164,6 @@ def check_explicit(net, k, stack_bound=None, budget=None):
         raise ValueError("stack_bound required for pushdown machines")
     if stack_bound is not None and stack_bound < 1:
         raise ValueError("stack bound must be at least 1")
-    if budget is None:
-        budget = env_budget(EXPLORE_BUDGET)
     try:
         order, edges, parent = graph.explore(
             initial_config(net, k), lambda c: successors(net, c, stack_bound),

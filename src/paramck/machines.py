@@ -24,9 +24,10 @@ READ = "read"
 WRITE = "write"
 
 
-#: default budget when PARAMCK_BUDGET is unset: configurations, saturation
-#: edges, window states or pdm-fsm stem moves per exploration (solves have
-#: no budget: parikh.solve runs a bounded number of LPs)
+#: budget when PARAMCK_BUDGET is unset, and the default budget argument:
+#: configurations, saturation edges, window states or pdm-fsm stem moves
+#: per exploration (solves have no budget: parikh.solve runs a bounded
+#: number of LPs)
 EXPLORE_BUDGET = 5_000_000
 
 
@@ -39,12 +40,16 @@ class InternalError(Exception):
     that replays: a defect of the checker, not a verdict."""
 
 
-def env_budget(default):
-    """PARAMCK_BUDGET if it holds an integer, else default."""
-    try:
-        return int(os.environ.get("PARAMCK_BUDGET", ""))
-    except ValueError:
-        return default
+def env_budget():
+    """PARAMCK_BUDGET, or EXPLORE_BUDGET when it is unset.  Raises
+    ValueError unless it holds an integer of at least 1."""
+    raw = os.environ.get("PARAMCK_BUDGET")
+    if raw is None:
+        return EXPLORE_BUDGET
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(
+            f"PARAMCK_BUDGET must be an integer of at least 1, not {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ argument as in the finite-state case.
 from __future__ import annotations
 
 from .machines import (EXPLORE_BUDGET, UNINIT, BudgetExceeded, InternalError,
-                       Pdm, Fsm, abstract_moves, env_budget, register_step,
+                       Pdm, Fsm, abstract_moves, register_step,
                        top_replacement)
 from .explicit import Verdict, replay
 from .cyclesearch import contributor_flow_rows, lasso
@@ -67,7 +67,7 @@ def initial_control(net):
 FINAL = ("final",)
 
 
-def post_star(net, budget=None, reasons=None):
+def post_star(net, budget=EXPLORE_BUDGET, reasons=None):
     """Saturation of the reachable-configuration automaton.
 
     Returns the ordered list of reachable (control, top) pairs.  The automaton
@@ -87,10 +87,9 @@ def post_star(net, budget=None, reasons=None):
         edge composed with f);
       (None, f): a pushed symbol, whose push is on the edge below it; f,
         inserted with it, stands in when nothing is below.
-    Premises are inserted before the edges they explain.
+    Premises are inserted before the edges they explain.  An edge that
+    makes more than budget raises BudgetExceeded.
     """
-    if budget is None:
-        budget = env_budget(EXPLORE_BUDGET)
     trans = {} if reasons is None else reasons   # (p, gamma, q) -> reason
     trans_from = {}           # q -> list of (gamma, q2)
     eps_into = {}             # q -> list of p with an epsilon edge p -> q
@@ -101,7 +100,7 @@ def post_star(net, budget=None, reasons=None):
         key = (p, gamma, q)
         if key in trans:
             return
-        if len(trans) > budget:
+        if len(trans) == budget:
             raise BudgetExceeded(f"more than {budget} saturation edges")
         trans[key] = reason
         trans_from.setdefault(p, []).append((gamma, q))
@@ -474,7 +473,8 @@ def derive_word(grammar, counts):
     return word
 
 
-def find_stem(net, pivot_control, pivot_symbol, reasons):
+def find_stem(net, pivot_control, pivot_symbol, reasons,
+              budget=EXPLORE_BUDGET):
     """The abstract stem to the pivot, read back from the reasons post_star
     recorded: the transitions of a path from the initial configuration to
     one with the pivot control and the pivot symbol on top.
@@ -483,10 +483,8 @@ def find_stem(net, pivot_control, pivot_symbol, reasons):
     replaces the first one or two edges of the configuration's path by
     their premises until only the initial edge is left, collecting the
     rules in reverse.  Premises are inserted before the edges they explain,
-    so this ends.  A stem longer than the exploration budget
-    (PARAMCK_BUDGET) raises BudgetExceeded.
+    so this ends.  A stem of more than budget moves raises BudgetExceeded.
     """
-    budget = env_budget(EXPLORE_BUDGET)
     path = [next(edge for edge in reasons     # first edge last
                  if edge[:2] == (pivot_control, pivot_symbol))]
     tids = []                 # last move first
@@ -501,7 +499,8 @@ def find_stem(net, pivot_control, pivot_symbol, reasons):
     return [net.transition(tid) for tid in reversed(tids)]
 
 
-def _build_witness(net, pivot_control, pivot_symbol, grammar, model, reasons):
+def _build_witness(net, pivot_control, pivot_symbol, grammar, model, reasons,
+                   budget):
     """The lasso of a loop_system model: its LOOPS loop words are derived
     as one word from a fresh start symbol with the productions
     start -> S start | S, used LOOPS - 1 times and once."""
@@ -517,29 +516,26 @@ def _build_witness(net, pivot_control, pivot_symbol, grammar, model, reasons):
     word = derive_word(pumped, counts)
     if word is None:
         raise AssertionError("Parikh model admits no derivation")
-    stem = find_stem(net, pivot_control, pivot_symbol, reasons)
+    stem = find_stem(net, pivot_control, pivot_symbol, reasons, budget)
     return lasso(net, stem, pivot_control[2], word,
                  (pivot_control[0], pivot_symbol))
 
 
-def check_pdm_fsm(net):
+def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
     """Decide nonemptiness of the accepted omega-language for some population
     size, for a PDM leader and an FSM contributor.
 
     The statistics count the pivots post* finds, the pivots visited
-    (pivots_checked) and the solves among them.  A stem longer than the
-    exploration budget raises BudgetExceeded."""
+    (pivots_checked) and the solves among them.  A saturation of more than
+    budget edges, or a stem of more than budget moves, raises
+    BudgetExceeded, and a model that gives no witness InternalError."""
     if not isinstance(net.leader, Pdm) or not isinstance(net.contributor, Fsm):
         raise ValueError("check_pdm_fsm needs a PDM leader and an FSM contributor")
     stats = {"pivots": 0, "pivots_checked": 0, "solves": 0}
     if not net.leader.accepting:
         return Verdict("EMPTY", None, stats)
     reasons = {}              # post*'s edge derivations, for find_stem
-    try:
-        pairs = post_star(net, reasons=reasons)
-    except BudgetExceeded as e:
-        stats["reason"] = str(e)
-        return Verdict("BUDGET", None, stats)
+    pairs = post_star(net, budget, reasons)
     stats["pivots"] = len(pairs)
     leader_moves = leader_move_table(net)
     automata = {}             # Q -> its loop automaton, for this check
@@ -559,7 +555,7 @@ def check_pdm_fsm(net):
             continue
         try:
             witness = _build_witness(net, control, gamma, grammar, model,
-                                     reasons)
+                                     reasons, budget)
         except AssertionError as exc:
             err = str(exc)
         else:

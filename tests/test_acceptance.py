@@ -9,7 +9,7 @@ from paramck.api import run_check
 from paramck.explicit import check_explicit, replay
 from paramck.cyclesearch import check_fsm_fsm
 from paramck.machines import Pdm, PdmRule, make_network
-from paramck.reduction import check_pdm_pdm, compute_N, restrict_network
+from paramck.reduction import compute_N, restrict_network
 from paramck.parikh import parikh_cfg, parikh_fsa
 from fixtures import (ca, la, lift_fsm_to_pdm, random_fsm_network,
                       random_small_pdm, ring_network, stalled_network,
@@ -139,7 +139,8 @@ def test_pdm_pdm_checker_agrees_with_bounded_oracle():
         if compute_N(net.contributor) > 5:
             continue
         checked += 1
-        v = check_pdm_pdm(net)
+        v, mode = run_check(net)
+        assert mode == "pdm-pdm"
         if v.kind == "NONEMPTY":
             restricted, _ = restrict_network(net)
             assert replay(restricted, v.witness) == ("valid", None)

@@ -243,6 +243,17 @@ def test_budget_env_variable(tmp_path, capsys, monkeypatch):
     assert "BUDGET" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("raw", ["-3", "0", "lots"])
+def test_invalid_budget_is_an_input_error(tmp_path, capsys, monkeypatch,
+                                          raw):
+    paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB, RING_PROP)
+    monkeypatch.setenv("PARAMCK_BUDGET", raw)
+    assert main(check_args(paths, "--json")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "PARAMCK_BUDGET" in captured.err
+
+
 WINDOW_LEADER = """\
 kind = fsm
 values = 1
@@ -281,29 +292,54 @@ def test_budget_in_window_restriction_is_json(tmp_path, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "BUDGET"
     assert report["mode"] == "fsm-fsm"
-    assert report["statistics"]["reason"] == \
-        "5-restriction exceeds 3 states (window bound N = 5)"
+    assert report["statistics"]["reason"] == "5-restriction exceeds 3 states"
+    assert report["statistics"]["window_bound"] == 5
 
 
-@pytest.mark.parametrize("net,extra,reason", [
+def test_restricted_contributor_reports_its_window_bound(tmp_path, capsys):
+    paths = write_net(tmp_path, WINDOW_LEADER, WINDOW_CONTRIB, WINDOW_PROP)
+    assert main(check_args(paths, "--json")) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["mode"]) == ("NONEMPTY", "fsm-fsm")
+    assert report["statistics"]["window_bound"] == 5
+
+
+def test_replay_reports_a_window_past_the_budget(tmp_path, capsys,
+                                                 monkeypatch):
+    paths = write_net(tmp_path, WINDOW_LEADER, WINDOW_CONTRIB, WINDOW_PROP)
+    out = str(tmp_path / "out.wit")
+    assert main(check_args(paths, "--witness", out)) == 0
+    assert main(replay_args(paths, out)) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("PARAMCK_BUDGET", "3")
+    assert main(replay_args(paths, out)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 5-restriction exceeds 3 states\n"
+    monkeypatch.setenv("PARAMCK_BUDGET", "-3")
+    assert main(replay_args(paths, out)) == 2
+    assert "PARAMCK_BUDGET" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("net,extra,stats", [
     ((RING_LEADER, RING_CONTRIB, RING_PROP), (),
-     "more than 3 abstract configurations"),
+     {"reason": "more than 3 abstract configurations"}),
     ((COUNTER_LEADER, COUNTER_CONTRIB, COUNTER_PROP), (),
-     "more than 3 saturation edges"),
+     {"reason": "more than 3 saturation edges"}),
     ((COUNTER_LEADER, WINDOW_CONTRIB, COUNTER_PROP), (),
-     "5-restriction exceeds 3 states (window bound N = 5)"),
+     {"reason": "5-restriction exceeds 3 states", "window_bound": 5}),
     ((RING_LEADER, RING_CONTRIB, RING_PROP),
      ("--mode", "explicit", "--contributors", "2"),
-     "more than 3 configurations"),
+     {"reason": "more than 3 configurations"}),
 ], ids=["fsm-fsm", "pdm-fsm", "pdm-pdm", "explicit"])
 def test_budget_verdict_carries_a_reason(tmp_path, capsys, monkeypatch, net,
-                                         extra, reason):
+                                         extra, stats):
     paths = write_net(tmp_path, *net)
     monkeypatch.setenv("PARAMCK_BUDGET", "3")
     assert main(check_args(paths, "--json", *extra)) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "BUDGET"
-    assert report["statistics"]["reason"] == reason
+    assert report["statistics"] == stats
 
 
 def test_failed_concretization_is_an_internal_error(tmp_path, capsys,

@@ -1,7 +1,8 @@
 import pytest
 
 from paramck.machines import (Action, Fsm, Pdm, PdmRule, Transition, UNINIT,
-                              LEADER, CONTRIBUTOR, abstract_moves,
+                              LEADER, CONTRIBUTOR, EXPLORE_BUDGET,
+                              abstract_moves,
                               buchi_product, env_budget, make_network,
                               register_step, stack_step, step,
                               top_replacement, validate)
@@ -203,8 +204,11 @@ def test_abstract_moves_on_pdm_leader_report_top_replacement():
 
 def test_env_budget_reads_an_integer_or_falls_back(monkeypatch):
     monkeypatch.delenv("PARAMCK_BUDGET", raising=False)
-    assert env_budget(7) == 7
-    monkeypatch.setenv("PARAMCK_BUDGET", "42")
-    assert env_budget(7) == 42
-    monkeypatch.setenv("PARAMCK_BUDGET", "lots")
-    assert env_budget(7) == 7
+    assert env_budget() == EXPLORE_BUDGET
+    for raw, budget in (("42", 42), ("1", 1), (" 7\n", 7)):
+        monkeypatch.setenv("PARAMCK_BUDGET", raw)
+        assert env_budget() == budget
+    for raw in ("lots", "0", "-3", "", "2.5"):
+        monkeypatch.setenv("PARAMCK_BUDGET", raw)
+        with pytest.raises(ValueError, match="PARAMCK_BUDGET"):
+            env_budget()

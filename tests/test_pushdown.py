@@ -3,8 +3,9 @@ from collections import Counter
 
 import pytest
 
-from paramck.machines import (BudgetExceeded, Fsm, Pdm, PdmRule, UNINIT,
-                              buchi_product, make_network)
+from paramck.api import run_check
+from paramck.machines import (EXPLORE_BUDGET, BudgetExceeded, Fsm, Pdm,
+                              PdmRule, UNINIT, buchi_product, make_network)
 from paramck.pushdown import (_loop_controls, abstract_pdm_rules,
                               accepting_control, build_loop_grammar,
                               check_pdm_fsm, derive_word, find_stem,
@@ -17,6 +18,7 @@ from paramck import parikh, pushdown
 import integer_oracle
 from fixtures import (la, ca, random_fsm_contributor,
                       random_pdm_leader_network, random_pdm_pdm_network)
+from test_trace import push_pop_network
 
 
 def counter_network(accept_high=False):
@@ -472,7 +474,7 @@ def test_read_back_stem_is_a_chain_of_abstract_moves():
             assert is_abstract_chain(net, stem, control, gamma)
 
 
-def test_budget_env_variable_caps_the_stem(monkeypatch):
+def test_budget_caps_the_stem():
     net = deep_stem_network(8)
     reasons = {}
     pairs = post_star(net, reasons=reasons)
@@ -480,11 +482,32 @@ def test_budget_env_variable_caps_the_stem(monkeypatch):
     pivot = max(stems, key=lambda pair: len(stems[pair]))
     n = len(stems[pivot])
     assert n >= 8
-    monkeypatch.setenv("PARAMCK_BUDGET", str(n - 1))
     with pytest.raises(BudgetExceeded, match=f"stem longer than {n - 1}"):
-        find_stem(net, *pivot, reasons)
-    monkeypatch.setenv("PARAMCK_BUDGET", str(n))
-    assert find_stem(net, *pivot, reasons) == stems[pivot]
+        find_stem(net, *pivot, reasons, budget=n - 1)
+    assert find_stem(net, *pivot, reasons, budget=n) == stems[pivot]
+
+
+def test_a_stem_past_the_budget_is_a_budget_verdict(monkeypatch):
+    # post* gets the default budget, so only the stem can run out
+    net = deep_stem_network(8)
+    saturate = pushdown.post_star
+    monkeypatch.setattr(pushdown, "post_star",
+                        lambda net, budget=None, reasons=None:
+                        saturate(net, EXPLORE_BUDGET, reasons))
+    monkeypatch.setenv("PARAMCK_BUDGET", "4")
+    verdict, mode = run_check(net)
+    assert (verdict.kind, mode) == ("BUDGET", "pdm-fsm")
+    assert verdict.stats == {"reason": "stem longer than 4 moves"}
+
+
+def test_post_star_holds_at_most_budget_edges():
+    net = push_pop_network()
+    edges = {}
+    post_star(net, reasons=edges)
+    assert len(edges) == 6
+    with pytest.raises(BudgetExceeded, match="more than 5 saturation edges"):
+        post_star(net, 5)
+    assert post_star(net, 6) == post_star(net)
 
 
 def deep_stem_network(d):

@@ -4,8 +4,8 @@ import pytest
 
 from paramck.machines import Fsm, Pdm, PdmRule, make_network
 from paramck.explicit import replay
-from paramck.reduction import (compute_N, check_pdm_pdm, restrict,
-                               restrict_network)
+from paramck.api import run_check
+from paramck.reduction import compute_N, restrict, restrict_network
 from fixtures import ca, la, random_small_pdm, updown_pdm, updown_run
 from window_oracles import (RunPrefix, effective_stack_height,
                             kbounded_agreement, run_configs)
@@ -140,14 +140,16 @@ def test_restrict_network_requires_pdm_contributor():
         restrict_network(net)
 
 
-def test_check_pdm_pdm_nonempty_with_restricted_replay():
+def test_pdm_pdm_nonempty_with_restricted_replay():
     net = small_pdm_pdm_network()
-    v = check_pdm_pdm(net)
+    v, mode = run_check(net)
+    assert mode == "pdm-pdm"
     assert v.kind == "NONEMPTY"
     assert v.stats["window_bound"] == 5
     restricted, _ = restrict_network(net)
     assert replay(restricted, v.witness) == ("valid", None)
 
 
-def test_check_pdm_pdm_empty_without_accepting_states():
-    assert check_pdm_pdm(small_pdm_pdm_network(accepting=False)).kind == "EMPTY"
+def test_pdm_pdm_empty_without_accepting_states():
+    v, mode = run_check(small_pdm_pdm_network(accepting=False))
+    assert (v.kind, mode) == ("EMPTY", "pdm-pdm")

@@ -15,6 +15,7 @@ from paramck.abstraction import reachable_abstract
 from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
                                  contributor_flow_rows, realizability_system)
 from paramck.explicit import replay
+from paramck.machines import EXPLORE_BUDGET
 from paramck.pushdown import (LOOPS, _build_witness, build_loop_grammar,
                               check_pdm_fsm, leader_move_table,
                               loop_automaton, loop_nonempty, loop_system,
@@ -83,7 +84,8 @@ def test_fixpoint_agrees_with_the_oracle_on_every_loop_system():
             refuted += 1
             continue
         assert satisfies(system.atoms, model)
-        witness = _build_witness(net, *pivot, grammar, model, reasons)
+        witness = _build_witness(net, *pivot, grammar, model, reasons,
+                                 EXPLORE_BUDGET)
         assert replay(net, witness) == ("valid", None)
         loops[model[LOOPS] > 1] += 1
     assert loops[False] >= 50 and loops[True] >= 2 and refuted >= 40
