@@ -13,13 +13,15 @@ The decision runs in three stages:
      control, and return to the pivot control with the pivot symbol on top.
      These form a context-free language over transition ids, described by a
      grammar with the usual balanced-segment nonterminals.  The grammar is
-     read off the loop automaton of the pivot's Q (its rule table and pop
-     relation, found by worklist saturation), built once per Q and shared
-     by every pivot with that Q.  Each pivot is first decided by
-     reachability on the automaton's graph of (state, top) nodes, also
-     built once per Q: the grammar derives a word exactly when the accept
-     node is reachable from the start node, and only the pivots where it
-     does get a grammar and a solve;
+     read off the loop automaton of the pivot's Q: its rules, pop relation
+     and graph of (state, top) nodes.  post* finds every pivot first, so
+     the automaton is built once per Q, by one demand-driven worklist
+     saturation from the start nodes of all the pivots with that Q, and
+     holds only the nodes those starts reach.  Each pivot is first decided
+     by reachability on the graph: the grammar derives a word exactly when
+     the accept node is reachable from the start node.  Only the pivots
+     where it is get a grammar, with the productions of the nodes their
+     own start reaches, and a solve;
   3. a Parikh model of that grammar, strengthened with contributor flow
      balance and nonemptiness, denotes a concretely realizable cycle.  The
      witness is assembled from a derivation of the model's production counts
@@ -41,10 +43,6 @@ from .cyclesearch import contributor_flow_rows, lasso
 from . import graph, parikh
 
 
-def is_abstract_control(net, control):
-    return control[0] in net.leader.states
-
-
 def accepting_control(net, control):
     return control[0] in net.leader.accepting
 
@@ -64,6 +62,8 @@ def initial_control(net):
     return (net.leader.initial, UNINIT, frozenset([net.contributor.initial]))
 
 
+#: post*'s final state.  Abstract controls are triples and middle states
+#: pairs, so no state is taken for another, whatever the leader's names.
 FINAL = ("final",)
 
 
@@ -71,9 +71,10 @@ def post_star(net, budget=EXPLORE_BUDGET, reasons=None):
     """Saturation of the reachable-configuration automaton.
 
     Returns the ordered list of reachable (control, top) pairs.  The automaton
-    states are abstract controls, one final state, and one middle state per
-    (control, pushed-symbol) pair; an edge (p, gamma, q) witnesses a reachable
-    configuration with control p and gamma on top.
+    states are abstract controls (d, g, Q), the final state FINAL, and one
+    middle state, the pair (control, pushed symbol), per push target; an
+    edge (p, gamma, q) witnesses a reachable configuration with control p
+    and gamma on top.
 
     reasons, a dict when given, receives every edge with the way it was
     first derived (Schwoon, Model-Checking Pushdown Systems, 2002), for
@@ -122,8 +123,7 @@ def post_star(net, budget=EXPLORE_BUDGET, reasons=None):
     while wi < len(work):
         edge = p, gamma, q = work[wi]
         wi += 1
-        if not (isinstance(p, tuple) and len(p) == 3
-                and is_abstract_control(net, p)):
+        if len(p) != 3:      # the final state or a middle state
             continue
         for tid, p2, repl in abstract_pdm_rules(net, p, gamma):
             if repl == ():
@@ -132,30 +132,12 @@ def post_star(net, budget=EXPLORE_BUDGET, reasons=None):
                 add_trans(p2, repl[0], q, (tid, edge))
             else:
                 beta, below = repl
-                mid = ("mid", p2, beta)
+                mid = (p2, beta)
                 add_trans(p2, beta, mid, (None, (mid, below, q)))
                 add_trans(mid, below, q, (tid, edge))
 
-    pairs = []
-    seen = set()
-    for p, gamma, _ in trans:
-        if isinstance(p, tuple) and len(p) == 3 \
-                and is_abstract_control(net, p) and (p, gamma) not in seen:
-            seen.add((p, gamma))
-            pairs.append((p, gamma))
-    return pairs
-
-
-def _loop_controls(net, Q):
-    """All abstract controls sharing the populated set Q, paired with the
-    seen-accepting bit."""
-    stores = [UNINIT] + sorted(net.values)
-    out = []
-    for d in sorted(net.leader.states, key=repr):
-        for g in stores:
-            for b in (0, 1):
-                out.append(((d, g, Q), b))
-    return out
+    return list(dict.fromkeys((p, gamma) for p, gamma, _ in trans
+                              if len(p) == 3))
 
 
 def leader_move_table(net):
@@ -176,59 +158,95 @@ def leader_move_table(net):
 
 
 def loop_rules(net, Q, leader_moves):
-    """The loop automaton's rule table at Q: for each (state, top), the
-    abstract rules that keep Q fixed, as (tid, state', replacement), with
-    the sticky accepting bit folded into the state.  The leader's moves come
-    first, then the contributors', each in tid order, as in abstract_moves.
-    leader_moves is leader_move_table(net); the contributor moves that keep Q
-    depend only on the store."""
+    """The loop automaton's rules at Q, on demand: a function from a node
+    (state, top) to the abstract rules there that keep Q fixed, as (tid,
+    state', replacement), with the sticky accepting bit folded into the
+    state.  The leader's moves come first, then the contributors', each in
+    tid order, as in abstract_moves.  leader_moves is
+    leader_move_table(net); the contributor moves that keep Q depend only
+    on the store."""
     accepting = net.leader.accepting
-    stores = [UNINIT] + sorted(net.values)
     kept = [t for t in net.contributor_transitions
             if t.src in Q and t.dst in Q]
     contributor = {g: [(t.tid, g2) for t in kept
                        if (g2 := register_step(t.action, g)) is not None]
-                   for g in stores}
-    rules = {}
-    for s in _loop_controls(net, Q):
-        (d, g, _), b = s
+                   for g in [UNINIT] + sorted(net.values)}
+
+    def rules_at(node):
+        ((d, g, _), b), top = node
         stay = 1 if d in accepting else b    # contributor moves keep d
-        for top in net.leader.stack_alphabet:
-            out = [(tid, ((d2, g2, Q), 1 if d2 in accepting else b), repl)
-                   for tid, d2, g2, repl in leader_moves.get((d, g, top), ())]
-            out += [(tid, ((d, g2, Q), stay), (top,))
-                    for tid, g2 in contributor[g]]
-            rules[(s, top)] = out
-    return rules
+        out = [(tid, ((d2, g2, Q), 1 if d2 in accepting else b), repl)
+               for tid, d2, g2, repl in leader_moves.get((d, g, top), ())]
+        out += [(tid, ((d, g2, Q), stay), (top,))
+                for tid, g2 in contributor[g]]
+        return out
+    return rules_at
 
 
-def pop_relation(rules):
-    """Least set of triples (s, gamma, s') such that the loop automaton with
-    the rule table rules (loop_rules) can go from s with [gamma] to s' with
-    the gamma popped.
+def pop_relation(rules_at, starts):
+    """The rules of the loop automaton that the start nodes demand, and the
+    least set of triples (s, gamma, s') over them such that the automaton
+    can go from s with [gamma] to s' with the gamma popped.
 
-    Worklist saturation (Schwoon, Model-Checking Pushdown Systems, 2002).
-    Pop rules seed the triples, and each new triple (a, g, x) wakes only the
-    rules waiting on (a, g): a neutral rule that moves to a with g on top, a
-    push rule that moves to a and pushes g, and a push rule whose pushed
-    symbol has been popped again at a, waiting to pop the g it left below.
+    A node (state, top) is demanded when it is a start, when a neutral or
+    push rule of a demanded node moves to it, or when a triple (s2, beta,
+    x) pops the symbol that a push of beta over gamma put on top, exposing
+    (x, gamma).  These are the nodes that the starts reach in the graph of
+    loop_automaton, and a node's triples depend only on the nodes it
+    reaches, so they are the ones the whole automaton has.  rules_at
+    (loop_rules) gives a node's rules when it is first demanded.
 
-    The set is a dict in the order in which the worklist finds the
-    triples, so the loop grammar's productions keep one fixed order.
+    Worklist saturation (Schwoon, Model-Checking Pushdown Systems, 2002),
+    driven by demand as the summaries of Reps, Horwitz and Sagiv (POPL
+    1995).  Pop rules seed the triples, and each new triple (a, g, x) wakes
+    only the rules waiting on (a, g): a neutral rule that moves to a with g
+    on top, a push rule that moves to a and pushes g, and a push rule
+    whose pushed symbol has been popped again at a, waiting to pop the g it
+    left below.  A rule that starts waiting on a node whose triples are
+    already known fires for them at once.
+
+    Returns the rules as a dict from node to rules in the order the nodes
+    were demanded, and the triples as a dict in the order found.
     """
+    rules = {}
+    todo = []         # demanded nodes whose rules do not wait yet
     work = []
     first = {}        # (a, g) -> [(s, gamma, below or None if neutral)]
     second = {}       # (x, below) -> [(s, gamma)] waiting for (x, below, y)
-    for (s, gamma), rs in rules.items():
-        for _, s2, repl in rs:
-            if repl == ():
-                work.append((s, gamma, s2))
-            else:
-                below = repl[1] if len(repl) == 2 else None
-                first.setdefault((s2, repl[0]), []).append((s, gamma, below))
     found = {}
     after = {}        # (a, g) -> [x] in the order found
-    while work:
+
+    def demand(node):
+        if node not in rules:
+            rules[node] = rules_at(node)
+            todo.append(node)
+
+    def pop_below(s, gamma, x, below):
+        """The symbol a push at (s, gamma) put on top is popped at x: wait
+        for (x, below) to pop the symbol left below it."""
+        demand((x, below))
+        work.extend((s, gamma, y) for y in after.get((x, below), ()))
+        second.setdefault((x, below), []).append((s, gamma))
+
+    for node in starts:
+        demand(node)
+    while todo or work:
+        if todo:
+            s, gamma = todo.pop()
+            for _, s2, repl in rules[(s, gamma)]:
+                if repl == ():
+                    work.append((s, gamma, s2))
+                    continue
+                below = repl[1] if len(repl) == 2 else None
+                target = (s2, repl[0])
+                demand(target)
+                first.setdefault(target, []).append((s, gamma, below))
+                for x in after.get(target, ()):
+                    if below is None:
+                        work.append((s, gamma, x))
+                    else:
+                        pop_below(s, gamma, x, below)
+            continue
         triple = work.pop()
         if triple in found:
             continue
@@ -240,28 +258,41 @@ def pop_relation(rules):
         for s, gamma, below in first.get((a, g), ()):
             if below is None:
                 work.append((s, gamma, x))
-                continue
-            work += [(s, gamma, y) for y in after.get((x, below), ())]
-            second.setdefault((x, below), []).append((s, gamma))
-    return found
+            else:
+                pop_below(s, gamma, x, below)
+    return rules, found
 
 
-def loop_automaton(net, Q, leader_moves):
-    """The loop automaton at the populated set Q, which is all it depends
-    on: its rule table by (state, top) (loop_rules, with leader_moves from
-    leader_move_table), its pop relation as an index (s, gamma) -> [s'] in
-    the order pop_relation finds the triples, and its reachability graph.
+def _table_order(state):
+    """Sort key of loop-automaton states in the order in which a whole rule
+    table over Q would list them: leader state by repr, store (UNINIT
+    first), then accepting bit.  Its nodes (state, top) follow with the
+    top in stack-alphabet order."""
+    (d, g, _), b = state
+    return repr(d), g != UNINIT, g, b
+
+
+def loop_automaton(net, Q, leader_moves, starts):
+    """The part of the loop automaton at the populated set Q that the start
+    nodes reach: its rule table by (state, top) node (loop_rules, with
+    leader_moves from leader_move_table), its pop relation as an index
+    (s, gamma) -> [s'], and its reachability graph, all from one
+    pop_relation call.  The index lists each s' in table order
+    (_table_order), so it does not depend on which starts were given.
 
     The graph's nodes are (state, top) pairs, and it has an edge wherever a
     loop grammar has a production ("R", node) -> ... ("R", node') that ends
     in node': a neutral rule moves to (s', top), and a push of beta with
     gamma below moves to (s', beta) and, for each x in the index at
-    (s', beta), to (x, gamma).  Pops add no edge.
+    (s', beta), to (x, gamma).  Pops add no edge.  Every successor is a
+    demanded node, so the graph is closed.
     """
-    rules = loop_rules(net, Q, leader_moves)
+    rules, found = pop_relation(loop_rules(net, Q, leader_moves), starts)
     after = {}
-    for s, gamma, s2 in pop_relation(rules):
+    for s, gamma, s2 in found:
         after.setdefault((s, gamma), []).append(s2)
+    for xs in after.values():
+        xs.sort(key=_table_order)
     graph = {}
     for node, rs in rules.items():
         succ = graph[node] = []
@@ -275,15 +306,17 @@ def loop_automaton(net, Q, leader_moves):
     return rules, after, graph
 
 
-def _loop_ends(net, pivot_control):
-    """The loop automaton's start and accept states at a pivot control."""
+def _loop_ends(net, pivot_control, pivot_symbol):
+    """The loop automaton's start and accept nodes at a pivot."""
     bit = 1 if accepting_control(net, pivot_control) else 0
-    return (pivot_control, bit), (pivot_control, 1)
+    return ((pivot_control, bit), pivot_symbol), \
+        ((pivot_control, 1), pivot_symbol)
 
 
 def loop_nonempty(net, automaton, pivot_control, pivot_symbol):
     """Whether the pivot's loop grammar derives a word, by a search of the
-    loop automaton's graph, without building the grammar.
+    loop automaton's graph, without building the grammar.  The automaton
+    must have the pivot's start node among its starts.
 
     The productive "T" symbols of a loop grammar are exactly the triples of
     the pop relation, so an ("R", s, gamma) symbol is productive exactly
@@ -293,13 +326,12 @@ def loop_nonempty(net, automaton, pivot_control, pivot_symbol):
     state, pivot symbol), which it is when the two are equal.
     """
     _, _, moves = automaton
-    start_state, accept_state = _loop_ends(net, pivot_control)
-    accept = (accept_state, pivot_symbol)
+    start, accept = _loop_ends(net, pivot_control, pivot_symbol)
     return any(node == accept for node, _ in
-               graph.bfs((start_state, pivot_symbol), moves.__getitem__))
+               graph.bfs(start, moves.__getitem__))
 
 
-def build_loop_grammar(net, pivot_control, pivot_symbol, automata=None):
+def build_loop_grammar(net, pivot_control, pivot_symbol, automaton=None):
     """Grammar of the loop-run words at the given pivot.
 
     Nonterminals: ("T", s, gamma, s') for balanced segments that pop gamma,
@@ -308,28 +340,34 @@ def build_loop_grammar(net, pivot_control, pivot_symbol, automata=None):
     symbol on top).  The pivot symbol at the bottom is never popped, so "never
     below the floor" holds by construction.
 
-    The loop automaton depends only on Q = pivot_control[2]; automata, a dict
-    from Q to loop_automaton(net, Q, ...), lets pivots that share a Q share
-    it.  Without it the automaton is built afresh.  Productions come out of
-    the pop-relation index, one per rule and per matching triple.
-    check_pdm_fsm first decides each pivot by reachability on the
-    automaton's graph (loop_nonempty) and builds the grammar only for the
-    pivots whose grammar derives a word.
+    automaton is a loop_automaton of the pivot's Q with the pivot's start
+    node among its starts; check_pdm_fsm builds one per Q and shares it
+    among the pivots with that Q.  Without it one is built from this start
+    alone.  Only the nodes that the start reaches in the automaton's graph
+    get productions, one per rule and per matching triple of the index,
+    and the nodes come in table order (_table_order), so a shared and a
+    fresh automaton give the same grammar.  Nonterminals are listed in the
+    order of their first production, then the ones with none.
+    check_pdm_fsm first decides each pivot by reachability on the graph
+    (loop_nonempty) and builds the grammar only for the pivots whose
+    grammar derives a word.
     """
-    Q = pivot_control[2]
-    if automata is None:
-        automata = {}
-    if Q not in automata:
-        automata[Q] = loop_automaton(net, Q, leader_move_table(net))
-    rules, after, _ = automata[Q]
-
-    start_state, accept_state = _loop_ends(net, pivot_control)
+    start, accept = _loop_ends(net, pivot_control, pivot_symbol)
+    if automaton is None:
+        automaton = loop_automaton(net, pivot_control[2],
+                                   leader_move_table(net), [start])
+    rules, after, moves = automaton
+    tops = net.leader.stack_alphabet
+    reached = sorted((node for node, _ in graph.bfs(start, moves.__getitem__)),
+                     key=lambda node: (_table_order(node[0]),
+                                       tops.index(node[1])))
     prods = []
-    for (s, gamma), rs in rules.items():
+    for node in reached:
+        s, gamma = node
         R = ("R", s, gamma)
-        if s == accept_state and gamma == pivot_symbol:
+        if node == accept:
             prods.append((R, ()))
-        for tid, s2, repl in rs:
+        for tid, s2, repl in rules[node]:
             if repl == ():
                 prods.append((("T", s, gamma, s2), (tid,)))
             elif len(repl) == 1:
@@ -346,18 +384,12 @@ def build_loop_grammar(net, pivot_control, pivot_symbol, automata=None):
                     for y in after.get((x, below), ()):
                         prods.append((("T", s, gamma, y),
                                       (tid, T1, ("T", x, below, y))))
-    nts = []
-    seen = set()
-    for lhs, rhs in prods:
-        for sym in (lhs,) + tuple(r for r in rhs if isinstance(r, tuple)):
-            if sym not in seen:
-                seen.add(sym)
-                nts.append(sym)
-    start = ("R", start_state, pivot_symbol)
-    if start not in seen:
-        nts.append(start)
+    nts = dict.fromkeys(lhs for lhs, _ in prods)
+    nts.update(dict.fromkeys(sym for _, rhs in prods for sym in rhs
+                             if isinstance(sym, tuple)))
+    nts.setdefault(("R", *start))
     tids = tuple(t.tid for t in net.leader_transitions + net.contributor_transitions)
-    return parikh.Grammar(tuple(nts), tids, start, tuple(prods))
+    return parikh.Grammar(tuple(nts), tids, ("R", *start), tuple(prods))
 
 
 #: the number of loop words in a row that a loop_system model counts
@@ -538,16 +570,20 @@ def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
     pairs = post_star(net, budget, reasons)
     stats["pivots"] = len(pairs)
     leader_moves = leader_move_table(net)
+    starts = {}               # Q -> the start nodes of its pivots
+    for control, gamma in pairs:
+        starts.setdefault(control[2], []).append(
+            _loop_ends(net, control, gamma)[0])
     automata = {}             # Q -> its loop automaton, for this check
     for control, gamma in pairs:
         stats["pivots_checked"] += 1
         Q = control[2]
         if Q not in automata:
-            automata[Q] = loop_automaton(net, Q, leader_moves)
+            automata[Q] = loop_automaton(net, Q, leader_moves, starts[Q])
         if not loop_nonempty(net, automata[Q], control, gamma):
             continue
         grammar = parikh.reduce_grammar(
-            build_loop_grammar(net, control, gamma, automata))
+            build_loop_grammar(net, control, gamma, automata[Q]))
         system = loop_system(net, grammar)
         stats["solves"] += 1
         model = parikh.solve(system)

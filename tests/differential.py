@@ -1,4 +1,4 @@
-"""Differential set: `paramck check --json` on 794 seeded nets.
+"""Differential set: `paramck check --json` on 1,394 seeded nets.
 
 Run from the root of a checkout, with PYTHONHASHSEED=0 so that set
 iteration orders repeat:
@@ -16,7 +16,11 @@ identical.  The nets, in this order:
     one-state property that accepts every leader action;
   - 400 perfbench.corpus.fsm_random draws from one Random(7) with
     randint(3, 6) leader, randint(2, 4) contributor states and
-    randint(2, 3) values, named draw000 ... draw399.
+    randint(2, 3) values, named draw000 ... draw399;
+  - 300 random_pdm_leader_network, 100 random_pdm_pdm_network and 200
+    random_deep_pdm_network fixture nets from one Random(99), named
+    pdm99/pdmfsm000 ... pdm99/deep599 and written like the fixture nets
+    above.
 
 pytest does not collect this file (no test_ prefix).
 """
@@ -52,11 +56,10 @@ def bench_nets():
                      for m in (inst.leader, inst.contributor, inst.prop)))
 
 
-def fixture_nets():
-    rng = random.Random(2024)
-    makers = ([("fsm", fixtures.random_fsm_network)] * 200
-              + [("pdmfsm", fixtures.random_pdm_leader_network)] * 40
-              + [("pdmpdm", fixtures.random_pdm_pdm_network)] * 40)
+def written_nets(rng, makers):
+    """(name, leader, contributor, property) texts of one net per
+    (prefix, maker), each with a one-state property that accepts every
+    leader action."""
     for i, (prefix, make) in enumerate(makers):
         net = make(rng)
         values = sorted(net.values)
@@ -66,6 +69,21 @@ def fixture_nets():
                           for v in values for op in "rw")])
         yield (f"{prefix}{i:03d}", print_machine(net.leader, values),
                print_machine(net.contributor, values), prop)
+
+
+def fixture_nets():
+    return written_nets(random.Random(2024),
+                        [("fsm", fixtures.random_fsm_network)] * 200
+                        + [("pdmfsm", fixtures.random_pdm_leader_network)] * 40
+                        + [("pdmpdm", fixtures.random_pdm_pdm_network)] * 40)
+
+
+def pdm_nets():
+    return written_nets(
+        random.Random(99),
+        [("pdm99/pdmfsm", fixtures.random_pdm_leader_network)] * 300
+        + [("pdm99/pdmpdm", fixtures.random_pdm_pdm_network)] * 100
+        + [("pdm99/deep", fixtures.random_deep_pdm_network)] * 200)
 
 
 def draw_nets():
@@ -100,7 +118,8 @@ def run(name, texts, directory):
 def main():
     print(f"paramck from {os.path.dirname(cli.__file__)}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as directory:
-        for net in (*bench_nets(), *fixture_nets(), *draw_nets()):
+        for net in (*bench_nets(), *fixture_nets(), *draw_nets(),
+                    *pdm_nets()):
             print(json.dumps(run(net[0], net[1:], directory)), flush=True)
 
 

@@ -185,6 +185,28 @@ def random_pdm_pdm_network(rng):
                         random_pdm_contributor(rng, values))
 
 
+def random_deep_pdm_network(rng):
+    """A PDM leader with three states, two pushable symbols and up to ten
+    rules, so that pops nest several symbols deep, with a random FSM
+    contributor."""
+    values = ["1", "2"]
+    states = ["p0", "p1", "p2"]
+    stack = ("Z", "A", "B")
+    rules = []
+    for _ in range(rng.randint(5, 10)):
+        top = rng.choice(stack)
+        effect = rng.choice([("push", "A"), ("push", "B"), ("pop",)])
+        if top == "Z":
+            effect = ("push", rng.choice(stack[1:]))
+        rules.append(PdmRule(rng.choice(states),
+                             la(rng.choice(["read", "write"]),
+                                rng.choice(values)),
+                             top, rng.choice(states), effect))
+    leader = Pdm(frozenset(states), stack, "p0", tuple(rules),
+                 frozenset(rng.sample(states, rng.randint(1, 3))))
+    return make_network(values, leader, random_fsm_contributor(rng, values))
+
+
 def random_small_pdm(rng, max_states=3, max_symbols=2):
     """A bare PDM (contributor role) for restriction tests."""
     values = ["1", "2"]

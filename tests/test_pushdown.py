@@ -6,7 +6,7 @@ import pytest
 from paramck.api import run_check
 from paramck.machines import (EXPLORE_BUDGET, BudgetExceeded, Fsm, Pdm,
                               PdmRule, UNINIT, buchi_product, make_network)
-from paramck.pushdown import (_loop_controls, abstract_pdm_rules,
+from paramck.pushdown import (_loop_ends, abstract_pdm_rules,
                               accepting_control, build_loop_grammar,
                               check_pdm_fsm, derive_word, find_stem,
                               initial_control, leader_move_table,
@@ -14,9 +14,9 @@ from paramck.pushdown import (_loop_controls, abstract_pdm_rules,
                               pop_relation, post_star)
 from paramck.explicit import check_explicit, replay
 from paramck.reduction import restrict_network
-from paramck import parikh, pushdown
+from paramck import graph, parikh, pushdown
 import integer_oracle
-from fixtures import (la, ca, random_fsm_contributor,
+from fixtures import (la, ca, random_deep_pdm_network,
                       random_pdm_leader_network, random_pdm_pdm_network)
 from test_trace import push_pop_network
 
@@ -63,15 +63,45 @@ def test_post_star_finds_deep_tops():
     assert pairs[0] == (initial_control(net), "Z")
 
 
+def loop_controls(net, Q):
+    """All abstract controls sharing the populated set Q, paired with the
+    seen-accepting bit, in the order of the whole rule table."""
+    stores = [UNINIT] + sorted(net.values)
+    out = []
+    for d in sorted(net.leader.states, key=repr):
+        for g in stores:
+            for b in (0, 1):
+                out.append(((d, g, Q), b))
+    return out
+
+
+def table_nodes(net, Q):
+    """Every node (state, top) of the loop automaton at Q, in table order."""
+    return [(s, gamma) for s in loop_controls(net, Q)
+            for gamma in net.leader.stack_alphabet]
+
+
+def full_rule_table(net, Q, leader_moves):
+    """loop_rules over every node of the table, as a dict."""
+    rules_at = loop_rules(net, Q, leader_moves)
+    return {node: rules_at(node) for node in table_nodes(net, Q)}
+
+
 def test_pop_relation_on_loop_automaton():
     net = counter_network()
     Q = frozenset(["q0", "q1"])
-    P = pop_relation(loop_rules(net, Q, leader_move_table(net)))
+    rules_at = loop_rules(net, Q, leader_move_table(net))
+    _, P = pop_relation(rules_at, table_nodes(net, Q))
     # an A pushed at d1 can be popped again at d1 (read 1 up, read 2 down)
     assert any(s[0][0] == "d1" and gamma == "A" and s2[0][0] == "d1"
                for s, gamma, s2 in P)
     # nothing can pop the bottom symbol: no rule pops Z
     assert not any(gamma == "Z" for _, gamma, _ in P)
+    # from one start only the nodes it reaches are built: the store is
+    # never uninitialized again
+    rules, P = pop_relation(rules_at, [((("d1", "1", Q), 0), "A")])
+    assert set(P) < set(pop_relation(rules_at, table_nodes(net, Q))[1])
+    assert {g for ((_, g, _), _), _ in rules} == {"1", "2"}
 
 
 def naive_loop_rules(net, state, top):
@@ -90,8 +120,7 @@ def naive_loop_rules(net, state, top):
 
 def naive_rule_table(net, Q):
     return {(s, gamma): naive_loop_rules(net, s, gamma)
-            for s in _loop_controls(net, Q)
-            for gamma in net.leader.stack_alphabet}
+            for s, gamma in table_nodes(net, Q)}
 
 
 def naive_pop_relation(rules):
@@ -120,28 +149,6 @@ def naive_pop_relation(rules):
     return P
 
 
-def random_deep_pdm_network(rng):
-    """A PDM leader with three states, two pushable symbols and up to ten
-    rules, so that pops nest several symbols deep, with a random FSM
-    contributor."""
-    values = ["1", "2"]
-    states = ["p0", "p1", "p2"]
-    stack = ("Z", "A", "B")
-    rules = []
-    for _ in range(rng.randint(5, 10)):
-        top = rng.choice(stack)
-        effect = rng.choice([("push", "A"), ("push", "B"), ("pop",)])
-        if top == "Z":
-            effect = ("push", rng.choice(stack[1:]))
-        rules.append(PdmRule(rng.choice(states),
-                             la(rng.choice(["read", "write"]),
-                                rng.choice(values)),
-                             top, rng.choice(states), effect))
-    leader = Pdm(frozenset(states), stack, "p0", tuple(rules),
-                 frozenset(rng.sample(states, rng.randint(1, 3))))
-    return make_network(values, leader, random_fsm_contributor(rng, values))
-
-
 def pivot_qs(net):
     return list(dict.fromkeys(control[2] for control, _ in post_star(net)))
 
@@ -158,29 +165,116 @@ def loop_test_nets():
     return nets
 
 
+def pivot_starts(net, pairs):
+    """The start nodes of the pivots pairs, grouped by Q in post*'s order,
+    as check_pdm_fsm gives them to loop_automaton."""
+    starts = {}
+    for control, gamma in pairs:
+        starts.setdefault(control[2], []).append(
+            _loop_ends(net, control, gamma)[0])
+    return starts
+
+
+def pivot_automata(net, pairs):
+    """The loop automata check_pdm_fsm builds for the pivots pairs: one per
+    Q, from the start nodes of all its pivots."""
+    leader_moves = leader_move_table(net)
+    return {Q: loop_automaton(net, Q, leader_moves, starts)
+            for Q, starts in pivot_starts(net, pairs).items()}
+
+
 def test_pop_relation_agrees_with_naive_fixpoint():
+    # demanded from every node, the pop relation is the whole table's
     triples = 0
     for net in loop_test_nets():
         leader_moves = leader_move_table(net)
         for Q in pivot_qs(net):
-            rules = loop_rules(net, Q, leader_moves)
+            rules = full_rule_table(net, Q, leader_moves)
             # the same rules in the same order as the step kernel gives
             assert rules == naive_rule_table(net, Q)
-            P = pop_relation(rules)
+            demanded, P = pop_relation(loop_rules(net, Q, leader_moves),
+                                       list(rules))
+            assert demanded == rules
             P0 = naive_pop_relation(rules)
             assert set(P) == set(P0)
             triples += len(P)
     assert triples > 500
 
 
+def whole_graph(rules, P):
+    """loop_automaton's graph over a whole rule table and its pop
+    relation."""
+    after = {}
+    for s, gamma, x in P:
+        after.setdefault((s, gamma), []).append(x)
+    graph = {}
+    for node, rs in rules.items():
+        succ = graph[node] = []
+        for _, s2, repl in rs:
+            if repl:
+                succ.append((s2, repl[0]))
+            if len(repl) == 2:
+                succ += [(x, repl[1]) for x in after.get((s2, repl[0]), ())]
+    return graph
+
+
+def whole_table_grammar(net, control, gamma):
+    """The loop grammar with the productions of every node of the whole
+    rule table at the pivot's Q, from the naive fixpoint, each index list
+    in table order: build_loop_grammar given an automaton whose graph
+    leads from every node to every node."""
+    Q = control[2]
+    rules = naive_rule_table(net, Q)
+    rank = {s: i for i, s in enumerate(loop_controls(net, Q))}
+    after = {}
+    for s, g, x in naive_pop_relation(rules):
+        after.setdefault((s, g), []).append(x)
+    for xs in after.values():
+        xs.sort(key=rank.__getitem__)
+    everywhere = {node: list(rules) for node in rules}
+    return build_loop_grammar(net, control, gamma, (rules, after, everywhere))
+
+
+def test_demand_driven_automata_agree_with_the_whole_table():
+    rng = random.Random(53)
+    nets = loop_test_nets() + [gf_product_network(rng) for _ in range(100)]
+    demanded = whole = passed = 0
+    for net in nets:
+        pairs = post_star(net)
+        leader_moves = leader_move_table(net)
+        for Q, starts in pivot_starts(net, pairs).items():
+            table = naive_rule_table(net, Q)
+            P0 = naive_pop_relation(table)
+            rules, P = pop_relation(loop_rules(net, Q, leader_moves), starts)
+            # the demanded nodes are what the starts reach in the whole
+            # table's graph, with the same rules and the same triples
+            moves = whole_graph(table, P0)
+            reached = {node for start in starts
+                       for node, _ in graph.bfs(start, moves.__getitem__)}
+            assert set(rules) == reached
+            assert all(rules[node] == table[node] for node in rules)
+            assert set(P) == {t for t in P0 if t[:2] in reached}
+            demanded += len(rules)
+            whole += len(table)
+        automata = pivot_automata(net, pairs)
+        for control, gamma in pairs:
+            automaton = automata[control[2]]
+            if loop_nonempty(net, automaton, control, gamma):
+                grammar = parikh.reduce_grammar(
+                    build_loop_grammar(net, control, gamma, automaton))
+                assert grammar == parikh.reduce_grammar(
+                    whole_table_grammar(net, control, gamma))
+                passed += 1
+    assert passed >= 150 and 10 * demanded < whole
+
+
 def test_check_builds_one_loop_automaton_per_q(monkeypatch):
     calls = []
     original = pushdown.pop_relation
 
-    def counting(rules):
-        (state, _), *_ = rules
-        calls.append(state[0][2])
-        return original(rules)
+    def counting(rules_at, starts):
+        calls.append((starts[0][0][0][2], starts))
+        return original(rules_at, starts)
 
     monkeypatch.setattr(pushdown, "pop_relation", counting)
     rng = random.Random(88)
@@ -189,9 +283,12 @@ def test_check_builds_one_loop_automaton_per_q(monkeypatch):
         net = random_pdm_leader_network(rng)
         calls.clear()
         v = check_pdm_fsm(net)
-        checked = post_star(net)[:v.stats["pivots_checked"]]
+        pairs = post_star(net)
+        checked = pairs[:v.stats["pivots_checked"]]
         qs = list(dict.fromkeys(control[2] for control, _ in checked))
-        assert calls == qs
+        # one call per Q, with the start nodes of all of its pivots
+        starts = pivot_starts(net, pairs)
+        assert calls == [(Q, starts[Q]) for Q in qs]
         shared += len(checked) - len(qs)
     assert shared > 0
 
@@ -216,15 +313,13 @@ def test_reachability_decides_the_reduced_grammar():
     nets = loop_test_nets() + [gf_product_network(rng) for _ in range(100)]
     verdicts = Counter()
     for net in nets:
-        leader_moves = leader_move_table(net)
-        automata = {}
-        for control, gamma in post_star(net):
-            Q = control[2]
-            if Q not in automata:
-                automata[Q] = loop_automaton(net, Q, leader_moves)
+        pairs = post_star(net)
+        automata = pivot_automata(net, pairs)
+        for control, gamma in pairs:
+            automaton = automata[control[2]]
             grammar = parikh.reduce_grammar(
-                build_loop_grammar(net, control, gamma, automata))
-            found = loop_nonempty(net, automata[Q], control, gamma)
+                build_loop_grammar(net, control, gamma, automaton))
+            found = loop_nonempty(net, automaton, control, gamma)
             assert found == (grammar.start in grammar.nonterminals)
             # an accepting pivot control starts with its bit set: the start
             # node is the accept node, and the empty loop is in the grammar
@@ -253,9 +348,9 @@ def test_check_builds_grammars_only_for_pivots_that_pass(monkeypatch):
     built = []
     original = pushdown.build_loop_grammar
 
-    def counting(net, control, gamma, automata=None):
+    def counting(net, control, gamma, automaton=None):
         built.append((control, gamma))
-        return original(net, control, gamma, automata)
+        return original(net, control, gamma, automaton)
 
     monkeypatch.setattr(pushdown, "build_loop_grammar", counting)
     net = unreachable_accepting_network()
@@ -271,9 +366,9 @@ def test_check_builds_grammars_only_for_pivots_that_pass(monkeypatch):
         leader_moves = leader_move_table(net)
         checked = post_star(net)[:v.stats["pivots_checked"]]
         passing = [(control, gamma) for control, gamma in checked
-                   if loop_nonempty(net, loop_automaton(net, control[2],
-                                                        leader_moves),
-                                    control, gamma)]
+                   if loop_nonempty(net, loop_automaton(
+                       net, control[2], leader_moves,
+                       [_loop_ends(net, control, gamma)[0]]), control, gamma)]
         assert built == passing
         skipped += len(checked) - len(passing)
     assert skipped > 0
@@ -283,9 +378,11 @@ def test_shared_loop_automata_give_the_same_grammars():
     rng = random.Random(32)
     for _ in range(15):
         net = random_pdm_leader_network(rng)
-        automata = {}
-        for control, gamma in post_star(net):
-            assert build_loop_grammar(net, control, gamma, automata) == \
+        pairs = post_star(net)
+        automata = pivot_automata(net, pairs)
+        for control, gamma in pairs:
+            assert build_loop_grammar(net, control, gamma,
+                                      automata[control[2]]) == \
                 build_loop_grammar(net, control, gamma)
         assert list(automata) == pivot_qs(net)
 
@@ -498,6 +595,65 @@ def test_a_stem_past_the_budget_is_a_budget_verdict(monkeypatch):
     verdict, mode = run_check(net)
     assert (verdict.kind, mode) == ("BUDGET", "pdm-fsm")
     assert verdict.stats == {"reason": "stem longer than 4 moves"}
+
+
+def renamed_leader_state(net, old, new):
+    """net with the leader state old renamed to new."""
+    leader = net.leader
+
+    def name(d):
+        return new if d == old else d
+    rules = tuple(PdmRule(name(r.src), r.action, r.top, name(r.dst), r.effect)
+                  for r in leader.rules)
+    return make_network(net.values, Pdm(
+        frozenset(map(name, leader.states)), leader.stack_alphabet,
+        name(leader.initial), rules, frozenset(map(name, leader.accepting))),
+        net.contributor)
+
+
+def test_a_leader_state_named_mid_is_no_middle_state():
+    # post* once told controls from its middle states ("mid", control,
+    # symbol) by shape, so a leader state named mid made fake pivots
+    rng = random.Random(5)
+    kinds = Counter()
+    for _ in range(300):
+        net = random_deep_pdm_network(rng)
+        verdict, _ = run_check(net)
+        again, _ = run_check(renamed_leader_state(net, "p1", "mid"))
+        assert (again.kind, again.stats) == (verdict.kind, verdict.stats)
+        kinds[verdict.kind] += 1
+    assert kinds["EMPTY"] > 50 and kinds["NONEMPTY"] > 50
+
+
+def test_long_loop_builds_only_what_its_pivots_reach(monkeypatch, tmp_path):
+    # counts, not wall clock: with the whole rule table, each loop
+    # automaton of this check had 5,760 nodes and its grammar 19,089
+    # productions, of which 3 survive reduction
+    from perfbench.corpus import long_loop, write_corpus
+    from perfbench.worker import load_network
+    n = 240
+    inst = long_loop(random.Random("pushdown:loop"), "loop", n)
+    (_, *files), = write_corpus([inst], str(tmp_path))
+    net = load_network(inst, files)
+    nodes, productions = [], []
+    automaton, grammar = pushdown.loop_automaton, pushdown.build_loop_grammar
+
+    def counting_automaton(*args):
+        rules, after, moves = automaton(*args)
+        nodes.append(len(rules))
+        return rules, after, moves
+
+    def counting_grammar(*args):
+        g = grammar(*args)
+        productions.append(len(g.productions))
+        return g
+
+    monkeypatch.setattr(pushdown, "loop_automaton", counting_automaton)
+    monkeypatch.setattr(pushdown, "build_loop_grammar", counting_grammar)
+    verdict, _ = run_check(net)
+    assert verdict.kind == "NONEMPTY"
+    assert 0 < sum(nodes) <= 2 * (n + 2)
+    assert 0 < sum(productions) <= 1000
 
 
 def test_post_star_holds_at_most_budget_edges():

@@ -17,12 +17,11 @@ from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
 from paramck.explicit import replay
 from paramck.machines import EXPLORE_BUDGET
 from paramck.pushdown import (LOOPS, _build_witness, build_loop_grammar,
-                              check_pdm_fsm, leader_move_table,
-                              loop_automaton, loop_nonempty, loop_system,
+                              check_pdm_fsm, loop_nonempty, loop_system,
                               post_star)
 from fixtures import satisfies
 from test_cyclesearch import refinement_nets
-from test_pushdown import gf_product_network, loop_test_nets
+from test_pushdown import gf_product_network, loop_test_nets, pivot_automata
 
 
 def fsm_systems(nets):
@@ -43,16 +42,15 @@ def loop_grammars(nets):
     """(net, pivot, reduced loop grammar, post*'s reasons) at every pivot
     that passes loop_nonempty, as check_pdm_fsm builds them."""
     for net in nets:
-        leader_moves = leader_move_table(net)
-        automata = {}
         reasons = {}
-        for control, gamma in post_star(net, reasons=reasons):
-            Q = control[2]
-            if Q not in automata:
-                automata[Q] = loop_automaton(net, Q, leader_moves)
-            if loop_nonempty(net, automata[Q], control, gamma):
-                yield net, (control, gamma), parikh.reduce_grammar(
-                    build_loop_grammar(net, control, gamma, automata)), reasons
+        pairs = post_star(net, reasons=reasons)
+        automata = pivot_automata(net, pairs)
+        for control, gamma in pairs:
+            automaton = automata[control[2]]
+            if loop_nonempty(net, automaton, control, gamma):
+                grammar = build_loop_grammar(net, control, gamma, automaton)
+                yield (net, (control, gamma), parikh.reduce_grammar(grammar),
+                       reasons)
 
 
 def test_fixpoint_agrees_with_the_oracle_at_every_accepting_configuration():
