@@ -19,6 +19,7 @@ a restricted pushdown contributor carries statistics.window_bound (N).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -155,7 +156,10 @@ def _cmd_replay(args):
     return 1
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="paramck",
         description="Liveness checker for leader/contributor register networks")
@@ -180,8 +184,11 @@ def main(argv=None):
     p_replay.add_argument("--contributor", required=True)
     p_replay.add_argument("--property", required=True)
     p_replay.set_defaults(func=_cmd_replay)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as e:

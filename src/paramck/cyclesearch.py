@@ -42,18 +42,20 @@ from . import graph, parikh
 
 def build_cycle_fsa(reach, a):
     """Automaton over transition ids of the Q-preserving abstract moves
-    reachable from a, with a as initial and final state.  The moves are
-    read from the saturation's stored successors (reach.edges, in
-    abstract_moves order), keeping those with the same Q.
+    reachable from code a, with a as initial and final state.  The moves
+    are read from the saturation's stored successors (reach.edges, in
+    abstract_moves order), keeping those whose code has a's Q bits.
 
     A closed walk through a can only use edges of a's strongly connected
     component, so the automaton is trimmed to it up front; this keeps the
     realizability system small.  Every state is reachable from a, so the
     component is the set of states that reach a back.
     """
-    Q = a.Q
+    mask = reach.codec.q_mask
+    Q = a & mask
     moves = graph.explore(
-        a, lambda c: [(t.tid, c2) for t, c2 in reach.edges[c] if c2.Q == Q],
+        a, lambda c: [(t.tid, c2) for t, c2 in reach.edges[c]
+                      if c2 & mask == Q],
         math.inf, None)       # a part of reach, which the budget bounded
     preds = {}
     for c, succ in moves.edges.items():
@@ -197,10 +199,11 @@ def lasso(net, stem, Q, cycle, pivot=None):
 
 
 def concretize(net, reach, a, cycle):
-    """The concrete lasso witness of a cycle (transition ids) at accepting
-    configuration a: the stored abstract stem to a, then the cycle."""
+    """The concrete lasso witness of a cycle (transition ids) at the code a
+    of an accepting configuration: the stored abstract stem to a, then the
+    cycle."""
     stem = [t for _, t, _ in graph.path_to(reach.parent, a)]
-    return lasso(net, stem, a.Q, cycle)
+    return lasso(net, stem, reach.codec.decode(a).Q, cycle)
 
 
 def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
@@ -214,12 +217,14 @@ def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
     An abstract system of more than budget configurations raises
     BudgetExceeded, and a model that gives no witness InternalError."""
     reach = reachable_abstract(net, budget)
+    codec = reach.codec
     stats = {"abstract_configs": len(reach.order), "accepting_checked": 0,
              "solves": 0}
-    accepting = net.leader.accepting
-    parts = {}                # configuration -> its refined part, or None
+    accepting = [s in net.leader.accepting                # per code >> width
+                 for s in codec.leader_states for _ in codec.stores]
+    parts = {}                # code -> its refined part, or None
     for a in reach.order:
-        if a.leader_state not in accepting:
+        if not accepting[a >> codec.width]:
             continue
         stats["accepting_checked"] += 1
         fsa = None
@@ -249,7 +254,8 @@ def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
             status, err = replay(net, witness)
             if status == "valid":
                 return Verdict("NONEMPTY", witness, stats)
-        at = (a.leader_state, a.store, sorted(a.Q, key=repr))
+        c = codec.decode(a)
+        at = (c.leader_state, c.store, sorted(c.Q, key=repr))
         raise InternalError(
             f"could not concretize a feasible cycle at {at}: {err}")
     return Verdict("EMPTY", None, stats)

@@ -272,9 +272,15 @@ def buchi_product(prop, leader):
     """Product of a Buchi property automaton with the leader machine.
 
     Both run over the leader alphabet.  A product state is accepting iff its
-    property component is accepting; when the leader itself carries a Buchi
-    set, a one-bit phase counter degeneralizes the two acceptance sets so the
-    product accepts exactly the intersection of the two omega-languages.
+    property component is accepting (and, when the leader itself carries a
+    Buchi set, its phase is 0).  In that case a one-bit phase counter
+    degeneralizes the two acceptance sets: phase 0 turns to 1 on leaving a
+    property-accepting state, and back on leaving a leader-accepting one.
+    So the leader runs that take infinitely many actions are accepted iff
+    they are in both omega-languages.  A run in which the leader stops for
+    good, and only contributors move from then on, is accepted iff the
+    leader stops at an accepting product state, whether or not the leader
+    state is in the leader's own Buchi set.
     """
     if prop.accepting is None:
         raise ValueError("property automaton must have an accepting set")

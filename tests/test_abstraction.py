@@ -1,25 +1,45 @@
 import random
 
-from paramck.machines import UNINIT
-from paramck.abstraction import (AbstractConfig, initial_abstract,
+import pytest
+
+from paramck.machines import UNINIT, BudgetExceeded, Fsm, make_network
+from paramck.abstraction import (AbstractConfig, Codec, initial_abstract,
                                  reachable_abstract)
-from paramck.explicit import check_explicit, initial_config, successors
+from paramck.cyclesearch import build_cycle_fsa
+from paramck.explicit import initial_config, successors
 from paramck.graph import path_to
-from fixtures import ring_network, random_fsm_network
+import abstraction_oracle
+from fixtures import la, ca, ring_network, random_fsm_network
 
 
 def test_initial_abstract():
     net = ring_network()
     a = initial_abstract(net)
     assert a == AbstractConfig(net.leader.initial, UNINIT, frozenset(["A"]))
+    reach = reachable_abstract(net)
+    assert reach.codec.decode(reach.order[0]) == a
+
+
+def test_codes_round_trip():
+    net = ring_network()
+    reach = reachable_abstract(net)
+    codec = reach.codec
+    assert codec.contributor_states == tuple("ABCDEFG")
+    for code in reach.order:
+        a = codec.decode(code)
+        assert codec.encode(a) == code
+        assert code & codec.q_mask == sum(1 << "ABCDEFG".index(q)
+                                          for q in a.Q)
 
 
 def test_q_is_monotone_along_edges():
     net = ring_network()
     reach = reachable_abstract(net)
+    decode = reach.codec.decode
     for a in reach.order:
         for _, b in reach.edges[a]:
-            assert a.Q <= b.Q
+            assert decode(a).Q <= decode(b).Q
+            assert a & ~b & reach.codec.q_mask == 0
 
 
 def test_abstract_simulates_concrete():
@@ -29,9 +49,8 @@ def test_abstract_simulates_concrete():
     for _ in range(25):
         net = random_fsm_network(rng)
         reach = reachable_abstract(net)
-        abstract = {(a.leader_state, a.store): a.Q for a in reach.order}
         merged = {}
-        for a in reach.order:
+        for a in map(reach.codec.decode, reach.order):
             key = (a.leader_state, a.store)
             merged[key] = merged.get(key, frozenset()) | a.Q
         seen = {initial_config(net, 3)}
@@ -55,7 +74,7 @@ def test_stem_replays_to_its_target():
     reach = reachable_abstract(net)
     target = reach.order[-1]
     stem = path_to(reach.parent, target)
-    cur = initial_abstract(net)
+    cur = reach.order[0]
     for src, t, dst in stem:
         assert src == cur
         cur = dst
@@ -63,8 +82,69 @@ def test_stem_replays_to_its_target():
 
 
 def test_budget_propagates():
-    import pytest
-    from paramck.machines import BudgetExceeded
     net = ring_network()
     with pytest.raises(BudgetExceeded):
         reachable_abstract(net, budget=5)
+
+
+def chain_network(n):
+    """A contributor that walks a forward chain of n states, writing 1 and
+    2 in turn and reading 1 to go back to its start, and a leader that
+    reads 1 and 2 in turn: more contributor states than a machine word
+    has bits."""
+    states = [f"q{i}" for i in range(n)]
+    trans = [(states[i], ca("write", "12"[i % 2]), states[i + 1])
+             for i in range(n - 1)]
+    trans.append((states[-1], ca("read", "1"), states[0]))
+    contrib = Fsm(frozenset(states), "q0", tuple(trans))
+    leader = Fsm(frozenset(["p0", "p1"]), "p0",
+                 (("p0", la("read", "1"), "p1"),
+                  ("p1", la("read", "2"), "p0")), frozenset(["p1"]))
+    return make_network(["1", "2"], leader, contrib)
+
+
+def assert_decodes_to_the_oracle(net, anchors=None):
+    reach = reachable_abstract(net)
+    oracle = abstraction_oracle.reachable_abstract(net)
+    decode = reach.codec.decode
+    assert [decode(c) for c in reach.order] == oracle.order
+    assert list(reach.edges) == reach.order
+    assert [[(t, decode(c2)) for t, c2 in reach.edges[c]]
+            for c in reach.order] == [oracle.edges[a] for a in oracle.order]
+    assert [reach.parent[c] and (decode(reach.parent[c][0]),
+                                 reach.parent[c][1])
+            for c in reach.order] == [oracle.parent[a] for a in oracle.order]
+    for c in reach.order[::anchors or 1]:
+        fsa = build_cycle_fsa(reach, c)
+        expected = abstraction_oracle.build_cycle_fsa(oracle, decode(c))
+        assert fsa.initial == fsa.final == c
+        assert [decode(s) for s in fsa.states] == list(expected.states)
+        assert [(decode(s), lab, decode(d)) for s, lab, d in fsa.edges] \
+            == list(expected.edges)
+    return reach
+
+
+def test_codes_match_the_tuple_saturation():
+    rng = random.Random(15)
+    for _ in range(200):
+        assert_decodes_to_the_oracle(random_fsm_network(rng))
+
+
+def test_codes_past_64_contributor_states():
+    net = chain_network(70)
+    reach = assert_decodes_to_the_oracle(net, anchors=7)
+    assert reach.codec.width == 70
+    # the chain is sorted by repr, so bit 69 is q9, and some code has
+    # every contributor state populated
+    assert reach.codec.contributor_states[69] == "q9"
+    assert any(c & reach.codec.q_mask == reach.codec.q_mask
+               for c in reach.order)
+    assert max(reach.order) >= 1 << 70
+
+
+def test_codec_numbers_every_state():
+    net = ring_network()
+    codec = Codec(net)
+    assert codec.stores == (UNINIT, "1", "2", "3")
+    assert len(codec.leader_states) == len(net.leader.states)
+    assert codec.q_mask == (1 << 7) - 1

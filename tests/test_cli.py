@@ -584,3 +584,49 @@ def test_report_does_not_depend_on_the_hash_seed(tmp_path, net):
         outputs.append(proc.stdout)
     assert json.loads(outputs[0])["verdict"] == "NONEMPTY"
     assert outputs[0] == outputs[1]
+
+
+def test_successive_calls_match_separate_processes(tmp_path, capsys,
+                                                   monkeypatch):
+    # main builds its parser once per process; no option of one call may
+    # reach the next, so each call prints what a fresh process prints
+    monkeypatch.setenv("COLUMNS", "80")       # the help text's width
+    monkeypatch.delenv("PARAMCK_BUDGET", raising=False)
+    paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB, RING_PROP)
+    witness = str(tmp_path / "out.wit")
+    calls = [check_args(paths, "--json", "--witness", witness),
+             check_args(paths),
+             check_args(paths, "--mode", "explicit", "--contributors", "2",
+                        "--json"),
+             replay_args(paths, witness),
+             check_args(paths, "--mode", "fsm-fsm"),
+             check_args(paths, "--mode", "bogus"),
+             ["check", "--leader", paths["leader"]],
+             ["--help"],
+             check_args(paths, "--json")]
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    src = os.path.dirname(os.path.dirname(paramck.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+    def separate(argv):
+        proc = subprocess.run([sys.executable, "-m", "paramck.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    together = [in_process(argv) for argv in calls]
+    with open(witness, encoding="utf-8") as f:
+        written = f.read()
+    apart = [separate(argv) for argv in calls]
+    with open(witness, encoding="utf-8") as f:
+        assert f.read() == written
+    assert [code for code, _, _ in together] == [0, 0, 0, 0, 0, 2, 2, 0, 0]
+    assert together == apart

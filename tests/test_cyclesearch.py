@@ -18,13 +18,25 @@ from fixtures import la, ca, ring_network, stalled_network, \
     random_fsm_leader, random_fsm_network, random_pdm_contributor, satisfies
 
 
+def accepting_codes(net, reach):
+    """The codes of reach's accepting configurations, in discovery order."""
+    return [a for a in reach.order if reach.codec.decode(a).leader_state
+            in net.leader.accepting]
+
+
+def decoded_fsa(reach, fsa):
+    """The states and edges of a cycle automaton over codes, decoded."""
+    decode = reach.codec.decode
+    return (tuple(map(decode, fsa.states)),
+            tuple((decode(s), lab, decode(d)) for s, lab, d in fsa.edges))
+
+
 def full_q_accepting_config(net):
     reach = reachable_abstract(net)
     best = None
-    for a in reach.order:
-        if a.leader_state not in net.leader.accepting:
-            continue
-        if best is None or len(a.Q) > len(best.Q):
+    for a in accepting_codes(net, reach):
+        Q = reach.codec.decode(a).Q
+        if best is None or len(Q) > len(reach.codec.decode(best).Q):
             best = a
     return reach, best
 
@@ -59,7 +71,7 @@ def anchor_scc(net, a):
 def test_cycle_fsa_is_strongly_connected_on_ring():
     net = ring_network()
     reach, a = full_q_accepting_config(net)
-    assert a.Q == frozenset("ABCDEFG")
+    assert reach.codec.decode(a).Q == frozenset("ABCDEFG")
     fsa = build_cycle_fsa(reach, a)
     # anchored at a with only mutually reachable configurations kept
     assert fsa.initial == fsa.final == a
@@ -70,7 +82,7 @@ def test_cycle_fsa_is_strongly_connected_on_ring():
     g = networkx.DiGraph((src, dst) for src, _, dst in fsa.edges)
     for s in fsa.states:
         assert networkx.has_path(g, a, s) and networkx.has_path(g, s, a)
-    assert (fsa.states, fsa.edges) == anchor_scc(net, a)
+    assert decoded_fsa(reach, fsa) == anchor_scc(net, reach.codec.decode(a))
     # and on random nets, at every reachable configuration
     rng = random.Random(12)
     for _ in range(60):
@@ -78,7 +90,8 @@ def test_cycle_fsa_is_strongly_connected_on_ring():
         reach = reachable_abstract(net)
         for a in reach.order:
             fsa = build_cycle_fsa(reach, a)
-            assert (fsa.states, fsa.edges) == anchor_scc(net, a)
+            assert decoded_fsa(reach, fsa) == \
+                anchor_scc(net, reach.codec.decode(a))
 
 
 def test_fire_raises_assertion_when_no_contributor_can_move():
@@ -93,12 +106,13 @@ def test_fire_raises_assertion_when_no_contributor_can_move():
 def test_q_preserving_moves_keep_q():
     net = ring_network()
     reach = reachable_abstract(net)
+    Q = lambda c: reach.codec.decode(c).Q
     dropped = 0
     for a in reach.order:
         fsa = build_cycle_fsa(reach, a)
-        assert all(b.Q == a.Q for b in fsa.states)
+        assert all(Q(b) == Q(a) for b in fsa.states)
         # the saturation also stored moves that grow Q, which it drops
-        dropped += sum(b.Q != a.Q for c in fsa.states
+        dropped += sum(Q(b) != Q(a) for c in fsa.states
                        for _, b in reach.edges[c])
     assert dropped > 0
 
@@ -106,9 +120,7 @@ def test_q_preserving_moves_keep_q():
 def test_realizability_infeasible_for_stalled_net():
     net = stalled_network()
     reach = reachable_abstract(net)
-    for a in reach.order:
-        if a.leader_state not in net.leader.accepting:
-            continue
+    for a in accepting_codes(net, reach):
         fsa = build_cycle_fsa(reach, a)
         system = realizability_system(net, fsa)
         assert parikh.solve(system) is None
@@ -125,9 +137,7 @@ def test_row_leaving_the_anchor_is_implied():
         tids = [t.tid for t in net.leader_transitions
                 + net.contributor_transitions]
         reach = reachable_abstract(net)
-        for a in reach.order:
-            if a.leader_state not in net.leader.accepting:
-                continue
+        for a in accepting_codes(net, reach):
             fsa = build_cycle_fsa(reach, a)
             with_row = realizability_system(net, fsa)
             row_free = parikh.parikh_fsa(fsa, alphabet=tids).conjoin(
@@ -189,9 +199,7 @@ def per_configuration_oracle(net):
     accepting configuration, in discovery order."""
     reach = reachable_abstract(net)
     exhausted = False
-    for a in reach.order:
-        if a.leader_state not in net.leader.accepting:
-            continue
+    for a in accepting_codes(net, reach):
         fsa = build_cycle_fsa(reach, a)
         try:
             model = integer_oracle.solve(realizability_system(net, fsa))
@@ -244,9 +252,7 @@ def test_graph_decisions_agree_with_the_solver():
     dropped = walked = loops_only = 0
     for net in refinement_nets():
         reach = reachable_abstract(net)
-        for a in reach.order:
-            if a.leader_state not in net.leader.accepting:
-                continue
+        for a in accepting_codes(net, reach):
             part = refined_part(net, reach, a)
             system = realizability_system(net, build_cycle_fsa(reach, a))
             if part is None:
@@ -313,7 +319,7 @@ def test_refinement_runs_to_a_fixpoint(monkeypatch):
                    ("q1", ca("write", "3"), "q2")))
     net = make_network(["1", "2", "3"], leader, contrib)
     reach = reachable_abstract(net)
-    full = [a for a in reach.order if len(a.Q) == 3]
+    full = [a for a in reach.order if len(reach.codec.decode(a).Q) == 3]
     fsa = build_cycle_fsa(reach, full[0])
     assert set(fsa.states) == set(full)
     assert {lab for _, lab, _ in fsa.edges} == {"d1", "d2", "d3",

@@ -4,7 +4,8 @@ import pytest
 
 from paramck.machines import Fsm, Pdm, PdmRule, UNINIT, buchi_product, \
     make_network
-from paramck.explicit import (Witness, check_explicit, initial_config,
+from paramck.explicit import (Witness, _ReplayState, check_explicit,
+                              contributor_local_moves, initial_config,
                               replay, successors)
 from fixtures import (la, ca, ring_network, stalled_network,
                       random_fsm_network, random_pdm_leader_network)
@@ -114,3 +115,26 @@ def test_monotone_on_random_nets():
     rng = random.Random(1234)
     for _ in range(40):
         assert_monotone(random_fsm_network(rng), 2)
+
+
+def test_fire_takes_the_lowest_numbered_contributor():
+    # random runs of a 7-state ring contributor, mixing fire with apply by
+    # any contributor: fire must pick what a scan of all locals picks
+    net = ring_network()
+    rng = random.Random(3)
+    for k in (1, 2, 5, 9):
+        sim = _ReplayState(net, k)
+        for _ in range(300):
+            enabled = [(i, t) for t in net.contributor_transitions
+                       for i, local in enumerate(sim.locals, 1)
+                       if contributor_local_moves(net, t, local, sim.store)]
+            if not enabled:
+                break
+            i, t = rng.choice(enabled)
+            if rng.random() < 0.5:
+                assert sim.apply(i, t.tid) is None
+                continue
+            lowest = min(j for j, local in enumerate(sim.locals, 1)
+                         if local == t.src)
+            sim.fire(t)
+            assert sim.steps[-1] == (lowest, t.tid)

@@ -11,7 +11,7 @@ from scipy.optimize import OptimizeResult
 
 import integer_oracle
 from paramck import parikh
-from paramck.abstraction import reachable_abstract
+from paramck.abstraction import AbstractConfig, reachable_abstract
 from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
                                  contributor_flow_rows, realizability_system)
 from paramck.explicit import replay
@@ -29,7 +29,7 @@ def fsm_systems(nets):
     for net in nets:
         reach = reachable_abstract(net)
         for a in reach.order:
-            if a.leader_state in net.leader.accepting:
+            if reach.codec.decode(a).leader_state in net.leader.accepting:
                 yield realizability_system(net, build_cycle_fsa(reach, a))
 
 
@@ -160,8 +160,9 @@ def test_edge_order_does_not_change_the_work(monkeypatch, tmp_path):
     (_, *files), = write_corpus([inst], str(tmp_path))
     net = load_network(inst, files)
     reach = reachable_abstract(net)
-    a = next(c for c in reach.order if c.leader_state == ("s1", "p3")
-             and c.store == "2" and c.Q == {"q0", "q1", "q2", "q3"})
+    a = reach.codec.encode(AbstractConfig(
+        ("s1", "p3"), "2", frozenset({"q0", "q1", "q2", "q3"})))
+    assert a in reach.parent
     fsa = build_cycle_fsa(reach, a)
     first = next(c for c in reach.order if c in fsa.states)
     edges = build_cycle_fsa(reach, first).edges
