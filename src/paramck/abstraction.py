@@ -103,11 +103,11 @@ def reachable_abstract(net, budget=EXPLORE_BUDGET):
         key, Q = code >> n, code & q_mask
         moves = leader[key]
         if moves is None:
-            a = codec.decode(code)
+            s, g = divmod(key, stores)
             moves = leader[key] = [
                 (t, codec.encode(AbstractConfig(d, g2, no_q)))
                 for t, d, g2, _, _ in abstract_moves(
-                    net, a.leader_state, a.store, no_q)]
+                    net, codec.leader_states[s], codec.stores[g], no_q)]
         return [(t, base | Q) for t, base in moves] + \
             [(t, (code + shift) | dst)
              for t, src, dst, shift in contributor[key % stores] if Q & src]
