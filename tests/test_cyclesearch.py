@@ -106,13 +106,13 @@ def test_fire_raises_assertion_when_no_contributor_can_move():
 def test_q_preserving_moves_keep_q():
     net = ring_network()
     reach = reachable_abstract(net)
-    Q = lambda c: reach.codec.decode(c).Q
+    decode = reach.codec.decode
     dropped = 0
     for a in reach.order:
         fsa = build_cycle_fsa(reach, a)
-        assert all(Q(b) == Q(a) for b in fsa.states)
+        assert all(decode(b).Q == decode(a).Q for b in fsa.states)
         # the saturation also stored moves that grow Q, which it drops
-        dropped += sum(Q(b) != Q(a) for c in fsa.states
+        dropped += sum(decode(b).Q != decode(a).Q for c in fsa.states
                        for _, b in reach.edges[c])
     assert dropped > 0
 
