@@ -31,13 +31,25 @@ class AbstractConfig(NamedTuple):
 
 class Codec:
     """The numbering of a network's leader states, stores and contributor
-    states behind the integer codes of its abstract configurations."""
+    states behind the integer codes of its abstract configurations.
+
+    Each numbering takes what the network declares and what its transitions
+    name, so a network built without validation still has a code for every
+    configuration its moves reach."""
 
     def __init__(self, net):
-        self.leader_states = tuple(sorted(net.leader.states, key=repr))
-        self.stores = (UNINIT,) + tuple(sorted(net.values))
-        self.contributor_states = tuple(sorted(net.contributor.states,
-                                               key=repr))
+        def named(machine, transitions):
+            return tuple(sorted(
+                set(machine.states) | {machine.initial}
+                | {s for t in transitions for s in (t.src, t.dst)}, key=repr))
+
+        self.leader_states = named(net.leader, net.leader_transitions)
+        self.stores = (UNINIT,) + tuple(sorted(
+            set(net.values) | {t.action.value for t in
+                               net.leader_transitions
+                               + net.contributor_transitions}, key=repr))
+        self.contributor_states = named(net.contributor,
+                                        net.contributor_transitions)
         self.width = len(self.contributor_states)
         self.q_mask = (1 << self.width) - 1
         self.leader_index = {s: i for i, s in enumerate(self.leader_states)}

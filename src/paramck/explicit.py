@@ -11,7 +11,6 @@ take a stack bound and are semi-decisions: EMPTY means empty within the bound.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from . import graph
@@ -198,9 +197,7 @@ class _ReplayState:
     """A concrete run laid down step by step from the initial configuration.
 
     Actor 0 is the leader, actors 1..k are contributors; steps lists the
-    (actor, tid) pairs applied so far.  _at maps a local state to a
-    min-heap of the contributors that entered it, some of which may have
-    left it since (removed when fire finds them on top).
+    (actor, tid) pairs applied so far.
     """
 
     def __init__(self, net, k):
@@ -209,7 +206,6 @@ class _ReplayState:
         self.leader_stack = (net.leader.bottom,) if isinstance(net.leader, Pdm) else ()
         self.store = UNINIT
         self.locals = [contributor_initial_local(net)] * k
-        self._at = {contributor_initial_local(net): list(range(1, k + 1))}
         self.steps = []
 
     def apply(self, actor, tid):
@@ -233,13 +229,11 @@ class _ReplayState:
                 return f"{tid} is not a contributor transition"
             if not 1 <= actor <= len(self.locals):
                 return f"actor index {actor} out of range"
-            local = self.locals[actor - 1]
-            res = contributor_local_moves(net, t, local, self.store)
+            res = contributor_local_moves(net, t, self.locals[actor - 1],
+                                          self.store)
             if res is None:
                 return f"contributor {actor} cannot take {tid}"
             self.locals[actor - 1], self.store = res
-            if res[0] != local:
-                heapq.heappush(self._at.setdefault(res[0], []), actor)
         self.steps.append((actor, tid))
         return None
 
@@ -249,13 +243,11 @@ class _ReplayState:
         cannot fire."""
         actor = 0
         if t.owner == CONTRIBUTOR:
-            here = self._at.get(t.src, [])
-            while here and self.locals[here[0] - 1] != t.src:
-                heapq.heappop(here)
-            if not here:
+            actor = next((i for i, local in enumerate(self.locals, 1)
+                          if local == t.src), None)
+            if actor is None:
                 raise AssertionError(f"no contributor is at {t.src!r} to take"
                                      f" {t.tid}")
-            actor = here[0]
         err = self.apply(actor, t.tid)
         if err is not None:
             raise AssertionError(err)

@@ -5,7 +5,7 @@ import pytest
 from paramck.machines import UNINIT, BudgetExceeded, Fsm, make_network
 from paramck.abstraction import (AbstractConfig, Codec, initial_abstract,
                                  reachable_abstract)
-from paramck.cyclesearch import build_cycle_fsa
+from paramck.cyclesearch import build_cycle_fsa, check_fsm_fsm
 from paramck.explicit import initial_config, successors
 from paramck.graph import path_to
 import abstraction_oracle
@@ -148,3 +148,33 @@ def test_codec_numbers_every_state():
     assert codec.stores == (UNINIT, "1", "2", "3")
     assert len(codec.leader_states) == len(net.leader.states)
     assert codec.q_mask == (1 << 7) - 1
+    # stores in sorted(key=repr) order, so a domain that mixes types
+    # sorts too
+    mixed = make_network(
+        [1, "a"],
+        Fsm(frozenset(["p"]), "p", (("p", la("read", 1), "p"),),
+            frozenset(["p"])),
+        Fsm(frozenset(["q", "r"]), "q", (("q", ca("write", 1), "r"),
+                                         ("r", ca("write", "a"), "q"))))
+    assert Codec(mixed).stores == (UNINIT, "a", 1)     # "'a'" < "1"
+    assert_decodes_to_the_oracle(mixed)
+
+
+def test_codec_numbers_undeclared_states_and_values():
+    # make_network does not validate: the leader and contributor move to
+    # states they do not declare, and the contributor writes a value
+    # outside the domain
+    net = make_network(
+        ["1"],
+        Fsm(frozenset(["p0"]), "p0", (("p0", la("read", "9"), "p1"),
+                                      ("p1", la("read", "1"), "p0")),
+            frozenset(["p0"])),
+        Fsm(frozenset(["q0"]), "q0", (("q0", ca("write", "9"), "q1"),
+                                      ("q1", ca("write", "1"), "q0"))))
+    codec = Codec(net)
+    assert codec.leader_states == ("p0", "p1")
+    assert codec.stores == (UNINIT, "1", "9")
+    assert codec.contributor_states == ("q0", "q1")
+    reach = assert_decodes_to_the_oracle(net)
+    assert {codec.decode(c).leader_state for c in reach.order} == {"p0", "p1"}
+    assert check_fsm_fsm(net).kind == "NONEMPTY"
