@@ -19,8 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import graph
-from .machines import (CONTRIBUTOR, EXPLORE_BUDGET, Fsm, UNINIT,
-                       abstract_moves)
+from .machines import EXPLORE_BUDGET, Fsm, UNINIT
 
 
 class AbstractConfig(NamedTuple):
@@ -35,7 +34,7 @@ class Codec:
 
     Each numbering takes what the network declares and what its transitions
     name, so a network built without validation still has a code for every
-    configuration its moves reach."""
+    configuration its moves reach.  The stores are those of net.moves."""
 
     def __init__(self, net):
         def named(machine, transitions):
@@ -44,10 +43,7 @@ class Codec:
                 | {s for t in transitions for s in (t.src, t.dst)}, key=repr))
 
         self.leader_states = named(net.leader, net.leader_transitions)
-        self.stores = (UNINIT,) + tuple(sorted(
-            set(net.values) | {t.action.value for t in
-                               net.leader_transitions
-                               + net.contributor_transitions}, key=repr))
+        self.stores = net.moves.stores
         self.contributor_states = named(net.contributor,
                                         net.contributor_transitions)
         self.width = len(self.contributor_states)
@@ -84,13 +80,14 @@ def initial_abstract(net):
 def reachable_abstract(net, budget=EXPLORE_BUDGET):
     """Deterministic BFS saturation of the abstract system (FSM leader and
     contributor) over codes: the successors of a code are (Transition,
-    code) pairs in abstract_moves order.
+    code) pairs, the leader's moves and then the contributors', each in tid
+    order.
 
-    The moves come from two tables filled from abstract_moves: per store,
+    The moves come from two code tables filled from net.moves: per store,
     the contributor moves as (t, source bit, target bit, change of the
     code's high part), which a move makes when Q has the source bit; per
-    (leader state, store), when the search first reaches it, the leader
-    moves as (t, code of the target with Q empty), which a move ORs with Q.
+    (leader state, store), the leader moves as (t, code of the target with
+    Q empty), which a move ORs with Q.
 
     One predecessor edge per configuration (first discovered) is kept for stem
     extraction; any stem works because every abstract path can be covered by a
@@ -101,26 +98,19 @@ def reachable_abstract(net, budget=EXPLORE_BUDGET):
     codec = Codec(net)
     n, q_mask = codec.width, codec.q_mask
     stores = len(codec.stores)
-    bit, store = codec.bit, codec.store_index
+    bit, store, state = codec.bit, codec.store_index, codec.leader_index
     contributor = [[(t, bit[t.src], bit[t.dst], (store[g2] - store[g]) << n)
-                    for t, _, g2, _, _ in abstract_moves(
-                        net, net.leader.initial, g,
-                        frozenset(codec.contributor_states))
-                    if t.owner == CONTRIBUTOR]
+                    for t, g2 in net.moves.contributor[g]]
                    for g in codec.stores]
-    leader = [None] * (len(codec.leader_states) * stores)
-    no_q = frozenset()
+    leader = [()] * (len(codec.leader_states) * stores)
+    for (s, g, _), moves in net.moves.leader.items():
+        leader[state[s] * stores + store[g]] = [
+            (t, (state[d] * stores + store[g2]) << n)
+            for t, d, g2, _ in moves]
 
     def successors(code):
         key, Q = code >> n, code & q_mask
-        moves = leader[key]
-        if moves is None:
-            s, g = divmod(key, stores)
-            moves = leader[key] = [
-                (t, codec.encode(AbstractConfig(d, g2, no_q)))
-                for t, d, g2, _, _ in abstract_moves(
-                    net, codec.leader_states[s], codec.stores[g], no_q)]
-        return [(t, base | Q) for t, base in moves] + \
+        return [(t, base | Q) for t, base in leader[key]] + \
             [(t, (code + shift) | dst)
              for t, src, dst, shift in contributor[key % stores] if Q & src]
 

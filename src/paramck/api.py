@@ -47,7 +47,7 @@ def replay_network(net):
     Raises ValueError for an invalid PARAMCK_BUDGET, and BudgetExceeded
     when the restriction outgrows the budget."""
     if isinstance(net.contributor, Pdm):
-        return restrict_network(net, env_budget())[0]
+        return restrict_network(net, env_budget())
     return net
 
 
@@ -70,7 +70,7 @@ def run_check(net, mode="auto", k=None, stack_bound=None):
     try:
         if isinstance(net.contributor, Pdm):
             window["window_bound"] = compute_N(net.contributor)
-            net = restrict_network(net, budget)[0]
+            net = restrict_network(net, budget)
         check = check_pdm_fsm if isinstance(net.leader, Pdm) else check_fsm_fsm
         verdict = check(net, budget)
     except BudgetExceeded as e:

@@ -43,8 +43,8 @@ from . import graph, parikh
 def build_cycle_fsa(reach, a):
     """Automaton over transition ids of the Q-preserving abstract moves
     reachable from code a, with a as initial and final state.  The moves
-    are read from the saturation's stored successors (reach.edges, in
-    abstract_moves order), keeping those whose code has a's Q bits.
+    are read from the saturation's stored successors (reach.edges, in the
+    saturation's order), keeping those whose code has a's Q bits.
 
     A closed walk through a can only use edges of a's strongly connected
     component, so the automaton is trimmed to it up front; this keeps the

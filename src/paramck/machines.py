@@ -7,12 +7,20 @@ contributor machine through a shared register holding values from a finite
 domain G.  The register starts out uninitialized, which we represent with the
 out-of-band marker ``#``; that marker never appears as the value of a read or
 write action.
+
+In the abstraction, a move depends only on the leader state, the store, the
+leader's top symbol and whether the populated set Q holds the contributor's
+source.  move_table writes these moves out once per network, indexed by
+source, and Network.moves keeps the table: the fsm-fsm saturation, post* and
+the loop automata all read it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 #: marker for the uninitialized store; not a member of G
 UNINIT = "#"
@@ -80,9 +88,6 @@ class Fsm:
     transitions: tuple     # of (src, Action, dst)
     accepting: frozenset | None = None
 
-    def is_buchi(self):
-        return self.accepting is not None
-
 
 @dataclass(frozen=True)
 class PdmRule:
@@ -110,9 +115,6 @@ class Pdm:
     @property
     def bottom(self):
         return self.stack_alphabet[0]
-
-    def is_buchi(self):
-        return self.accepting is not None
 
 
 @dataclass(frozen=True)
@@ -176,34 +178,45 @@ def step(t, state, stack, store):
     return t.dst, stack, store
 
 
-def abstract_moves(net, leader_state, store, Q, top=None):
-    """Abstract moves from (leader state, store, populated contributor states
-    Q), with top the leader's top symbol when the leader is a PDM.
+class Moves(NamedTuple):
+    """A network's abstract moves, indexed by source (move_table)."""
 
-    Returns (t, leader_state', store', Q', replacement) for the leader's
-    moves, then the contributors', each in tid order.  The replacement is
-    what the move puts in place of top: () for a pop, (pushed, top) for a
-    push, and (top,) for FSM leader moves and for contributor moves, which
-    keep the leader's stack.  A contributor move needs a populated source and
-    adds its target to Q.
+    stores: tuple          # UNINIT, then the values in sorted(key=repr) order
+    leader: dict           # (state, store, top) -> [(t, state', store', repl)]
+    contributor: dict      # store -> [(t, store')]
+
+
+def move_table(net):
+    """The abstract moves of net, as a Moves table.
+
+    The stores are UNINIT, then every value the network declares or its
+    actions name, in sorted(key=repr) order, so a network built without
+    validation or with a domain of mixed types still has them all.
+    leader[(state, store, top)] lists the leader's moves from that state on
+    that store with top on its stack, top None for an FSM leader, as (t,
+    state', store', replacement).  The replacement is what the move puts in
+    place of top: () for a pop, (pushed, top) for a push and (top,) for an
+    FSM leader.  contributor[store] lists the contributor moves on that
+    store as (t, store'); such a move needs a populated source, adds its
+    target to Q and keeps the leader's stack.  Every list is in tid order.
     """
-    out = []
+    stores = (UNINIT,) + tuple(sorted(
+        set(net.values) | {t.action.value for t in
+                           net.leader_transitions + net.contributor_transitions},
+        key=repr))
+    leader = {}
     for t in net.leader_transitions:
-        if t.src != leader_state:
-            continue
+        top = t.payload.top if isinstance(t.payload, PdmRule) else None
         repl = (top,) if top is None else top_replacement(t.payload, top)
-        if repl is None:
-            continue
-        store2 = register_step(t.action, store)
-        if store2 is not None:
-            out.append((t, t.dst, store2, Q, repl))
-    for t in net.contributor_transitions:
-        if t.src not in Q:
-            continue
-        store2 = register_step(t.action, store)
-        if store2 is not None:
-            out.append((t, leader_state, store2, Q | {t.dst}, (top,)))
-    return out
+        for g in stores:
+            g2 = register_step(t.action, g)
+            if g2 is not None:
+                leader.setdefault((t.src, g, top), []).append(
+                    (t, t.dst, g2, repl))
+    contributor = {g: [(t, g2) for t in net.contributor_transitions
+                       if (g2 := register_step(t.action, g)) is not None]
+                   for g in stores}
+    return Moves(stores, leader, contributor)
 
 
 def validate(machine, values):
@@ -358,15 +371,15 @@ class Network:
     def transition(self, tid):
         return self._by_tid[tid]
 
-    @property
+    @cached_property
     def _by_tid(self):
-        # lazy index; dataclass is frozen so stash via object.__setattr__
-        cache = self.__dict__.get("_tid_cache")
-        if cache is None:
-            cache = {t.tid: t
-                     for t in self.leader_transitions + self.contributor_transitions}
-            object.__setattr__(self, "_tid_cache", cache)
-        return cache
+        return {t.tid: t
+                for t in self.leader_transitions + self.contributor_transitions}
+
+    @cached_property
+    def moves(self):
+        """The abstract move table (move_table), built on first use."""
+        return move_table(self)
 
 
 def make_network(values, leader, contributor):

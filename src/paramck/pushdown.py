@@ -36,8 +36,7 @@ argument as in the finite-state case.
 from __future__ import annotations
 
 from .machines import (EXPLORE_BUDGET, UNINIT, BudgetExceeded, InternalError,
-                       Pdm, Fsm, abstract_moves, register_step,
-                       top_replacement)
+                       Pdm, Fsm)
 from .explicit import Verdict, replay
 from .cyclesearch import contributor_flow_rows, lasso
 from . import graph, parikh
@@ -45,17 +44,6 @@ from . import graph, parikh
 
 def accepting_control(net, control):
     return control[0] in net.leader.accepting
-
-
-def abstract_pdm_rules(net, control, top):
-    """Abstract pushdown rules applicable at (control, top).
-
-    Yields (tid, new_control, replacement) where the replacement is () for a
-    pop, (top,) for a stack-neutral contributor move and (pushed, top) for a
-    push.
-    """
-    return [(t.tid, (d, g, Q), repl)
-            for t, d, g, Q, repl in abstract_moves(net, *control, top)]
 
 
 def initial_control(net):
@@ -90,7 +78,12 @@ def post_star(net, budget=EXPLORE_BUDGET, reasons=None):
         inserted with it, stands in when nothing is below.
     Premises are inserted before the edges they explain.  An edge that
     makes more than budget raises BudgetExceeded.
+
+    The rules at an edge (p, gamma, q), with p = (d, g, Q), are the leader's
+    moves at (d, g, gamma) in net.moves, then the contributor moves on g
+    whose source is in Q, each in tid order.
     """
+    moves = net.moves
     trans = {} if reasons is None else reasons   # (p, gamma, q) -> reason
     trans_from = {}           # q -> list of (gamma, q2)
     eps_into = {}             # q -> list of p with an epsilon edge p -> q
@@ -125,7 +118,12 @@ def post_star(net, budget=EXPLORE_BUDGET, reasons=None):
         wi += 1
         if len(p) != 3:      # the final state or a middle state
             continue
-        for tid, p2, repl in abstract_pdm_rules(net, p, gamma):
+        d, g, Q = p
+        rules = [(t.tid, (d2, g2, Q), repl)
+                 for t, d2, g2, repl in moves.leader.get((d, g, gamma), ())]
+        rules += [(t.tid, (d, g2, Q | {t.dst}), (gamma,))
+                  for t, g2 in moves.contributor[g] if t.src in Q]
+        for tid, p2, repl in rules:
             if repl == ():
                 add_eps(p2, q, tid, edge)
             elif len(repl) == 1:
@@ -140,43 +138,24 @@ def post_star(net, budget=EXPLORE_BUDGET, reasons=None):
                               if len(p) == 3))
 
 
-def leader_move_table(net):
-    """The leader's abstract moves by (leader state, store, top): lists of
-    (tid, leader state', store', replacement) in tid order.  They do not
-    depend on Q, so a check computes them once for all its loop automata."""
-    stores = [UNINIT] + sorted(net.values)
-    moves = {}
-    for t in net.leader_transitions:
-        top = t.payload.top
-        repl = top_replacement(t.payload, top)
-        for g in stores:
-            g2 = register_step(t.action, g)
-            if g2 is not None:
-                moves.setdefault((t.src, g, top), []).append(
-                    (t.tid, t.dst, g2, repl))
-    return moves
-
-
-def loop_rules(net, Q, leader_moves):
+def loop_rules(net, Q):
     """The loop automaton's rules at Q, on demand: a function from a node
     (state, top) to the abstract rules there that keep Q fixed, as (tid,
     state', replacement), with the sticky accepting bit folded into the
-    state.  The leader's moves come first, then the contributors', each in
-    tid order, as in abstract_moves.  leader_moves is
-    leader_move_table(net); the contributor moves that keep Q depend only
-    on the store."""
+    state.  The leader's moves at (d, g, top) in net.moves come first, then
+    the contributor moves on g with source and target in Q, each in tid
+    order, as in post_star."""
     accepting = net.leader.accepting
-    kept = [t for t in net.contributor_transitions
-            if t.src in Q and t.dst in Q]
-    contributor = {g: [(t.tid, g2) for t in kept
-                       if (g2 := register_step(t.action, g)) is not None]
-                   for g in [UNINIT] + sorted(net.values)}
+    leader = net.moves.leader
+    contributor = {g: [(t.tid, g2) for t, g2 in moves
+                       if t.src in Q and t.dst in Q]
+                   for g, moves in net.moves.contributor.items()}
 
     def rules_at(node):
         ((d, g, _), b), top = node
         stay = 1 if d in accepting else b    # contributor moves keep d
-        out = [(tid, ((d2, g2, Q), 1 if d2 in accepting else b), repl)
-               for tid, d2, g2, repl in leader_moves.get((d, g, top), ())]
+        out = [(t.tid, ((d2, g2, Q), 1 if d2 in accepting else b), repl)
+               for t, d2, g2, repl in leader.get((d, g, top), ())]
         out += [(tid, ((d, g2, Q), stay), (top,))
                 for tid, g2 in contributor[g]]
         return out
@@ -265,17 +244,17 @@ def pop_relation(rules_at, starts):
 
 def _table_order(state):
     """Sort key of loop-automaton states in the order in which a whole rule
-    table over Q would list them: leader state by repr, store (UNINIT
-    first), then accepting bit.  Its nodes (state, top) follow with the
-    top in stack-alphabet order."""
+    table over Q would list them: leader state by repr, store in the order
+    of net.moves.stores (UNINIT first, then by repr), then accepting bit.
+    Its nodes (state, top) follow with the top in stack-alphabet order."""
     (d, g, _), b = state
-    return repr(d), g != UNINIT, g, b
+    return repr(d), g != UNINIT, repr(g), b
 
 
-def loop_automaton(net, Q, leader_moves, starts):
+def loop_automaton(net, Q, starts):
     """The part of the loop automaton at the populated set Q that the start
-    nodes reach: its rule table by (state, top) node (loop_rules, with
-    leader_moves from leader_move_table), its pop relation as an index
+    nodes reach: its rule table by (state, top) node (loop_rules), its pop
+    relation as an index
     (s, gamma) -> [s'], and its reachability graph, all from one
     pop_relation call.  The index lists each s' in table order
     (_table_order), so it does not depend on which starts were given.
@@ -287,7 +266,7 @@ def loop_automaton(net, Q, leader_moves, starts):
     (s', beta), to (x, gamma).  Pops add no edge.  Every successor is a
     demanded node, so the graph is closed.
     """
-    rules, found = pop_relation(loop_rules(net, Q, leader_moves), starts)
+    rules, found = pop_relation(loop_rules(net, Q), starts)
     after = {}
     for s, gamma, s2 in found:
         after.setdefault((s, gamma), []).append(s2)
@@ -354,8 +333,7 @@ def build_loop_grammar(net, pivot_control, pivot_symbol, automaton=None):
     """
     start, accept = _loop_ends(net, pivot_control, pivot_symbol)
     if automaton is None:
-        automaton = loop_automaton(net, pivot_control[2],
-                                   leader_move_table(net), [start])
+        automaton = loop_automaton(net, pivot_control[2], [start])
     rules, after, moves = automaton
     tops = net.leader.stack_alphabet
     reached = sorted((node for node, _ in graph.bfs(start, moves.__getitem__)),
@@ -569,7 +547,6 @@ def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
     reasons = {}              # post*'s edge derivations, for find_stem
     pairs = post_star(net, budget, reasons)
     stats["pivots"] = len(pairs)
-    leader_moves = leader_move_table(net)
     starts = {}               # Q -> the start nodes of its pivots
     for control, gamma in pairs:
         starts.setdefault(control[2], []).append(
@@ -579,7 +556,7 @@ def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
         stats["pivots_checked"] += 1
         Q = control[2]
         if Q not in automata:
-            automata[Q] = loop_automaton(net, Q, leader_moves, starts[Q])
+            automata[Q] = loop_automaton(net, Q, starts[Q])
         if not loop_nonempty(net, automata[Q], control, gamma):
             continue
         grammar = parikh.reduce_grammar(

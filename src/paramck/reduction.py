@@ -48,14 +48,13 @@ def compute_N(contributor):
 
 
 def restrict_network(net, budget=EXPLORE_BUDGET):
-    """The network with its PDM contributor replaced by the N-restriction,
-    and N.
+    """The network with its PDM contributor replaced by the N-restriction
+    (N = compute_N of the contributor).
 
     Transition ids are re-assigned from the restricted machine, so witnesses
     for the returned network speak about window states, not stacks.
     """
     if not isinstance(net.contributor, Pdm):
         raise ValueError("contributor is not a PDM")
-    n = compute_N(net.contributor)
-    restricted = restrict(net.contributor, n, budget)
-    return make_network(net.values, net.leader, restricted), n
+    restricted = restrict(net.contributor, compute_N(net.contributor), budget)
+    return make_network(net.values, net.leader, restricted)

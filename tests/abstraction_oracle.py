@@ -1,6 +1,7 @@
-"""The abstract saturation and cycle automaton over AbstractConfig tuples,
-as paramck computed them before it interned configurations as integer
-codes: the oracle that the decoded codes must match."""
+"""The abstract moves, saturation and cycle automaton over AbstractConfig
+tuples, as paramck computed them before it interned configurations as
+integer codes and indexed its moves by source: the oracle that the decoded
+codes and the move table (machines.move_table) must match."""
 
 from __future__ import annotations
 
@@ -8,7 +9,38 @@ import math
 
 from paramck import graph, parikh
 from paramck.abstraction import AbstractConfig, initial_abstract
-from paramck.machines import EXPLORE_BUDGET, abstract_moves
+from paramck.machines import EXPLORE_BUDGET, register_step, top_replacement
+
+
+def abstract_moves(net, leader_state, store, Q, top=None):
+    """Abstract moves from (leader state, store, populated contributor states
+    Q), with top the leader's top symbol when the leader is a PDM, by a scan
+    of every transition.
+
+    Returns (t, leader_state', store', Q', replacement) for the leader's
+    moves, then the contributors', each in tid order.  The replacement is
+    what the move puts in place of top: () for a pop, (pushed, top) for a
+    push, and (top,) for FSM leader moves and for contributor moves, which
+    keep the leader's stack.  A contributor move needs a populated source and
+    adds its target to Q.
+    """
+    out = []
+    for t in net.leader_transitions:
+        if t.src != leader_state:
+            continue
+        repl = (top,) if top is None else top_replacement(t.payload, top)
+        if repl is None:
+            continue
+        store2 = register_step(t.action, store)
+        if store2 is not None:
+            out.append((t, t.dst, store2, Q, repl))
+    for t in net.contributor_transitions:
+        if t.src not in Q:
+            continue
+        store2 = register_step(t.action, store)
+        if store2 is not None:
+            out.append((t, leader_state, store2, Q | {t.dst}, (top,)))
+    return out
 
 
 def reachable_abstract(net, budget=EXPLORE_BUDGET):

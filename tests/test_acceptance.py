@@ -142,7 +142,7 @@ def test_pdm_pdm_checker_agrees_with_bounded_oracle():
         v, mode = run_check(net)
         assert mode == "pdm-pdm"
         if v.kind == "NONEMPTY":
-            restricted, _ = restrict_network(net)
+            restricted = restrict_network(net)
             assert replay(restricted, v.witness) == ("valid", None)
         elif v.kind == "EMPTY":
             for k in (1, 2, 3):

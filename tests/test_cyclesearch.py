@@ -3,7 +3,7 @@ import random
 import networkx
 import pytest
 
-from paramck.machines import (BudgetExceeded, Fsm, abstract_moves,
+from paramck.machines import (BudgetExceeded, Fsm,
                               buchi_product, make_network)
 from paramck.abstraction import AbstractConfig, reachable_abstract
 from paramck.api import replay_network
@@ -13,6 +13,7 @@ from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
                                  realizability_system, refine)
 from paramck.explicit import Verdict, _ReplayState, check_explicit, replay
 from paramck import parikh
+from abstraction_oracle import abstract_moves
 import integer_oracle
 from fixtures import la, ca, ring_network, stalled_network, \
     random_fsm_leader, random_fsm_network, random_pdm_contributor, satisfies

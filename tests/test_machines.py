@@ -1,12 +1,17 @@
+import random
+
 import pytest
 
 from paramck.machines import (Action, Fsm, Pdm, PdmRule, Transition, UNINIT,
                               LEADER, CONTRIBUTOR, EXPLORE_BUDGET,
-                              abstract_moves,
                               buchi_product, env_budget, make_network,
                               register_step, stack_step, step,
                               top_replacement, validate)
-from fixtures import la, ca, ring_network, updown_pdm
+from paramck.reduction import restrict_network
+from abstraction_oracle import abstract_moves
+from fixtures import (la, ca, random_deep_pdm_network, random_fsm_network,
+                      random_pdm_leader_network, random_pdm_pdm_network,
+                      ring_network, stalled_network, updown_pdm)
 
 
 def test_action_str_roundtrip():
@@ -172,22 +177,23 @@ def test_step_on_pdm_rules_needs_register_and_stack():
     assert step(t, "q1", ("X", "Z"), "1") is None   # wrong source state
 
 
-def test_abstract_moves_on_fsm_leader_keep_order_and_grow_q():
+def test_move_table_on_fsm_leader_indexes_moves_by_source():
     net = ring_network()
-    moves = abstract_moves(net, ("s0", "p0"), "1", frozenset("AB"))
-    # leader moves first, then contributor moves, each in tid order; B's
-    # only move reads 3 and is not enabled on store 1
-    assert [m[0].tid for m in moves] == ["d0", "c0", "c3", "c6"]
-    assert moves[0][1:] == (("s1", "p1"), "1", frozenset("AB"), (None,))
-    assert moves[1][1:] == (("s0", "p0"), "1", frozenset("AB"), (None,))
-    assert moves[2][1:] == (("s0", "p0"), "2", frozenset("ABD"), (None,))
-    assert moves[3][1:] == (("s0", "p0"), "3", frozenset("ABF"), (None,))
-    # no populated contributor state, no contributor move
-    assert [m[0].tid for m in abstract_moves(
-        net, ("s0", "p0"), "1", frozenset())] == ["d0"]
+    moves = net.moves
+    assert net.moves is moves             # built once, on first use
+    assert moves.stores == (UNINIT, "1", "2", "3")
+    # an FSM leader's moves have no top symbol and keep the stack
+    assert moves.leader[(("s0", "p0"), "1", None)] == \
+        [(net.transition("d0"), ("s1", "p1"), "1", (None,))]
+    assert (("s0", "p0"), "2", None) not in moves.leader
+    # the contributor moves on a store, whatever their source, in tid
+    # order; B's only move reads 3 and is not there on store 1
+    assert [(t.tid, g2) for t, g2 in moves.contributor["1"]] == \
+        [("c0", "1"), ("c2", "1"), ("c3", "2"), ("c4", "1"), ("c6", "3")]
+    assert [t.tid for t, _ in moves.contributor[UNINIT]] == ["c0", "c3", "c6"]
 
 
-def test_abstract_moves_on_pdm_leader_report_top_replacement():
+def test_move_table_on_pdm_leader_reports_top_replacement():
     pdm, _ = updown_pdm()
     leader = Pdm(pdm.states, pdm.stack_alphabet, pdm.initial,
                  tuple(PdmRule(r.src, la(r.action.kind, r.action.value),
@@ -195,11 +201,63 @@ def test_abstract_moves_on_pdm_leader_report_top_replacement():
                  frozenset(pdm.states))
     contrib = Fsm(frozenset(["q"]), "q", (("q", ca("read", "3"), "q"),))
     net = make_network(["1", "2", "3"], leader, contrib)
-    moves = abstract_moves(net, "p", "3", frozenset(["q"]), top="X")
-    assert [(m[0].tid, m[2], m[4]) for m in moves] == \
-        [("d1", "2", ("X", "X")), ("d2", "3", ()), ("c0", "3", ("X",))]
-    assert [m[0].tid for m in abstract_moves(
-        net, "p", "2", frozenset(["q"]), top="Z")] == ["d0"]
+    moves = net.moves
+    assert [(t.tid, d, g2, repl) for t, d, g2, repl
+            in moves.leader[("p", "3", "X")]] == \
+        [("d1", "p", "2", ("X", "X")), ("d2", "p", "3", ())]
+    assert [t.tid for t, *_ in moves.leader[("p", "2", "Z")]] == ["d0"]
+    # a write fires on every store, the uninitialized one too
+    assert all(("p", g, "Z") in moves.leader for g in moves.stores)
+    assert [(t.tid, g2) for t, g2 in moves.contributor["3"]] == [("c0", "3")]
+    assert moves.contributor["1"] == []
+
+
+def oracle_nets():
+    rng = random.Random(16)
+    nets = [ring_network(), stalled_network()]
+    for _ in range(20):
+        nets.append(random_fsm_network(rng))
+        nets.append(random_pdm_leader_network(rng))
+        nets.append(random_deep_pdm_network(rng))
+        nets.append(restrict_network(random_pdm_pdm_network(rng)))
+    # a domain of mixed types, and a value no declaration names
+    nets.append(make_network(
+        [1, "a"],
+        Fsm(frozenset(["p"]), "p", (("p", la("read", 1), "p"),),
+            frozenset(["p"])),
+        Fsm(frozenset(["q", "r"]), "q", (("q", ca("write", 1), "r"),
+                                         ("r", ca("write", "9"), "q")))))
+    return nets
+
+
+def test_move_table_agrees_with_the_oracle_scan():
+    rng = random.Random(61)
+    compared = 0
+    for net in oracle_nets():
+        moves = net.moves
+        values = {t.action.value for t in
+                  net.leader_transitions + net.contributor_transitions}
+        assert set(moves.stores) == {UNINIT} | set(net.values) | values
+        states = {s for t in net.leader_transitions for s in (t.src, t.dst)}
+        tops = net.leader.stack_alphabet if isinstance(net.leader, Pdm) \
+            else (None,)
+        contributor = sorted(net.contributor.states, key=repr)
+        qs = [frozenset(), frozenset([net.contributor.initial]),
+              frozenset(contributor),
+              frozenset(rng.sample(contributor, len(contributor) // 2))]
+        for d in sorted(states | set(net.leader.states), key=repr):
+            for g in moves.stores:
+                for top in tops:
+                    for Q in qs:
+                        table = [(t, d2, g2, Q, repl) for t, d2, g2, repl
+                                 in moves.leader.get((d, g, top), ())]
+                        table += [(t, d, g2, Q | {t.dst}, (top,))
+                                  for t, g2 in moves.contributor[g]
+                                  if t.src in Q]
+                        # the same moves in the same order
+                        assert table == abstract_moves(net, d, g, Q, top)
+                        compared += len(table)
+    assert compared > 5000
 
 
 def test_env_budget_reads_an_integer_or_falls_back(monkeypatch):

@@ -6,15 +6,15 @@ import pytest
 from paramck.api import run_check
 from paramck.machines import (EXPLORE_BUDGET, BudgetExceeded, Fsm, Pdm,
                               PdmRule, UNINIT, buchi_product, make_network)
-from paramck.pushdown import (_loop_ends, abstract_pdm_rules,
-                              accepting_control, build_loop_grammar,
-                              check_pdm_fsm, derive_word, find_stem,
-                              initial_control, leader_move_table,
-                              loop_automaton, loop_nonempty, loop_rules,
-                              pop_relation, post_star)
+from paramck.pushdown import (_loop_ends, accepting_control,
+                              build_loop_grammar, check_pdm_fsm, derive_word,
+                              find_stem, initial_control, loop_automaton,
+                              loop_nonempty, loop_rules, pop_relation,
+                              post_star)
 from paramck.explicit import check_explicit, replay
 from paramck.reduction import restrict_network
 from paramck import graph, parikh, pushdown
+from abstraction_oracle import abstract_moves
 import integer_oracle
 from fixtures import (la, ca, random_deep_pdm_network,
                       random_pdm_leader_network, random_pdm_pdm_network)
@@ -40,18 +40,32 @@ def counter_network(accept_high=False):
     return make_network(["1", "2"], leader, contrib)
 
 
-def test_abstract_rules_shapes():
+def abstract_pdm_rules(net, control, top):
+    """The abstract pushdown rules at (control, top) from the oracle scan,
+    as (tid, control', replacement)."""
+    return [(t.tid, (d, g, Q), repl)
+            for t, d, g, Q, repl in abstract_moves(net, *control, top)]
+
+
+def test_move_table_shapes():
     net = counter_network()
     init = initial_control(net)
     assert init == ("d0", UNINIT, frozenset(["q0"]))
-    # uninitialized store: only the contributor write fires
-    moves = abstract_pdm_rules(net, init, "Z")
-    assert [(tid, repl) for tid, _, repl in moves] == [("c0", ("Z",))]
+    # uninitialized store: the leader only reads, so only the contributor
+    # write fires
+    assert ("d0", UNINIT, "Z") not in net.moves.leader
+    assert [(t.tid, g2) for t, g2 in net.moves.contributor[UNINIT]] == \
+        [("c0", "1"), ("c1", "2")]
+    # a push keeps the old top below
+    assert [(t.tid, d, g2, repl) for t, d, g2, repl
+            in net.moves.leader[("d0", "1", "Z")]] == \
+        [("d0", "d1", "1", ("A", "Z"))]
+    # post*'s first saturation steps: the write to 1, then at ("d0", "1")
+    # the push, then both contributor writes, whose targets are in Q
+    pairs = post_star(net)
     after_write = ("d0", "1", frozenset(["q0", "q1"]))
-    moves = abstract_pdm_rules(net, after_write, "Z")
-    kinds = {tid: repl for tid, _, repl in moves}
-    assert kinds["d0"] == ("A", "Z")       # push keeps the old top below
-    assert kinds["c1"] == ("Z",)
+    assert pairs[:2] == [(init, "Z"), (after_write, "Z")]
+    assert (("d1", "1", after_write[2]), "A") in pairs
 
 
 def test_post_star_finds_deep_tops():
@@ -66,7 +80,7 @@ def test_post_star_finds_deep_tops():
 def loop_controls(net, Q):
     """All abstract controls sharing the populated set Q, paired with the
     seen-accepting bit, in the order of the whole rule table."""
-    stores = [UNINIT] + sorted(net.values)
+    stores = net.moves.stores
     out = []
     for d in sorted(net.leader.states, key=repr):
         for g in stores:
@@ -81,16 +95,16 @@ def table_nodes(net, Q):
             for gamma in net.leader.stack_alphabet]
 
 
-def full_rule_table(net, Q, leader_moves):
+def full_rule_table(net, Q):
     """loop_rules over every node of the table, as a dict."""
-    rules_at = loop_rules(net, Q, leader_moves)
+    rules_at = loop_rules(net, Q)
     return {node: rules_at(node) for node in table_nodes(net, Q)}
 
 
 def test_pop_relation_on_loop_automaton():
     net = counter_network()
     Q = frozenset(["q0", "q1"])
-    rules_at = loop_rules(net, Q, leader_move_table(net))
+    rules_at = loop_rules(net, Q)
     _, P = pop_relation(rules_at, table_nodes(net, Q))
     # an A pushed at d1 can be popped again at d1 (read 1 up, read 2 down)
     assert any(s[0][0] == "d1" and gamma == "A" and s2[0][0] == "d1"
@@ -160,7 +174,7 @@ def loop_test_nets():
     nets = [counter_network(), counter_network(accept_high=True)]
     for _ in range(20):
         nets.append(random_pdm_leader_network(rng))
-        nets.append(restrict_network(random_pdm_pdm_network(rng))[0])
+        nets.append(restrict_network(random_pdm_pdm_network(rng)))
         nets.append(random_deep_pdm_network(rng))
     return nets
 
@@ -178,8 +192,7 @@ def pivot_starts(net, pairs):
 def pivot_automata(net, pairs):
     """The loop automata check_pdm_fsm builds for the pivots pairs: one per
     Q, from the start nodes of all its pivots."""
-    leader_moves = leader_move_table(net)
-    return {Q: loop_automaton(net, Q, leader_moves, starts)
+    return {Q: loop_automaton(net, Q, starts)
             for Q, starts in pivot_starts(net, pairs).items()}
 
 
@@ -187,13 +200,11 @@ def test_pop_relation_agrees_with_naive_fixpoint():
     # demanded from every node, the pop relation is the whole table's
     triples = 0
     for net in loop_test_nets():
-        leader_moves = leader_move_table(net)
         for Q in pivot_qs(net):
-            rules = full_rule_table(net, Q, leader_moves)
+            rules = full_rule_table(net, Q)
             # the same rules in the same order as the step kernel gives
             assert rules == naive_rule_table(net, Q)
-            demanded, P = pop_relation(loop_rules(net, Q, leader_moves),
-                                       list(rules))
+            demanded, P = pop_relation(loop_rules(net, Q), list(rules))
             assert demanded == rules
             P0 = naive_pop_relation(rules)
             assert set(P) == set(P0)
@@ -241,11 +252,10 @@ def test_demand_driven_automata_agree_with_the_whole_table():
     demanded = whole = passed = 0
     for net in nets:
         pairs = post_star(net)
-        leader_moves = leader_move_table(net)
         for Q, starts in pivot_starts(net, pairs).items():
             table = naive_rule_table(net, Q)
             P0 = naive_pop_relation(table)
-            rules, P = pop_relation(loop_rules(net, Q, leader_moves), starts)
+            rules, P = pop_relation(loop_rules(net, Q), starts)
             # the demanded nodes are what the starts reach in the whole
             # table's graph, with the same rules and the same triples
             moves = whole_graph(table, P0)
@@ -363,11 +373,10 @@ def test_check_builds_grammars_only_for_pivots_that_pass(monkeypatch):
         net = random_pdm_leader_network(rng)
         built.clear()
         v = check_pdm_fsm(net)
-        leader_moves = leader_move_table(net)
         checked = post_star(net)[:v.stats["pivots_checked"]]
         passing = [(control, gamma) for control, gamma in checked
                    if loop_nonempty(net, loop_automaton(
-                       net, control[2], leader_moves,
+                       net, control[2],
                        [_loop_ends(net, control, gamma)[0]]), control, gamma)]
         assert built == passing
         skipped += len(checked) - len(passing)
@@ -562,7 +571,7 @@ def test_read_back_stem_is_a_chain_of_abstract_moves():
     rng = random.Random(41)
     nets = [counter_network()]
     nets += [random_pdm_leader_network(rng) for _ in range(40)]
-    nets += [restrict_network(random_pdm_pdm_network(rng))[0]
+    nets += [restrict_network(random_pdm_pdm_network(rng))
              for _ in range(40)]
     for net in nets:
         reasons = {}
@@ -729,3 +738,38 @@ def test_agrees_with_bounded_oracle():
                 assert check_explicit(net, k, stack_bound=6).kind == "EMPTY"
         if check_explicit(net, 2, stack_bound=5).kind == "NONEMPTY":
             assert v.kind in ("NONEMPTY", "BUDGET")
+
+
+def assert_nonempty_and_replays(net):
+    verdict, mode = run_check(net)
+    assert (verdict.kind, mode) == ("NONEMPTY", "pdm-fsm")
+    assert replay(net, verdict.witness) == ("valid", None)
+
+
+def test_pdm_fsm_numbers_every_store():
+    # stores in the table's order, UNINIT first and then by repr, so a
+    # domain that mixes types sorts too
+    leader = Pdm(frozenset(["p"]), ("Z", "A"), "p",
+                 (PdmRule("p", la("read", 1), "Z", "p", ("push", "A")),
+                  PdmRule("p", la("read", "a"), "A", "p", ("pop",))),
+                 frozenset(["p"]))
+    contrib = Fsm(frozenset(["q", "r"]), "q", (("q", ca("write", 1), "r"),
+                                               ("r", ca("write", "a"), "q")))
+    net = make_network([1, "a"], leader, contrib)
+    assert net.moves.stores == (UNINIT, "a", 1)     # "'a'" < "1"
+    assert_nonempty_and_replays(net)
+
+
+def test_pdm_fsm_numbers_undeclared_states_and_values():
+    # make_network does not validate: the leader and contributor move to
+    # states they do not declare, and the contributor writes a value
+    # outside the domain
+    leader = Pdm(frozenset(["p0"]), ("Z", "A"), "p0",
+                 (PdmRule("p0", la("read", "9"), "Z", "p1", ("push", "A")),
+                  PdmRule("p1", la("read", "1"), "A", "p0", ("pop",))),
+                 frozenset(["p0"]))
+    contrib = Fsm(frozenset(["q0"]), "q0", (("q0", ca("write", "9"), "q1"),
+                                            ("q1", ca("write", "1"), "q0")))
+    net = make_network(["1"], leader, contrib)
+    assert net.moves.stores == (UNINIT, "1", "9")
+    assert_nonempty_and_replays(net)

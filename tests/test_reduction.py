@@ -125,8 +125,10 @@ def small_pdm_pdm_network(accepting=True):
 
 def test_restrict_network_swaps_in_the_window_fsm():
     net = small_pdm_pdm_network()
-    restricted, n = restrict_network(net)
-    assert n == 5
+    restricted = restrict_network(net)
+    # the window is N = 5 deep: the contributor can push X forever
+    assert compute_N(net.contributor) == 5
+    assert max(len(window) for _, window in restricted.contributor.states) == 5
     assert isinstance(restricted.contributor, Fsm)
     assert restricted.leader is net.leader
 
@@ -146,7 +148,7 @@ def test_pdm_pdm_nonempty_with_restricted_replay():
     assert mode == "pdm-pdm"
     assert v.kind == "NONEMPTY"
     assert v.stats["window_bound"] == 5
-    restricted, _ = restrict_network(net)
+    restricted = restrict_network(net)
     assert replay(restricted, v.witness) == ("valid", None)
 
 
