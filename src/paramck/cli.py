@@ -5,6 +5,8 @@
                   [--witness OUT] [--json]
     paramck replay --witness F --leader F --contributor F --property F
 
+Explicit mode with a PDM contributor refuses --witness: its witnesses refer
+to the PDM, and replay to the contributor's window restriction.
 Exit codes for check: 0 decided (NONEMPTY or EMPTY), 2 input error,
 3 budget exceeded, 4 internal error (a model found but no witness built).
 For replay: 0 valid, 1 invalid, 2 parse/input error, 3 budget exceeded
@@ -25,7 +27,7 @@ import sys
 
 from .machines import (BudgetExceeded, Fsm, Pdm, LEADER, CONTRIBUTOR,
                        buchi_product, make_network, validate)
-from .explicit import Witness, replay, _ReplayState
+from .explicit import replay
 from .fileformat import (ParseError, parse_machine_file, parse_witness,
                          print_witness)
 from .api import MODES, run_check, replay_network
@@ -35,16 +37,20 @@ class InputError(Exception):
     pass
 
 
-def _load_machine(path, role, want_buchi=None):
+def _parse_file(path, parse, *args):
+    """parse(the text of path, *args); a read or parse error is an
+    InputError."""
     try:
         with open(path, encoding="utf-8") as f:
-            text = f.read()
+            return parse(f.read(), *args)
     except OSError as e:
         raise InputError(f"{path}: {e.strerror or e}")
-    try:
-        machine, values = parse_machine_file(text, role)
     except ParseError as e:
         raise InputError(f"{path}: {e}")
+
+
+def _load_machine(path, role, want_buchi=None):
+    machine, values = _parse_file(path, parse_machine_file, role)
     if want_buchi is True and machine.accepting is None:
         raise InputError(f"{path}: a Buchi acceptance set is required here")
     if want_buchi is False and machine.accepting is not None:
@@ -74,7 +80,7 @@ def _witness_json(w):
     out = {"k": w.k, "stem": [list(s) for s in w.stem],
            "cycle": [list(s) for s in w.cycle]}
     if w.pivot is not None:
-        out["pivot"] = str(w.pivot[1])
+        out["pivot"] = str(w.pivot)
     return out
 
 
@@ -86,6 +92,10 @@ def _cmd_check(args):
         if (isinstance(net.leader, Pdm) or isinstance(net.contributor, Pdm)) \
                 and args.stack_bound is None:
             raise InputError("explicit mode with a PDM needs --stack-bound")
+        if isinstance(net.contributor, Pdm) and args.witness:
+            raise InputError("explicit mode with a PDM contributor writes no"
+                             " witness file (replay checks witnesses against"
+                             " the contributor's window restriction)")
     try:
         verdict, mode = run_check(net, args.mode, k=args.contributors,
                                   stack_bound=args.stack_bound)
@@ -122,32 +132,7 @@ def _cmd_replay(args):
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    try:
-        with open(args.witness, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise InputError(f"{args.witness}: {e.strerror or e}")
-    try:
-        w, pivot_symbol = parse_witness(text)
-    except ParseError as e:
-        raise InputError(f"{args.witness}: {e}")
-
-    if isinstance(net.leader, Pdm):
-        # reconstruct the pivot from the stem; the file only pins its symbol
-        st = _ReplayState(net, max(w.k, 1))
-        for idx, (actor, tid) in enumerate(w.stem):
-            err = st.apply(actor, tid)
-            if err is not None:
-                print(f"invalid at step {idx}: {err}")
-                return 1
-        if pivot_symbol is not None and st.leader_stack \
-                and st.leader_stack[0] != pivot_symbol:
-            print(f"invalid: stem ends with {st.leader_stack[0]!r} on top,"
-                  f" witness declares pivot {pivot_symbol!r}")
-            return 1
-        w = Witness(w.k, w.stem, w.cycle,
-                    (st.leader_state, st.leader_stack[0]))
-    status, detail = replay(net, w)
+    status, detail = replay(net, _parse_file(args.witness, parse_witness))
     if status == "valid":
         print("valid")
         return 0

@@ -36,7 +36,7 @@ import math
 
 from .machines import CONTRIBUTOR, EXPLORE_BUDGET, InternalError
 from .abstraction import reachable_abstract
-from .explicit import Witness, Verdict, _ReplayState, replay
+from .explicit import Verdict, lay_down, replay
 from . import graph, parikh
 
 
@@ -184,18 +184,13 @@ def lasso(net, stem, Q, cycle, pivot=None):
     abstract path to a configuration with populated set Q) and a cycle there
     (transition ids).  Every contributor move of the cycle needs a token in
     Q, and the stem's multiplicities bring them there.  pivot is the
-    witness's (leader state, stack symbol) for a PDM leader."""
+    witness's pivot stack symbol for a PDM leader."""
     tokens = sum(1 for tid in cycle
                  if net.transition(tid).owner == CONTRIBUTOR)
     mults, k = _stem_multiplicities(net, stem, Q, tokens)
-    sim = _ReplayState(net, k)
-    for t, m in zip(stem, mults):
-        for _ in range(m):
-            sim.fire(t)
-    stem_steps, sim.steps = sim.steps, []
-    for tid in cycle:
-        sim.fire(net.transition(tid))
-    return Witness(k, tuple(stem_steps), tuple(sim.steps), pivot)
+    return lay_down(net, k,
+                    [(t, None) for t, m in zip(stem, mults) for _ in range(m)],
+                    [(net.transition(tid), None) for tid in cycle], pivot)
 
 
 def concretize(net, reach, a, cycle):

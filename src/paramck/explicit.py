@@ -2,8 +2,11 @@
 
 Configurations count contributors per local state instead of tracking them by
 identity (contributors are anonymous, so the counting abstraction is exact).
-Witness steps still carry actor indices; these are assigned greedily when a
-population-level path is turned into a witness, and checked again on replay.
+A move is labelled (t, local), local being the contributor local state that
+takes t, or None for the leader.  Witness steps carry actor indices: every
+witness, here and in the parameterized checkers, is laid down by lay_down,
+which gives each contributor move to the lowest-numbered contributor at its
+local state, and is checked again on replay.
 
 For pushdown machines the state space is infinite, so checks involving a PDM
 take a stack bound and are semi-decisions: EMPTY means empty within the bound.
@@ -32,14 +35,15 @@ class Witness:
     """A replayable lasso: stem then cycle, both lists of (actor, tid).
 
     Actor 0 is the leader, actors 1..k are contributors.  For PDM leaders the
-    pivot (state, stack symbol) anchors the cycle: the cycle starts with the
-    pivot symbol on top and never pops below it.
+    pivot, the stack symbol on top after the stem, anchors the cycle: the
+    cycle never pops below it and ends in the leader state it started from
+    with the pivot on top.  pivot is None for an FSM leader.
     """
 
     k: int
     stem: tuple
     cycle: tuple
-    pivot: tuple | None = None
+    pivot: object = None
 
 
 @dataclass(frozen=True)
@@ -79,17 +83,6 @@ def initial_config(net, k):
     return ConcreteConfig(net.leader.initial, stack, UNINIT, pop)
 
 
-def _leader_moves(net, c, stack_bound):
-    moves = []
-    for t in net.leader_transitions:
-        res = step(t, c.leader_state, c.leader_stack, c.store)
-        if res is None or stack_bound is not None and len(res[1]) > stack_bound:
-            continue
-        state, stack, store = res
-        moves.append((t, ConcreteConfig(state, stack, store, c.population)))
-    return moves
-
-
 def contributor_local_moves(net, t, local, store, stack_bound=None):
     """Apply contributor transition t to one contributor in local state.
 
@@ -105,50 +98,27 @@ def contributor_local_moves(net, t, local, store, stack_bound=None):
 
 
 def successors(net, c, stack_bound=None):
-    """All enabled transitions of the concrete system from configuration c."""
-    moves = _leader_moves(net, c, stack_bound)
+    """All enabled moves of the concrete system from configuration c, each
+    as ((t, local), c'): local is the contributor local state that takes t,
+    or None for a leader move."""
+    moves = []
+    for t in net.leader_transitions:
+        res = step(t, c.leader_state, c.leader_stack, c.store)
+        if res is None or stack_bound is not None and len(res[1]) > stack_bound:
+            continue
+        state, stack, store = res
+        moves.append(((t, None),
+                      ConcreteConfig(state, stack, store, c.population)))
     for t in net.contributor_transitions:
-        for local, count in c.population:
+        for local, _ in c.population:
             res = contributor_local_moves(net, t, local, c.store, stack_bound)
             if res is None:
                 continue
             new_local, new_store = res
             pop = _pop_move(c.population, local, new_local)
-            moves.append((t, ConcreteConfig(c.leader_state, c.leader_stack,
-                                            new_store, pop)))
+            moves.append(((t, local), ConcreteConfig(
+                c.leader_state, c.leader_stack, new_store, pop)))
     return moves
-
-
-def _assign_actors(net, k, steps):
-    """Turn population-level steps (src_cfg, transition, dst_cfg) into
-    (actor, tid) pairs with greedy lowest-index contributor assignment."""
-    locals_ = [contributor_initial_local(net)] * k
-    out = []
-    for src_cfg, t, dst_cfg in steps:
-        if t.owner == LEADER:
-            out.append((0, t.tid))
-            continue
-        before = dict(src_cfg.population)
-        after = dict(dst_cfg.population)
-        moved_from = moved_to = None
-        for local, n in before.items():
-            if after.get(local, 0) < n:
-                moved_from = local
-        for local, n in after.items():
-            if before.get(local, 0) < n:
-                moved_to = local
-        if moved_from is None:
-            # self-loop: population unchanged; any contributor whose local
-            # state maps to itself under t works
-            for local, _ in src_cfg.population:
-                res = contributor_local_moves(net, t, local, src_cfg.store)
-                if res is not None and res[0] == local:
-                    moved_from = moved_to = local
-                    break
-        idx = next(i for i, l in enumerate(locals_) if l == moved_from)
-        locals_[idx] = moved_to
-        out.append((idx + 1, t.tid))
-    return tuple(out)
 
 
 def check_explicit(net, k, stack_bound=None, budget=EXPLORE_BUDGET):
@@ -176,20 +146,19 @@ def check_explicit(net, k, stack_bound=None, budget=EXPLORE_BUDGET):
         if a.leader_state not in net.leader.accepting:
             continue
         comp = scc.get(a)
-        cycle_steps = graph.closed_walk(
-            lambda c: (((c, t, d), d) for t, d in edges[c] if scc[d] == comp),
-            a)
-        if cycle_steps is None:
+        walk = graph.closed_walk(
+            lambda c: (((m, d), d) for m, d in edges[c] if scc[d] == comp), a)
+        if walk is None:
             continue
-        stem_steps = graph.path_to(parent, a)
-        all_steps = _assign_actors(net, k, stem_steps + cycle_steps)
-        stem = all_steps[:len(stem_steps)]
-        cycle = all_steps[len(stem_steps):]
-        pivot = None
-        if isinstance(net.leader, Pdm):
-            pivot = (a.leader_state, a.leader_stack[0])
-        w = Witness(k, stem, cycle, pivot)
-        return Verdict("NONEMPTY", w, stats)
+        # a PDM leader's cycle starts where its stack is lowest, so that it
+        # never pops below the pivot
+        on = [a] + [d for _, d in walk]
+        j = min(range(len(walk)), key=lambda i: len(on[i].leader_stack))
+        stem = [m for _, m, _ in graph.path_to(parent, a)] + \
+            [m for m, _ in walk[:j]]
+        cycle = [m for m, _ in walk[j:] + walk[:j]]
+        pivot = on[j].leader_stack[0] if isinstance(net.leader, Pdm) else None
+        return Verdict("NONEMPTY", lay_down(net, k, stem, cycle, pivot), stats)
     return Verdict("EMPTY", stats=stats)
 
 
@@ -237,16 +206,17 @@ class _ReplayState:
         self.steps.append((actor, tid))
         return None
 
-    def fire(self, t):
-        """Apply t by the leader, or by the lowest-numbered contributor in
-        t's source state (FSM contributors); raises AssertionError when t
-        cannot fire."""
+    def fire(self, t, local=None):
+        """Apply t by the leader, or by the lowest-numbered contributor at
+        local (at t's source state when local is None, for FSM
+        contributors); raises AssertionError when t cannot fire."""
         actor = 0
         if t.owner == CONTRIBUTOR:
-            actor = next((i for i, local in enumerate(self.locals, 1)
-                          if local == t.src), None)
+            at = t.src if local is None else local
+            actor = next((i for i, mine in enumerate(self.locals, 1)
+                          if mine == at), None)
             if actor is None:
-                raise AssertionError(f"no contributor is at {t.src!r} to take"
+                raise AssertionError(f"no contributor is at {at!r} to take"
                                      f" {t.tid}")
         err = self.apply(actor, t.tid)
         if err is not None:
@@ -256,6 +226,19 @@ class _ReplayState:
         from collections import Counter
         return ConcreteConfig(self.leader_state, self.leader_stack, self.store,
                               _pop_of(Counter(self.locals).items()))
+
+
+def lay_down(net, k, stem, cycle, pivot=None):
+    """The witness for k contributors that fires the (t, local) moves of
+    stem, then those of cycle (see _ReplayState.fire); raises
+    AssertionError when a move cannot fire."""
+    sim = _ReplayState(net, k)
+    for t, local in stem:
+        sim.fire(t, local)
+    stem_steps, sim.steps = sim.steps, []
+    for t, local in cycle:
+        sim.fire(t, local)
+    return Witness(k, tuple(stem_steps), tuple(sim.steps), pivot)
 
 
 def replay(net, w):
@@ -269,21 +252,19 @@ def replay(net, w):
     if not w.cycle:
         return ("invalid", (0, "empty cycle"))
     st = _ReplayState(net, w.k)
-    idx = 0
-    for actor, tid in w.stem:
+    for idx, (actor, tid) in enumerate(w.stem):
         err = st.apply(actor, tid)
         if err is not None:
             return ("invalid", (idx, err))
-        idx += 1
-
+    idx = len(w.stem)
     start = st.config()
     is_pdm_leader = isinstance(net.leader, Pdm)
     if is_pdm_leader:
         if w.pivot is None:
             return ("invalid", (idx, "PDM-leader witness needs a pivot"))
-        pstate, psym = w.pivot
-        if start.leader_state != pstate or start.leader_stack[0] != psym:
-            return ("invalid", (idx, "cycle does not start at the pivot"))
+        if start.leader_stack[0] != w.pivot:
+            return ("invalid", (idx, f"stem ends with {start.leader_stack[0]!r}"
+                                     f" on top, not the pivot {w.pivot!r}"))
     floor = len(start.leader_stack)
     accepting_seen = start.leader_state in net.leader.accepting
     for actor, tid in w.cycle:
@@ -299,9 +280,9 @@ def replay(net, w):
     if not accepting_seen:
         return ("invalid", (idx, "cycle visits no accepting state"))
     if is_pdm_leader:
-        if end.leader_state != w.pivot[0]:
+        if end.leader_state != start.leader_state:
             return ("invalid", (idx, "cycle does not return to the pivot state"))
-        if end.leader_stack[0] != w.pivot[1]:
+        if end.leader_stack[0] != w.pivot:
             return ("invalid", (idx, "pivot symbol not on top after the cycle"))
         if end.store != start.store or end.population != start.population:
             return ("invalid", (idx, "store or population differs after the cycle"))

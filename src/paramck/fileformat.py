@@ -12,8 +12,9 @@ bottom), and one trans/rule line per transition:
 Actions are written r(g) / w(g); the role (leader or contributor) is implied
 by which file the machine comes from and passed in by the caller.
 
-Witness files list the population size, the pivot stack symbol for pushdown
-leaders, and the stem and cycle as `actor tid` lines:
+Witness files list the population size, the pivot stack symbol (required
+for pushdown leaders, absent otherwise), and the stem and cycle as
+`actor tid` lines, each once and the sections in this order:
 
     k = 2
     pivot = A
@@ -173,7 +174,7 @@ def print_machine(machine, values):
 def print_witness(w):
     lines = [f"k = {w.k}"]
     if w.pivot is not None:
-        lines.append(f"pivot = {w.pivot[1]}")
+        lines.append(f"pivot = {w.pivot}")
     lines.append("stem:")
     for actor, tid in w.stem:
         lines.append(f"{actor} {tid}")
@@ -184,14 +185,15 @@ def print_witness(w):
 
 
 def parse_witness(text):
-    """Parse a witness file into (Witness, pivot symbol or None).
+    """Parse a witness file into a Witness whose pivot is the declared stack
+    symbol, or None without a `pivot =` line.
 
-    The pivot of the returned Witness is left as None; pushdown-leader
-    replayers reconstruct the full pivot from the stem and check its top
-    symbol against the declared one.
+    Raises ParseError with a line number on malformed input, a repeated
+    key, a pivot that is not one symbol, or section headers other than one
+    `stem:` followed by one `cycle:`.
     """
-    k = None
-    pivot_symbol = None
+    k = pivot = None
+    seen = set()
     sections = {"stem": [], "cycle": []}
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -199,20 +201,28 @@ def parse_witness(text):
         if not line:
             continue
         if line in ("stem:", "cycle:"):
+            if line != {None: "stem:", "stem": "cycle:"}.get(current):
+                raise ParseError(line_no, f"unexpected `{line}`, the sections"
+                                          " are `stem:` then `cycle:`")
             current = line[:-1]
             continue
         if "=" in line:
             key, _, rest = line.partition("=")
             key, rest = key.strip(), rest.strip()
+            if key not in ("k", "pivot"):
+                raise ParseError(line_no, f"unknown key {key!r}")
+            if key in seen:
+                raise ParseError(line_no, f"duplicate `{key} =` line")
+            seen.add(key)
             if key == "k":
                 try:
                     k = int(rest)
                 except ValueError:
                     raise ParseError(line_no, f"bad contributor count {rest!r}")
-            elif key == "pivot":
-                pivot_symbol = rest
+            elif len(rest.split()) != 1:
+                raise ParseError(line_no, "pivot takes exactly one symbol")
             else:
-                raise ParseError(line_no, f"unknown key {key!r}")
+                pivot = rest
             continue
         if current is None:
             raise ParseError(line_no, "step outside of stem:/cycle: section")
@@ -228,5 +238,4 @@ def parse_witness(text):
         raise ParseError(0, "missing `k =` line")
     if current is None:
         raise ParseError(0, "missing stem:/cycle: sections")
-    return Witness(k, tuple(sections["stem"]), tuple(sections["cycle"]),
-                   None), pivot_symbol
+    return Witness(k, tuple(sections["stem"]), tuple(sections["cycle"]), pivot)

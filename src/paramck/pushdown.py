@@ -527,8 +527,7 @@ def _build_witness(net, pivot_control, pivot_symbol, grammar, model, reasons,
     if word is None:
         raise AssertionError("Parikh model admits no derivation")
     stem = find_stem(net, pivot_control, pivot_symbol, reasons, budget)
-    return lasso(net, stem, pivot_control[2], word,
-                 (pivot_control[0], pivot_symbol))
+    return lasso(net, stem, pivot_control[2], word, pivot_symbol)
 
 
 def check_pdm_fsm(net, budget=EXPLORE_BUDGET):

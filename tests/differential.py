@@ -1,14 +1,15 @@
-"""Differential set: `paramck check --json` on 1,394 seeded nets.
+"""Differential set: `paramck check --json` on 1,674 seeded runs.
 
 Run from the root of a checkout, with PYTHONHASHSEED=0 so that set
 iteration orders repeat:
 
     PYTHONHASHSEED=0 PYTHONPATH=src python3 tests/differential.py > out.jsonl
 
-It prints one JSON line per net: its name, the exit code of
+It prints one JSON line per run: its name, the exit code of
 `paramck.cli.main(["check", ..., "--json"])` (null when it raised) and what
 the check printed.  Two checkouts agree when `cmp` finds their outputs
-identical.  The nets, in this order:
+identical.  The runs, in this order, all in the default mode but the last
+280:
   - both benchmark corpora at seed 1, each followed by its warm-up net;
   - 200 random_fsm_network, 40 random_pdm_leader_network and 40
     random_pdm_pdm_network fixture nets from one Random(2024), named
@@ -20,7 +21,10 @@ identical.  The nets, in this order:
   - 300 random_pdm_leader_network, 100 random_pdm_pdm_network and 200
     random_deep_pdm_network fixture nets from one Random(99), named
     pdm99/pdmfsm000 ... pdm99/deep599 and written like the fixture nets
-    above.
+    above;
+  - the 280 Random(2024) fixture nets again, in `--mode explicit` with
+    `--contributors 2` (and `--stack-bound 3` when a PDM is present),
+    named explicit/fsm000 ... explicit/pdmpdm279.
 
 pytest does not collect this file (no test_ prefix).
 """
@@ -96,7 +100,17 @@ def draw_nets():
                                       inst.prop)))
 
 
-def run(name, texts, directory):
+def explicit_runs():
+    """(name, texts, options) of the fixture nets in explicit mode."""
+    for name, *texts in fixture_nets():
+        pdm = any(t.startswith(("kind = pdm", "kind = buchi-pdm"))
+                  for t in texts[:2])
+        yield (f"explicit/{name}", texts,
+               ["--mode", "explicit", "--contributors", "2",
+                *(["--stack-bound", "3"] if pdm else [])])
+
+
+def run(name, texts, directory, options=()):
     paths = []
     for role, text in zip(("leader", "contributor", "property"), texts):
         path = os.path.join(directory, f"{name.replace('/', '-')}.{role}")
@@ -108,7 +122,8 @@ def run(name, texts, directory):
             contextlib.redirect_stderr(io.StringIO()):
         try:
             code = cli.main(["check", "--leader", paths[0], "--contributor",
-                             paths[1], "--property", paths[2], "--json"])
+                             paths[1], "--property", paths[2], "--json",
+                             *options])
         except Exception as exc:  # a crash is a result to compare
             code = None
             out.write(f"{type(exc).__name__}: {exc}")
@@ -121,6 +136,8 @@ def main():
         for net in (*bench_nets(), *fixture_nets(), *draw_nets(),
                     *pdm_nets()):
             print(json.dumps(run(net[0], net[1:], directory)), flush=True)
+        for name, texts, options in explicit_runs():
+            print(json.dumps(run(name, texts, directory, options)), flush=True)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,16 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import paramck
 from paramck import cyclesearch, parikh, pushdown
 from paramck.cli import main
+from differential import bench_nets
 
 
 RING_LEADER = """\
@@ -319,6 +322,60 @@ def test_replay_reports_a_window_past_the_budget(tmp_path, capsys,
     monkeypatch.setenv("PARAMCK_BUDGET", "-3")
     assert main(replay_args(paths, out)) == 2
     assert "PARAMCK_BUDGET" in capsys.readouterr().err
+
+
+# The pop rule on B comes first, so the PDM's transition ids are not those
+# of its window restriction.
+POP_FIRST_CONTRIB = """\
+kind = pdm
+values = 1
+states = q
+initial = q
+stack = Z B
+rule = q w(1) B -> q pop
+rule = q w(1) Z -> q push B
+rule = q w(1) B -> q push B
+"""
+
+
+def test_explicit_mode_writes_no_witness_for_a_pdm_contributor(tmp_path,
+                                                                capsys):
+    # an explicit-mode witness names the PDM's transitions, and replay reads
+    # them as the window restriction's: this one would not replay
+    paths = write_net(tmp_path, WINDOW_LEADER, POP_FIRST_CONTRIB, WINDOW_PROP)
+    out = tmp_path / "out.wit"
+    explicit = ("--mode", "explicit", "--contributors", "2",
+                "--stack-bound", "3")
+    assert main(check_args(paths, *explicit, "--witness", str(out))) == 2
+    assert "writes no witness file" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(check_args(paths, *explicit)) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "NONEMPTY"
+
+
+def test_bench_witness_files_replay(tmp_path, capsys):
+    # every witness file of both benchmark corpora at seed 1 (with their
+    # warm-up nets) replays, and a pushdown leader's stops replaying once
+    # its pivot line is gone
+    written = []
+    for name, *texts in bench_nets():
+        directory = tmp_path / name
+        directory.mkdir(parents=True)
+        paths = write_net(directory, *texts)
+        out = directory / "out.wit"
+        assert main(check_args(paths, "--witness", str(out))) == 0
+        if out.exists():
+            written.append((name.split("/")[0], paths, out))
+    assert Counter(w for w, _, _ in written) == {"fsm": 40, "pushdown": 18}
+    for workload, paths, out in written:
+        assert main(replay_args(paths, str(out))) == 0
+        if workload == "pushdown":
+            text, n = re.subn(r"^pivot = \S+\n", "", out.read_text(),
+                              flags=re.M)
+            assert n == 1
+            out.write_text(text)
+            assert main(replay_args(paths, str(out))) == 1
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("net,extra,stats", [

@@ -8,7 +8,8 @@ from paramck.explicit import (Witness, _ReplayState, check_explicit,
                               contributor_local_moves, initial_config,
                               replay, successors)
 from fixtures import (la, ca, ring_network, stalled_network,
-                      random_fsm_network, random_pdm_leader_network)
+                      random_fsm_network, random_pdm_leader_network,
+                      random_pdm_pdm_network)
 
 
 def test_initial_config_counts_population():
@@ -25,9 +26,10 @@ def test_successors_respect_reads():
     net = ring_network()
     c = initial_config(net, 1)
     moves = successors(net, c)
-    # store is uninitialized: no read can fire, only the three writes
-    tids = sorted(t.tid for t, _ in moves)
-    assert tids == ["c0", "c3", "c6"]
+    # store is uninitialized: no read can fire, only the three writes, each
+    # labelled with the local state that takes it
+    assert sorted((t.tid, local) for (t, local), _ in moves) == \
+        [("c0", "A"), ("c3", "A"), ("c6", "A")]
     _, after = moves[0]
     assert after.store == "1"
     assert dict(after.population) == {"B": 1}
@@ -94,10 +96,14 @@ def test_pdm_leader_witness_pivot_contract():
                  frozenset(["d"]))
     contrib = Fsm(frozenset(["q"]), "q", ())
     net = make_network(["1"], leader, contrib)
-    w = Witness(1, ((0, "d0"),), ((0, "d1"),), ("d", "A"))
+    w = Witness(1, ((0, "d0"),), ((0, "d1"),), "A")
     assert replay(net, w) == ("valid", None)
-    # without the pivot the witness is rejected
+    # without the pivot, or with another symbol, the witness is rejected
     assert replay(net, Witness(1, ((0, "d0"),), ((0, "d1"),)))[0] == "invalid"
+    status, (idx, reason) = replay(net, Witness(1, ((0, "d0"),), ((0, "d1"),),
+                                                "Z"))
+    assert status == "invalid" and idx == 1
+    assert reason == "stem ends with 'A' on top, not the pivot 'Z'"
 
 
 def assert_monotone(net, k):
@@ -138,3 +144,31 @@ def test_fire_takes_the_lowest_numbered_contributor():
                          if local == t.src)
             sim.fire(t)
             assert sim.steps[-1] == (lowest, t.tid)
+
+
+@pytest.mark.parametrize("make,bound", [(random_fsm_network, None),
+                                        (random_pdm_leader_network, 3),
+                                        (random_pdm_pdm_network, 3)])
+def test_witnesses_give_each_move_to_the_lowest_numbered_contributor(
+        make, bound):
+    # check_explicit lays its witnesses down as the parameterized checkers
+    # do: a contributor step goes to the lowest-numbered contributor at its
+    # local state, whatever that state is (a (state, stack) pair for a PDM)
+    rng = random.Random(11)
+    nonempty = 0
+    for _ in range(100):
+        net = make(rng)
+        for k in (1, 2, 3):
+            v = check_explicit(net, k, bound)
+            assert v.kind in ("NONEMPTY", "EMPTY")
+            if v.kind == "EMPTY":
+                continue
+            nonempty += 1
+            w = v.witness
+            assert replay(net, w) == ("valid", None)
+            sim = _ReplayState(net, k)
+            for actor, tid in w.stem + w.cycle:
+                if actor:
+                    assert sim.locals.index(sim.locals[actor - 1]) == actor - 1
+                assert sim.apply(actor, tid) is None
+    assert nonempty

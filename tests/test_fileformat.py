@@ -104,20 +104,17 @@ def test_machine_structural_errors(text, msg):
 
 def test_witness_round_trip_plain():
     w = Witness(2, ((0, "d0"), (1, "c1")), ((0, "d1"),), None)
-    parsed, pivot = parse_witness(print_witness(w))
-    assert parsed == w and pivot is None
+    assert parse_witness(print_witness(w)) == w
 
 
 def test_witness_round_trip_with_pivot():
-    w = Witness(3, ((0, "d0"),), ((0, "d1"), (2, "c0")), ("p1", "A"))
-    parsed, pivot = parse_witness(print_witness(w))
-    assert pivot == "A"
-    # the parser leaves the full pivot to the replayer
-    assert parsed == Witness(3, w.stem, w.cycle, None)
+    w = Witness(3, ((0, "d0"),), ((0, "d1"), (2, "c0")), "A")
+    assert "pivot = A\n" in print_witness(w)
+    assert parse_witness(print_witness(w)) == w
 
 
 def test_witness_accepts_comments_and_empty_cycle_section():
-    parsed, pivot = parse_witness("k = 1\nstem:\n# none\ncycle:\n0 d0\n")
+    parsed = parse_witness("k = 1\nstem:\n# none\ncycle:\n0 d0\n")
     assert parsed == Witness(1, (), ((0, "d0"),), None)
 
 
@@ -129,6 +126,16 @@ def test_witness_accepts_comments_and_empty_cycle_section():
     ("k = 1\nseed = 4\nstem:\ncycle:\n", "unknown key"),
     ("stem:\ncycle:\n", "missing `k =`"),
     ("k = 1\n", "missing stem:/cycle:"),
+    ("k = 1\nstem:\nk = 2\ncycle:\n", "line 3: duplicate `k =`"),
+    ("k = 1\npivot = A\npivot = B\nstem:\ncycle:\n",
+     "line 3: duplicate `pivot =`"),
+    ("k = 1\npivot =\nstem:\ncycle:\n", "line 2: pivot takes exactly one"),
+    ("k = 1\npivot = A B\nstem:\ncycle:\n", "line 2: pivot takes exactly one"),
+    ("k = 1\ncycle:\n0 d0\n", "line 2: unexpected `cycle:`"),
+    ("k = 1\nstem:\ncycle:\n0 d0\nstem:\n0 d1\n",
+     "line 5: unexpected `stem:`"),
+    ("k = 1\nstem:\nstem:\ncycle:\n", "line 3: unexpected `stem:`"),
+    ("k = 1\nstem:\ncycle:\ncycle:\n", "line 4: unexpected `cycle:`"),
 ])
 def test_witness_parse_errors(text, msg):
     with pytest.raises(ParseError) as e:
