@@ -5,6 +5,7 @@
                   [--witness OUT] [--json]
     paramck replay --witness F --leader F --contributor F --property F
 
+--contributors and --stack-bound are refused outside --mode explicit.
 Explicit mode with a PDM contributor refuses --witness: its witnesses refer
 to the PDM, and replay to the contributor's window restriction.
 Exit codes for check: 0 decided (NONEMPTY or EMPTY), 2 input error,
@@ -85,6 +86,10 @@ def _witness_json(w):
 
 
 def _cmd_check(args):
+    if args.mode != "explicit" and \
+            (args.contributors, args.stack_bound) != (None, None):
+        raise InputError("--contributors and --stack-bound are for"
+                         " --mode explicit only")
     net = _load_network(args)
     if args.mode == "explicit":
         if args.contributors is None:

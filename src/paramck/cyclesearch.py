@@ -215,11 +215,9 @@ def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
     codec = reach.codec
     stats = {"abstract_configs": len(reach.order), "accepting_checked": 0,
              "solves": 0}
-    accepting = [s in net.leader.accepting                # per code >> width
-                 for s in codec.leader_states for _ in codec.stores]
     parts = {}                # code -> its refined part, or None
     for a in reach.order:
-        if not accepting[a >> codec.width]:
+        if not codec.accepting[a >> codec.width]:
             continue
         stats["accepting_checked"] += 1
         fsa = None

@@ -189,8 +189,8 @@ def parse_witness(text):
     symbol, or None without a `pivot =` line.
 
     Raises ParseError with a line number on malformed input, a repeated
-    key, a pivot that is not one symbol, or section headers other than one
-    `stem:` followed by one `cycle:`.
+    key, a key after `stem:`, a pivot that is not one symbol, or section
+    headers other than one `stem:` followed by one `cycle:`.
     """
     k = pivot = None
     seen = set()
@@ -213,6 +213,8 @@ def parse_witness(text):
                 raise ParseError(line_no, f"unknown key {key!r}")
             if key in seen:
                 raise ParseError(line_no, f"duplicate `{key} =` line")
+            if current is not None:
+                raise ParseError(line_no, f"`{key} =` line after `stem:`")
             seen.add(key)
             if key == "k":
                 try:
@@ -238,4 +240,6 @@ def parse_witness(text):
         raise ParseError(0, "missing `k =` line")
     if current is None:
         raise ParseError(0, "missing stem:/cycle: sections")
+    if current == "stem":       # line_no is the last line's
+        raise ParseError(line_no, "missing `cycle:` section")
     return Witness(k, tuple(sections["stem"]), tuple(sections["cycle"]), pivot)

@@ -10,9 +10,10 @@ write action.
 
 In the abstraction, a move depends only on the leader state, the store, the
 leader's top symbol and whether the populated set Q holds the contributor's
-source.  move_table writes these moves out once per network, indexed by
-source, and Network.moves keeps the table: the fsm-fsm saturation, post* and
-the loop automata all read it.
+source.  Codec numbers the abstract configurations (leader state, store, Q)
+as integers and writes these moves out once per network over the codes,
+indexed by source, and Network.moves keeps the table: the fsm-fsm
+saturation, post* and the loop automata all read it.
 """
 
 from __future__ import annotations
@@ -178,45 +179,95 @@ def step(t, state, stack, store):
     return t.dst, stack, store
 
 
-class Moves(NamedTuple):
-    """A network's abstract moves, indexed by source (move_table)."""
-
-    stores: tuple          # UNINIT, then the values in sorted(key=repr) order
-    leader: dict           # (state, store, top) -> [(t, state', store', repl)]
-    contributor: dict      # store -> [(t, store')]
+class AbstractConfig(NamedTuple):
+    leader_state: object
+    store: str
+    Q: frozenset           # populated contributor states, never empty
 
 
-def move_table(net):
-    """The abstract moves of net, as a Moves table.
+class Codec:
+    """A network's abstract moves over the integer codes of its
+    configurations (Network.moves), and the numbering behind the codes.
 
-    The stores are UNINIT, then every value the network declares or its
-    actions name, in sorted(key=repr) order, so a network built without
-    validation or with a domain of mixed types still has them all.
-    leader[(state, store, top)] lists the leader's moves from that state on
-    that store with top on its stack, top None for an FSM leader, as (t,
-    state', store', replacement).  The replacement is what the move puts in
-    place of top: () for a pop, (pushed, top) for a push and (top,) for an
-    FSM leader.  contributor[store] lists the contributor moves on that
-    store as (t, store'); such a move needs a populated source, adds its
-    target to Q and keeps the leader's stack.  Every list is in tid order.
+    The leader states, the stores (UNINIT first, then the values) and the
+    contributor states are each numbered in sorted(key=repr) order.  Each
+    numbering takes what the network declares and what its transitions
+    name, so a network built without validation or with a domain of mixed
+    types still has a code for every configuration its moves reach.  (l, g,
+    Q) has the code (key << width) | Qmask, where key = l * len(stores) + g
+    and bit i of Qmask stands for the i-th contributor state.  Codes sort as
+    their configurations do by leader state and store; a move keeps Q iff
+    it keeps the bits of q_mask.
+
+    leader[(key, top)] lists the leader's moves from key with top on its
+    stack, top None for an FSM leader, as (t, base, replacement): from code
+    c the move goes to base | (c & q_mask).  The replacement is what it puts
+    in place of top: () for a pop, (pushed, top) for a push and (None,) for
+    an FSM leader.  contributor[g] lists the moves on the g-th store as (t,
+    source bit, target bit, shift): from c, when c has the source bit, the
+    move goes to (c + shift) | target bit and keeps the leader's stack.
+    Every list is in tid order.  accepting[key] tells whether the key's
+    leader state is accepting.
     """
-    stores = (UNINIT,) + tuple(sorted(
-        set(net.values) | {t.action.value for t in
-                           net.leader_transitions + net.contributor_transitions},
-        key=repr))
-    leader = {}
-    for t in net.leader_transitions:
-        top = t.payload.top if isinstance(t.payload, PdmRule) else None
-        repl = (top,) if top is None else top_replacement(t.payload, top)
-        for g in stores:
-            g2 = register_step(t.action, g)
-            if g2 is not None:
-                leader.setdefault((t.src, g, top), []).append(
-                    (t, t.dst, g2, repl))
-    contributor = {g: [(t, g2) for t in net.contributor_transitions
-                       if (g2 := register_step(t.action, g)) is not None]
-                   for g in stores}
-    return Moves(stores, leader, contributor)
+
+    def __init__(self, net):
+        def named(machine, transitions):
+            return tuple(sorted(
+                set(machine.states) | {machine.initial}
+                | {s for t in transitions for s in (t.src, t.dst)}, key=repr))
+
+        self.leader_states = named(net.leader, net.leader_transitions)
+        self.stores = (UNINIT,) + tuple(sorted(
+            set(net.values) | {t.action.value for t in
+                               net.leader_transitions
+                               + net.contributor_transitions}, key=repr))
+        self.contributor_states = named(net.contributor,
+                                        net.contributor_transitions)
+        self.width = n = len(self.contributor_states)
+        self.q_mask = (1 << n) - 1
+        self.leader_index = {s: i for i, s in enumerate(self.leader_states)}
+        self.store_index = store = {g: i for i, g in enumerate(self.stores)}
+        self.bit = {q: 1 << i for i, q in enumerate(self.contributor_states)}
+        self.accepting = [s in net.leader.accepting
+                          for s in self.leader_states for _ in self.stores]
+        self.leader = {}
+        for t in net.leader_transitions:
+            top = t.payload.top if isinstance(t.payload, PdmRule) else None
+            repl = (top,) if top is None else top_replacement(t.payload, top)
+            for g in self.stores:
+                g2 = register_step(t.action, g)
+                if g2 is not None:
+                    self.leader.setdefault((self.key(t.src, g), top), []) \
+                        .append((t, self.key(t.dst, g2) << n, repl))
+        self.contributor = [
+            [(t, self.bit[t.src], self.bit[t.dst], (store[g2] - i) << n)
+             for t in net.contributor_transitions
+             if (g2 := register_step(t.action, g)) is not None]
+            for i, g in enumerate(self.stores)]
+
+    def key(self, leader_state, store):
+        return self.leader_index[leader_state] * len(self.stores) \
+            + self.store_index[store]
+
+    def encode(self, a):
+        return (self.key(a.leader_state, a.store) << self.width) \
+            | sum(self.bit[q] for q in a.Q)
+
+    def decode(self, code):
+        leader, store = divmod(code >> self.width, len(self.stores))
+        return AbstractConfig(
+            self.leader_states[leader], self.stores[store],
+            frozenset(q for i, q in enumerate(self.contributor_states)
+                      if (code >> i) & 1))
+
+    def successors(self, code, top):
+        """The abstract moves from code with top on the leader's stack, as
+        (t, code', replacement): the leader's, then the contributors'."""
+        key, Q = code >> self.width, code & self.q_mask
+        return [(t, base | Q, repl)
+                for t, base, repl in self.leader.get((key, top), ())] + \
+            [(t, (code + shift) | dst, (top,)) for t, src, dst, shift
+             in self.contributor[key % len(self.stores)] if Q & src]
 
 
 def validate(machine, values):
@@ -378,8 +429,8 @@ class Network:
 
     @cached_property
     def moves(self):
-        """The abstract move table (move_table), built on first use."""
-        return move_table(self)
+        """The abstract move table (Codec), built on first use."""
+        return Codec(self)
 
 
 def make_network(values, leader, contributor):

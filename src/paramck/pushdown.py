@@ -1,9 +1,11 @@
 """Liveness decision for PDM leader / FSM contributor networks.
 
-The abstraction carries over: an abstract control is (leader state, store
-value, populated contributor set Q), and the leader's stack makes the abstract
-system a pushdown process whose rules replace the top symbol by zero, one or
-two symbols.  Contributor moves never touch the stack.
+The abstraction carries over: an abstract control is the integer code of
+a configuration (leader state, store value, populated contributor set Q)
+that net.moves (machines.Codec) numbers and moves, and the leader's stack
+makes the abstract system a pushdown process whose rules replace the top
+symbol by zero, one or two symbols.  Contributor moves never touch the
+stack.
 
 The decision runs in three stages:
   1. saturate the reachable configurations into a finite automaton (post*),
@@ -35,22 +37,14 @@ argument as in the finite-state case.
 
 from __future__ import annotations
 
-from .machines import (EXPLORE_BUDGET, UNINIT, BudgetExceeded, InternalError,
-                       Pdm, Fsm)
+from .machines import EXPLORE_BUDGET, BudgetExceeded, InternalError, Pdm, Fsm
+from .abstraction import initial_abstract
 from .explicit import Verdict, replay
 from .cyclesearch import contributor_flow_rows, lasso
 from . import graph, parikh
 
 
-def accepting_control(net, control):
-    return control[0] in net.leader.accepting
-
-
-def initial_control(net):
-    return (net.leader.initial, UNINIT, frozenset([net.contributor.initial]))
-
-
-#: post*'s final state.  Abstract controls are triples and middle states
+#: post*'s final state.  Abstract controls are ints and middle states
 #: pairs, so no state is taken for another, whatever the leader's names.
 FINAL = ("final",)
 
@@ -59,7 +53,7 @@ def post_star(net, budget=EXPLORE_BUDGET, reasons=None):
     """Saturation of the reachable-configuration automaton.
 
     Returns the ordered list of reachable (control, top) pairs.  The automaton
-    states are abstract controls (d, g, Q), the final state FINAL, and one
+    states are abstract controls (codes), the final state FINAL, and one
     middle state, the pair (control, pushed symbol), per push target; an
     edge (p, gamma, q) witnesses a reachable configuration with control p
     and gamma on top.
@@ -79,9 +73,9 @@ def post_star(net, budget=EXPLORE_BUDGET, reasons=None):
     Premises are inserted before the edges they explain.  An edge that
     makes more than budget raises BudgetExceeded.
 
-    The rules at an edge (p, gamma, q), with p = (d, g, Q), are the leader's
-    moves at (d, g, gamma) in net.moves, then the contributor moves on g
-    whose source is in Q, each in tid order.
+    The rules at an edge (p, gamma, q) are net.moves.successors(p, gamma):
+    the leader's moves from p with gamma on top, then the contributor moves
+    whose source is in p's Q, each in tid order.
     """
     moves = net.moves
     trans = {} if reasons is None else reasons   # (p, gamma, q) -> reason
@@ -111,54 +105,45 @@ def post_star(net, budget=EXPLORE_BUDGET, reasons=None):
         for gamma, q2 in list(trans_from.get(q, [])):
             add_trans(p, gamma, q2, (tid, popped, (q, gamma, q2)))
 
-    add_trans(initial_control(net), net.leader.bottom, FINAL, None)
+    add_trans(moves.encode(initial_abstract(net)), net.leader.bottom, FINAL,
+              None)
     wi = 0
     while wi < len(work):
         edge = p, gamma, q = work[wi]
         wi += 1
-        if len(p) != 3:      # the final state or a middle state
+        if not isinstance(p, int):      # the final state or a middle state
             continue
-        d, g, Q = p
-        rules = [(t.tid, (d2, g2, Q), repl)
-                 for t, d2, g2, repl in moves.leader.get((d, g, gamma), ())]
-        rules += [(t.tid, (d, g2, Q | {t.dst}), (gamma,))
-                  for t, g2 in moves.contributor[g] if t.src in Q]
-        for tid, p2, repl in rules:
+        for t, p2, repl in moves.successors(p, gamma):
             if repl == ():
-                add_eps(p2, q, tid, edge)
+                add_eps(p2, q, t.tid, edge)
             elif len(repl) == 1:
-                add_trans(p2, repl[0], q, (tid, edge))
+                add_trans(p2, repl[0], q, (t.tid, edge))
             else:
                 beta, below = repl
                 mid = (p2, beta)
                 add_trans(p2, beta, mid, (None, (mid, below, q)))
-                add_trans(mid, below, q, (tid, edge))
+                add_trans(mid, below, q, (t.tid, edge))
 
     return list(dict.fromkeys((p, gamma) for p, gamma, _ in trans
-                              if len(p) == 3))
+                              if isinstance(p, int)))
 
 
-def loop_rules(net, Q):
-    """The loop automaton's rules at Q, on demand: a function from a node
-    (state, top) to the abstract rules there that keep Q fixed, as (tid,
-    state', replacement), with the sticky accepting bit folded into the
-    state.  The leader's moves at (d, g, top) in net.moves come first, then
-    the contributor moves on g with source and target in Q, each in tid
-    order, as in post_star."""
-    accepting = net.leader.accepting
-    leader = net.moves.leader
-    contributor = {g: [(t.tid, g2) for t, g2 in moves
-                       if t.src in Q and t.dst in Q]
-                   for g, moves in net.moves.contributor.items()}
+def loop_rules(net):
+    """The loop automaton's rules, on demand: a function from a node
+    ((code, bit), top) to the abstract rules there that keep the code's Q,
+    as (tid, (code', bit'), replacement), where the sticky bit turns 1 at
+    an accepting control.  They are net.moves.successors(code, top) in its
+    order, less the contributor moves whose target is not in Q, as in
+    post_star."""
+    moves = net.moves
+    n, q_mask, accepting = moves.width, moves.q_mask, moves.accepting
 
     def rules_at(node):
-        ((d, g, _), b), top = node
-        stay = 1 if d in accepting else b    # contributor moves keep d
-        out = [(t.tid, ((d2, g2, Q), 1 if d2 in accepting else b), repl)
-               for t, d2, g2, repl in leader.get((d, g, top), ())]
-        out += [(tid, ((d, g2, Q), stay), (top,))
-                for tid, g2 in contributor[g]]
-        return out
+        (code, b), top = node
+        Q = code & q_mask
+        return [(t.tid, (c2, 1 if accepting[c2 >> n] else b), repl)
+                for t, c2, repl in moves.successors(code, top)
+                if c2 & q_mask == Q]
     return rules_at
 
 
@@ -242,22 +227,13 @@ def pop_relation(rules_at, starts):
     return rules, found
 
 
-def _table_order(state):
-    """Sort key of loop-automaton states in the order in which a whole rule
-    table over Q would list them: leader state by repr, store in the order
-    of net.moves.stores (UNINIT first, then by repr), then accepting bit.
-    Its nodes (state, top) follow with the top in stack-alphabet order."""
-    (d, g, _), b = state
-    return repr(d), g != UNINIT, repr(g), b
-
-
-def loop_automaton(net, Q, starts):
-    """The part of the loop automaton at the populated set Q that the start
-    nodes reach: its rule table by (state, top) node (loop_rules), its pop
-    relation as an index
-    (s, gamma) -> [s'], and its reachability graph, all from one
-    pop_relation call.  The index lists each s' in table order
-    (_table_order), so it does not depend on which starts were given.
+def loop_automaton(net, starts):
+    """The part of the loop automaton that the start nodes, all with one
+    populated set Q, reach: its rule table by (state, top) node
+    (loop_rules), its pop relation as an index (s, gamma) -> [s'], and its
+    reachability graph, all from one pop_relation call.  The index lists
+    each s' in sorted order, by leader state, store and bit as the codes
+    sort, so it does not depend on which starts were given.
 
     The graph's nodes are (state, top) pairs, and it has an edge wherever a
     loop grammar has a production ("R", node) -> ... ("R", node') that ends
@@ -266,12 +242,12 @@ def loop_automaton(net, Q, starts):
     (s', beta), to (x, gamma).  Pops add no edge.  Every successor is a
     demanded node, so the graph is closed.
     """
-    rules, found = pop_relation(loop_rules(net, Q), starts)
+    rules, found = pop_relation(loop_rules(net), starts)
     after = {}
     for s, gamma, s2 in found:
         after.setdefault((s, gamma), []).append(s2)
     for xs in after.values():
-        xs.sort(key=_table_order)
+        xs.sort()
     graph = {}
     for node, rs in rules.items():
         succ = graph[node] = []
@@ -287,7 +263,8 @@ def loop_automaton(net, Q, starts):
 
 def _loop_ends(net, pivot_control, pivot_symbol):
     """The loop automaton's start and accept nodes at a pivot."""
-    bit = 1 if accepting_control(net, pivot_control) else 0
+    moves = net.moves
+    bit = 1 if moves.accepting[pivot_control >> moves.width] else 0
     return ((pivot_control, bit), pivot_symbol), \
         ((pivot_control, 1), pivot_symbol)
 
@@ -324,8 +301,9 @@ def build_loop_grammar(net, pivot_control, pivot_symbol, automaton=None):
     among the pivots with that Q.  Without it one is built from this start
     alone.  Only the nodes that the start reaches in the automaton's graph
     get productions, one per rule and per matching triple of the index,
-    and the nodes come in table order (_table_order), so a shared and a
-    fresh automaton give the same grammar.  Nonterminals are listed in the
+    and the nodes come in sorted order, the states as the index sorts them
+    and then the top in stack-alphabet order, so a shared and a fresh
+    automaton give the same grammar.  Nonterminals are listed in the
     order of their first production, then the ones with none.
     check_pdm_fsm first decides each pivot by reachability on the graph
     (loop_nonempty) and builds the grammar only for the pivots whose
@@ -333,12 +311,11 @@ def build_loop_grammar(net, pivot_control, pivot_symbol, automaton=None):
     """
     start, accept = _loop_ends(net, pivot_control, pivot_symbol)
     if automaton is None:
-        automaton = loop_automaton(net, pivot_control[2], [start])
+        automaton = loop_automaton(net, [start])
     rules, after, moves = automaton
     tops = net.leader.stack_alphabet
     reached = sorted((node for node, _ in graph.bfs(start, moves.__getitem__)),
-                     key=lambda node: (_table_order(node[0]),
-                                       tops.index(node[1])))
+                     key=lambda node: (node[0], tops.index(node[1])))
     prods = []
     for node in reached:
         s, gamma = node
@@ -527,7 +504,8 @@ def _build_witness(net, pivot_control, pivot_symbol, grammar, model, reasons,
     if word is None:
         raise AssertionError("Parikh model admits no derivation")
     stem = find_stem(net, pivot_control, pivot_symbol, reasons, budget)
-    return lasso(net, stem, pivot_control[2], word, pivot_symbol)
+    return lasso(net, stem, net.moves.decode(pivot_control).Q, word,
+                 pivot_symbol)
 
 
 def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
@@ -546,16 +524,17 @@ def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
     reasons = {}              # post*'s edge derivations, for find_stem
     pairs = post_star(net, budget, reasons)
     stats["pivots"] = len(pairs)
+    q_mask = net.moves.q_mask
     starts = {}               # Q -> the start nodes of its pivots
     for control, gamma in pairs:
-        starts.setdefault(control[2], []).append(
+        starts.setdefault(control & q_mask, []).append(
             _loop_ends(net, control, gamma)[0])
     automata = {}             # Q -> its loop automaton, for this check
     for control, gamma in pairs:
         stats["pivots_checked"] += 1
-        Q = control[2]
+        Q = control & q_mask
         if Q not in automata:
-            automata[Q] = loop_automaton(net, Q, starts[Q])
+            automata[Q] = loop_automaton(net, starts[Q])
         if not loop_nonempty(net, automata[Q], control, gamma):
             continue
         grammar = parikh.reduce_grammar(
@@ -574,7 +553,8 @@ def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
             status, err = replay(net, witness)
             if status == "valid":
                 return Verdict("NONEMPTY", witness, stats)
-        at = (*control[:2], sorted(control[2], key=repr), gamma)
+        c = net.moves.decode(control)
+        at = (c.leader_state, c.store, sorted(c.Q, key=repr), gamma)
         raise InternalError(
             f"could not concretize a feasible loop at {at}: {err}")
     return Verdict("EMPTY", None, stats)

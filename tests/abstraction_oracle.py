@@ -1,15 +1,16 @@
 """The abstract moves, saturation and cycle automaton over AbstractConfig
 tuples, as paramck computed them before it interned configurations as
 integer codes and indexed its moves by source: the oracle that the decoded
-codes and the move table (machines.move_table) must match."""
+codes and the code move table (machines.Codec) must match."""
 
 from __future__ import annotations
 
 import math
 
 from paramck import graph, parikh
-from paramck.abstraction import AbstractConfig, initial_abstract
-from paramck.machines import EXPLORE_BUDGET, register_step, top_replacement
+from paramck.abstraction import initial_abstract
+from paramck.machines import (EXPLORE_BUDGET, AbstractConfig, register_step,
+                              top_replacement)
 
 
 def abstract_moves(net, leader_state, store, Q, top=None):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from paramck.machines import UNINIT, BudgetExceeded, Fsm, make_network
-from paramck.abstraction import (AbstractConfig, Codec, initial_abstract,
-                                 reachable_abstract)
+from paramck.machines import (UNINIT, AbstractConfig, BudgetExceeded, Codec,
+                              Fsm, make_network)
+from paramck.abstraction import initial_abstract, reachable_abstract
 from paramck.cyclesearch import build_cycle_fsa, check_fsm_fsm
 from paramck.explicit import initial_config, successors
 from paramck.graph import path_to

@@ -154,6 +154,21 @@ def test_explicit_mode_needs_contributor_count(tmp_path, capsys):
     assert "explicit mode needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--contributors", "2"),
+    ("--stack-bound", "3"),
+    ("--mode", "pdm-fsm", "--contributors", "2", "--stack-bound", "3"),
+], ids=["contributors", "stack-bound", "both"])
+def test_explicit_flags_are_refused_in_other_modes(tmp_path, capsys, flags):
+    # the parameterized modes decide every population size and keep the
+    # whole stack, so these flags would do nothing there
+    paths = write_net(tmp_path, COUNTER_LEADER, COUNTER_CONTRIB, COUNTER_PROP)
+    assert main(check_args(paths, *flags)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "for --mode explicit only" in captured.err
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 def test_explicit_mode_refuses_a_stack_bound_below_one(tmp_path, capsys,
                                                        bound):

@@ -3,9 +3,9 @@ import random
 import networkx
 import pytest
 
-from paramck.machines import (BudgetExceeded, Fsm,
+from paramck.machines import (AbstractConfig, BudgetExceeded, Fsm,
                               buchi_product, make_network)
-from paramck.abstraction import AbstractConfig, reachable_abstract
+from paramck.abstraction import reachable_abstract
 from paramck.api import replay_network
 from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
                                  closed_walk, concretize,

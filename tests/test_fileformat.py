@@ -136,6 +136,11 @@ def test_witness_accepts_comments_and_empty_cycle_section():
      "line 5: unexpected `stem:`"),
     ("k = 1\nstem:\nstem:\ncycle:\n", "line 3: unexpected `stem:`"),
     ("k = 1\nstem:\ncycle:\ncycle:\n", "line 4: unexpected `cycle:`"),
+    ("k = 1\nstem:\n0 d0\n", "line 3: missing `cycle:` section"),
+    ("stem:\n0 d0\ncycle:\n0 d1\nk = 2\n",
+     "line 5: `k =` line after `stem:`"),
+    ("k = 1\nstem:\npivot = A\ncycle:\n",
+     "line 3: `pivot =` line after `stem:`"),
 ])
 def test_witness_parse_errors(text, msg):
     with pytest.raises(ParseError) as e:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from paramck.machines import (Action, Fsm, Pdm, PdmRule, Transition, UNINIT,
+from paramck.machines import (AbstractConfig, Action, Fsm, Pdm, PdmRule,
+                              Transition, UNINIT,
                               LEADER, CONTRIBUTOR, EXPLORE_BUDGET,
                               buchi_product, env_budget, make_network,
                               register_step, stack_step, step,
@@ -177,20 +178,44 @@ def test_step_on_pdm_rules_needs_register_and_stack():
     assert step(t, "q1", ("X", "Z"), "1") is None   # wrong source state
 
 
+def leader_moves(moves, d, g, top=None):
+    """moves.leader at leader state d, store g and top symbol top, decoded
+    to (t, d', g', replacement)."""
+    return [(t, *moves.decode(base)[:2], repl) for t, base, repl
+            in moves.leader.get((moves.key(d, g), top), ())]
+
+
+def contributor_moves(moves, g):
+    """moves.contributor on store g, decoded to (t, g'), once the source
+    and target bits are checked to be those of t's states."""
+    i = moves.store_index[g]
+    out = []
+    for t, src, dst, shift in moves.contributor[i]:
+        assert (src, dst) == (moves.bit[t.src], moves.bit[t.dst])
+        assert shift % (1 << moves.width) == 0
+        out.append((t, moves.stores[i + (shift >> moves.width)]))
+    return out
+
+
 def test_move_table_on_fsm_leader_indexes_moves_by_source():
     net = ring_network()
     moves = net.moves
     assert net.moves is moves             # built once, on first use
     assert moves.stores == (UNINIT, "1", "2", "3")
-    # an FSM leader's moves have no top symbol and keep the stack
-    assert moves.leader[(("s0", "p0"), "1", None)] == \
+    # an FSM leader's moves have no top symbol and keep the stack; the
+    # target code has Q empty
+    assert moves.leader[(moves.key(("s0", "p0"), "1"), None)] == \
+        [(net.transition("d0"), moves.key(("s1", "p1"), "1") << moves.width,
+          (None,))]
+    assert leader_moves(moves, ("s0", "p0"), "1") == \
         [(net.transition("d0"), ("s1", "p1"), "1", (None,))]
-    assert (("s0", "p0"), "2", None) not in moves.leader
+    assert (moves.key(("s0", "p0"), "2"), None) not in moves.leader
     # the contributor moves on a store, whatever their source, in tid
     # order; B's only move reads 3 and is not there on store 1
-    assert [(t.tid, g2) for t, g2 in moves.contributor["1"]] == \
+    assert [(t.tid, g2) for t, g2 in contributor_moves(moves, "1")] == \
         [("c0", "1"), ("c2", "1"), ("c3", "2"), ("c4", "1"), ("c6", "3")]
-    assert [t.tid for t, _ in moves.contributor[UNINIT]] == ["c0", "c3", "c6"]
+    assert [t.tid for t, _ in contributor_moves(moves, UNINIT)] == \
+        ["c0", "c3", "c6"]
 
 
 def test_move_table_on_pdm_leader_reports_top_replacement():
@@ -203,13 +228,26 @@ def test_move_table_on_pdm_leader_reports_top_replacement():
     net = make_network(["1", "2", "3"], leader, contrib)
     moves = net.moves
     assert [(t.tid, d, g2, repl) for t, d, g2, repl
-            in moves.leader[("p", "3", "X")]] == \
+            in leader_moves(moves, "p", "3", "X")] == \
         [("d1", "p", "2", ("X", "X")), ("d2", "p", "3", ())]
-    assert [t.tid for t, *_ in moves.leader[("p", "2", "Z")]] == ["d0"]
+    assert [t.tid for t, *_ in leader_moves(moves, "p", "2", "Z")] == ["d0"]
     # a write fires on every store, the uninitialized one too
-    assert all(("p", g, "Z") in moves.leader for g in moves.stores)
-    assert [(t.tid, g2) for t, g2 in moves.contributor["3"]] == [("c0", "3")]
-    assert moves.contributor["1"] == []
+    assert all((moves.key("p", g), "Z") in moves.leader
+               for g in moves.stores)
+    assert [(t.tid, g2) for t, g2 in contributor_moves(moves, "3")] == \
+        [("c0", "3")]
+    assert contributor_moves(moves, "1") == []
+    assert moves.accepting == [True] * len(moves.stores)
+
+
+def mixed_domain_network():
+    """A domain of mixed types, and a value no declaration names."""
+    return make_network(
+        [1, "a"],
+        Fsm(frozenset(["p"]), "p", (("p", la("read", 1), "p"),),
+            frozenset(["p"])),
+        Fsm(frozenset(["q", "r"]), "q", (("q", ca("write", 1), "r"),
+                                         ("r", ca("write", "9"), "q"))))
 
 
 def oracle_nets():
@@ -220,13 +258,7 @@ def oracle_nets():
         nets.append(random_pdm_leader_network(rng))
         nets.append(random_deep_pdm_network(rng))
         nets.append(restrict_network(random_pdm_pdm_network(rng)))
-    # a domain of mixed types, and a value no declaration names
-    nets.append(make_network(
-        [1, "a"],
-        Fsm(frozenset(["p"]), "p", (("p", la("read", 1), "p"),),
-            frozenset(["p"])),
-        Fsm(frozenset(["q", "r"]), "q", (("q", ca("write", 1), "r"),
-                                         ("r", ca("write", "9"), "q")))))
+    nets.append(mixed_domain_network())
     return nets
 
 
@@ -239,25 +271,53 @@ def test_move_table_agrees_with_the_oracle_scan():
                   net.leader_transitions + net.contributor_transitions}
         assert set(moves.stores) == {UNINIT} | set(net.values) | values
         states = {s for t in net.leader_transitions for s in (t.src, t.dst)}
+        assert moves.leader_states == \
+            tuple(sorted(states | set(net.leader.states), key=repr))
         tops = net.leader.stack_alphabet if isinstance(net.leader, Pdm) \
             else (None,)
         contributor = sorted(net.contributor.states, key=repr)
         qs = [frozenset(), frozenset([net.contributor.initial]),
               frozenset(contributor),
               frozenset(rng.sample(contributor, len(contributor) // 2))]
-        for d in sorted(states | set(net.leader.states), key=repr):
+        for d in moves.leader_states:
             for g in moves.stores:
+                assert moves.accepting[moves.key(d, g)] == \
+                    (d in net.leader.accepting)
                 for top in tops:
                     for Q in qs:
-                        table = [(t, d2, g2, Q, repl) for t, d2, g2, repl
-                                 in moves.leader.get((d, g, top), ())]
-                        table += [(t, d, g2, Q | {t.dst}, (top,))
-                                  for t, g2 in moves.contributor[g]
-                                  if t.src in Q]
+                        code = moves.encode(AbstractConfig(d, g, Q))
+                        table = [(t, *moves.decode(c2), repl) for t, c2, repl
+                                 in moves.successors(code, top)]
                         # the same moves in the same order
                         assert table == abstract_moves(net, d, g, Q, top)
                         compared += len(table)
     assert compared > 5000
+
+
+def test_codes_sort_as_their_configurations():
+    # loop_automaton and build_loop_grammar sort codes, and the grammars,
+    # so the witnesses, depend on that order: by leader state in repr
+    # order, then by the store's position in stores, at one Q
+    rng = random.Random(23)
+    nets = [random_fsm_network(rng) for _ in range(10)]
+    nets += [random_pdm_leader_network(rng) for _ in range(10)]
+    nets.append(mixed_domain_network())
+    compared = 0
+    for net in nets:
+        moves = net.moves
+        contributor = sorted(moves.contributor_states, key=repr)
+        for Q in (frozenset([net.contributor.initial]), frozenset(contributor),
+                  frozenset(rng.sample(contributor, len(contributor) // 2))):
+            states = [(moves.encode(AbstractConfig(d, g, Q)), b)
+                      for d in moves.leader_states for g in moves.stores
+                      for b in (0, 1)]
+            rng.shuffle(states)
+            assert [(moves.decode(c), b) for c, b in sorted(states)] == \
+                sorted(((moves.decode(c), b) for c, b in states),
+                       key=lambda s: (repr(s[0].leader_state),
+                                      moves.stores.index(s[0].store), s[1]))
+            compared += len(states)
+    assert compared > 500
 
 
 def test_env_budget_reads_an_integer_or_falls_back(monkeypatch):

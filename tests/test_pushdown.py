@@ -4,11 +4,12 @@ from collections import Counter
 import pytest
 
 from paramck.api import run_check
-from paramck.machines import (EXPLORE_BUDGET, BudgetExceeded, Fsm, Pdm,
-                              PdmRule, UNINIT, buchi_product, make_network)
-from paramck.pushdown import (_loop_ends, accepting_control,
-                              build_loop_grammar, check_pdm_fsm, derive_word,
-                              find_stem, initial_control, loop_automaton,
+from paramck.abstraction import initial_abstract
+from paramck.machines import (EXPLORE_BUDGET, AbstractConfig, BudgetExceeded,
+                              Fsm, Pdm, PdmRule, UNINIT, buchi_product,
+                              make_network)
+from paramck.pushdown import (_loop_ends, build_loop_grammar, check_pdm_fsm,
+                              derive_word, find_stem, loop_automaton,
                               loop_nonempty, loop_rules, pop_relation,
                               post_star)
 from paramck.explicit import check_explicit, replay
@@ -18,6 +19,7 @@ from abstraction_oracle import abstract_moves
 import integer_oracle
 from fixtures import (la, ca, random_deep_pdm_network,
                       random_pdm_leader_network, random_pdm_pdm_network)
+from test_machines import contributor_moves, leader_moves
 from test_trace import push_pop_network
 
 
@@ -40,32 +42,56 @@ def counter_network(accept_high=False):
     return make_network(["1", "2"], leader, contrib)
 
 
+def encode(net, d, g, Q):
+    """The code of the configuration (d, g, Q), Q a set of states."""
+    return net.moves.encode(AbstractConfig(d, g, frozenset(Q)))
+
+
+def initial_code(net):
+    return net.moves.encode(initial_abstract(net))
+
+
+def q_of(net, control):
+    """The populated set of a control, as the bits of its code."""
+    return control & net.moves.q_mask
+
+
+def is_accepting(net, control):
+    return net.moves.decode(control).leader_state in net.leader.accepting
+
+
+def decoded_pairs(net, pairs):
+    return [(net.moves.decode(control), gamma) for control, gamma in pairs]
+
+
 def abstract_pdm_rules(net, control, top):
     """The abstract pushdown rules at (control, top) from the oracle scan,
-    as (tid, control', replacement)."""
-    return [(t.tid, (d, g, Q), repl)
-            for t, d, g, Q, repl in abstract_moves(net, *control, top)]
+    as (tid, control', replacement), controls as codes."""
+    return [(t.tid, encode(net, d, g, Q), repl) for t, d, g, Q, repl
+            in abstract_moves(net, *net.moves.decode(control), top)]
 
 
 def test_move_table_shapes():
     net = counter_network()
-    init = initial_control(net)
-    assert init == ("d0", UNINIT, frozenset(["q0"]))
+    moves = net.moves
+    init = initial_code(net)
+    assert moves.decode(init) == ("d0", UNINIT, frozenset(["q0"]))
     # uninitialized store: the leader only reads, so only the contributor
     # write fires
-    assert ("d0", UNINIT, "Z") not in net.moves.leader
-    assert [(t.tid, g2) for t, g2 in net.moves.contributor[UNINIT]] == \
+    assert (moves.key("d0", UNINIT), "Z") not in moves.leader
+    assert [(t.tid, g2) for t, g2 in contributor_moves(moves, UNINIT)] == \
         [("c0", "1"), ("c1", "2")]
     # a push keeps the old top below
     assert [(t.tid, d, g2, repl) for t, d, g2, repl
-            in net.moves.leader[("d0", "1", "Z")]] == \
+            in leader_moves(moves, "d0", "1", "Z")] == \
         [("d0", "d1", "1", ("A", "Z"))]
     # post*'s first saturation steps: the write to 1, then at ("d0", "1")
     # the push, then both contributor writes, whose targets are in Q
     pairs = post_star(net)
     after_write = ("d0", "1", frozenset(["q0", "q1"]))
-    assert pairs[:2] == [(init, "Z"), (after_write, "Z")]
-    assert (("d1", "1", after_write[2]), "A") in pairs
+    assert decoded_pairs(net, pairs[:2]) == \
+        [(moves.decode(init), "Z"), (after_write, "Z")]
+    assert (("d1", "1", after_write[2]), "A") in decoded_pairs(net, pairs)
 
 
 def test_post_star_finds_deep_tops():
@@ -74,18 +100,19 @@ def test_post_star_finds_deep_tops():
     tops = {gamma for _, gamma in pairs}
     assert tops == {"Z", "A"}
     # pivots are discovered in saturation order, initial configuration first
-    assert pairs[0] == (initial_control(net), "Z")
+    assert pairs[0] == (initial_code(net), "Z")
+    assert all(isinstance(control, int) for control, _ in pairs)
 
 
 def loop_controls(net, Q):
-    """All abstract controls sharing the populated set Q, paired with the
-    seen-accepting bit, in the order of the whole rule table."""
-    stores = net.moves.stores
+    """All abstract controls whose populated set has the bits Q, paired
+    with the seen-accepting bit, in the order of the whole rule table."""
+    moves = net.moves
     out = []
     for d in sorted(net.leader.states, key=repr):
-        for g in stores:
+        for g in moves.stores:
             for b in (0, 1):
-                out.append(((d, g, Q), b))
+                out.append(((moves.key(d, g) << moves.width) | Q, b))
     return out
 
 
@@ -97,25 +124,30 @@ def table_nodes(net, Q):
 
 def full_rule_table(net, Q):
     """loop_rules over every node of the table, as a dict."""
-    rules_at = loop_rules(net, Q)
+    rules_at = loop_rules(net)
     return {node: rules_at(node) for node in table_nodes(net, Q)}
 
 
 def test_pop_relation_on_loop_automaton():
     net = counter_network()
-    Q = frozenset(["q0", "q1"])
-    rules_at = loop_rules(net, Q)
+    Q = q_of(net, encode(net, "d0", UNINIT, ["q0", "q1"]))
+    rules_at = loop_rules(net)
     _, P = pop_relation(rules_at, table_nodes(net, Q))
+
+    def leader_state(s):
+        return net.moves.decode(s[0]).leader_state
     # an A pushed at d1 can be popped again at d1 (read 1 up, read 2 down)
-    assert any(s[0][0] == "d1" and gamma == "A" and s2[0][0] == "d1"
-               for s, gamma, s2 in P)
+    assert any(leader_state(s) == "d1" and gamma == "A"
+               and leader_state(s2) == "d1" for s, gamma, s2 in P)
     # nothing can pop the bottom symbol: no rule pops Z
     assert not any(gamma == "Z" for _, gamma, _ in P)
     # from one start only the nodes it reaches are built: the store is
     # never uninitialized again
-    rules, P = pop_relation(rules_at, [((("d1", "1", Q), 0), "A")])
+    start = ((encode(net, "d1", "1", ["q0", "q1"]), 0), "A")
+    rules, P = pop_relation(rules_at, [start])
     assert set(P) < set(pop_relation(rules_at, table_nodes(net, Q))[1])
-    assert {g for ((_, g, _), _), _ in rules} == {"1", "2"}
+    assert {net.moves.decode(code).store for (code, _), _ in rules} == \
+        {"1", "2"}
 
 
 def naive_loop_rules(net, state, top):
@@ -125,9 +157,9 @@ def naive_loop_rules(net, state, top):
     control, b = state
     out = []
     for tid, c2, repl in abstract_pdm_rules(net, control, top):
-        if c2[2] != control[2]:
+        if net.moves.decode(c2).Q != net.moves.decode(control).Q:
             continue
-        b2 = 1 if accepting_control(net, c2) else b
+        b2 = 1 if is_accepting(net, c2) else b
         out.append((tid, (c2, b2), repl))
     return out
 
@@ -164,7 +196,8 @@ def naive_pop_relation(rules):
 
 
 def pivot_qs(net):
-    return list(dict.fromkeys(control[2] for control, _ in post_star(net)))
+    return list(dict.fromkeys(q_of(net, control)
+                              for control, _ in post_star(net)))
 
 
 def loop_test_nets():
@@ -184,7 +217,7 @@ def pivot_starts(net, pairs):
     as check_pdm_fsm gives them to loop_automaton."""
     starts = {}
     for control, gamma in pairs:
-        starts.setdefault(control[2], []).append(
+        starts.setdefault(q_of(net, control), []).append(
             _loop_ends(net, control, gamma)[0])
     return starts
 
@@ -192,7 +225,7 @@ def pivot_starts(net, pairs):
 def pivot_automata(net, pairs):
     """The loop automata check_pdm_fsm builds for the pivots pairs: one per
     Q, from the start nodes of all its pivots."""
-    return {Q: loop_automaton(net, Q, starts)
+    return {Q: loop_automaton(net, starts)
             for Q, starts in pivot_starts(net, pairs).items()}
 
 
@@ -204,7 +237,7 @@ def test_pop_relation_agrees_with_naive_fixpoint():
             rules = full_rule_table(net, Q)
             # the same rules in the same order as the step kernel gives
             assert rules == naive_rule_table(net, Q)
-            demanded, P = pop_relation(loop_rules(net, Q), list(rules))
+            demanded, P = pop_relation(loop_rules(net), list(rules))
             assert demanded == rules
             P0 = naive_pop_relation(rules)
             assert set(P) == set(P0)
@@ -234,7 +267,7 @@ def whole_table_grammar(net, control, gamma):
     rule table at the pivot's Q, from the naive fixpoint, each index list
     in table order: build_loop_grammar given an automaton whose graph
     leads from every node to every node."""
-    Q = control[2]
+    Q = q_of(net, control)
     rules = naive_rule_table(net, Q)
     rank = {s: i for i, s in enumerate(loop_controls(net, Q))}
     after = {}
@@ -255,7 +288,7 @@ def test_demand_driven_automata_agree_with_the_whole_table():
         for Q, starts in pivot_starts(net, pairs).items():
             table = naive_rule_table(net, Q)
             P0 = naive_pop_relation(table)
-            rules, P = pop_relation(loop_rules(net, Q), starts)
+            rules, P = pop_relation(loop_rules(net), starts)
             # the demanded nodes are what the starts reach in the whole
             # table's graph, with the same rules and the same triples
             moves = whole_graph(table, P0)
@@ -268,7 +301,7 @@ def test_demand_driven_automata_agree_with_the_whole_table():
             whole += len(table)
         automata = pivot_automata(net, pairs)
         for control, gamma in pairs:
-            automaton = automata[control[2]]
+            automaton = automata[q_of(net, control)]
             if loop_nonempty(net, automaton, control, gamma):
                 grammar = parikh.reduce_grammar(
                     build_loop_grammar(net, control, gamma, automaton))
@@ -283,7 +316,7 @@ def test_check_builds_one_loop_automaton_per_q(monkeypatch):
     original = pushdown.pop_relation
 
     def counting(rules_at, starts):
-        calls.append((starts[0][0][0][2], starts))
+        calls.append((q_of(net, starts[0][0][0]), starts))
         return original(rules_at, starts)
 
     monkeypatch.setattr(pushdown, "pop_relation", counting)
@@ -295,7 +328,7 @@ def test_check_builds_one_loop_automaton_per_q(monkeypatch):
         v = check_pdm_fsm(net)
         pairs = post_star(net)
         checked = pairs[:v.stats["pivots_checked"]]
-        qs = list(dict.fromkeys(control[2] for control, _ in checked))
+        qs = list(dict.fromkeys(q_of(net, control) for control, _ in checked))
         # one call per Q, with the start nodes of all of its pivots
         starts = pivot_starts(net, pairs)
         assert calls == [(Q, starts[Q]) for Q in qs]
@@ -326,14 +359,14 @@ def test_reachability_decides_the_reduced_grammar():
         pairs = post_star(net)
         automata = pivot_automata(net, pairs)
         for control, gamma in pairs:
-            automaton = automata[control[2]]
+            automaton = automata[q_of(net, control)]
             grammar = parikh.reduce_grammar(
                 build_loop_grammar(net, control, gamma, automaton))
             found = loop_nonempty(net, automaton, control, gamma)
             assert found == (grammar.start in grammar.nonterminals)
             # an accepting pivot control starts with its bit set: the start
             # node is the accept node, and the empty loop is in the grammar
-            verdicts[found, accepting_control(net, control)] += 1
+            verdicts[found, is_accepting(net, control)] += 1
     assert verdicts[False, False] > 200
     assert verdicts[True, False] > 30      # accept reached from the start
     assert verdicts[True, True] > 100      # start is accept
@@ -376,8 +409,8 @@ def test_check_builds_grammars_only_for_pivots_that_pass(monkeypatch):
         checked = post_star(net)[:v.stats["pivots_checked"]]
         passing = [(control, gamma) for control, gamma in checked
                    if loop_nonempty(net, loop_automaton(
-                       net, control[2],
-                       [_loop_ends(net, control, gamma)[0]]), control, gamma)]
+                       net, [_loop_ends(net, control, gamma)[0]]),
+                       control, gamma)]
         assert built == passing
         skipped += len(checked) - len(passing)
     assert skipped > 0
@@ -391,14 +424,14 @@ def test_shared_loop_automata_give_the_same_grammars():
         automata = pivot_automata(net, pairs)
         for control, gamma in pairs:
             assert build_loop_grammar(net, control, gamma,
-                                      automata[control[2]]) == \
+                                      automata[q_of(net, control)]) == \
                 build_loop_grammar(net, control, gamma)
         assert list(automata) == pivot_qs(net)
 
 
 def test_loop_grammar_derives_balanced_words():
     net = counter_network(accept_high=True)
-    control = ("d1", "1", frozenset(["q0", "q1"]))
+    control = encode(net, "d1", "1", ["q0", "q1"])
     grammar = parikh.reduce_grammar(build_loop_grammar(net, control, "A"))
     assert grammar.start in grammar.nonterminals
     system = parikh.parikh_cfg(grammar)
@@ -553,7 +586,7 @@ def leftmost_greedy(g, counts):
 def is_abstract_chain(net, stem, pivot_control, pivot_symbol):
     """stem fires as abstract moves from the initial configuration and ends
     at the pivot control with the pivot symbol on top."""
-    control, stack = initial_control(net), (net.leader.bottom,)
+    control, stack = initial_code(net), (net.leader.bottom,)
     for t in stem:
         moves = [(c2, repl) for tid, c2, repl
                  in abstract_pdm_rules(net, control, stack[0])

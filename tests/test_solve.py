@@ -11,11 +11,11 @@ from scipy.optimize import OptimizeResult
 
 import integer_oracle
 from paramck import parikh
-from paramck.abstraction import AbstractConfig, reachable_abstract
+from paramck.abstraction import reachable_abstract
 from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
                                  contributor_flow_rows, realizability_system)
 from paramck.explicit import replay
-from paramck.machines import EXPLORE_BUDGET
+from paramck.machines import EXPLORE_BUDGET, AbstractConfig
 from paramck.pushdown import (LOOPS, _build_witness, build_loop_grammar,
                               check_pdm_fsm, loop_nonempty, loop_system,
                               post_star)
@@ -46,7 +46,7 @@ def loop_grammars(nets):
         pairs = post_star(net, reasons=reasons)
         automata = pivot_automata(net, pairs)
         for control, gamma in pairs:
-            automaton = automata[control[2]]
+            automaton = automata[control & net.moves.q_mask]
             if loop_nonempty(net, automaton, control, gamma):
                 grammar = build_loop_grammar(net, control, gamma, automaton)
                 yield (net, (control, gamma), parikh.reduce_grammar(grammar),
