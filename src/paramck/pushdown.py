@@ -20,15 +20,19 @@ The decision runs in three stages:
      the automaton is built once per Q, by one demand-driven worklist
      saturation from the start nodes of all the pivots with that Q, and
      holds only the nodes those starts reach.  Each pivot is first decided
-     by reachability on the graph: the grammar derives a word exactly when
-     the accept node is reachable from the start node.  Only the pivots
-     where it is get a grammar, with the productions of the nodes their
-     own start reaches, and a solve;
-  3. a Parikh model of that grammar, strengthened with contributor flow
-     balance and nonemptiness, denotes a concretely realizable cycle.  The
-     witness is assembled from a derivation of the model's production counts
-     and a stem read back from post*'s record of how each edge was derived,
-     then replayed.  Neither step searches.
+     by reachability on the graph: the grammar derives a nonempty word
+     exactly when the accept node is reachable from the start node by a
+     nonempty path.  Only the pivots where it is get a grammar, with the
+     productions of the nodes their own start reaches;
+  3. a loop word whose contributor moves are all self-loops moves no token
+     and repeats forever, so a shortest such word of the reduced grammar is
+     the cycle, and the pivot needs no solve (cyclesearch.closed_walk in
+     the finite-state case).  Only the other pivots get a solve: a Parikh
+     model of the grammar, strengthened with contributor flow balance and
+     nonemptiness, denotes a concretely realizable cycle, derived from the
+     model's production counts.  The witness is the cycle after a stem read
+     back from post*'s record of how each edge was derived, and it is
+     replayed.  Neither the derivation nor the stem searches.
 
 Moves depend only on the control and the top symbol, so a loop run can repeat
 forever above its own garbage; the population argument is the same counting
@@ -36,6 +40,8 @@ argument as in the finite-state case.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .machines import EXPLORE_BUDGET, BudgetExceeded, InternalError, Pdm, Fsm
 from .abstraction import initial_abstract
@@ -270,20 +276,23 @@ def _loop_ends(net, pivot_control, pivot_symbol):
 
 
 def loop_nonempty(net, automaton, pivot_control, pivot_symbol):
-    """Whether the pivot's loop grammar derives a word, by a search of the
-    loop automaton's graph, without building the grammar.  The automaton
-    must have the pivot's start node among its starts.
+    """Whether the pivot's loop grammar derives a nonempty word, by a
+    search of the loop automaton's graph, without building the grammar.
+    The automaton must have the pivot's start node among its starts.
 
     The productive "T" symbols of a loop grammar are exactly the triples of
     the pop relation, so an ("R", s, gamma) symbol is productive exactly
     when the accept node (accept state, pivot symbol) is reachable from
-    (s, gamma) in the graph.  The reduced grammar keeps its start symbol
-    exactly when the accept node is reachable from the start node (start
-    state, pivot symbol), which it is when the two are equal.
+    (s, gamma) in the graph.  Every "R" production but the accept node's
+    empty one is an edge of the graph, so the start symbol derives a
+    nonempty word exactly when the accept node is reachable from the start
+    node by a nonempty path: when some node that the start reaches has it
+    as a successor.  At an accepting pivot the two nodes are equal, and
+    the empty word alone does not count.
     """
     _, _, moves = automaton
     start, accept = _loop_ends(net, pivot_control, pivot_symbol)
-    return any(node == accept for node, _ in
+    return any(accept in moves[node] for node, _ in
                graph.bfs(start, moves.__getitem__))
 
 
@@ -307,7 +316,7 @@ def build_loop_grammar(net, pivot_control, pivot_symbol, automaton=None):
     order of their first production, then the ones with none.
     check_pdm_fsm first decides each pivot by reachability on the graph
     (loop_nonempty) and builds the grammar only for the pivots whose
-    grammar derives a word.
+    grammar derives a nonempty word.
     """
     start, accept = _loop_ends(net, pivot_control, pivot_symbol)
     if automaton is None:
@@ -486,11 +495,72 @@ def find_stem(net, pivot_control, pivot_symbol, reasons,
     return [net.transition(tid) for tid in reversed(tids)]
 
 
-def _build_witness(net, pivot_control, pivot_symbol, grammar, model, reasons,
-                   budget):
-    """The lasso of a loop_system model: its LOOPS loop words are derived
-    as one word from a fresh start symbol with the productions
-    start -> S start | S, used LOOPS - 1 times and once."""
+def token_free_word(net, grammar):
+    """A shortest nonempty word of the reduced loop grammar whose moves
+    move no token (leader moves and contributor self-loops), as transition
+    ids, or None.  Such a word is a loop word and leaves every contributor
+    state's count as it was, so with LOOPS = 1 its Parikh vector is a model
+    of loop_system; a pivot that has one needs no solve.
+
+    Every production but the accept node's empty one starts with a
+    transition id, and only productions whose transition ids are all
+    token-free count.  Their shortest lengths follow Knuth's generalization
+    of Dijkstra's algorithm (A generalization of Dijkstra's algorithm, IPL
+    1977): a production is weighed once each symbol of its right-hand side
+    has its length, and a symbol's length is its lightest production's.
+    The start symbol takes its lightest nonempty production, and each
+    nonterminal expands by the production that gave its length, whose
+    symbols got theirs earlier, so the expansion ends.
+    """
+    free = {t.tid for t in net.leader_transitions}
+    free.update(t.tid for t in net.contributor_transitions if t.src == t.dst)
+    prods = [(lhs, rhs) for lhs, rhs in grammar.productions
+             if all(sym in free for sym in rhs if not isinstance(sym, tuple))]
+    waiting = []              # per production: nonterminals without a length
+    uses = {}                 # nonterminal -> [production] per occurrence
+    heap = []                 # (length, production) of the weighed ones
+    for i, (lhs, rhs) in enumerate(prods):
+        need = [sym for sym in rhs if isinstance(sym, tuple)]
+        for sym in need:
+            uses.setdefault(sym, []).append(i)
+        waiting.append(len(need))
+        if not need:
+            heap.append((len(rhs), i))
+    heapq.heapify(heap)
+    length, best = {}, {}
+
+    def weight(rhs):
+        return sum(length[sym] if isinstance(sym, tuple) else 1 for sym in rhs)
+    while heap:
+        n, i = heapq.heappop(heap)
+        lhs = prods[i][0]
+        if lhs in length:
+            continue
+        length[lhs], best[lhs] = n, i
+        for j in uses.get(lhs, ()):
+            waiting[j] -= 1
+            if not waiting[j]:
+                heapq.heappush(heap, (weight(prods[j][1]), j))
+    loops = [(weight(rhs), i)
+             for i, (lhs, rhs) in enumerate(prods)
+             if lhs == grammar.start and rhs and not waiting[i]]
+    if not loops:
+        return None
+    word = []
+    todo = list(reversed(prods[min(loops)[1]][1]))
+    while todo:
+        sym = todo.pop()
+        if isinstance(sym, tuple):
+            todo.extend(reversed(prods[best[sym]][1]))
+        else:
+            word.append(sym)
+    return word
+
+
+def _model_word(grammar, model):
+    """The LOOPS loop words of a loop_system model, derived as one word
+    from a fresh start symbol with the productions start -> S start | S,
+    used LOOPS - 1 times and once."""
     prods = grammar.productions
     start = ("loops",)
     pumped = parikh.Grammar(grammar.nonterminals + (start,),
@@ -503,9 +573,7 @@ def _build_witness(net, pivot_control, pivot_symbol, grammar, model, reasons,
     word = derive_word(pumped, counts)
     if word is None:
         raise AssertionError("Parikh model admits no derivation")
-    stem = find_stem(net, pivot_control, pivot_symbol, reasons, budget)
-    return lasso(net, stem, net.moves.decode(pivot_control).Q, word,
-                 pivot_symbol)
+    return word
 
 
 def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
@@ -513,9 +581,11 @@ def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
     size, for a PDM leader and an FSM contributor.
 
     The statistics count the pivots post* finds, the pivots visited
-    (pivots_checked) and the solves among them.  A saturation of more than
-    budget edges, or a stem of more than budget moves, raises
-    BudgetExceeded, and a model that gives no witness InternalError."""
+    (pivots_checked) and the solves among them, one per pivot whose loop
+    grammar derives nonempty words but none that moves no token.  A
+    saturation of more than budget edges, or a stem of more than budget
+    moves, raises BudgetExceeded, and a model that gives no witness
+    InternalError."""
     if not isinstance(net.leader, Pdm) or not isinstance(net.contributor, Fsm):
         raise ValueError("check_pdm_fsm needs a PDM leader and an FSM contributor")
     stats = {"pivots": 0, "pivots_checked": 0, "solves": 0}
@@ -539,14 +609,19 @@ def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
             continue
         grammar = parikh.reduce_grammar(
             build_loop_grammar(net, control, gamma, automata[Q]))
-        system = loop_system(net, grammar)
-        stats["solves"] += 1
-        model = parikh.solve(system)
-        if model is None:
-            continue
+        cycle = token_free_word(net, grammar)
+        if cycle is None:
+            system = loop_system(net, grammar)
+            stats["solves"] += 1
+            model = parikh.solve(system)
+            if model is None:
+                continue
         try:
-            witness = _build_witness(net, control, gamma, grammar, model,
-                                     reasons, budget)
+            if cycle is None:
+                cycle = _model_word(grammar, model)
+            stem = find_stem(net, control, gamma, reasons, budget)
+            witness = lasso(net, stem, net.moves.decode(control).Q, cycle,
+                            gamma)
         except AssertionError as exc:
             err = str(exc)
         else:

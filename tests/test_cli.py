@@ -443,7 +443,7 @@ def test_failed_pdm_witness_is_an_internal_error(tmp_path, capsys,
     def broken(*args):
         calls.append(args)
         raise AssertionError("broken on purpose")
-    monkeypatch.setattr(pushdown, "_build_witness", broken)
+    monkeypatch.setattr(pushdown, "lasso", broken)
     paths = write_net(tmp_path, COUNTER_LEADER, COUNTER_CONTRIB, COUNTER_PROP)
     assert main(check_args(paths, "--json")) == 4
     assert len(calls) == 1

@@ -3,15 +3,17 @@ from collections import Counter
 
 import pytest
 
-from paramck.api import run_check
+from paramck.api import replay_network, run_check
 from paramck.abstraction import initial_abstract
-from paramck.machines import (EXPLORE_BUDGET, AbstractConfig, BudgetExceeded,
-                              Fsm, Pdm, PdmRule, UNINIT, buchi_product,
-                              make_network)
+from paramck.cyclesearch import lasso
+from paramck.fileformat import parse_machine_file
+from paramck.machines import (CONTRIBUTOR, EXPLORE_BUDGET, LEADER,
+                              AbstractConfig, BudgetExceeded, Fsm, Pdm,
+                              PdmRule, UNINIT, buchi_product, make_network)
 from paramck.pushdown import (_loop_ends, build_loop_grammar, check_pdm_fsm,
                               derive_word, find_stem, loop_automaton,
-                              loop_nonempty, loop_rules, pop_relation,
-                              post_star)
+                              loop_nonempty, loop_rules, loop_system,
+                              pop_relation, post_star, token_free_word)
 from paramck.explicit import check_explicit, replay
 from paramck.reduction import restrict_network
 from paramck import graph, parikh, pushdown
@@ -19,6 +21,8 @@ from abstraction_oracle import abstract_moves
 import integer_oracle
 from fixtures import (la, ca, random_deep_pdm_network,
                       random_pdm_leader_network, random_pdm_pdm_network)
+from differential import bench_nets, fixture_nets
+from test_cyclesearch import counting_solves
 from test_machines import contributor_moves, leader_moves
 from test_trace import push_pop_network
 
@@ -302,7 +306,10 @@ def test_demand_driven_automata_agree_with_the_whole_table():
         automata = pivot_automata(net, pairs)
         for control, gamma in pairs:
             automaton = automata[q_of(net, control)]
-            if loop_nonempty(net, automaton, control, gamma):
+            # an accepting pivot's grammar keeps its start symbol for the
+            # empty loop even where loop_nonempty finds no other
+            if loop_nonempty(net, automaton, control, gamma) or \
+                    is_accepting(net, control):
                 grammar = parikh.reduce_grammar(
                     build_loop_grammar(net, control, gamma, automaton))
                 assert grammar == parikh.reduce_grammar(
@@ -363,14 +370,95 @@ def test_reachability_decides_the_reduced_grammar():
             grammar = parikh.reduce_grammar(
                 build_loop_grammar(net, control, gamma, automaton))
             found = loop_nonempty(net, automaton, control, gamma)
-            assert found == (grammar.start in grammar.nonterminals)
+            assert found == any(lhs == grammar.start and rhs
+                                for lhs, rhs in grammar.productions)
             # an accepting pivot control starts with its bit set: the start
             # node is the accept node, and the empty loop is in the grammar
-            verdicts[found, is_accepting(net, control)] += 1
+            accepting = is_accepting(net, control)
+            assert (grammar.start in grammar.nonterminals) == \
+                (found or accepting)
+            verdicts[found, accepting] += 1
     assert verdicts[False, False] > 200
     assert verdicts[True, False] > 30      # accept reached from the start
-    assert verdicts[True, True] > 100      # start is accept
-    assert verdicts[False, True] == 0
+    assert verdicts[True, True] > 60       # a nonempty loop at accept
+    assert verdicts[False, True] > 30      # only the empty loop at accept
+
+
+def text_network(leader, contributor, prop):
+    """The network `paramck check` decides for the texts of its leader,
+    contributor and property files, a PDM contributor restricted to its
+    window."""
+    (p, pvals), (l, lvals) = (parse_machine_file(text, LEADER)
+                              for text in (prop, leader))
+    c, cvals = parse_machine_file(contributor, CONTRIBUTOR)
+    return replay_network(make_network(sorted({*pvals, *lvals, *cvals}),
+                                       buchi_product(p, l), c))
+
+
+def pdm_text_nets(nets):
+    """(name, network) of the nets among (name, leader, contributor,
+    property) texts whose leader is a PDM."""
+    for name, *texts in nets:
+        net = text_network(*texts)
+        if isinstance(net.leader, Pdm):
+            yield name, net
+
+
+def test_token_free_words_are_models_that_replay():
+    # on the pushdown bench nets and the pdm-fsm and pdm-pdm draws of the
+    # differential set, at every pivot: the graph test finds a nonempty
+    # loop word exactly when the reduced grammar has one, a pivot that it
+    # drops has no model, and a token-free loop word is a model whose
+    # lasso replays
+    seen = Counter()
+    for name, net in pdm_text_nets((*bench_nets(), *fixture_nets())):
+        seen["nets"] += 1
+        reasons = {}
+        pairs = post_star(net, reasons=reasons)
+        automata = pivot_automata(net, pairs)
+        for control, gamma in pairs:
+            automaton = automata[q_of(net, control)]
+            grammar = parikh.reduce_grammar(
+                build_loop_grammar(net, control, gamma, automaton))
+            model = parikh.solve(loop_system(net, grammar))
+            found = loop_nonempty(net, automaton, control, gamma)
+            assert found == any(lhs == grammar.start and rhs
+                                for lhs, rhs in grammar.productions), name
+            if not found:
+                assert model is None, name
+                seen["dropped", is_accepting(net, control)] += 1
+                continue
+            word = token_free_word(net, grammar)
+            if word is None:
+                seen["solved", model is not None] += 1
+                continue
+            assert model is not None, name
+            moves = [net.transition(tid) for tid in word]
+            assert all(t.src == t.dst for t in moves
+                       if t.owner == CONTRIBUTOR), name
+            stem = find_stem(net, control, gamma, reasons)
+            witness = lasso(net, stem, net.moves.decode(control).Q, word,
+                            gamma)
+            assert replay(net, witness) == ("valid", None), name
+            seen["token-free"] += 1
+    assert seen["nets"] == 105
+    assert seen["token-free"] > 100 and seen["dropped", True] > 50
+    assert seen["dropped", False] > 200
+    assert seen["solved", True] > 50 and seen["solved", False] > 10
+
+
+def test_pushdown_bench_pass_makes_at_most_six_solves(monkeypatch):
+    # without the token-free words the same pass makes 24 solves, and the
+    # warm-up net 1
+    calls = counting_solves(monkeypatch)
+    solves = {}
+    for name, net in pdm_text_nets(bench_nets()):
+        before = len(calls)
+        v = check_pdm_fsm(net)
+        assert v.stats["solves"] == len(calls) - before
+        solves[name] = v.stats["solves"]
+    assert len(solves) == 25 and solves.pop("pushdown/warmup") == 0
+    assert sum(solves.values()) <= 6
 
 
 def unreachable_accepting_network():
@@ -733,11 +821,17 @@ def test_deep_stem_is_nonempty():
     assert sum(1 for actor, _ in v.witness.stem if actor == 0) >= 30
 
 
-def test_counter_nonempty_with_replay():
+def test_counter_nonempty_with_replay(monkeypatch):
+    # a loop at the accepting d0 reads 1 and then 2, and only the moves
+    # q0 w(1) q1 and q1 w(2) q0 write them: no loop is token-free, and the
+    # pivot needs a solve
+    calls = counting_solves(monkeypatch)
     net = counter_network()
     v = check_pdm_fsm(net)
     assert v.kind == "NONEMPTY"
+    assert v.stats["solves"] == len(calls) >= 1
     assert v.witness.pivot is not None
+    assert any(actor for actor, _ in v.witness.cycle)
     assert replay(net, v.witness) == ("valid", None)
 
 

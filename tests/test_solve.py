@@ -13,11 +13,12 @@ import integer_oracle
 from paramck import parikh
 from paramck.abstraction import reachable_abstract
 from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
-                                 contributor_flow_rows, realizability_system)
+                                 contributor_flow_rows, lasso,
+                                 realizability_system)
 from paramck.explicit import replay
 from paramck.machines import EXPLORE_BUDGET, AbstractConfig
-from paramck.pushdown import (LOOPS, _build_witness, build_loop_grammar,
-                              check_pdm_fsm, loop_nonempty, loop_system,
+from paramck.pushdown import (LOOPS, _model_word, build_loop_grammar,
+                              check_pdm_fsm, find_stem, loop_system,
                               post_star)
 from fixtures import satisfies
 from test_cyclesearch import refinement_nets
@@ -40,17 +41,19 @@ def pdm_nets():
 
 def loop_grammars(nets):
     """(net, pivot, reduced loop grammar, post*'s reasons) at every pivot
-    that passes loop_nonempty, as check_pdm_fsm builds them."""
+    whose reduced grammar keeps its start symbol: those that pass
+    loop_nonempty, as check_pdm_fsm builds them, and the accepting pivots
+    whose only loop word is the empty one."""
     for net in nets:
         reasons = {}
         pairs = post_star(net, reasons=reasons)
         automata = pivot_automata(net, pairs)
         for control, gamma in pairs:
             automaton = automata[control & net.moves.q_mask]
-            if loop_nonempty(net, automaton, control, gamma):
-                grammar = build_loop_grammar(net, control, gamma, automaton)
-                yield (net, (control, gamma), parikh.reduce_grammar(grammar),
-                       reasons)
+            grammar = parikh.reduce_grammar(
+                build_loop_grammar(net, control, gamma, automaton))
+            if grammar.start in grammar.nonterminals:
+                yield net, (control, gamma), grammar, reasons
 
 
 def test_fixpoint_agrees_with_the_oracle_at_every_accepting_configuration():
@@ -82,8 +85,9 @@ def test_fixpoint_agrees_with_the_oracle_on_every_loop_system():
             refuted += 1
             continue
         assert satisfies(system.atoms, model)
-        witness = _build_witness(net, *pivot, grammar, model, reasons,
-                                 EXPLORE_BUDGET)
+        stem = find_stem(net, *pivot, reasons, EXPLORE_BUDGET)
+        witness = lasso(net, stem, net.moves.decode(pivot[0]).Q,
+                        _model_word(grammar, model), pivot[1])
         assert replay(net, witness) == ("valid", None)
         loops[model[LOOPS] > 1] += 1
     assert loops[False] >= 50 and loops[True] >= 2 and refuted >= 40
