@@ -15,30 +15,29 @@ from .reduction import compute_N, restrict_network
 
 MODES = ("auto", "fsm-fsm", "pdm-fsm", "pdm-pdm", "explicit")
 
+#: what each parameterized mode needs of the machines
+NEEDS = {"fsm-fsm": "an FSM leader",
+         "pdm-fsm": "a PDM leader and an FSM contributor",
+         "pdm-pdm": "PDM leader and contributor"}
+
 
 def resolve_mode(net, mode="auto"):
     """Validate a requested mode against the machine kinds, or pick one.
 
-    An FSM leader with a PDM contributor has no dedicated mode; under auto the
-    contributor is restricted and the fsm-fsm procedure runs.
+    auto picks the mode from the machine kinds, and a requested mode must
+    be explicit or that pick.  An FSM leader with a PDM contributor has no
+    dedicated mode: the contributor is restricted and the fsm-fsm
+    procedure runs.
     """
-    leader_pdm = isinstance(net.leader, Pdm)
-    contrib_pdm = isinstance(net.contributor, Pdm)
-    if mode == "auto":
-        if leader_pdm and contrib_pdm:
-            return "pdm-pdm"
-        if leader_pdm:
-            return "pdm-fsm"
-        return "fsm-fsm"
-    if mode == "fsm-fsm" and (leader_pdm or contrib_pdm):
-        raise ValueError("fsm-fsm mode needs FSM leader and contributor")
-    if mode == "pdm-fsm" and (not leader_pdm or contrib_pdm):
-        raise ValueError("pdm-fsm mode needs a PDM leader and an FSM contributor")
-    if mode == "pdm-pdm" and not (leader_pdm and contrib_pdm):
-        raise ValueError("pdm-pdm mode needs PDM leader and contributor")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return mode
+    if not isinstance(net.leader, Pdm):
+        pick = "fsm-fsm"
+    else:
+        pick = "pdm-pdm" if isinstance(net.contributor, Pdm) else "pdm-fsm"
+    if mode not in ("auto", "explicit", pick):
+        raise ValueError(f"{mode} mode needs {NEEDS[mode]}")
+    return pick if mode == "auto" else mode
 
 
 def replay_network(net):

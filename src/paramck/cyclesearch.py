@@ -26,8 +26,10 @@ moves are all self-loops.  Only the other configurations need a solve, of
 the full system at a.
 
 A model or walk is turned into a concrete lasso witness (stem by
-backward-demand concretization of the abstract stem, cycle by an Euler walk)
-and replayed for confirmation.
+backward-demand concretization of the abstract stem, cycle by an Euler walk,
+which is parikh.derive_word on the automaton read as a right-linear
+grammar, the construction that derives pdm-fsm loop words) and replayed
+for confirmation.
 """
 
 from __future__ import annotations
@@ -106,8 +108,7 @@ def closed_walk(net, part, a):
     count as it was."""
     succ = {}
     for src, lab, dst in part:
-        t = net.transition(lab)
-        if t.owner != CONTRIBUTOR or t.src == t.dst:
+        if not net.transition(lab).moves_token:
             succ.setdefault(src, []).append((lab, dst))
     return graph.closed_walk(lambda c: succ.get(c, ()), a)
 
@@ -120,13 +121,12 @@ def contributor_flow_rows(net):
     for q in sorted(net.contributor.states, key=repr):
         coeffs = {}
         for t in net.contributor_transitions:
-            src, _, dst = t.payload
-            if src == dst:
+            if not t.moves_token:
                 continue
             var = parikh.letter_var(t.tid)
-            if dst == q:
+            if t.dst == q:
                 coeffs[var] = coeffs.get(var, 0) + 1
-            if src == q:
+            if t.src == q:
                 coeffs[var] = coeffs.get(var, 0) - 1
         rows.append(parikh.eq({v: c for v, c in coeffs.items() if c}, 0))
     rows.append(parikh.ge(

@@ -137,6 +137,12 @@ class Transition:
         for name, value in zip(("src", "action", "dst"), triple):
             object.__setattr__(self, name, value)
 
+    @property
+    def moves_token(self):
+        """Whether this move takes a contributor token to another state;
+        leader moves and contributor self-loops move none."""
+        return self.owner == CONTRIBUTOR and self.src != self.dst
+
 
 def register_step(action, store):
     """The register rule: the store after action, or None when a read finds

@@ -1,5 +1,6 @@
-"""Parikh images of finite automata and context-free grammars, and the
-decision of the resulting natural-number linear systems.
+"""The grammar algorithms of both checkers: Parikh images of finite automata
+and context-free grammars, the decision of the resulting natural-number
+linear systems, and the words those decisions stand for.
 
 The encodings follow the classic flow construction: one multiplicity variable
 per edge (or production), flow balance per state (or nonterminal), and a
@@ -14,10 +15,17 @@ have the same supports, so the decision is a fixpoint of linear programs
 (HiGHS) and graph pruning, with no search and no budget.  Every model it
 returns is checked in integers, and a "no model" answer rests on
 strict-complementarity certificates checked in integers, or on an exact
-rational simplex."""
+rational simplex.
+
+A model becomes a word by one construction, derive_word; an automaton is a
+right-linear grammar, so euler_witness is derive_word too.  One
+shortest-derivation pass, shortest_derivations, finds the productive
+symbols for reduce_grammar and the shortest words the checkers look for
+first."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,20 +141,26 @@ def parikh_fsa(fsa, alphabet=None):
     return LinearSystem(variables, tuple(atoms))
 
 
-def reduce_grammar(g):
-    """Remove unproductive and unreachable symbols; may leave no productions.
+def shortest_derivations(productions, terminals):
+    """The shortest derivations of a grammar, by Knuth's generalization of
+    Dijkstra's algorithm (A generalization of Dijkstra's algorithm, IPL
+    1977): a production is weighed once each nonterminal of its right-hand
+    side has its length, its weight is its number of terminals plus those
+    lengths, and a symbol's length is the weight of its lightest
+    production.  Symbols not in terminals are nonterminals.
 
-    Linear in the size of the grammar: a production becomes usable when the
-    count of its right-hand occurrences of symbols not yet known productive
-    drops to zero, and reachability is a worklist over the usable productions
-    indexed by left-hand side.  Productions and nonterminals keep their
-    order.
+    Returns the length of each productive symbol, the index of the
+    lightest production that gave it, and the weight of each production,
+    None when a symbol on its right-hand side derives no word.  That
+    production holds only symbols that got their lengths earlier, so
+    expanding each symbol by it ends.
     """
-    terminals = set(g.terminals)
-    waiting = []                   # per production: occurrences still needed
-    uses = {}                      # symbol -> [production index] per occurrence
-    work = []
-    for i, (lhs, rhs) in enumerate(g.productions):
+    terminals = set(terminals)
+    waiting = []              # per production: nonterminals without a length
+    uses = {}                 # symbol -> [production index] per occurrence
+    weight = [None] * len(productions)
+    heap = []                 # (weight, production) of the weighed ones
+    for i, (lhs, rhs) in enumerate(productions):
         need = 0
         for sym in rhs:
             if sym not in terminals:
@@ -154,26 +168,44 @@ def reduce_grammar(g):
                 uses.setdefault(sym, []).append(i)
         waiting.append(need)
         if not need:
-            work.append(lhs)
-    productive = set()
-    while work:
-        sym = work.pop()
-        if sym in productive:
+            weight[i] = len(rhs)
+            heap.append((weight[i], i))
+    heapq.heapify(heap)
+    length, best = {}, {}
+    while heap:
+        n, i = heapq.heappop(heap)
+        lhs = productions[i][0]
+        if lhs in length:
             continue
-        productive.add(sym)
-        for i in uses.get(sym, ()):
-            waiting[i] -= 1
-            if not waiting[i]:
-                work.append(g.productions[i][0])
+        length[lhs], best[lhs] = n, i
+        for j in uses.get(lhs, ()):
+            waiting[j] -= 1
+            if not waiting[j]:
+                weight[j] = sum(1 if sym in terminals else length[sym]
+                                for sym in productions[j][1])
+                heapq.heappush(heap, (weight[j], j))
+    return length, best, weight
+
+
+def reduce_grammar(g):
+    """Remove unproductive and unreachable symbols; may leave no productions.
+
+    The productive symbols and usable productions are shortest_derivations'
+    (a production is usable when it has a weight), and reachability is a
+    search over the usable productions indexed by left-hand side.
+    Productions and nonterminals keep their order.
+    """
+    terminals = set(g.terminals)
+    productive, _, weight = shortest_derivations(g.productions, terminals)
     by_lhs = {}
-    for i, (lhs, rhs) in enumerate(g.productions):
-        if not waiting[i]:
+    for (lhs, rhs), w in zip(g.productions, weight):
+        if w is not None:
             by_lhs.setdefault(lhs, []).append(rhs)
     reachable = {sym for sym, _ in graph.bfs(
         g.start, lambda lhs: [sym for rhs in by_lhs.get(lhs, ()) for sym in rhs
                               if sym not in terminals])}
-    prods = tuple((lhs, rhs) for i, (lhs, rhs) in enumerate(g.productions)
-                  if not waiting[i] and lhs in reachable)
+    prods = tuple((lhs, rhs) for (lhs, rhs), w in zip(g.productions, weight)
+                  if w is not None and lhs in reachable)
     nts = tuple(nt for nt in g.nonterminals if nt in reachable and nt in productive)
     return Grammar(nts, g.terminals, g.start, prods)
 
@@ -608,54 +640,128 @@ def solve(system):
     return None
 
 
-def euler_witness(fsa, assignment):
-    """A word of L(fsa) whose Parikh vector matches the assignment.
+# ---------------------------------------------------------------------------
+# words
 
-    The assignment must satisfy parikh_fsa(fsa); the edge multiplicities then
-    form a connected flow, and Hierholzer's algorithm turns them into a walk
-    from the initial to the final state.  Edge ties break by edge index.
+def derive_word(grammar, counts):
+    """A word derivable using each production exactly counts[i] times, or
+    None when the counts are not balanced (each nonterminal expanded as
+    often as it occurs on right-hand sides, the start symbol once more) and
+    connected (each used nonterminal reachable from the start through used
+    productions).  The proof that such counts come from a derivation
+    (Esparza, Fundamenta Informaticae 1997) builds one without search:
+
+      1. A leftmost tree takes at each node the first production with uses
+         left.  Balance keeps it from getting stuck, and what it leaves over
+         is balanced on its own.
+      2. While productions are left, connectivity puts some tree symbol X on
+         a cycle of leftover productions (the tree enters every source
+         component of their graph).  A shortest such cycle is the spine of a
+         context X =>* uXv.  Its other nodes are expanded from the leftovers,
+         X only while two or more X nodes are open, which balance again
+         keeps from getting stuck, and the context is spliced in at an X
+         node of the tree.
+
+    The first tree symbol with leftovers will not always do: its leftover
+    productions may all end in terminals.  Nodes are lists [symbol,
+    children], so long derivations need no recursion.
     """
-    remaining = {}
-    total = 0
-    for i, e in enumerate(fsa.edges):
-        cnt = assignment.get(edge_var(i), 0)
-        if cnt:
-            remaining[i] = cnt
-            total += cnt
-    adj = {}
-    for i in sorted(remaining):
-        adj.setdefault(fsa.edges[i][0], []).append(i)
-    stack = []
-    trail = []
-    cur = fsa.initial
-    while True:
-        out = adj.get(cur, [])
-        picked = None
-        for i in out:
-            if remaining.get(i, 0) > 0:
-                picked = i
-                break
-        if picked is not None:
-            remaining[picked] -= 1
-            stack.append((cur, picked))
-            cur = fsa.edges[picked][2]
-        elif stack:
-            v, i = stack.pop()
-            trail.append(i)
-            cur = v
-        else:
-            break
-    trail.reverse()
-    if len(trail) != total or any(c > 0 for c in remaining.values()):
-        raise AssertionError("assignment does not describe an Euler walk")
-    # simulate to double-check endpoints
-    pos = fsa.initial
-    for i in trail:
-        src, _, dst = fsa.edges[i]
-        if src != pos:
-            raise AssertionError("Euler walk is not contiguous")
-        pos = dst
-    if pos != fsa.final:
-        raise AssertionError("Euler walk does not end in the final state")
-    return [fsa.edges[i][1] for i in trail]
+    prods = grammar.productions
+    nonterminals = set(grammar.nonterminals)
+    by_lhs = {}
+    for i, (lhs, _) in enumerate(prods):
+        by_lhs.setdefault(lhs, []).append(i)
+    left = [counts.get(i, 0) for i in range(len(prods))]
+    nodes = {}                # symbol -> a tree node labelled with it
 
+    def expand(node, i):
+        """Use production i at node; returns the new open nodes."""
+        left[i] -= 1
+        nodes.setdefault(node[0], node)
+        node[1] = [[sym, None] if sym in nonterminals else sym
+                   for sym in prods[i][1]]
+        return [kid for kid in node[1] if isinstance(kid, list)]
+
+    def grow(todo, x=None):
+        """Expand the open nodes in todo and every node below them, last
+        first, each by the first production of its symbol with uses left,
+        but leave one node labelled x open.  Returns the nodes left open,
+        or None when a node has no production left."""
+        held = [node for node in todo if node[0] == x]
+        todo = [node for node in todo if node[0] != x]
+        while todo or len(held) > 1:
+            node = todo.pop() if todo else held.pop()
+            i = next((i for i in by_lhs.get(node[0], ()) if left[i]), None)
+            if i is None:
+                return None
+            for kid in reversed(expand(node, i)):
+                (held if kid[0] == x else todo).append(kid)
+        return held
+
+    def spine(x):
+        """A shortest cycle of leftover productions through x, as pairs of a
+        production and the position of the next spine symbol in it."""
+        return graph.closed_walk(
+            lambda sym: (((i, j), nxt) for i in by_lhs.get(sym, ()) if left[i]
+                         for j, nxt in enumerate(prods[i][1])
+                         if nxt == x or nxt in nonterminals), x)
+
+    root = [grammar.start, None]
+    if grow([root]) is None:
+        return None
+    while any(left):
+        for x in list(nodes):
+            chain = spine(x)
+            if chain:
+                break
+            del nodes[x]      # leftovers only shrink: x stays off their cycles
+        else:
+            return None
+        context = node = [x, None]
+        side = []
+        for i, j in chain:
+            kids = expand(node, i)
+            node = node[1][j]
+            side += [kid for kid in kids if kid is not node]
+        held = grow(side + [node], x)
+        if held is None:
+            return None
+        at = nodes[x]
+        held[0][1], at[1] = at[1], context[1]
+
+    word = []
+    todo = [root]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, list):
+            todo.extend(reversed(item[1]))
+        else:
+            word.append(item)
+    return word
+
+
+def euler_witness(fsa, assignment):
+    """A word of L(fsa) whose Parikh vector matches the assignment, which
+    must satisfy parikh_fsa(fsa); AssertionError when it does not describe
+    a walk.
+
+    An automaton is a right-linear grammar: the edge (src, lab, dst) is the
+    production ("s", src) -> lab ("s", dst), and the final state has one
+    empty production.  The flow rows of parikh_fsa are that grammar's
+    balance rows and its connectivity atom the grammar's connectivity, so
+    derive_word turns the edge counts, plus one use of the empty
+    production, into a walk from the initial to the final state (Euler's
+    theorem is the right-linear case of the construction).
+    """
+    prods = tuple((("s", src), (lab, ("s", dst)))
+                  for src, lab, dst in fsa.edges)
+    counts = {i: assignment.get(edge_var(i), 0) for i in range(len(prods))}
+    counts[len(prods)] = 1
+    word = derive_word(
+        Grammar(tuple(("s", q) for q in fsa.states),
+                tuple(dict.fromkeys(lab for _, lab, _ in fsa.edges)),
+                ("s", fsa.initial), prods + ((("s", fsa.final), ()),)),
+        counts)
+    if word is None:
+        raise AssertionError("assignment does not describe a walk")
+    return word

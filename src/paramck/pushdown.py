@@ -41,13 +41,12 @@ argument as in the finite-state case.
 
 from __future__ import annotations
 
-import heapq
-
 from .machines import EXPLORE_BUDGET, BudgetExceeded, InternalError, Pdm, Fsm
 from .abstraction import initial_abstract
 from .explicit import Verdict, replay
 from .cyclesearch import contributor_flow_rows, lasso
 from . import graph, parikh
+from .parikh import derive_word
 
 
 #: post*'s final state.  Abstract controls are ints and middle states
@@ -375,100 +374,6 @@ def loop_system(net, grammar):
         [parikh.ge({LOOPS: 1}, 1)] + contributor_flow_rows(net))
 
 
-def derive_word(grammar, counts):
-    """A word derivable using each production exactly counts[i] times, or
-    None when the counts are not balanced (each nonterminal expanded as
-    often as it occurs on right-hand sides, the start symbol once more) and
-    connected (each used nonterminal reachable from the start through used
-    productions).  The proof that such counts come from a derivation
-    (Esparza, Fundamenta Informaticae 1997) builds one without search:
-
-      1. A leftmost tree takes at each node the first production with uses
-         left.  Balance keeps it from getting stuck, and what it leaves over
-         is balanced on its own.
-      2. While productions are left, connectivity puts some tree symbol X on
-         a cycle of leftover productions (the tree enters every source
-         component of their graph).  A shortest such cycle is the spine of a
-         context X =>* uXv.  Its other nodes are expanded from the leftovers,
-         X only while two or more X nodes are open, which balance again
-         keeps from getting stuck, and the context is spliced in at an X
-         node of the tree.
-
-    The first tree symbol with leftovers will not always do: its leftover
-    productions may all end in terminals.  Nodes are lists [symbol,
-    children], so long derivations need no recursion.
-    """
-    prods = grammar.productions
-    nonterminals = set(grammar.nonterminals)
-    by_lhs = {}
-    for i, (lhs, _) in enumerate(prods):
-        by_lhs.setdefault(lhs, []).append(i)
-    left = [counts.get(i, 0) for i in range(len(prods))]
-    nodes = {}                # symbol -> a tree node labelled with it
-
-    def expand(node, i):
-        """Use production i at node; returns the new open nodes."""
-        left[i] -= 1
-        nodes.setdefault(node[0], node)
-        node[1] = [[sym, None] if sym in nonterminals else sym
-                   for sym in prods[i][1]]
-        return [kid for kid in node[1] if isinstance(kid, list)]
-
-    def grow(todo, x=None):
-        """Expand the open nodes in todo and every node below them, last
-        first, each by the first production of its symbol with uses left,
-        but leave one node labelled x open.  Returns the nodes left open,
-        or None when a node has no production left."""
-        held = [node for node in todo if node[0] == x]
-        todo = [node for node in todo if node[0] != x]
-        while todo or len(held) > 1:
-            node = todo.pop() if todo else held.pop()
-            i = next((i for i in by_lhs.get(node[0], ()) if left[i]), None)
-            if i is None:
-                return None
-            for kid in reversed(expand(node, i)):
-                (held if kid[0] == x else todo).append(kid)
-        return held
-
-    def spine(x):
-        """A shortest cycle of leftover productions through x, as pairs of a
-        production and the position of the next spine symbol in it."""
-        return graph.closed_walk(
-            lambda sym: (((i, j), nxt) for i in by_lhs.get(sym, ()) if left[i]
-                         for j, nxt in enumerate(prods[i][1])
-                         if nxt == x or nxt in nonterminals), x)
-
-    root = [grammar.start, None]
-    if grow([root]) is None:
-        return None
-    while any(left):
-        chain = next(filter(None, map(spine, nodes)), None)
-        if chain is None:
-            return None
-        x = prods[chain[0][0]][0]
-        context = node = [x, None]
-        side = []
-        for i, j in chain:
-            kids = expand(node, i)
-            node = node[1][j]
-            side += [kid for kid in kids if kid is not node]
-        held = grow(side + [node], x)
-        if held is None:
-            return None
-        at = nodes[x]
-        held[0][1], at[1] = at[1], context[1]
-
-    word = []
-    todo = [root]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, list):
-            todo.extend(reversed(item[1]))
-        else:
-            word.append(item)
-    return word
-
-
 def find_stem(net, pivot_control, pivot_symbol, reasons,
               budget=EXPLORE_BUDGET):
     """The abstract stem to the pivot, read back from the reasons post_star
@@ -503,47 +408,18 @@ def token_free_word(net, grammar):
     of loop_system; a pivot that has one needs no solve.
 
     Every production but the accept node's empty one starts with a
-    transition id, and only productions whose transition ids are all
-    token-free count.  Their shortest lengths follow Knuth's generalization
-    of Dijkstra's algorithm (A generalization of Dijkstra's algorithm, IPL
-    1977): a production is weighed once each symbol of its right-hand side
-    has its length, and a symbol's length is its lightest production's.
-    The start symbol takes its lightest nonempty production, and each
-    nonterminal expands by the production that gave its length, whose
-    symbols got theirs earlier, so the expansion ends.
+    transition id.  Only the productions whose transition ids are all
+    token-free count, and parikh.shortest_derivations weighs them.  The
+    start symbol takes its lightest nonempty production, and each
+    nonterminal expands by its lightest one.
     """
-    free = {t.tid for t in net.leader_transitions}
-    free.update(t.tid for t in net.contributor_transitions if t.src == t.dst)
+    free = {t.tid for t in net.leader_transitions + net.contributor_transitions
+            if not t.moves_token}
     prods = [(lhs, rhs) for lhs, rhs in grammar.productions
              if all(sym in free for sym in rhs if not isinstance(sym, tuple))]
-    waiting = []              # per production: nonterminals without a length
-    uses = {}                 # nonterminal -> [production] per occurrence
-    heap = []                 # (length, production) of the weighed ones
-    for i, (lhs, rhs) in enumerate(prods):
-        need = [sym for sym in rhs if isinstance(sym, tuple)]
-        for sym in need:
-            uses.setdefault(sym, []).append(i)
-        waiting.append(len(need))
-        if not need:
-            heap.append((len(rhs), i))
-    heapq.heapify(heap)
-    length, best = {}, {}
-
-    def weight(rhs):
-        return sum(length[sym] if isinstance(sym, tuple) else 1 for sym in rhs)
-    while heap:
-        n, i = heapq.heappop(heap)
-        lhs = prods[i][0]
-        if lhs in length:
-            continue
-        length[lhs], best[lhs] = n, i
-        for j in uses.get(lhs, ()):
-            waiting[j] -= 1
-            if not waiting[j]:
-                heapq.heappush(heap, (weight(prods[j][1]), j))
-    loops = [(weight(rhs), i)
-             for i, (lhs, rhs) in enumerate(prods)
-             if lhs == grammar.start and rhs and not waiting[i]]
+    _, best, weight = parikh.shortest_derivations(prods, grammar.terminals)
+    loops = [(weight[i], i) for i, (lhs, rhs) in enumerate(prods)
+             if lhs == grammar.start and rhs and weight[i] is not None]
     if not loops:
         return None
     word = []

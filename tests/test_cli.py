@@ -322,6 +322,20 @@ def test_restricted_contributor_reports_its_window_bound(tmp_path, capsys):
     assert report["statistics"]["window_bound"] == 5
 
 
+def test_requested_mode_may_be_the_one_auto_picks(tmp_path, capsys):
+    # auto runs fsm-fsm on an FSM leader with a PDM contributor, so asking
+    # for fsm-fsm by name runs the same check
+    paths = write_net(tmp_path, WINDOW_LEADER, WINDOW_CONTRIB, WINDOW_PROP)
+    assert main(check_args(paths, "--json")) == 0
+    auto = capsys.readouterr().out
+    assert main(check_args(paths, "--json", "--mode", "fsm-fsm")) == 0
+    assert capsys.readouterr().out == auto
+    for mode, needs in (("pdm-fsm", "a PDM leader and an FSM contributor"),
+                        ("pdm-pdm", "PDM leader and contributor")):
+        assert main(check_args(paths, "--mode", mode)) == 2
+        assert f"{mode} mode needs {needs}" in capsys.readouterr().err
+
+
 def test_replay_reports_a_window_past_the_budget(tmp_path, capsys,
                                                  monkeypatch):
     paths = write_net(tmp_path, WINDOW_LEADER, WINDOW_CONTRIB, WINDOW_PROP)

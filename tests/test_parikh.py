@@ -11,7 +11,7 @@ import integer_oracle
 from paramck import parikh
 from paramck.parikh import (FALSE, Fsa, Grammar, LinearSystem, eq, ge, le,
                             letter_var, euler_witness, parikh_cfg, parikh_fsa,
-                            reduce_grammar, solve)
+                            reduce_grammar, shortest_derivations, solve)
 from fixtures import satisfies
 
 
@@ -253,6 +253,49 @@ def test_grammar_passes_agree_with_naive_fixpoints():
         assert repr(parikh_cfg(g)) == repr(naive_parikh_cfg(g))
 
 
+def naive_shortest_derivations(g):
+    """The shortest length of each productive symbol and the weight of each
+    production, by rounds that rescan every production until no length
+    drops."""
+    length = {}
+    changed = True
+    while changed:
+        changed = False
+        for lhs, rhs in g.productions:
+            if all(s in g.terminals or s in length for s in rhs):
+                n = sum(1 if s in g.terminals else length[s] for s in rhs)
+                if n < length.get(lhs, n + 1):
+                    length[lhs] = n
+                    changed = True
+    weight = [sum(1 if s in g.terminals else length[s] for s in rhs)
+              if all(s in g.terminals or s in length for s in rhs) else None
+              for _, rhs in g.productions]
+    return length, weight
+
+
+def test_shortest_derivations_agree_with_naive_rounds():
+    rng = random.Random(23)
+    for i in range(3000):
+        g = random_cfg(rng, max_nts=6) if i % 2 else odd_cfg(rng)
+        length, best, weight = shortest_derivations(g.productions,
+                                                    g.terminals)
+        assert (length, weight) == naive_shortest_derivations(g)
+        assert best.keys() == length.keys()
+        for sym, n in length.items():
+            assert g.productions[best[sym]][0] == sym
+            assert weight[best[sym]] == n
+            # expanding by the lightest productions ends, in a word of
+            # the shortest length
+            word, todo = [], list(reversed(g.productions[best[sym]][1]))
+            while todo:
+                s = todo.pop()
+                if s in g.terminals:
+                    word.append(s)
+                else:
+                    todo.extend(reversed(g.productions[best[s]][1]))
+            assert len(word) == n
+
+
 def test_unproductive_start_gives_false():
     g = Grammar(("S",), ("a",), "S", (("S", ("S", "a")),))
     assert parikh_cfg(g).atoms == (FALSE,)
@@ -489,3 +532,52 @@ def test_euler_witness_rejects_bogus_assignment():
     with pytest.raises(AssertionError):
         euler_witness(fsa, {"e0": 1})
 
+
+def tagged_fsa(rng):
+    """A random automaton whose i-th edge carries its own label t<i>, so
+    the letters of a word count the edges of its walk."""
+    fsa, _ = random_fsa(rng)
+    edges = tuple((src, f"t{i}", dst)
+                  for i, (src, _, dst) in enumerate(fsa.edges))
+    return Fsa(fsa.states, edges, fsa.initial, fsa.final)
+
+
+def greedy_strands(fsa, counts):
+    """Whether the walk that always takes the first edge with uses left
+    strands some edge or stops off the final state."""
+    left = dict(counts)
+    state = fsa.initial
+    while True:
+        i = next((i for i, (src, _, _) in enumerate(fsa.edges)
+                  if src == state and left[i]), None)
+        if i is None:
+            return state != fsa.final or any(left.values())
+        left[i] -= 1
+        state = fsa.edges[i][2]
+
+
+def test_euler_witness_realizes_every_parikh_model():
+    # the automaton twin of test_derive_word_realizes_every_parikh_model:
+    # random lower bounds on edge counts make greedy walks strand edges
+    rng = random.Random(32)
+    models = stranded = 0
+    while models < 1500:
+        fsa = tagged_fsa(rng)
+        bounds = [ge({parikh.edge_var(i): 1}, rng.randint(1, 3))
+                  for i in range(len(fsa.edges)) if rng.random() < 0.4]
+        model = integer_oracle.solve(parikh_fsa(fsa).conjoin(bounds))
+        if model is None:
+            continue
+        models += 1
+        counts = {i: model.get(parikh.edge_var(i), 0)
+                  for i in range(len(fsa.edges))}
+        word = euler_witness(fsa, model)
+        assert {i: word.count(f"t{i}") for i in counts} == counts
+        state = fsa.initial
+        for lab in word:
+            src, _, dst = fsa.edges[int(lab[1:])]
+            assert src == state
+            state = dst
+        assert state == fsa.final
+        stranded += greedy_strands(fsa, counts)
+    assert stranded >= 100

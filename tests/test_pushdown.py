@@ -727,6 +727,51 @@ def test_a_stem_past_the_budget_is_a_budget_verdict(monkeypatch):
     assert verdict.stats == {"reason": "stem longer than 4 moves"}
 
 
+def doubling_calls_network(n):
+    """A leader whose procedure P<i> calls P<i-1> twice, and P0 returns at
+    once: s0 calls P<n> and reaches the accepting loop at done only after
+    it returns, so every stem to done has 2**(n + 2) - 2 moves.  A call
+    of P<i> pushes its return address, a<i> for the first and b<i> for the
+    second, over the caller's, and ret pops it."""
+    w = la("write", "0")
+    entry = ["ret"] + [f"e{i}" for i in range(1, n + 1)]
+    rules = [PdmRule("s0", w, "Z", entry[n], ("push", "M"))]
+    for i in range(1, n + 1):
+        for top in ["M"] if i == n else [f"a{i + 1}", f"b{i + 1}"]:
+            rules += [PdmRule(f"e{i}", w, top, entry[i - 1], ("push", f"a{i}")),
+                      PdmRule(f"m{i}", w, top, entry[i - 1], ("push", f"b{i}"))]
+        rules += [PdmRule("ret", w, f"a{i}", f"m{i}", ("pop",)),
+                  PdmRule("ret", w, f"b{i}", "ret", ("pop",))]
+    rules += [PdmRule("ret", w, "M", "done", ("pop",)),
+              PdmRule("done", w, "Z", "loop", ("push", "D")),
+              PdmRule("loop", w, "D", "done", ("pop",))]
+    leader = Pdm(frozenset(r.src for r in rules), ("Z", "M", "D") + tuple(
+        f"{c}{i}" for i in range(1, n + 1) for c in "ab"), "s0", tuple(rules),
+        frozenset(["done"]))
+    contrib = Fsm(frozenset(["q0"]), "q0", (("q0", ca("read", "0"), "q0"),))
+    return make_network(["0"], leader, contrib)
+
+
+def test_a_stem_may_be_exponentially_longer_than_the_saturation(monkeypatch):
+    # post* holds 122 edges, and the stem to done has 16,382 moves: the
+    # stem's budget check is not implied by the saturation's
+    net = doubling_calls_network(12)
+    reasons = {}
+    pairs = post_star(net, reasons=reasons)
+    assert len(reasons) == 122
+    control = next(c for c, _ in pairs
+                   if net.moves.decode(c).leader_state == "done")
+    assert len(find_stem(net, control, "Z", reasons)) == 2 ** 14 - 2
+    monkeypatch.setenv("PARAMCK_BUDGET", "1000")
+    verdict, _ = run_check(net)
+    assert verdict.kind == "BUDGET"
+    assert verdict.stats == {"reason": "stem longer than 1000 moves"}
+    monkeypatch.setenv("PARAMCK_BUDGET", "100000")
+    verdict, _ = run_check(net)
+    assert verdict.kind == "NONEMPTY"
+    assert replay(net, verdict.witness) == ("valid", None)
+
+
 def renamed_leader_state(net, old, new):
     """net with the leader state old renamed to new."""
     leader = net.leader
