@@ -12,10 +12,9 @@ natural variables.
 solve decides the systems the checkers build: homogeneous rows, "at least
 one" rows and one connectivity atom.  There integer and rational models
 have the same supports, so the decision is a fixpoint of linear programs
-(HiGHS) and graph pruning, with no search and no budget.  Every model it
-returns is checked in integers, and a "no model" answer rests on
-strict-complementarity certificates checked in integers, or on an exact
-rational simplex.
+and graph pruning, with no search and no budget.  linprog, an exact
+simplex in integers, solves each program, so the supports it finds are the
+largest and need no certificate; models are still checked in integers.
 
 A model becomes a word by one construction, derive_word; an automaton is a
 right-linear grammar, so euler_witness is derive_word too.  One
@@ -30,11 +29,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse import csr_array
-
 from . import graph
+from .machines import InternalError
 
 
 def le(coeffs, const):
@@ -260,6 +256,143 @@ def parikh_cfg(g):
 #: the most cuts _shrink adds before it keeps the model it was given
 SHRINK_CUTS = 12
 
+#: degenerate pivots in a row after which linprog prices by Bland's rule
+DEGENERATE_RUN = 12
+
+#: the key of a tableau row's constant
+RHS = -1
+
+
+def _combine(row, pivot, col):
+    """row minus the multiple of pivot (pivot[col] > 0) that clears col, as
+    a primitive positive multiple of that equation."""
+    g = math.gcd(pivot[col], row[col])
+    p, a = pivot[col] // g, row[col] // g
+    out = row.copy() if p == 1 else {k: p * c for k, c in row.items()}
+    for k, c in pivot.items():
+        c = out.get(k, 0) - a * c
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+    g = math.gcd(*out.values())
+    return {k: c // g for k, c in out.items()} if g > 1 else out
+
+
+def _enter(tab, basis, r, e):
+    """Make column e basic in row r of the tableau, where tab[r][e] > 0."""
+    for i, row in enumerate(tab):
+        if i != r and e in row:
+            tab[i] = _combine(row, tab[r], e)
+    basis[r] = e
+
+
+def linprog(cost, rows, upper):
+    """A point x that minimizes cost·x subject to the rows, each (coeffs,
+    const) for coeffs·x = const with coeffs a dict from column index to an
+    integer, and 0 <= x[j] <= upper[j] (None: no upper bound), as
+    Fractions; None when no point meets them, ValueError when cost·x has no
+    lower bound.
+
+    A bounded-variable primal simplex in integers.  A tableau row is a
+    dict, its constant at RHS, a primitive positive multiple of its
+    equation.  A nonbasic column is at 0, or complemented (x = upper - x')
+    at its upper bound.  A "= 0" row gets its basic column by elimination,
+    since x = 0 meets it; only the others get an artificial column, which
+    phase 1 drives to 0 and phase 2 keeps there.  Pricing is Dantzig's
+    rule, or Bland's (Bland 1977), which cannot cycle, after DEGENERATE_RUN
+    pivots in a row that leave the point where it was.
+    """
+    n = len(upper)
+    tab = []
+    for coeffs, const in rows:
+        row = {j: c for j, c in coeffs.items() if c and upper[j] != 0}
+        row.update({RHS: const} if const else {})
+        g = math.gcd(*row.values()) * (-1 if const < 0 else 1)
+        tab += [{k: c // g for k, c in row.items()}] if g else []
+    upper = list(upper) + [None] * len(tab)     # then the artificial columns
+    flipped = [False] * len(upper)
+    basis = [None] * len(tab)
+    for r, row in enumerate(tab):
+        if RHS not in row and row:
+            e = min(row, key=lambda j: (upper[j] is not None, abs(row[j])))
+            tab[r] = {k: -c for k, c in row.items()} if row[e] < 0 else row
+            _enter(tab, basis, r, e)
+
+    def flip(j, rows):
+        """Complement column j in rows."""
+        flipped[j] = not flipped[j]
+        for row in rows:
+            if row.get(j):
+                row[RHS] = row.get(RHS, 0) - row[j] * upper[j]
+                row[j] = -row[j]
+
+    def run(obj):
+        """Pivot until no column improves the objective row obj, that is,
+        has a positive entry there; returns the last obj."""
+        degenerate = 0
+        while better := [j for j, w in obj.items() if w > 0 and j != RHS]:
+            e = max(better, key=lambda j: (obj[j], -j)) \
+                if degenerate < DEGENERATE_RUN else min(better)
+            # the longest step num / den along e, to e's bound or where a
+            # basic value meets 0 or its bound; ties go to the lowest basic
+            num, den, r = upper[e], 1, None
+            for i, row in enumerate(tab):
+                a, beta = row.get(e, 0), basis[i]
+                if a > 0:
+                    t = (row.get(RHS, 0), a)
+                elif a and upper[beta] is not None:
+                    t = (row[beta] * upper[beta] - row.get(RHS, 0), -a)
+                else:
+                    continue
+                if num is None or (t[0] * den, beta) < (
+                        num * t[1], -1 if r is None else basis[r]):
+                    (num, den), r = t, i
+            if num is None:
+                raise ValueError("the objective has no lower bound")
+            degenerate = degenerate + 1 if num == 0 else 0
+            if r is None:
+                flip(e, tab + [obj])
+                continue
+            beta, row = basis[r], tab[r]
+            if row[e] < 0:
+                # beta leaves at its upper bound: complement it, and negate
+                # the row so that its coefficient stays positive
+                flip(beta, [row])
+                tab[r] = {k: -c for k, c in row.items()}
+            if e in obj:
+                obj = _combine(obj, tab[r], e)
+            _enter(tab, basis, r, e)
+            if beta >= n:                # an artificial column left
+                for row in tab + [obj]:
+                    row.pop(beta, None)
+        return obj
+
+    obj = {}
+    for r, b in enumerate(basis):
+        if b is None:
+            basis[r] = n + r
+            for k, c in tab[r].items():
+                obj[k] = obj.get(k, 0) + c
+            tab[r][n + r] = 1
+    if obj and run(obj).get(RHS, 0) > 0:
+        return None
+    upper[n:] = [0] * len(tab)
+    obj = {j: c if flipped[j] else -c
+           for j, c in enumerate(cost) if c and upper[j] != 0}
+    obj[RHS] = sum(c * upper[j] for j, c in enumerate(cost) if flipped[j])
+    for row, b in zip(tab, basis):
+        obj = _combine(obj, row, b) if b in obj else obj
+    run(obj)
+    x = dict.fromkeys(range(n), Fraction(0))
+    x.update((b, Fraction(row.get(RHS, 0), row[b]))
+             for row, b in zip(tab, basis))
+    return [upper[j] - x[j] if flipped[j] else x[j] for j in range(n)]
+
+
+# the benchmark's tracer wraps parikh.milp, HiGHS's name here, by name
+milp = linprog
+
 
 def _split(system):
     """The system's variables (declared ones first, then the ones only
@@ -288,18 +421,6 @@ def _split(system):
     if len(conns) > 1:
         raise ValueError("solve takes at most one connectivity atom")
     return tuple(variables), cone, least, (conns[0] if conns else None)
-
-
-def _matrix(rows, n):
-    """The coefficients of rows, each a dict from column index to a nonzero
-    coefficient, as a sparse float matrix with n columns."""
-    data, indices, indptr = [], [], [0]
-    for coeffs in rows:
-        indices.extend(coeffs)
-        data.extend(coeffs.values())
-        indptr.append(len(indices))
-    return csr_array((numpy.array(data, dtype=float), indices, indptr),
-                     shape=(len(rows), n))
 
 
 def _distances(conn, cols):
@@ -353,63 +474,85 @@ def _balls(conn, alive):
             for d in sorted(set(depth.values()))]
 
 
-def _rationalize(values, exact):
-    """Integers proportional to the float values, or None: the nearest
-    integers, or else each value's nearest fraction with denominator at
-    most 16, 1024 or 10**6 scaled by their common denominator, whichever
-    the predicate exact accepts first."""
-    ints = [round(v) for v in values]
-    if exact(ints):
-        return ints
-    for denom in (16, 1024, 10 ** 6):
-        fracs = [Fraction(v).limit_denominator(denom) for v in values]
-        scale = math.lcm(*(f.denominator for f in fracs))
-        ints = [f.numerator * (scale // f.denominator) for f in fracs]
-        if exact(ints):
-            return ints
-    return None
+def _definitions(cone, cols):
+    """The "= 0" rows of cone on the columns cols, with each column x_v
+    that one of them defines as a sum of other columns, x_v = sum c_j x_j
+    with integers c_j >= 0, substituted out in one pass over the rows;
+    such an x_v is >= 0 by itself.  Returns the rows left, as dicts over
+    the columns not defined, and the definitions, each v -> {j: c_j}."""
+    rows = [{j: c for j, c in row.items() if j in cols} for row in cone]
+    defs = {}
+    for row in rows:
+        v = next((v for v, s in row.items() if s in (1, -1) and all(
+            c * s < 0 for j, c in row.items() if j != v)), None)
+        if v is None:
+            continue
+        sub = {j: -c * row[v] for j, c in row.items() if j != v}
+        row.clear()
+        for other in [*defs.values(), *rows]:
+            c = other.pop(v, 0)
+            for j, d in sub.items() if c else ():
+                other[j] = other.get(j, 0) + c * d
+                if not other[j]:
+                    del other[j]
+        defs[v] = sub
+    return [row for row in rows if row], defs
 
 
-def _cone_point(lp, cone, least, n, cols, largest, cuts=()):
-    """A point x = t + s of the cone {x >= 0 : cone rows = 0} that is 0 off
-    the columns cols, by one HiGHS LP over the columns [t | s] of lp;
-    rationalized and checked in integers, or None.
+def _cone_point(cone, least, n, cols, largest, cuts=()):
+    """A point x of the cone {x >= 0 : cone rows = 0} that is 0 off the
+    columns cols, as integers scaled from linprog's optimum, or None; the
+    columns a row defines (_definitions) are read back from the others.
 
-    largest: maximise the sum of t subject to t <= 1.  The cone is closed
-    under scaling, so the optimum has t_j = 1 on every column that some
-    point uses and t_j = 0 elsewhere; that the point's support is the
-    largest is taken on trust until _certified checks it.  Otherwise
-    minimise the sum of x = t subject to every "at least one" row and every
-    cut (a column set) summing to >= 1: a short point that meets those rows,
-    whose support need not be connected.
+    largest: x = t + s, and maximise the sum of t subject to t <= 1.  The
+    cone is closed under scaling, so the optimum has t_j = 1 exactly on the
+    columns that some point uses: its support is the largest.  Otherwise
+    minimise the sum of x subject to every "at least one" row and every cut
+    (a column set) summing to >= 1: a short point that meets those rows,
+    whose support need not be connected.  A point that fails the check in
+    integers raises InternalError.
     """
-    upper = numpy.zeros(2 * n)
-    upper[list(cols)] = 1 if largest else numpy.inf
+    rows, defs = _definitions(cone, cols)
+    free = sorted(cols - defs.keys())
+    m = len(free)
+    pos = {j: k for k, j in enumerate(free)}
+    rows = [{pos[j]: c for j, c in row.items()} for row in rows]
+
+    def total(group):
+        """The sum of the columns of group, over the free columns."""
+        coeffs = [0] * m
+        for j in group:
+            for i, c in defs.get(j, {j: 1}).items():
+                coeffs[pos[i]] += c
+        return coeffs
+
     if largest:
-        upper[[n + j for j in cols]] = numpy.inf
-    low = -numpy.inf if largest else 1
-    rows = [LinearConstraint(lp, numpy.r_[numpy.zeros(len(cone)),
-                                          numpy.full(len(least), low)],
-                             numpy.r_[numpy.zeros(len(cone)),
-                                      numpy.full(len(least), numpy.inf)])]
-    if cuts:
-        rows.append(LinearConstraint(
-            _matrix([dict.fromkeys(cut, 1) for cut in cuts], 2 * n),
-            1, numpy.inf))
-    res = milp(c=numpy.repeat([-1.0 if largest else 1.0, 0.0], n),
-               constraints=rows, bounds=Bounds(0, upper))
-    if res.status != 0 or res.x is None:
+        lp = linprog([-1] * m + [0] * m,
+                     [({**row, **{m + k: c for k, c in row.items()}}, 0)
+                      for row in rows], [1] * m + [None] * m)
+    else:
+        groups = [row & cols for row in least] + list(cuts)
+        lp = linprog(total(cols) + [0] * len(groups),
+                     [(row, 0) for row in rows] +
+                     [({**dict(enumerate(total(group))), m + i: -1}, 1)
+                      for i, group in enumerate(groups)],
+                     [None] * (m + len(groups)))
+    if lp is None:
         return None
+    point = {j: lp[k] + lp[m + k] if largest else lp[k]
+             for k, j in enumerate(free)}
+    for v, sub in defs.items():
+        point[v] = sum(c * point[j] for j, c in sub.items())
+    scale = math.lcm(*(f.denominator for f in point.values()))
+    x = [int(point.get(j, 0) * scale) for j in range(n)]
+    if min(x) < 0 or any(sum(c * x[j] for j, c in row.items())
+                         for row in cone) or not largest and \
+            not all(any(x[j] for j in row) for row in least):
+        raise InternalError("linprog returned a point off the cone")
+    return x
 
-    def exact(x):
-        return min(x) >= 0 and all(
-            sum(c * x[j] for j, c in row.items()) == 0 for row in cone) and (
-            largest or all(any(x[j] for j in row) for row in least))
 
-    return _rationalize((res.x[:n] + res.x[n:]).tolist(), exact)
-
-
-def _shrink(lp, cone, least, conn, n, x):
+def _shrink(cone, least, conn, n, x):
     """A model inside the support of the model x with a small sum and a
     connected support: the shortest point of that support that meets the
     "at least one" rows, with a cut for each earlier point whose support
@@ -420,7 +563,7 @@ def _shrink(lp, cone, least, conn, n, x):
     support = {j for j in range(n) if x[j]}
     cuts = []
     while len(cuts) <= SHRINK_CUTS:
-        y = _cone_point(lp, cone, least, n, support, False, cuts)
+        y = _cone_point(cone, least, n, support, False, cuts)
         if y is None:
             break
         used = {j for j in support if y[j]}
@@ -434,137 +577,19 @@ def _shrink(lp, cone, least, conn, n, x):
     return x
 
 
-def _exact_point(cone, n, alive):
-    """A point of the cone on alive with the largest support, as integers,
-    by the exact simplex: each run asks for a point that uses a column no
-    earlier point used, and the first empty one proves that the columns
-    left are 0 in every point."""
-    cols = sorted(alive)
-    pos = {j: k for k, j in enumerate(cols)}
-    rows = []
-    for row in cone:
-        coeffs = {pos[j]: c for j, c in row.items() if j in pos}
-        rows += [(coeffs, 0), ({k: -c for k, c in coeffs.items()}, 0)]
-    total = [0] * n
-    unused = cols
-    while unused:
-        x = _lp_feasible_exact(rows + [({pos[j]: -1 for j in unused}, -1)],
-                               len(cols))
-        if x is None:
-            break
-        scale = math.lcm(*(f.denominator for f in x))
-        for j, f in zip(cols, x):
-            total[j] += f.numerator * (scale // f.denominator)
-        unused = [j for j in unused if not total[j]]
-    return total
-
-
-def _certified(lp, cone, alive, support):
-    """Whether a Goldman-Tucker certificate (Goldman & Tucker, 1956) shows
-    that the columns of alive outside support are 0 in every point of the
-    cone on alive: a y with y'A >= 0 on alive and y'A > 0 off support, so
-    that y'Ax = 0 forces those columns to 0.  The y of one float LP is
-    rationalized and checked in integers.  lp holds the cone's
-    coefficients in its first rows and columns."""
-    cols = sorted(alive)
-    res = linprog(c=numpy.zeros(len(cone)), A_ub=-lp[:len(cone), cols].T,
-                  b_ub=[0 if j in support else -1 for j in cols],
-                  bounds=(None, None), method="highs")
-
-    def exact(y):
-        combo = dict.fromkeys(cols, 0)
-        for w, row in zip(y, cone):
-            for j, c in row.items():
-                if w and j in combo:
-                    combo[j] += w * c
-        return all(c > 0 or (c == 0 and j in support)
-                   for j, c in combo.items())
-
-    return res.status == 0 and _rationalize(res.x.tolist(), exact) is not None
-
-
-def _lp_feasible_exact(rows, n):
-    """A point of {Ax <= b, x >= 0} as n Fractions, or None if it is empty:
-    phase-1 simplex with Bland's rule on a dense Fraction tableau.  rows:
-    list of (coeffs, const), coeffs a dict from column index to a nonzero
-    coefficient."""
-    zero, one = Fraction(0), Fraction(1)
-    if all(const >= 0 for _, const in rows):
-        return [zero] * n
-    m = len(rows)
-    # columns: 0..n-1 structural, n the phase-1 variable x0, n+1..n+m slacks,
-    # last the right-hand side
-    tab = []
-    for i, (coeffs, const) in enumerate(rows):
-        row = [zero] * n + [Fraction(-1)] + [zero] * m
-        for j, c in coeffs.items():
-            row[j] = Fraction(c)
-        row[n + 1 + i] = one
-        row.append(Fraction(const))
-        tab.append(row)
-    basis = [n + 1 + i for i in range(m)]
-    # make the basis feasible: pivot x0 in at the most negative row
-    piv = min(range(m), key=lambda i: (tab[i][-1], i))
-    _pivot(tab, basis, piv, n)
-    # minimize x0; only x0 carries cost, so with x0 basic in row r the reduced
-    # cost of column j is [j == n] - tab[r][j], and row r always passes the
-    # ratio test of an improving column
-    while True:
-        r = next((i for i in range(m) if basis[i] == n), None)
-        entering = None
-        if r is not None:
-            entering = next((j for j in range(n + 1 + m)
-                             if (one if j == n else zero) - tab[r][j] < 0),
-                            None)     # Bland: smallest improving index
-        if entering is None:
-            if r is not None and tab[r][-1] > 0:
-                return None
-            x = [zero] * n
-            for i, col in enumerate(basis):
-                if col < n:
-                    x[col] = tab[i][-1]
-            return x
-        leaving = None
-        best = None
-        for i in range(m):
-            if tab[i][entering] > 0:
-                ratio = tab[i][-1] / tab[i][entering]
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        _pivot(tab, basis, leaving, entering)
-
-
-def _pivot(tab, basis, row, col):
-    m = len(tab)
-    pr = tab[row]
-    pv = pr[col]
-    tab[row] = [a / pv for a in pr]
-    for i in range(m):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
-    basis[row] = col
-
-
-def _fixpoint(cone, least, conn, n, point, alive):
+def _fixpoint(cone, least, conn, n, alive):
     """The largest support that a model on alive can have, found by
-    repeating _prune and one point(alive) until nothing changes: the
-    fixpoint's point as integers, or None if it misses an "at least one"
-    row; and the rounds (alive, support) whose support point did not prove
-    to be the largest.  point returns (x, proven)."""
-    rounds = []
+    repeating _prune and one largest point of the columns left until
+    nothing changes: the fixpoint's point as integers, or None if it misses
+    an "at least one" row."""
     while True:
         alive = _prune(cone, conn, alive)
         if not all(row & alive for row in least):
-            return None, rounds
-        x, proven = point(alive)
+            return None
+        x = _cone_point(cone, least, n, alive, True)
         support = {j for j in alive if x[j]}
         if support == alive:
-            return x, rounds
-        if not proven:
-            rounds.append((alive, support))
+            return x
         alive = support
 
 
@@ -579,9 +604,9 @@ def solve(system):
     only.  So the support of every model lies in the fixpoint of two steps
     (_fixpoint): drop the columns that single rows or connectivity force to
     0 (_prune), and shrink to the largest support of a point of the cone
-    {x >= 0 : "= 0" rows} on the columns left, found by one LP.  A model
-    exists exactly when the fixpoint meets every "at least one" row, and
-    then the fixpoint's point is one.
+    {x >= 0 : "= 0" rows} on the columns left, found by one exact LP.  A
+    model exists exactly when the fixpoint meets every "at least one" row,
+    and then the fixpoint's point is one.
 
     That point uses every column it can, and witnesses should be short.
     So balls of columns around the root are tried first, smallest first
@@ -589,12 +614,6 @@ def solve(system):
     row is a model if its support is connected; if not, the ball's
     fixpoint is tried, and a model it gives is shortened (_shrink).  The
     last ball holds every column, and its fixpoint decides.
-
-    Every point is checked in integers.  A round whose LP point does not
-    rationalize takes its point from the exact simplex.  A "no model"
-    answer stands only when every column an LP dropped has a certificate
-    (_certified); otherwise the fixpoint runs again on points of the exact
-    simplex, which need none.
     """
     variables, cone, least, conn = _split(system)
     n = len(variables)
@@ -603,40 +622,21 @@ def solve(system):
         return None
     if not least:
         return dict.fromkeys(variables, 0)
-    # one matrix for every LP: the cone rows over [t | s], for x = t + s,
-    # then the "at least one" rows over t
-    lp = _matrix([{**row, **{n + j: c for j, c in row.items()}}
-                  for row in cone] + [dict.fromkeys(row, 1) for row in least],
-                 2 * n).tocsc()
-
-    def point(alive):
-        x = _cone_point(lp, cone, least, n, alive, True)
-        return (x, False) if x is not None else \
-            (_exact_point(cone, n, alive), True)
-
     for ball in _balls(conn, alive):
         ball = _prune(cone, conn, ball)
         if not all(row & ball for row in least):
             continue
-        x = _cone_point(lp, cone, least, n, ball, False)
+        x = _cone_point(cone, least, n, ball, False)
         if x is not None:
             support = {j for j in range(n) if x[j]}
             if _reached(conn, support) == support:
                 return dict(zip(variables, x))
         if x is not None or ball == alive:
-            x, rounds = _fixpoint(cone, least, conn, n, point, ball)
+            x = _fixpoint(cone, least, conn, n, ball)
             if x is not None:
                 if conn is not None:
-                    x = _shrink(lp, cone, least, conn, n, x)
+                    x = _shrink(cone, least, conn, n, x)
                 return dict(zip(variables, x))
-    # the last ball was alive, and its fixpoint met no model
-    if not all(_certified(lp, cone, alive, support)
-               for alive, support in rounds):
-        x, _ = _fixpoint(cone, least, conn, n,
-                         lambda alive: (_exact_point(cone, n, alive), True),
-                         alive)
-        if x is not None:
-            return dict(zip(variables, x))
     return None
 
 

@@ -6,7 +6,9 @@ connectivity atoms, not only the homogeneous ones parikh.solve decides, so
 the encoding tests that pin letters to constants use it too.  HiGHS MILP
 proposes a model, which is checked exactly; otherwise bounds propagation and
 branch and bound, pruned by an LP relaxation whose infeasibility is
-certified exactly, search for one.  Connectivity is enforced by cuts: a model
+certified exactly, search for one.  The exact fallback of that relaxation,
+_lp_feasible_exact, is a dense Fraction simplex of its own, so the oracle
+shares no LP code with parikh.linprog.  Connectivity is enforced by cuts: a model
 whose support strands a set of nodes is cut away by "some edge enters the
 set" or "the set is unused".  The search raises BudgetExceeded past
 node_budget nodes instead of guessing.
@@ -21,7 +23,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csr_array
 
 from paramck.machines import BudgetExceeded
-from paramck.parikh import _lp_feasible_exact, eq, ge
+from paramck.parikh import eq, ge
 
 SOLVE_BUDGET = 500_000
 
@@ -37,6 +39,71 @@ def _matrix(rows, n):
         indptr.append(len(indices))
     return csr_array((numpy.array(data, dtype=float), indices, indptr),
                      shape=(len(rows), n))
+
+
+def _lp_feasible_exact(rows, n):
+    """A point of {Ax <= b, x >= 0} as n Fractions, or None if it is empty:
+    phase-1 simplex with Bland's rule on a dense Fraction tableau.  rows:
+    list of (coeffs, const), coeffs a dict from column index to a nonzero
+    coefficient."""
+    zero, one = Fraction(0), Fraction(1)
+    if all(const >= 0 for _, const in rows):
+        return [zero] * n
+    m = len(rows)
+    # columns: 0..n-1 structural, n the phase-1 variable x0, n+1..n+m slacks,
+    # last the right-hand side
+    tab = []
+    for i, (coeffs, const) in enumerate(rows):
+        row = [zero] * n + [Fraction(-1)] + [zero] * m
+        for j, c in coeffs.items():
+            row[j] = Fraction(c)
+        row[n + 1 + i] = one
+        row.append(Fraction(const))
+        tab.append(row)
+    basis = [n + 1 + i for i in range(m)]
+    # make the basis feasible: pivot x0 in at the most negative row
+    piv = min(range(m), key=lambda i: (tab[i][-1], i))
+    _pivot(tab, basis, piv, n)
+    # minimize x0; only x0 carries cost, so with x0 basic in row r the reduced
+    # cost of column j is [j == n] - tab[r][j], and row r always passes the
+    # ratio test of an improving column
+    while True:
+        r = next((i for i in range(m) if basis[i] == n), None)
+        entering = None
+        if r is not None:
+            entering = next((j for j in range(n + 1 + m)
+                             if (one if j == n else zero) - tab[r][j] < 0),
+                            None)     # Bland: smallest improving index
+        if entering is None:
+            if r is not None and tab[r][-1] > 0:
+                return None
+            x = [zero] * n
+            for i, col in enumerate(basis):
+                if col < n:
+                    x[col] = tab[i][-1]
+            return x
+        leaving = None
+        best = None
+        for i in range(m):
+            if tab[i][entering] > 0:
+                ratio = tab[i][-1] / tab[i][entering]
+                if best is None or ratio < best or \
+                        (ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        _pivot(tab, basis, leaving, entering)
+
+
+def _pivot(tab, basis, row, col):
+    m = len(tab)
+    pr = tab[row]
+    pv = pr[col]
+    tab[row] = [a / pv for a in pr]
+    for i in range(m):
+        if i != row and tab[i][col] != 0:
+            f = tab[i][col]
+            tab[i] = [a - f * b for a, b in zip(tab[i], tab[row])]
+    basis[row] = col
 
 
 def _farkas_infeasible(rows, n):

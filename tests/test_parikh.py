@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import linprog
 
 import integer_oracle
 from paramck import parikh
@@ -379,45 +379,29 @@ def test_solve_rejects_systems_outside_its_class(atom):
         solve(system.conjoin([atom]))
 
 
-def test_certificate_with_fractional_multipliers(monkeypatch):
-    # the second row makes a = b, and then the first makes d = 0.  A
-    # certificate y has y'A = 0 on a and b, so it is a multiple of (3, 1):
-    # the LP's y = (1, 1/3) checks in integers only scaled by 3
+def test_fractional_multipliers_need_no_float_step(monkeypatch):
+    # the second row makes a = b, and then the first makes d = 0.  Every
+    # Goldman-Tucker certificate of d = 0 is a multiple of (3, 1), which a
+    # float LP finds as (1, 1/3); the exact LP's largest point drops d by
+    # itself, and every number it returns is a Fraction
     system = LinearSystem(("a", "b", "d"), (
         eq({"a": 1, "b": -1, "d": 1}, 0), eq({"a": -3, "b": 3}, 0),
         ge({"d": 1}, 1)))
-    seen = []
-    rationalize = parikh._rationalize
+    points = []
 
-    def recording(values, exact):
-        ints = rationalize(values, exact)
-        seen.append((values, ints))
-        return ints
+    def recording(cost, rows, upper):
+        x = linprog(cost, rows, upper)
+        points.append(x)
+        return x
 
-    def no_simplex(rows, n):
-        raise AssertionError("the certificate needs no exact simplex")
-
-    monkeypatch.setattr(parikh, "_rationalize", recording)
-    monkeypatch.setattr(parikh, "_lp_feasible_exact", no_simplex)
+    linprog = parikh.linprog
+    monkeypatch.setattr(parikh, "linprog", recording)
     assert solve(system) is None
-    (point, x), (values, y) = seen
-    assert x[:2] == [x[0]] * 2 and x[0] > 0 and x[2] == 0
-    assert any(v != round(v) for v in values)
-    assert y[0] == 3 * y[1] > 0
+    assert points and all(isinstance(v, Fraction)
+                          for x in points if x is not None for v in x)
+    x = parikh._cone_point(*parikh._split(system)[1:3], 3, {0, 1, 2}, True)
+    assert x[0] == x[1] > 0 and x[2] == 0
     assert integer_oracle.solve(system) is None
-
-
-def test_certificate_must_check_in_integers(monkeypatch):
-    # y = 0 has y'A >= 0 everywhere but is not > 0 on the dropped column d
-    system = LinearSystem(("a", "b", "d"), (
-        eq({"a": 1, "b": -1, "d": 1}, 0), eq({"a": -3, "b": 3}, 0)))
-    _, cone, _, _ = parikh._split(system)
-    lp = parikh._matrix(cone, 3)
-    assert parikh._certified(lp, cone, {0, 1, 2}, {0, 1})
-    assert not parikh._certified(lp, cone, {0, 1, 2}, {0})
-    monkeypatch.setattr(parikh, "linprog", lambda *args, **kwargs:
-                        OptimizeResult(status=0, x=numpy.zeros(2)))
-    assert not parikh._certified(lp, cone, {0, 1, 2}, {0, 1})
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +447,7 @@ def test_lp_layer_agrees_with_exact_simplex_and_dense_oracle():
     certified = feasible = 0
     for _ in range(400):
         rows, n = random_lp(rng)
-        point = parikh._lp_feasible_exact(rows, n)
+        point = integer_oracle._lp_feasible_exact(rows, n)
         exact = point is not None
         if exact:
             assert all(v >= 0 for v in point)
@@ -485,7 +469,7 @@ def test_farkas_certificate_with_fractional_multipliers():
     rows = [({0: 1, 1: -1}, -1), ({0: -1, 1: 2}, -1), ({1: -1}, 0)]
     assert integer_oracle._farkas_infeasible(rows, 2)
     assert dense_farkas_infeasible(rows, 2)
-    assert parikh._lp_feasible_exact(rows, 2) is None
+    assert integer_oracle._lp_feasible_exact(rows, 2) is None
     assert not integer_oracle._lp_feasible(rows, 2)
 
 
@@ -497,13 +481,13 @@ def test_infeasibility_without_a_small_certificate_falls_back_to_simplex():
     rows = [({0: -1}, -1), ({0: big, 1: -1}, 0), ({1: 1}, big - 1)]
     assert not integer_oracle._farkas_infeasible(rows, 2)
     assert not dense_farkas_infeasible(rows, 2)
-    assert parikh._lp_feasible_exact(rows, 2) is None
+    assert integer_oracle._lp_feasible_exact(rows, 2) is None
     assert not integer_oracle._lp_feasible(rows, 2)
 
 
 def test_lp_without_rows_is_feasible():
     assert integer_oracle._lp_feasible([], 3)
-    assert parikh._lp_feasible_exact([], 3) == [0, 0, 0]
+    assert integer_oracle._lp_feasible_exact([], 3) == [0, 0, 0]
 
 
 def test_solver_mentions_fresh_variables():
