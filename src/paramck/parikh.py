@@ -423,53 +423,68 @@ def _split(system):
     return tuple(variables), cone, least, (conns[0] if conns else None)
 
 
-def _distances(conn, cols):
+class _Index:
+    """One system of solve, indexed once: each column's rows and signs,
+    each node's out-edges as (column, dst), each column's edge sources (no
+    atom means a bare root), and the LP parts of each support met."""
+
+    def __init__(self, cone, least, conn, n):
+        self.cone, self.least, self.conn, self.n = \
+            cone, least, conn or (None, ()), n
+        self.signs, self.sources = [[] for _ in range(n)], [[] for _ in range(n)]
+        for r, row in enumerate(cone):
+            for j, c in row.items():
+                self.signs[j].append((r, c > 0))
+        self.succ, self.supports = {}, {}
+        for j, src, dst in self.conn[1]:
+            self.succ.setdefault(src, []).append((j, dst))
+            self.sources[j].append(src)
+
+
+def _distances(ix, cols):
     """The distance from the root of each node that the root reaches along
     the connectivity edges of the columns cols."""
-    root, edges = conn
-    succ = {}
-    for j, src, dst in edges:
-        if j in cols:
-            succ.setdefault(src, []).append(dst)
-    return dict(graph.bfs(root, lambda node: succ.get(node, ())))
+    return dict(graph.bfs(ix.conn[0], lambda node: (
+        dst for j, dst in ix.succ.get(node, ()) if j in cols)))
 
 
-def _reached(conn, cols):
+def _reached(ix, cols):
     """The columns of cols whose connectivity edges all leave nodes that the
     root reaches along edges of cols."""
-    if conn is None:
-        return cols
-    dist = _distances(conn, cols)
-    return cols - {j for j, src, _ in conn[1] if src not in dist}
+    dist = _distances(ix, cols)
+    return {j for j in cols if all(s in dist for s in ix.sources[j])}
 
 
-def _prune(cone, conn, alive):
+def _prune(ix, alive):
     """The columns of alive that can be positive in a model, as far as
     single rows and connectivity tell.  A row whose coefficients on alive
     all have one sign sums to 0 only with those columns at 0, so it is its
     own Goldman-Tucker certificate; a column whose connectivity edge leaves
-    a node the root cannot reach along alive edges is 0 too."""
-    while True:
-        kept = _reached(conn, alive)
-        for row in cone:
-            if len({c > 0 for j, c in row.items() if j in kept}) == 1:
-                kept = kept - row.keys()
-        if kept == alive:
-            return alive
-        alive = kept
+    a node the root cannot reach along alive edges is 0 too.  Both rules
+    are monotone, so the largest set they keep is unique.  A worklist finds
+    it: rows count their live columns by sign, a drop updates only its
+    rows, and connectivity is searched whenever no row is left to drop."""
+    alive, live = set(alive), [[0, 0] for _ in ix.cone]   # per row: -, +
+    for j in alive:
+        for r, positive in ix.signs[j]:
+            live[r][positive] += 1
+    todo = [r for r, (neg, pos) in enumerate(live) if (neg == 0) != (pos == 0)]
+    while todo or (cut := alive - _reached(ix, alive)):
+        for j in (ix.cone[todo.pop()].keys() if todo else cut) & alive:
+            alive.discard(j)
+            for r, positive in ix.signs[j]:
+                live[r][positive] -= 1
+                if not live[r][positive] and live[r][not positive]:
+                    todo.append(r)
+    return alive
 
 
-def _balls(conn, alive):
+def _balls(ix, alive):
     """Growing sets of columns around the root, the last one alive: for
     each distance d, the columns whose connectivity edges all leave nodes
     at most d from the root.  alive must be _prune's."""
-    if conn is None:
-        return [alive]
-    dist = _distances(conn, alive)
-    depth = dict.fromkeys(alive, 0)
-    for j, src, _ in conn[1]:
-        if j in alive:
-            depth[j] = max(depth[j], dist[src])
+    dist = _distances(ix, alive)
+    depth = {j: max((dist[s] for s in ix.sources[j]), default=0) for j in alive}
     return [{j for j in alive if depth[j] <= d}
             for d in sorted(set(depth.values()))]
 
@@ -477,11 +492,15 @@ def _balls(conn, alive):
 def _definitions(cone, cols):
     """The "= 0" rows of cone on the columns cols, with each column x_v
     that one of them defines as a sum of other columns, x_v = sum c_j x_j
-    with integers c_j >= 0, substituted out in one pass over the rows;
-    such an x_v is >= 0 by itself.  Returns the rows left, as dicts over
-    the columns not defined, and the definitions, each v -> {j: c_j}."""
+    with integers c_j >= 0, substituted out where it occurs, in one pass
+    over the rows; such an x_v is >= 0 by itself.  Returns the rows left,
+    as dicts over the columns not defined, and the definitions, v -> {j:
+    c_j}."""
     rows = [{j: c for j, c in row.items() if j in cols} for row in cone]
-    defs = {}
+    holders, defs = {}, {}    # column -> rows and definitions holding it
+    for row in rows:
+        for j in row:
+            holders.setdefault(j, []).append(row)
     for row in rows:
         v = next((v for v, s in row.items() if s in (1, -1) and all(
             c * s < 0 for j, c in row.items() if j != v)), None)
@@ -489,20 +508,26 @@ def _definitions(cone, cols):
             continue
         sub = {j: -c * row[v] for j, c in row.items() if j != v}
         row.clear()
-        for other in [*defs.values(), *rows]:
+        for other in holders.pop(v):
             c = other.pop(v, 0)
             for j, d in sub.items() if c else ():
+                if j not in other:
+                    holders[j].append(other)
                 other[j] = other.get(j, 0) + c * d
                 if not other[j]:
                     del other[j]
+        for j in sub:
+            holders[j].append(sub)
         defs[v] = sub
     return [row for row in rows if row], defs
 
 
-def _cone_point(cone, least, n, cols, largest, cuts=()):
+def _cone_point(ix, cols, largest, cuts=()):
     """A point x of the cone {x >= 0 : cone rows = 0} that is 0 off the
-    columns cols, as integers scaled from linprog's optimum, or None; the
-    columns a row defines (_definitions) are read back from the others.
+    columns cols, as integers, or None: linprog's optimum on the free
+    columns times the lcm of their denominators, and the columns a row
+    defines (_definitions) read back as integer sums.  A support's
+    definitions, free columns and LP rows are made once per index.
 
     largest: x = t + s, and maximise the sum of t subject to t <= 1.  The
     cone is closed under scaling, so the optimum has t_j = 1 exactly on the
@@ -512,11 +537,14 @@ def _cone_point(cone, least, n, cols, largest, cuts=()):
     whose support need not be connected.  A point that fails the check in
     integers raises InternalError.
     """
-    rows, defs = _definitions(cone, cols)
-    free = sorted(cols - defs.keys())
+    if (key := frozenset(cols)) not in ix.supports:
+        rows, defs = _definitions(ix.cone, cols)
+        free = sorted(cols - defs.keys())
+        pos = {j: k for k, j in enumerate(free)}
+        ix.supports[key] = defs, free, pos, [
+            {pos[j]: c for j, c in row.items()} for row in rows]
+    defs, free, pos, rows = ix.supports[key]
     m = len(free)
-    pos = {j: k for k, j in enumerate(free)}
-    rows = [{pos[j]: c for j, c in row.items()} for row in rows]
 
     def total(group):
         """The sum of the columns of group, over the free columns."""
@@ -531,7 +559,7 @@ def _cone_point(cone, least, n, cols, largest, cuts=()):
                      [({**row, **{m + k: c for k, c in row.items()}}, 0)
                       for row in rows], [1] * m + [None] * m)
     else:
-        groups = [row & cols for row in least] + list(cuts)
+        groups = [row & cols for row in ix.least] + list(cuts)
         lp = linprog(total(cols) + [0] * len(groups),
                      [(row, 0) for row in rows] +
                      [({**dict(enumerate(total(group))), m + i: -1}, 1)
@@ -539,54 +567,55 @@ def _cone_point(cone, least, n, cols, largest, cuts=()):
                      [None] * (m + len(groups)))
     if lp is None:
         return None
-    point = {j: lp[k] + lp[m + k] if largest else lp[k]
-             for k, j in enumerate(free)}
+    values = [lp[k] + lp[m + k] for k in range(m)] if largest else lp[:m]
+    scale = math.lcm(*(f.denominator for f in values))
+    x = [0] * ix.n
+    for j, f in zip(free, values):
+        x[j] = f.numerator * (scale // f.denominator)
     for v, sub in defs.items():
-        point[v] = sum(c * point[j] for j, c in sub.items())
-    scale = math.lcm(*(f.denominator for f in point.values()))
-    x = [int(point.get(j, 0) * scale) for j in range(n)]
+        x[v] = sum(c * x[j] for j, c in sub.items())
     if min(x) < 0 or any(sum(c * x[j] for j, c in row.items())
-                         for row in cone) or not largest and \
-            not all(any(x[j] for j in row) for row in least):
+                         for row in ix.cone) or not largest and \
+            not all(any(x[j] for j in row) for row in ix.least):
         raise InternalError("linprog returned a point off the cone")
     return x
 
 
-def _shrink(cone, least, conn, n, x):
+def _shrink(ix, x):
     """A model inside the support of the model x with a small sum and a
     connected support: the shortest point of that support that meets the
     "at least one" rows, with a cut for each earlier point whose support
     was not connected.  A cut says that some edge of the support enters
     the nodes that point strands; x meets every such cut, since its support
     reaches all of them, so every LP has a point.  After SHRINK_CUTS cuts,
-    x itself."""
-    support = {j for j in range(n) if x[j]}
+    x itself.  Every LP here is on one support, prepared once."""
+    support = {j for j in range(ix.n) if x[j]}
     cuts = []
     while len(cuts) <= SHRINK_CUTS:
-        y = _cone_point(cone, least, n, support, False, cuts)
+        y = _cone_point(ix, support, False, cuts)
         if y is None:
             break
         used = {j for j in support if y[j]}
-        dist = _distances(conn, used)
-        stranded = {node for j, src, dst in conn[1] if j in used
+        dist = _distances(ix, used)
+        stranded = {node for j, src, dst in ix.conn[1] if j in used
                     for node in (src, dst) if node not in dist}
         if not stranded:
             return y
-        cuts.append({j for j, src, dst in conn[1] if j in support
+        cuts.append({j for j, src, dst in ix.conn[1] if j in support
                      and dst in stranded and src not in stranded})
     return x
 
 
-def _fixpoint(cone, least, conn, n, alive):
+def _fixpoint(ix, alive):
     """The largest support that a model on alive can have, found by
     repeating _prune and one largest point of the columns left until
     nothing changes: the fixpoint's point as integers, or None if it misses
     an "at least one" row."""
     while True:
-        alive = _prune(cone, conn, alive)
-        if not all(row & alive for row in least):
+        alive = _prune(ix, alive)
+        if not all(row & alive for row in ix.least):
             return None
-        x = _cone_point(cone, least, n, alive, True)
+        x = _cone_point(ix, alive, True)
         support = {j for j in alive if x[j]}
         if support == alive:
             return x
@@ -613,29 +642,31 @@ def solve(system):
     (_balls): in each, the shortest point that meets every "at least one"
     row is a model if its support is connected; if not, the ball's
     fixpoint is tried, and a model it gives is shortened (_shrink).  The
-    last ball holds every column, and its fixpoint decides.
+    last ball holds every column, and its fixpoint decides.  All steps
+    share one index of the system (_Index).
     """
     variables, cone, least, conn = _split(system)
     n = len(variables)
-    alive = _prune(cone, conn, set(range(n)))
+    ix = _Index(cone, least, conn, n)
+    alive = _prune(ix, set(range(n)))
     if not all(row & alive for row in least):
         return None
     if not least:
         return dict.fromkeys(variables, 0)
-    for ball in _balls(conn, alive):
-        ball = _prune(cone, conn, ball)
+    for ball in _balls(ix, alive):
+        ball = _prune(ix, ball)
         if not all(row & ball for row in least):
             continue
-        x = _cone_point(cone, least, n, ball, False)
+        x = _cone_point(ix, ball, False)
         if x is not None:
             support = {j for j in range(n) if x[j]}
-            if _reached(conn, support) == support:
+            if _reached(ix, support) == support:
                 return dict(zip(variables, x))
         if x is not None or ball == alive:
-            x = _fixpoint(cone, least, conn, n, ball)
+            x = _fixpoint(ix, ball)
             if x is not None:
                 if conn is not None:
-                    x = _shrink(cone, least, conn, n, x)
+                    x = _shrink(ix, x)
                 return dict(zip(variables, x))
     return None
 
@@ -672,11 +703,14 @@ def derive_word(grammar, counts):
     for i, (lhs, _) in enumerate(prods):
         by_lhs.setdefault(lhs, []).append(i)
     left = [counts.get(i, 0) for i in range(len(prods))]
+    leftover = sum(left)      # uses left over, summed over the productions
     nodes = {}                # symbol -> a tree node labelled with it
 
     def expand(node, i):
         """Use production i at node; returns the new open nodes."""
+        nonlocal leftover
         left[i] -= 1
+        leftover -= 1
         nodes.setdefault(node[0], node)
         node[1] = [[sym, None] if sym in nonterminals else sym
                    for sym in prods[i][1]]
@@ -709,7 +743,7 @@ def derive_word(grammar, counts):
     root = [grammar.start, None]
     if grow([root]) is None:
         return None
-    while any(left):
+    while leftover:
         for x in list(nodes):
             chain = spine(x)
             if chain:

@@ -12,6 +12,9 @@ shares no LP code with parikh.linprog.  Connectivity is enforced by cuts: a mode
 whose support strands a set of nodes is cut away by "some edge enters the
 set" or "the set is unused".  The search raises BudgetExceeded past
 node_budget nodes instead of guessing.
+
+prune and definitions are the bookkeeping of parikh.solve before it indexed
+each system once, kept to check that the index changes nothing.
 """
 
 import functools
@@ -408,3 +411,64 @@ def solve(system, node_budget=SOLVE_BUDGET):
             return model
         todo += [rows + option for option in reversed(cut)]
     return None
+
+
+# ---------------------------------------------------------------------------
+# the bookkeeping of parikh.solve before it indexed each system once: a
+# pruning loop that rescans every row in every round, and a substitution
+# that visits every row and definition for each defined column
+
+def prune(cone, conn, alive):
+    """parikh._prune by rescanning: the columns of alive that connectivity
+    keeps (each connectivity edge of the column leaves a node that the root
+    reaches along alive edges) and that no row drops (a row drops its
+    columns when its coefficients on the kept ones all have one sign),
+    repeated until nothing changes.  cone: rows as dicts from column to a
+    nonzero coefficient; conn: (root, [(column, src, dst)]) or None."""
+    while True:
+        kept = alive
+        if conn is not None:
+            root, edges = conn
+            succ = {}
+            for j, src, dst in edges:
+                if j in alive:
+                    succ.setdefault(src, []).append(dst)
+            reach, todo = {root}, [root]
+            while todo:
+                for dst in succ.get(todo.pop(), ()):
+                    if dst not in reach:
+                        reach.add(dst)
+                        todo.append(dst)
+            kept = alive - {j for j, src, _ in edges if src not in reach}
+        for row in cone:
+            if len({c > 0 for j, c in row.items() if j in kept}) == 1:
+                kept = kept - row.keys()
+        if kept == alive:
+            return alive
+        alive = kept
+
+
+def definitions(cone, cols):
+    """parikh._definitions by visiting everything: the "= 0" rows of cone
+    on the columns cols, with each column x_v that one of them defines as a
+    sum of other columns, x_v = sum c_j x_j with integers c_j >= 0,
+    substituted out of every row and every earlier definition in one pass
+    over the rows.  Returns the rows left and the definitions, v -> {j:
+    c_j}."""
+    rows = [{j: c for j, c in row.items() if j in cols} for row in cone]
+    defs = {}
+    for row in rows:
+        v = next((v for v, s in row.items() if s in (1, -1) and all(
+            c * s < 0 for j, c in row.items() if j != v)), None)
+        if v is None:
+            continue
+        sub = {j: -c * row[v] for j, c in row.items() if j != v}
+        row.clear()
+        for other in [*defs.values(), *rows]:
+            c = other.pop(v, 0)
+            for j, d in sub.items() if c else ():
+                other[j] = other.get(j, 0) + c * d
+                if not other[j]:
+                    del other[j]
+        defs[v] = sub
+    return [row for row in rows if row], defs

@@ -190,7 +190,8 @@ def test_cone_point_gives_the_same_optimum_without_substitution(
     substituted = 0
     for variables, cone, least, conn in cone_systems():
         n = len(variables)
-        alive = parikh._prune(cone, conn, set(range(n)))
+        alive = parikh._prune(parikh._Index(cone, least, conn, n),
+                              set(range(n)))
         results = []
         for definitions in (parikh._definitions,
                             lambda cone, cols: (
@@ -198,8 +199,9 @@ def test_cone_point_gives_the_same_optimum_without_substitution(
                                  for row in cone], {})):
             monkeypatch.setattr(parikh, "_definitions", definitions)
             optima.clear()
-            big = parikh._cone_point(cone, least, n, alive, True)
-            short = parikh._cone_point(cone, least, n, alive, False)
+            ix = parikh._Index(cone, least, conn, n)
+            big = parikh._cone_point(ix, alive, True)
+            short = parikh._cone_point(ix, alive, False)
             results.append(({j for j in range(n) if big[j]}, optima[1],
                             short is None))
         monkeypatch.undo()

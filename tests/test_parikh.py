@@ -399,7 +399,8 @@ def test_fractional_multipliers_need_no_float_step(monkeypatch):
     assert solve(system) is None
     assert points and all(isinstance(v, Fraction)
                           for x in points if x is not None for v in x)
-    x = parikh._cone_point(*parikh._split(system)[1:3], 3, {0, 1, 2}, True)
+    ix = parikh._Index(*parikh._split(system)[1:], 3)
+    x = parikh._cone_point(ix, {0, 1, 2}, True)
     assert x[0] == x[1] > 0 and x[2] == 0
     assert integer_oracle.solve(system) is None
 

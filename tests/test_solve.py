@@ -134,10 +134,10 @@ def test_a_point_off_the_cone_is_an_error(monkeypatch):
     monkeypatch.setattr(parikh, "linprog", lambda cost, rows, upper:
                         [Fraction(-1)] * len(upper))
     system = next(fsm_systems(refinement_nets()))
-    _, cone, least, _ = parikh._split(system)
+    n = len(system.variables)
+    ix = parikh._Index(*parikh._split(system)[1:], n)
     with pytest.raises(InternalError):
-        parikh._cone_point(cone, least, len(system.variables),
-                           set(range(len(system.variables))), False)
+        parikh._cone_point(ix, set(range(n)), False)
     for net, (kind, lp_mode) in zip(nets, before):
         verdict, _ = run_check(net)
         if lp_mode:

@@ -55,6 +55,7 @@ def test_traced_checks_record_their_layers():
     assert counts[0]["abstraction.configs"] > 0
     assert "reduction.restrict" in window
     assert counts[2]["reduction.window_states"] > 0
-    # the LPs of the fixpoint go through the scipy names the tracer wraps
+    # the LPs of the fixpoint go through parikh.linprog, which the tracer
+    # wraps as parikh.highs_lp (parikh.milp, its alias, as parikh.highs_milp)
     assert fsm & {"parikh.highs_milp", "parikh.highs_lp"}
     assert {"parikh.solve", "explicit.replay", "pushdown.pop_relation"} <= pdm
