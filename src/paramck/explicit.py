@@ -14,7 +14,6 @@ take a stack bound and are semi-decisions: EMPTY means empty within the bound.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from . import graph
@@ -167,8 +166,7 @@ class _ReplayState:
     """A concrete run laid down step by step from the initial configuration.
 
     Actor 0 is the leader, actors 1..k are contributors; steps lists the
-    (actor, tid) pairs applied so far; at maps each local state to a
-    min-heap of the actors there and some that have left it (lazily).
+    (actor, tid) pairs applied so far.
     """
 
     def __init__(self, net, k):
@@ -178,7 +176,6 @@ class _ReplayState:
         self.store = UNINIT
         self.locals = [contributor_initial_local(net)] * k
         self.steps = []
-        self.at = {contributor_initial_local(net): list(range(1, k + 1))}
 
     def apply(self, actor, tid):
         """Apply one step; returns None on success, else a failure reason."""
@@ -205,7 +202,6 @@ class _ReplayState:
                                           self.store)
             if res is None:
                 return f"contributor {actor} cannot take {tid}"
-            heapq.heappush(self.at.setdefault(res[0], []), actor)
             self.locals[actor - 1], self.store = res
         self.steps.append((actor, tid))
         return None
@@ -217,13 +213,11 @@ class _ReplayState:
         actor = 0
         if t.owner == CONTRIBUTOR:
             at = t.src if local is None else local
-            heap = self.at.get(at, [])
-            while heap and self.locals[heap[0] - 1] != at:
-                heapq.heappop(heap)
-            if not heap:
+            actor = next((i for i, mine in enumerate(self.locals, 1)
+                          if mine == at), None)
+            if actor is None:
                 raise AssertionError(f"no contributor is at {at!r} to take"
                                      f" {t.tid}")
-            actor = heap[0]
         err = self.apply(actor, t.tid)
         if err is not None:
             raise AssertionError(err)

@@ -492,15 +492,11 @@ def _balls(ix, alive):
 def _definitions(cone, cols):
     """The "= 0" rows of cone on the columns cols, with each column x_v
     that one of them defines as a sum of other columns, x_v = sum c_j x_j
-    with integers c_j >= 0, substituted out where it occurs, in one pass
-    over the rows; such an x_v is >= 0 by itself.  Returns the rows left,
-    as dicts over the columns not defined, and the definitions, v -> {j:
-    c_j}."""
+    with integers c_j >= 0, substituted out in one pass over the rows;
+    such an x_v is >= 0 by itself.  Returns the rows left, as dicts over
+    the columns not defined, and the definitions, each v -> {j: c_j}."""
     rows = [{j: c for j, c in row.items() if j in cols} for row in cone]
-    holders, defs = {}, {}    # column -> rows and definitions holding it
-    for row in rows:
-        for j in row:
-            holders.setdefault(j, []).append(row)
+    defs = {}
     for row in rows:
         v = next((v for v, s in row.items() if s in (1, -1) and all(
             c * s < 0 for j, c in row.items() if j != v)), None)
@@ -508,16 +504,12 @@ def _definitions(cone, cols):
             continue
         sub = {j: -c * row[v] for j, c in row.items() if j != v}
         row.clear()
-        for other in holders.pop(v):
+        for other in [*defs.values(), *rows]:
             c = other.pop(v, 0)
             for j, d in sub.items() if c else ():
-                if j not in other:
-                    holders[j].append(other)
                 other[j] = other.get(j, 0) + c * d
                 if not other[j]:
                     del other[j]
-        for j in sub:
-            holders[j].append(sub)
         defs[v] = sub
     return [row for row in rows if row], defs
 
@@ -703,14 +695,11 @@ def derive_word(grammar, counts):
     for i, (lhs, _) in enumerate(prods):
         by_lhs.setdefault(lhs, []).append(i)
     left = [counts.get(i, 0) for i in range(len(prods))]
-    leftover = sum(left)      # uses left over, summed over the productions
     nodes = {}                # symbol -> a tree node labelled with it
 
     def expand(node, i):
         """Use production i at node; returns the new open nodes."""
-        nonlocal leftover
         left[i] -= 1
-        leftover -= 1
         nodes.setdefault(node[0], node)
         node[1] = [[sym, None] if sym in nonterminals else sym
                    for sym in prods[i][1]]
@@ -743,7 +732,7 @@ def derive_word(grammar, counts):
     root = [grammar.start, None]
     if grow([root]) is None:
         return None
-    while leftover:
+    while any(left):
         for x in list(nodes):
             chain = spine(x)
             if chain:

@@ -13,8 +13,9 @@ whose support strands a set of nodes is cut away by "some edge enters the
 set" or "the set is unused".  The search raises BudgetExceeded past
 node_budget nodes instead of guessing.
 
-prune and definitions are the bookkeeping of parikh.solve before it indexed
-each system once, kept to check that the index changes nothing.
+prune and point are the bookkeeping of parikh.solve before it indexed
+each system once and built its points in integers, kept to check that
+neither changes anything.
 """
 
 import functools
@@ -25,6 +26,7 @@ import numpy
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csr_array
 
+from paramck import parikh
 from paramck.machines import BudgetExceeded
 from paramck.parikh import eq, ge
 
@@ -415,8 +417,8 @@ def solve(system, node_budget=SOLVE_BUDGET):
 
 # ---------------------------------------------------------------------------
 # the bookkeeping of parikh.solve before it indexed each system once: a
-# pruning loop that rescans every row in every round, and a substitution
-# that visits every row and definition for each defined column
+# pruning loop that rescans every row in every round, and points built in
+# Fractions and scaled afterwards
 
 def prune(cone, conn, alive):
     """parikh._prune by rescanning: the columns of alive that connectivity
@@ -448,27 +450,17 @@ def prune(cone, conn, alive):
         alive = kept
 
 
-def definitions(cone, cols):
-    """parikh._definitions by visiting everything: the "= 0" rows of cone
-    on the columns cols, with each column x_v that one of them defines as a
-    sum of other columns, x_v = sum c_j x_j with integers c_j >= 0,
-    substituted out of every row and every earlier definition in one pass
-    over the rows.  Returns the rows left and the definitions, v -> {j:
-    c_j}."""
-    rows = [{j: c for j, c in row.items() if j in cols} for row in cone]
-    defs = {}
-    for row in rows:
-        v = next((v for v, s in row.items() if s in (1, -1) and all(
-            c * s < 0 for j, c in row.items() if j != v)), None)
-        if v is None:
-            continue
-        sub = {j: -c * row[v] for j, c in row.items() if j != v}
-        row.clear()
-        for other in [*defs.values(), *rows]:
-            c = other.pop(v, 0)
-            for j, d in sub.items() if c else ():
-                other[j] = other.get(j, 0) + c * d
-                if not other[j]:
-                    del other[j]
-        defs[v] = sub
-    return [row for row in rows if row], defs
+def point(cone, n, cols, largest, lp):
+    """parikh._cone_point's point from linprog's optimum lp on the support
+    cols, built in Fractions: each free column's value (t + s when
+    largest), each column a row defines as its sum (parikh._definitions),
+    and all of them scaled by the lcm of their denominators."""
+    defs = parikh._definitions(cone, cols)[1]
+    free = sorted(cols - defs.keys())
+    m = len(free)
+    values = {j: lp[k] + lp[m + k] if largest else lp[k]
+              for k, j in enumerate(free)}
+    for v, sub in defs.items():
+        values[v] = sum(c * values[j] for j, c in sub.items())
+    scale = math.lcm(*(f.denominator for f in values.values()))
+    return [int(values.get(j, 0) * scale) for j in range(n)]

@@ -1,9 +1,10 @@
 """parikh.solve's per-system bookkeeping against the bookkeeping it
-replaced (integer_oracle.prune and integer_oracle.definitions): the
-worklist _prune keeps the same columns, the indexed _definitions gives the
-same rows and definitions in the same order, and a support prepared once
-gives the same points as one prepared for each call.  On seeded random cone
-systems and on every system the fixture nets hand to solve."""
+replaced (integer_oracle.prune and integer_oracle.point): the worklist
+_prune keeps the same columns, _cone_point builds in integers the point
+that the Fraction construction builds from the same optimum, and a support
+prepared once gives the same points as one prepared for each call.  On
+seeded random cone systems and on every system the fixture nets hand to
+solve."""
 
 import random
 
@@ -45,19 +46,25 @@ def random_cone_system(rng):
     return LinearSystem(tuple(names), tuple(atoms))
 
 
-def in_order(definitions):
-    """The rows and definitions of a _definitions result with the order of
-    every dict spelled out."""
-    rows, defs = definitions
-    return ([list(row.items()) for row in rows],
-            [(v, list(sub.items())) for v, sub in defs.items()])
+def recording_lps(monkeypatch):
+    """Patch parikh.linprog to record each optimum it returns; returns the
+    list it records into."""
+    optima = []
+
+    def recording(*args, _real=parikh.linprog):
+        optima.append(_real(*args))
+        return optima[-1]
+
+    monkeypatch.setattr(parikh, "linprog", recording)
+    return optima
 
 
-def assert_same_bookkeeping(system, rng):
-    """_prune from every column and from two random subsets, _definitions
-    on each of those sets and on what _prune keeps, and _cone_point on each
-    such support, prepared once for all its LPs (one index) and afresh for
-    each (a new index per LP)."""
+def assert_same_bookkeeping(system, rng, optima):
+    """_prune from every column and from two random subsets, and
+    _cone_point on each of those sets and on what _prune keeps: the point
+    is the oracle's, built in Fractions from the same optimum (optima
+    records linprog's), and a support prepared once for all its LPs (one
+    index) gives the same points as one prepared afresh for each."""
     variables, cone, least, conn = parikh._split(system)
     n = len(variables)
     ix = parikh._Index(cone, least, conn, n)
@@ -67,27 +74,31 @@ def assert_same_bookkeeping(system, rng):
         alive = parikh._prune(ix, set(start))
         assert alive == integer_oracle.prune(cone, conn, set(start))
         for cols in (start, alive):
-            assert in_order(parikh._definitions(cone, cols)) == \
-                in_order(integer_oracle.definitions(cone, cols))
             cut = {j for j in cols if rng.random() < 0.5}
             for largest, cuts in ((True, ()), (False, ()), (False, [cut])):
+                optima.clear()
+                x = parikh._cone_point(ix, cols, largest, cuts)
+                [lp] = optima
+                assert x == (None if lp is None else integer_oracle.point(
+                    cone, n, cols, largest, lp))
                 fresh = parikh._Index(cone, least, conn, n)
-                assert parikh._cone_point(ix, cols, largest, cuts) == \
-                    parikh._cone_point(fresh, cols, largest, cuts)
+                assert parikh._cone_point(fresh, cols, largest, cuts) == x
 
 
-def test_bookkeeping_agrees_with_the_oracle_on_random_cone_systems():
+def test_bookkeeping_agrees_with_the_oracle_on_random_cone_systems(
+        monkeypatch):
     rng = random.Random(71)
+    optima = recording_lps(monkeypatch)
     pruned = defined = 0
     for _ in range(1000):
         system = random_cone_system(rng)
-        assert_same_bookkeeping(system, rng)
+        assert_same_bookkeeping(system, rng, optima)
         _, cone, least, conn = parikh._split(system)
         n = len(system.variables)
         alive = integer_oracle.prune(cone, conn, set(range(n)))
         pruned += 0 < len(alive) < n
-        defined += bool(integer_oracle.definitions(cone, alive)[1])
-    # both rules and the substitution get work
+        defined += bool(parikh._definitions(cone, alive)[1])
+    # both rules, and points with defined columns, get work
     assert pruned >= 200 and defined >= 200
 
 
@@ -111,6 +122,7 @@ def test_bookkeeping_agrees_with_the_oracle_on_the_fixture_systems(
     systems += [loop_system(net, grammar)
                 for net, _, grammar, _ in loop_grammars(pdm_nets())]
     rng = random.Random(72)
+    optima = recording_lps(monkeypatch)
     for system in systems:
-        assert_same_bookkeeping(system, rng)
+        assert_same_bookkeeping(system, rng, optima)
     assert checked >= 5 and len(systems) - checked >= 400
