@@ -5,7 +5,7 @@ the population by the set Q of contributor states that hold at least one
 token.  The abstraction simulates every concrete path, and Q only ever grows
 along abstract paths.
 
-The saturation explores the integer codes of configurations that
+The abstract BFS explores the integer codes of configurations that
 net.moves (machines.Codec) numbers and moves: Q is the low bits of a code,
 so a move keeps Q iff it keeps those bits, and Q is a subset of Q' iff
 Qmask & ~Q'mask is 0.  Codec.decode turns a code back into an
@@ -22,9 +22,21 @@ from .machines import EXPLORE_BUDGET, AbstractConfig, Codec, Fsm, UNINIT
 
 class AbstractReach(NamedTuple):
     order: list            # codes in discovery order
-    edges: dict            # code -> its (Transition, code) successors
+    edges: Successors      # code -> its (Transition, code, repl) moves
     parent: dict           # code -> (predecessor, Transition), None at the root
     codec: Codec           # net.moves
+
+
+class Successors(dict):
+    """code -> net.moves.successors(code, None), made on first use: a check
+    that reads one Successors expands no code twice."""
+
+    def __init__(self, codec):
+        self.codec = codec
+
+    def __missing__(self, code):
+        succ = self[code] = self.codec.successors(code, None)
+        return succ
 
 
 def initial_abstract(net):
@@ -32,11 +44,11 @@ def initial_abstract(net):
                           frozenset([net.contributor.initial]))
 
 
-def reachable_abstract(net, budget=EXPLORE_BUDGET):
-    """Deterministic BFS saturation of the abstract system (FSM leader and
-    contributor) over codes: the successors of a code are (Transition,
-    code) pairs in net.moves.successors order, the leader's moves and then
-    the contributors', each in tid order.
+def reachable_abstract(net, budget=EXPLORE_BUDGET, found=None, moves=None):
+    """Deterministic BFS over the codes of the abstract system (FSM leader
+    and contributor), reading successors from moves (a new Successors if
+    None).  found is graph.explore's hook; more than budget configurations
+    discovered raise BudgetExceeded.
 
     One predecessor edge per configuration (first discovered) is kept for stem
     extraction; any stem works because every abstract path can be covered by a
@@ -44,9 +56,8 @@ def reachable_abstract(net, budget=EXPLORE_BUDGET):
     """
     if not isinstance(net.leader, Fsm) or not isinstance(net.contributor, Fsm):
         raise ValueError("reachable_abstract needs FSM leader and contributor")
-    moves = net.moves
+    moves = Successors(net.moves) if moves is None else moves
     reach = graph.explore(
-        moves.encode(initial_abstract(net)),
-        lambda code: [(t, c2) for t, c2, _ in moves.successors(code, None)],
-        budget, f"more than {budget} abstract configurations")
-    return AbstractReach(*reach, moves)
+        moves.codec.encode(initial_abstract(net)), moves.__getitem__,
+        budget, f"more than {budget} abstract configurations", found)
+    return AbstractReach(reach.order, moves, reach.parent, moves.codec)

@@ -1,17 +1,18 @@
 """Liveness decision for FSM leader / FSM contributor networks.
 
-Strategy: saturate the abstract system, then decide, for every reachable
-accepting abstract configuration a, whether a concrete cycle passes through
-it.  Such a cycle only uses moves that keep the populated-state set Q fixed
-at Q_a, so it lies in a's strongly connected component of the Q-preserving
-graph (build_cycle_fsa).  A Parikh vector of that component's automaton,
-anchored at a, describes a candidate abstract cycle; it lifts to a concrete
-cycle iff the contributor moves are flow-balanced per contributor state and
-the cycle is nonempty.  One more row says that some edge leaving a is used.
-The connectivity atom already implies it (a nonempty cycle whose edges are
-all reachable from a).  As an "at least one" row it is a condition that
-parikh.solve checks on the support of the cone, and it makes the short
-points that solve tries first leave a.
+Strategy: explore the abstract system breadth-first and decide each
+accepting abstract configuration a as it is discovered: does a concrete
+cycle pass through it?  Such a cycle only uses moves that keep the
+populated-state set Q fixed at Q_a, so it lies in a's strongly connected
+component of the Q-preserving graph, explored from a (build_cycle_fsa).
+A Parikh vector of that component's automaton, anchored at a, describes a
+candidate abstract cycle; it lifts to a concrete cycle iff the contributor
+moves are flow-balanced per contributor state and the cycle is nonempty.
+One more row says that some edge leaving a is used.  The connectivity atom
+already implies it (a nonempty cycle whose edges are all reachable from
+a).  As an "at least one" row it is a condition that parikh.solve checks
+on the support of the cone, and it makes the short points that solve tries
+first leave a.
 
 Most configurations are decided by the graph alone (refine).  A balanced
 contributor flow is a sum of cycles of contributor moves (flow
@@ -37,36 +38,35 @@ from __future__ import annotations
 import math
 
 from .machines import CONTRIBUTOR, EXPLORE_BUDGET, InternalError
-from .abstraction import reachable_abstract
+from .abstraction import Successors, reachable_abstract
 from .explicit import Verdict, lay_down, replay
 from . import graph, parikh
 
 
-def build_cycle_fsa(reach, a):
+def build_cycle_fsa(moves, a):
     """Automaton over transition ids of the Q-preserving abstract moves
     reachable from code a, with a as initial and final state.  The moves
-    are read from the saturation's stored successors (reach.edges, in the
-    saturation's order), keeping those whose code has a's Q bits.
+    are the entries of moves (the check's abstraction.Successors, in its
+    order) whose code has a's Q bits.
 
     A closed walk through a can only use edges of a's strongly connected
     component, so the automaton is trimmed to it up front; this keeps the
     realizability system small.  Every state is reachable from a, so the
     component is the set of states that reach a back.
     """
-    mask = reach.codec.q_mask
+    mask = moves.codec.q_mask
     Q = a & mask
-    moves = graph.explore(
-        a, lambda c: [(t.tid, c2) for t, c2 in reach.edges[c]
-                      if c2 & mask == Q],
-        math.inf, None)       # a part of reach, which the budget bounded
+    region = graph.explore(
+        a, lambda c: [(t.tid, c2) for t, c2, _ in moves[c] if c2 & mask == Q],
+        math.inf, None)       # Q fixed: at most |leader states| x |stores|
     preds = {}
-    for c, succ in moves.edges.items():
+    for c, succ in region.edges.items():
         for _, c2 in succ:
             preds.setdefault(c2, []).append(c)
     comp = {c for c, _ in graph.bfs(a, lambda c: preds.get(c, ()))}
-    states = tuple(c for c in moves.order if c in comp)
+    states = tuple(c for c in region.order if c in comp)
     edges = tuple((c, lab, c2) for c in states
-                  for lab, c2 in moves.edges[c] if c2 in comp)
+                  for lab, c2 in region.edges[c] if c2 in comp)
     return parikh.Fsa(states, edges, a, a)
 
 
@@ -205,50 +205,59 @@ def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
     """Decide nonemptiness of the network's accepted omega-language for some
     population size, for FSM leader and FSM contributor.
 
-    Accepting configurations are visited in discovery order; each strongly
-    connected component of the Q-preserving graph is refined the first time
-    one of its configurations comes up.  The statistics count the accepting
-    configurations visited (accepting_checked) and the solves among them.
-    An abstract system of more than budget configurations raises
+    Each accepting configuration is decided when the abstract BFS discovers
+    it, in discovery order, and the BFS stops at the first with a cycle;
+    each strongly connected component of the Q-preserving graph is refined
+    the first time one of its configurations comes up.  The statistics
+    count the configurations discovered by then (abstract_configs), the
+    accepting ones decided (accepting_checked) and the solves among them.
+    More than budget configurations discovered before the verdict raise
     BudgetExceeded, and a model that gives no witness InternalError."""
-    reach = reachable_abstract(net, budget)
-    codec = reach.codec
-    stats = {"abstract_configs": len(reach.order), "accepting_checked": 0,
-             "solves": 0}
+    moves = Successors(net.moves)
+    accepting, width = moves.codec.accepting, moves.codec.width
+    stats = {"abstract_configs": 0, "accepting_checked": 0, "solves": 0}
     parts = {}                # code -> its refined part, or None
-    for a in reach.order:
-        if not codec.accepting[a >> codec.width]:
-            continue
+    hit = []                  # (a, cycle automaton, model, cycle) at a witness
+
+    def decide(a):
+        if not accepting[a >> width]:
+            return False
         stats["accepting_checked"] += 1
-        fsa = None
+        fsa = model = None
         if a not in parts:
-            fsa = build_cycle_fsa(reach, a)
+            fsa = build_cycle_fsa(moves, a)
             parts.update(dict.fromkeys(fsa.states))
             for part in refine(net, fsa.edges):
                 parts.update((src, part) for src, _, _ in part)
         part = parts[a]
         if part is None:
-            continue
+            return False
         cycle = closed_walk(net, part, a)
         if cycle is None:
-            if fsa is None:
-                fsa = build_cycle_fsa(reach, a)
+            fsa = fsa or build_cycle_fsa(moves, a)
             stats["solves"] += 1
             model = parikh.solve(realizability_system(net, fsa))
             if model is None:
-                continue
-        try:
-            if cycle is None:
-                cycle = parikh.euler_witness(fsa, model)
-            witness = concretize(net, reach, a, cycle)
-        except AssertionError as exc:
-            err = str(exc)
-        else:
-            status, err = replay(net, witness)
-            if status == "valid":
-                return Verdict("NONEMPTY", witness, stats)
-        c = codec.decode(a)
-        at = (c.leader_state, c.store, sorted(c.Q, key=repr))
-        raise InternalError(
-            f"could not concretize a feasible cycle at {at}: {err}")
-    return Verdict("EMPTY", None, stats)
+                return False
+        hit.append((a, fsa, model, cycle))
+        return True
+
+    reach = reachable_abstract(net, budget, decide, moves)
+    stats["abstract_configs"] = len(reach.order)
+    if not hit:
+        return Verdict("EMPTY", None, stats)
+    (a, fsa, model, cycle), = hit
+    try:
+        if cycle is None:
+            cycle = parikh.euler_witness(fsa, model)
+        witness = concretize(net, reach, a, cycle)
+    except AssertionError as exc:
+        err = str(exc)
+    else:
+        status, err = replay(net, witness)
+        if status == "valid":
+            return Verdict("NONEMPTY", witness, stats)
+    c = moves.codec.decode(a)
+    at = (c.leader_state, c.store, sorted(c.Q, key=repr))
+    raise InternalError(
+        f"could not concretize a feasible cycle at {at}: {err}")

@@ -20,23 +20,28 @@ class Exploration(NamedTuple):
     parent: dict           # node -> (predecessor, label), None at the root
 
 
-def explore(initial, successors, budget, too_many):
+def explore(initial, successors, budget, too_many, found=None):
     """Breadth-first search from initial, where successors(node) is a list
-    of (label, node) pairs.  The first edge into each node is its parent.
-    Raises BudgetExceeded(too_many) when a node it finds makes more than
-    budget nodes."""
-    order = [initial]
-    edges = {}
-    parent = {initial: None}
+    of tuples that start with (label, node).  The first edge into each node
+    is its parent.  Raises BudgetExceeded(too_many) when a node it finds
+    makes more than budget nodes.  found, if given, is called on each node
+    when it is found, initial included; the search ends at the first node
+    for which it returns true."""
+    order, edges, parent = reach = Exploration([initial], {}, {initial: None})
+    if found is not None and found(initial):
+        return reach
     for node in order:
         succ = edges[node] = successors(node)
-        for label, nxt in succ:
+        for step in succ:
+            nxt = step[1]
             if nxt not in parent:
-                parent[nxt] = (node, label)
+                parent[nxt] = (node, step[0])
                 order.append(nxt)
                 if len(order) > budget:
                     raise BudgetExceeded(too_many)
-    return Exploration(order, edges, parent)
+                if found is not None and found(nxt):
+                    return reach
+    return reach
 
 
 def path_to(parent, node):

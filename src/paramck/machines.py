@@ -269,10 +269,10 @@ class Codec:
     def successors(self, code, top):
         """The abstract moves from code with top on the leader's stack, as
         (t, code', replacement): the leader's, then the contributors'."""
-        key, Q = code >> self.width, code & self.q_mask
+        key, Q, keep = code >> self.width, code & self.q_mask, (top,)
         return [(t, base | Q, repl)
                 for t, base, repl in self.leader.get((key, top), ())] + \
-            [(t, (code + shift) | dst, (top,)) for t, src, dst, shift
+            [(t, (code + shift) | dst, keep) for t, src, dst, shift
              in self.contributor[key % len(self.stores)] if Q & src]
 
 

@@ -1,16 +1,21 @@
 """The abstract moves, saturation and cycle automaton over AbstractConfig
 tuples, as paramck computed them before it interned configurations as
 integer codes and indexed its moves by source: the oracle that the decoded
-codes and the code move table (machines.Codec) must match."""
+codes and the code move table (machines.Codec) must match.  Then the
+fsm-fsm check over codes as it ran before it decided each accepting
+configuration when the BFS discovers it: saturate, then decide."""
 
 from __future__ import annotations
 
 import math
 
 from paramck import graph, parikh
-from paramck.abstraction import initial_abstract
-from paramck.machines import (EXPLORE_BUDGET, AbstractConfig, register_step,
-                              top_replacement)
+from paramck.abstraction import AbstractReach, initial_abstract
+from paramck.cyclesearch import (closed_walk, concretize,
+                                 realizability_system, refine)
+from paramck.explicit import Verdict, replay
+from paramck.machines import (EXPLORE_BUDGET, AbstractConfig, InternalError,
+                              register_step, top_replacement)
 
 
 def abstract_moves(net, leader_state, store, Q, top=None):
@@ -58,9 +63,14 @@ def reachable_abstract(net, budget=EXPLORE_BUDGET):
 def build_cycle_fsa(reach, a):
     """The automaton over transition ids of a's strongly connected
     component among the Q-preserving moves of reach that a reaches."""
-    Q = a.Q
+    return component_fsa(reach.edges, a, lambda c2: c2.Q == a.Q)
+
+
+def component_fsa(stored, a, keeps_q):
+    """The cycle automaton at a over the successors stored[c] of each node
+    c, of which it follows those to a node c2 with keeps_q(c2)."""
     moves = graph.explore(
-        a, lambda c: [(t.tid, c2) for t, c2 in reach.edges[c] if c2.Q == Q],
+        a, lambda c: [(t.tid, c2) for t, c2 in stored[c] if keeps_q(c2)],
         math.inf, None)
     preds = {}
     for c, succ in moves.edges.items():
@@ -71,3 +81,71 @@ def build_cycle_fsa(reach, a):
     edges = tuple((c, lab, c2) for c in states
                   for lab, c2 in moves.edges[c] if c2 in comp)
     return parikh.Fsa(states, edges, a, a)
+
+
+def saturate_codes(net, budget=EXPLORE_BUDGET):
+    """The whole abstract system over codes, every code's successors
+    stored in reach.edges."""
+    moves = net.moves
+    reach = graph.explore(
+        moves.encode(initial_abstract(net)),
+        lambda code: [(t, c2) for t, c2, _ in moves.successors(code, None)],
+        budget, f"more than {budget} abstract configurations")
+    return AbstractReach(*reach, moves)
+
+
+def saturated_cycle_fsa(reach, a):
+    """The cycle automaton at code a, read off a finished saturation."""
+    mask = reach.codec.q_mask
+    return component_fsa(reach.edges, a, lambda c2: c2 & mask == a & mask)
+
+
+def saturate_then_decide(net, budget=EXPLORE_BUDGET, built=None):
+    """cyclesearch.check_fsm_fsm as it was before it decided during the
+    BFS: saturate (saturate_codes), then decide the accepting
+    configurations in discovery order, each cycle automaton read off the
+    saturation and appended to built when built is a list."""
+    reach = saturate_codes(net, budget)
+    codec = reach.codec
+    stats = {"abstract_configs": len(reach.order), "accepting_checked": 0,
+             "solves": 0}
+
+    def cycle_fsa(a):
+        fsa = saturated_cycle_fsa(reach, a)
+        if built is not None:
+            built.append(fsa)
+        return fsa
+    parts = {}
+    for a in reach.order:
+        if not codec.accepting[a >> codec.width]:
+            continue
+        stats["accepting_checked"] += 1
+        fsa = None
+        if a not in parts:
+            fsa = cycle_fsa(a)
+            parts.update(dict.fromkeys(fsa.states))
+            for part in refine(net, fsa.edges):
+                parts.update((src, part) for src, _, _ in part)
+        part = parts[a]
+        if part is None:
+            continue
+        cycle = closed_walk(net, part, a)
+        if cycle is None:
+            if fsa is None:
+                fsa = cycle_fsa(a)
+            stats["solves"] += 1
+            model = parikh.solve(realizability_system(net, fsa))
+            if model is None:
+                continue
+        try:
+            if cycle is None:
+                cycle = parikh.euler_witness(fsa, model)
+            witness = concretize(net, reach, a, cycle)
+        except AssertionError as exc:
+            err = str(exc)
+        else:
+            status, err = replay(net, witness)
+            if status == "valid":
+                return Verdict("NONEMPTY", witness, stats)
+        raise InternalError(f"no witness at {codec.decode(a)}: {err}")
+    return Verdict("EMPTY", None, stats)

@@ -37,7 +37,7 @@ def test_q_is_monotone_along_edges():
     reach = reachable_abstract(net)
     decode = reach.codec.decode
     for a in reach.order:
-        for _, b in reach.edges[a]:
+        for _, b, _ in reach.edges[a]:
             assert decode(a).Q <= decode(b).Q
             assert a & ~b & reach.codec.q_mask == 0
 
@@ -109,13 +109,13 @@ def assert_decodes_to_the_oracle(net, anchors=None):
     decode = reach.codec.decode
     assert [decode(c) for c in reach.order] == oracle.order
     assert list(reach.edges) == reach.order
-    assert [[(t, decode(c2)) for t, c2 in reach.edges[c]]
+    assert [[(t, decode(c2)) for t, c2, _ in reach.edges[c]]
             for c in reach.order] == [oracle.edges[a] for a in oracle.order]
     assert [reach.parent[c] and (decode(reach.parent[c][0]),
                                  reach.parent[c][1])
             for c in reach.order] == [oracle.parent[a] for a in oracle.order]
     for c in reach.order[::anchors or 1]:
-        fsa = build_cycle_fsa(reach, c)
+        fsa = build_cycle_fsa(reach.edges, c)
         expected = abstraction_oracle.build_cycle_fsa(oracle, decode(c))
         assert fsa.initial == fsa.final == c
         assert [decode(s) for s in fsa.states] == list(expected.states)

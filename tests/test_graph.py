@@ -1,6 +1,7 @@
 """The shared graph searches against networkx on random digraphs with
 self-loops, parallel arcs and arcs between nodes that touch nothing else."""
 
+import math
 import random
 
 import networkx
@@ -122,3 +123,27 @@ def test_explore_raises_once_it_holds_budget_plus_one_nodes(budget):
             else:
                 order = explore(root, labelled(arcs), budget, "x").order
                 assert len(order) == reached
+
+
+def test_explore_stops_at_the_first_node_found():
+    # found sees every node once, in discovery order and the root first;
+    # the search ends at the first node it accepts, with the order and
+    # parents of the full search up to that node, and the budget counts
+    # the nodes found before it
+    for arcs in GRAPHS:
+        succ = labelled(arcs)
+        for root in networkx.DiGraph(arcs).nodes:
+            full = explore(root, succ, math.inf, None)
+            for stop in full.order:
+                seen = []
+                part = explore(root, succ, len(full.order), "x",
+                               lambda v: seen.append(v) or v == stop)
+                n = full.order.index(stop) + 1
+                assert seen == part.order == full.order[:n]
+                assert part.parent == {v: full.parent[v] for v in seen}
+                assert all(part.edges[v] == succ(v) for v in part.edges)
+                if n > 1:
+                    with pytest.raises(BudgetExceeded):
+                        explore(root, succ, n - 1, "x", lambda v: v == stop)
+                assert explore(root, succ, n, "x",
+                               lambda v: v == stop).order[-1] == stop
