@@ -12,8 +12,10 @@ Exit codes for check: 0 decided (NONEMPTY or EMPTY), 2 input error,
 3 budget exceeded, 4 internal error (a model found but no witness built).
 For replay: 0 valid, 1 invalid, 2 parse/input error, 3 budget exceeded
 (by the window restriction of a pushdown contributor).
-The PARAMCK_BUDGET environment variable caps each state exploration (see
-the README for the default); solves have no budget.  It is read once per
+The PARAMCK_BUDGET environment variable caps each state exploration:
+abstract configurations, the pdm-fsm saturation's pivots and triples,
+window states, stem moves or explicit configurations (see the README for
+the default); solves have no budget.  It is read once per
 command, and a value that is not an integer of at least 1 exits 2.
 BUDGET and ERROR verdicts carry statistics.reason, and every verdict on
 a restricted pushdown contributor carries statistics.window_bound (N).

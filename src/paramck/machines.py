@@ -13,7 +13,7 @@ leader's top symbol and whether the populated set Q holds the contributor's
 source.  Codec numbers the abstract configurations (leader state, store, Q)
 as integers and writes these moves out once per network over the codes,
 indexed by source, and Network.moves keeps the table: the fsm-fsm
-saturation, post* and the loop automata all read it.
+saturation and the pop relations of the pdm-fsm check all read it.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ WRITE = "write"
 
 
 #: budget when PARAMCK_BUDGET is unset, and the default budget argument:
-#: configurations, saturation edges, window states or pdm-fsm stem moves
-#: per exploration (solves have no budget: parikh.solve runs a bounded
-#: number of LPs)
+#: configurations, pdm-fsm pivots and triples, window states or pdm-fsm
+#: stem moves per exploration (solves have no budget: parikh.solve runs a
+#: bounded number of LPs)
 EXPLORE_BUDGET = 5_000_000
 
 

@@ -8,22 +8,23 @@ symbol by zero, one or two symbols.  Contributor moves never touch the
 stack.
 
 The decision runs in three stages:
-  1. saturate the reachable configurations into a finite automaton (post*),
-     which yields every reachable (control, top-symbol) pair;
-  2. for each such pivot, collect the words of "loop runs": runs that start
+  1. one demand-driven saturation of the pop relation (pop_relation) over
+     every abstract rule, from the initial (control, bottom) node, demands
+     exactly the reachable (control, top-symbol) pairs, the pivots;
+  2. for each pivot, collect the words of "loop runs": runs that start
      with the pivot symbol on top, never pop below it, visit an accepting
      control, and return to the pivot control with the pivot symbol on top.
      These form a context-free language over transition ids, described by a
      grammar with the usual balanced-segment nonterminals.  The grammar is
      read off the loop automaton of the pivot's Q: its rules, pop relation
-     and graph of (state, top) nodes.  post* finds every pivot first, so
-     the automaton is built once per Q, by one demand-driven worklist
-     saturation from the start nodes of all the pivots with that Q, and
-     holds only the nodes those starts reach.  Each pivot is first decided
-     by reachability on the graph: the grammar derives a nonempty word
-     exactly when the accept node is reachable from the start node by a
-     nonempty path.  Only the pivots where it is get a grammar, with the
-     productions of the nodes their own start reaches;
+     and graph of (state, top) nodes.  Stage 1 finds every pivot first, so
+     the automaton is built once per Q, by one pop_relation call from the
+     start nodes of all the pivots with that Q, and holds only the nodes
+     those starts reach.  Each pivot is first decided by reachability on
+     the graph: the grammar derives a nonempty word exactly when the accept
+     node is reachable from the start node by a nonempty path.  Only the
+     pivots where it is get a grammar, with the productions of the nodes
+     their own start reaches;
   3. a loop word whose contributor moves are all self-loops moves no token
      and repeats forever, so a shortest such word of the reduced grammar is
      the cycle, and the pivot needs no solve (cyclesearch.closed_walk in
@@ -31,8 +32,9 @@ The decision runs in three stages:
      model of the grammar, strengthened with contributor flow balance and
      nonemptiness, denotes a concretely realizable cycle, derived from the
      model's production counts.  The witness is the cycle after a stem read
-     back from post*'s record of how each edge was derived, and it is
-     replayed.  Neither the derivation nor the stem searches.
+     back from stage 1: the tree path to the pivot in its breadth-first
+     search, each step expanded by the first derivations of the triples it
+     uses.  It is replayed.  Neither the derivation nor the stem searches.
 
 Moves depend only on the control and the top symbol, so a loop run can repeat
 forever above its own garbage; the population argument is the same counting
@@ -40,6 +42,8 @@ argument as in the finite-state case.
 """
 
 from __future__ import annotations
+
+import math
 
 from .machines import EXPLORE_BUDGET, BudgetExceeded, InternalError, Pdm, Fsm
 from .abstraction import initial_abstract
@@ -49,102 +53,18 @@ from . import graph, parikh
 from .parikh import derive_word
 
 
-#: post*'s final state.  Abstract controls are ints and middle states
-#: pairs, so no state is taken for another, whatever the leader's names.
-FINAL = ("final",)
-
-
-def post_star(net, budget=EXPLORE_BUDGET, reasons=None):
-    """Saturation of the reachable-configuration automaton.
-
-    Returns the ordered list of reachable (control, top) pairs.  The automaton
-    states are abstract controls (codes), the final state FINAL, and one
-    middle state, the pair (control, pushed symbol), per push target; an
-    edge (p, gamma, q) witnesses a reachable configuration with control p
-    and gamma on top.
-
-    reasons, a dict when given, receives every edge with the way it was
-    first derived (Schwoon, Model-Checking Pushdown Systems, 2002), for
-    find_stem to read back.  A configuration is a path of edges, and a
-    reason names the configuration its first edge or two came from:
-      None: the initial configuration;
-      (tid, e): rule tid applied at edge e.  A neutral move's edge replaces
-        e; a push's reason sits on the edge below the pushed symbol, and
-        the two edges replace e;
-      (tid, e, f): rule tid popped edge e and left f on top (an epsilon
-        edge composed with f);
-      (None, f): a pushed symbol, whose push is on the edge below it; f,
-        inserted with it, stands in when nothing is below.
-    Premises are inserted before the edges they explain.  An edge that
-    makes more than budget raises BudgetExceeded.
-
-    The rules at an edge (p, gamma, q) are net.moves.successors(p, gamma):
-    the leader's moves from p with gamma on top, then the contributor moves
-    whose source is in p's Q, each in tid order.
-    """
-    moves = net.moves
-    trans = {} if reasons is None else reasons   # (p, gamma, q) -> reason
-    trans_from = {}           # q -> list of (gamma, q2)
-    eps_into = {}             # q -> list of p with an epsilon edge p -> q
-    eps = {}                  # (p, q) -> (tid, popped edge)
-    work = []
-
-    def add_trans(p, gamma, q, reason):
-        key = (p, gamma, q)
-        if key in trans:
-            return
-        if len(trans) == budget:
-            raise BudgetExceeded(f"more than {budget} saturation edges")
-        trans[key] = reason
-        trans_from.setdefault(p, []).append((gamma, q))
-        work.append(key)
-        for r in eps_into.get(p, []):
-            tid, popped = eps[(r, p)]
-            add_trans(r, gamma, q, (tid, popped, key))
-
-    def add_eps(p, q, tid, popped):
-        if (p, q) in eps:
-            return
-        eps[(p, q)] = (tid, popped)
-        eps_into.setdefault(q, []).append(p)
-        for gamma, q2 in list(trans_from.get(q, [])):
-            add_trans(p, gamma, q2, (tid, popped, (q, gamma, q2)))
-
-    add_trans(moves.encode(initial_abstract(net)), net.leader.bottom, FINAL,
-              None)
-    wi = 0
-    while wi < len(work):
-        edge = p, gamma, q = work[wi]
-        wi += 1
-        if not isinstance(p, int):      # the final state or a middle state
-            continue
-        for t, p2, repl in moves.successors(p, gamma):
-            if repl == ():
-                add_eps(p2, q, t.tid, edge)
-            elif len(repl) == 1:
-                add_trans(p2, repl[0], q, (t.tid, edge))
-            else:
-                beta, below = repl
-                mid = (p2, beta)
-                add_trans(p2, beta, mid, (None, (mid, below, q)))
-                add_trans(mid, below, q, (t.tid, edge))
-
-    return list(dict.fromkeys((p, gamma) for p, gamma, _ in trans
-                              if isinstance(p, int)))
-
-
 def loop_rules(net):
-    """The loop automaton's rules, on demand: a function from a node
-    ((code, bit), top) to the abstract rules there that keep the code's Q,
-    as (tid, (code', bit'), replacement), where the sticky bit turns 1 at
-    an accepting control.  They are net.moves.successors(code, top) in its
-    order, less the contributor moves whose target is not in Q, as in
-    post_star."""
+    """The loop automaton's rules, on demand: a function from a node's
+    state (code, bit) and top to the abstract rules there that keep the
+    code's Q, as (tid, (code', bit'), replacement), where the sticky bit
+    turns 1 at an accepting control.  They are net.moves.successors(code,
+    top) in its order, less the contributor moves whose target is not in
+    Q."""
     moves = net.moves
     n, q_mask, accepting = moves.width, moves.q_mask, moves.accepting
 
-    def rules_at(node):
-        (code, b), top = node
+    def rules_at(state, top):
+        code, b = state
         Q = code & q_mask
         return [(t.tid, (c2, 1 if accepting[c2 >> n] else b), repl)
                 for t, c2, repl in moves.successors(code, top)
@@ -152,18 +72,21 @@ def loop_rules(net):
     return rules_at
 
 
-def pop_relation(rules_at, starts):
-    """The rules of the loop automaton that the start nodes demand, and the
-    least set of triples (s, gamma, s') over them such that the automaton
-    can go from s with [gamma] to s' with the gamma popped.
+def pop_relation(rules_at, starts, budget=math.inf):
+    """The rules that the start nodes demand, and the least set of triples
+    (s, gamma, s') over them such that the pushdown system can go from s
+    with [gamma] to s' with the gamma popped.
 
-    A node (state, top) is demanded when it is a start, when a neutral or
+    rules_at gives a node's rules, (label, s', replacement) with the
+    replacement of gamma as in machines.Codec.successors, when the node is
+    first demanded: loop_rules for a loop automaton, with transition ids
+    for labels, and net.moves.successors for post_star, with transitions.
+    A node (s, gamma) is demanded when it is a start, when a neutral or
     push rule of a demanded node moves to it, or when a triple (s2, beta,
     x) pops the symbol that a push of beta over gamma put on top, exposing
-    (x, gamma).  These are the nodes that the starts reach in the graph of
-    loop_automaton, and a node's triples depend only on the nodes it
-    reaches, so they are the ones the whole automaton has.  rules_at
-    (loop_rules) gives a node's rules when it is first demanded.
+    (x, gamma).  These are the nodes that the starts reach in the
+    summary_graph, and a node's triples depend only on the nodes it
+    reaches, so they are the ones the whole system has.
 
     Worklist saturation (Schwoon, Model-Checking Pushdown Systems, 2002),
     driven by demand as the summaries of Reps, Horwitz and Sagiv (POPL
@@ -175,95 +98,141 @@ def pop_relation(rules_at, starts):
     already known fires for them at once.
 
     Returns the rules as a dict from node to rules in the order the nodes
-    were demanded, and the triples as a dict in the order found.
+    were demanded, and the triples as a dict in the order found, each with
+    its first derivation, whose premises come before it: (label,) for a
+    pop, (label, t) for a neutral rule followed by the triple t, and
+    (label, t1, t2) for a push whose pushed symbol t1 pops and then t2 the
+    one below.  More than budget nodes and triples raise BudgetExceeded.
     """
     rules = {}
     todo = []         # demanded nodes whose rules do not wait yet
-    work = []
-    first = {}        # (a, g) -> [(s, gamma, below or None if neutral)]
-    second = {}       # (x, below) -> [(s, gamma)] waiting for (x, below, y)
-    found = {}
+    work = []         # (triple, derivation)
+    first = {}        # (a, g) -> [(s, gamma, label, below or None)]
+    second = {}       # (x, below) -> [(s, gamma, label, t1)], t1 ending
+                      # at x, waiting for (x, below, y)
+    found = {}        # triple -> its first derivation
     after = {}        # (a, g) -> [x] in the order found
 
     def demand(node):
-        if node not in rules:
-            rules[node] = rules_at(node)
-            todo.append(node)
+        if len(rules) + len(found) == budget:
+            raise BudgetExceeded(f"more than {budget} pivots and triples")
+        rules[node] = rules_at(*node)
+        todo.append(node)
 
-    def pop_below(s, gamma, x, below):
-        """The symbol a push at (s, gamma) put on top is popped at x: wait
-        for (x, below) to pop the symbol left below it."""
-        demand((x, below))
-        work.extend((s, gamma, y) for y in after.get((x, below), ()))
-        second.setdefault((x, below), []).append((s, gamma))
+    def pop_below(s, gamma, label, t1, below):
+        """The symbol a push at (s, gamma) put on top is popped as t1:
+        wait for (x, below) to pop the symbol left below it."""
+        x = t1[2]
+        if (x, below) not in rules:
+            demand((x, below))
+        work.extend(((s, gamma, y), (label, t1, (x, below, y)))
+                    for y in after.get((x, below), ()))
+        second.setdefault((x, below), []).append((s, gamma, label, t1))
 
     for node in starts:
-        demand(node)
+        if node not in rules:
+            demand(node)
     while todo or work:
         if todo:
             s, gamma = todo.pop()
-            for _, s2, repl in rules[(s, gamma)]:
+            for label, s2, repl in rules[(s, gamma)]:
                 if repl == ():
-                    work.append((s, gamma, s2))
+                    work.append(((s, gamma, s2), (label,)))
                     continue
                 below = repl[1] if len(repl) == 2 else None
                 target = (s2, repl[0])
-                demand(target)
-                first.setdefault(target, []).append((s, gamma, below))
+                if target not in rules:
+                    demand(target)
+                first.setdefault(target, []).append((s, gamma, label, below))
                 for x in after.get(target, ()):
                     if below is None:
-                        work.append((s, gamma, x))
+                        work.append(((s, gamma, x), (label, (*target, x))))
                     else:
-                        pop_below(s, gamma, x, below)
+                        pop_below(s, gamma, label, (*target, x), below)
             continue
-        triple = work.pop()
+        triple, how = work.pop()
         if triple in found:
             continue
-        found[triple] = None
+        if len(rules) + len(found) == budget:
+            raise BudgetExceeded(f"more than {budget} pivots and triples")
+        found[triple] = how
         a, g, x = triple
         after.setdefault((a, g), []).append(x)
-        for s, gamma in second.get((a, g), ()):
-            work.append((s, gamma, x))
-        for s, gamma, below in first.get((a, g), ()):
+        for s, gamma, label, t1 in second.get((a, g), ()):
+            work.append(((s, gamma, x), (label, t1, triple)))
+        for s, gamma, label, below in first.get((a, g), ()):
             if below is None:
-                work.append((s, gamma, x))
+                work.append(((s, gamma, x), (label, triple)))
             else:
-                pop_below(s, gamma, x, below)
+                pop_below(s, gamma, label, triple, below)
     return rules, found
 
 
-def loop_automaton(net, starts):
-    """The part of the loop automaton that the start nodes, all with one
-    populated set Q, reach: its rule table by (state, top) node
-    (loop_rules), its pop relation as an index (s, gamma) -> [s'], and its
-    reachability graph, all from one pop_relation call.  The index lists
-    each s' in sorted order, by leader state, store and bit as the codes
-    sort, so it does not depend on which starts were given.
+def summary_graph(rules, found):
+    """The index (s, gamma) -> [s'] of the triples found, each list in
+    sorted order, and the graph of the nodes of rules, from a pop_relation
+    call.  The index's order does not depend on the worklist's, nor on
+    which starts were given.
 
-    The graph's nodes are (state, top) pairs, and it has an edge wherever a
-    loop grammar has a production ("R", node) -> ... ("R", node') that ends
-    in node': a neutral rule moves to (s', top), and a push of beta with
-    gamma below moves to (s', beta) and, for each x in the index at
-    (s', beta), to (x, gamma).  Pops add no edge.  Every successor is a
-    demanded node, so the graph is closed.
+    The graph maps a node (s, gamma) to its (label, node') edges, where a
+    neutral rule moves to (s', top), and a push of beta over gamma moves to
+    (s', beta) and, for each x in the index at (s', beta), to (x, gamma).
+    Pops add no edge.  An edge's label is a derivation as pop_relation
+    gives them: (rule label,) for the first two, and (rule label, (s',
+    beta, x)) for the third.  Every successor is a demanded node, so the
+    graph is closed.
     """
-    rules, found = pop_relation(loop_rules(net), starts)
     after = {}
     for s, gamma, s2 in found:
         after.setdefault((s, gamma), []).append(s2)
     for xs in after.values():
         xs.sort()
-    graph = {}
+    succ = {}
     for node, rs in rules.items():
-        succ = graph[node] = []
-        for _, s2, repl in rs:
-            if len(repl) == 1:
-                succ.append((s2, repl[0]))
-            elif repl:
+        steps = succ[node] = []
+        for label, s2, repl in rs:
+            if repl:
+                steps.append(((label,), (s2, repl[0])))
+            if len(repl) == 2:
                 beta, below = repl
-                succ.append((s2, beta))
-                succ += [(x, below) for x in after.get((s2, beta), ())]
-    return rules, after, graph
+                steps += [((label, (s2, beta, x)), (x, below))
+                          for x in after.get((s2, beta), ())]
+    return after, succ
+
+
+def post_star(net, budget=EXPLORE_BUDGET, derivations=None):
+    """The pivots: every reachable (control, top) pair, in breadth-first
+    order from the initial one in the summary_graph of one pop_relation
+    call over every abstract rule, net.moves.successors(control, top), from
+    the initial node.  The nodes that call demands are exactly these pairs.
+    More than budget pivots and triples raise BudgetExceeded.
+
+    derivations, a dict when given, receives the triples with their
+    derivations and each pivot with its parent in the search's tree, for
+    find_stem to read back.
+    """
+    moves = net.moves
+    initial = (moves.encode(initial_abstract(net)), net.leader.bottom)
+    rules, found = pop_relation(moves.successors, [initial], budget)
+    reach = graph.explore(initial, summary_graph(rules, found)[1].__getitem__,
+                          math.inf, None)
+    if derivations is not None:
+        derivations.update(found)
+        derivations.update(reach.parent)
+    return reach.order
+
+
+def loop_automaton(net, starts):
+    """The part of the loop automaton that the start nodes, all with one
+    populated set Q, reach: its rule table by (state, top) node
+    (loop_rules), and the pop relation's summary_graph, all from one
+    pop_relation call.  The index sorts each list by leader state, store
+    and bit as the codes sort.  Every production ("R", node) -> ...
+    ("R", node') of a loop grammar that ends in node' is an edge of the
+    graph.
+    """
+    rules, found = pop_relation(loop_rules(net), starts)
+    return (rules, *summary_graph(rules, found))
 
 
 def _loop_ends(net, pivot_control, pivot_symbol):
@@ -291,8 +260,15 @@ def loop_nonempty(net, automaton, pivot_control, pivot_symbol):
     """
     _, _, moves = automaton
     start, accept = _loop_ends(net, pivot_control, pivot_symbol)
-    return any(accept in moves[node] for node, _ in
-               graph.bfs(start, moves.__getitem__))
+    seen, queue = {start}, [start]
+    for node in queue:
+        for _, succ in moves[node]:
+            if succ == accept:
+                return True
+            if succ not in seen:
+                seen.add(succ)
+                queue.append(succ)
+    return False
 
 
 def build_loop_grammar(net, pivot_control, pivot_symbol, automaton=None):
@@ -322,7 +298,8 @@ def build_loop_grammar(net, pivot_control, pivot_symbol, automaton=None):
         automaton = loop_automaton(net, [start])
     rules, after, moves = automaton
     tops = net.leader.stack_alphabet
-    reached = sorted((node for node, _ in graph.bfs(start, moves.__getitem__)),
+    reached = sorted(graph.explore(start, moves.__getitem__, math.inf,
+                                   None).order,
                      key=lambda node: (node[0], tops.index(node[1])))
     prods = []
     for node in reached:
@@ -374,30 +351,29 @@ def loop_system(net, grammar):
         [parikh.ge({LOOPS: 1}, 1)] + contributor_flow_rows(net))
 
 
-def find_stem(net, pivot_control, pivot_symbol, reasons,
+def find_stem(net, pivot_control, pivot_symbol, derivations,
               budget=EXPLORE_BUDGET):
-    """The abstract stem to the pivot, read back from the reasons post_star
-    recorded: the transitions of a path from the initial configuration to
-    one with the pivot control and the pivot symbol on top.
+    """The abstract stem to the pivot, read back from the derivations
+    post_star recorded: the transitions of a path from the initial
+    configuration to one with the pivot control and the pivot symbol on
+    top.
 
-    It starts from the first edge (pivot control, pivot symbol, q) and
-    replaces the first one or two edges of the configuration's path by
-    their premises until only the initial edge is left, collecting the
-    rules in reverse.  Premises are inserted before the edges they explain,
-    so this ends.  A stem of more than budget moves raises BudgetExceeded.
+    The path is the search tree's, so it is a shortest one in the summary
+    graph, and each of its edges and each triple expands into its rule's
+    transition followed by the words of its premises.  A stem of more than
+    budget moves raises BudgetExceeded: stems may be exponentially longer
+    than the saturation.
     """
-    path = [next(edge for edge in reasons     # first edge last
-                 if edge[:2] == (pivot_control, pivot_symbol))]
-    tids = []                 # last move first
-    while reasons[path[-1]] is not None:
-        tid, *premises = reasons[path.pop()]
-        if tid is None:       # a pushed symbol: read the edge below it
-            tid, *premises = reasons[path.pop() if path else premises[0]]
-        if len(tids) == budget:
+    todo = [label for _, label, _ in reversed(graph.path_to(
+        derivations, (pivot_control, pivot_symbol)))]
+    stem = []
+    while todo:
+        t, *premises = todo.pop()
+        if len(stem) == budget:
             raise BudgetExceeded(f"stem longer than {budget} moves")
-        tids.append(tid)
-        path.extend(reversed(premises))
-    return [net.transition(tid) for tid in reversed(tids)]
+        stem.append(t)
+        todo += [derivations[triple] for triple in reversed(premises)]
+    return stem
 
 
 def token_free_word(net, grammar):
@@ -456,19 +432,19 @@ def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
     """Decide nonemptiness of the accepted omega-language for some population
     size, for a PDM leader and an FSM contributor.
 
-    The statistics count the pivots post* finds, the pivots visited
+    The statistics count the pivots post_star finds, the pivots visited
     (pivots_checked) and the solves among them, one per pivot whose loop
     grammar derives nonempty words but none that moves no token.  A
-    saturation of more than budget edges, or a stem of more than budget
-    moves, raises BudgetExceeded, and a model that gives no witness
-    InternalError."""
+    saturation of more than budget pivots and triples, or a stem of more
+    than budget moves, raises BudgetExceeded, and a model that gives no
+    witness InternalError."""
     if not isinstance(net.leader, Pdm) or not isinstance(net.contributor, Fsm):
         raise ValueError("check_pdm_fsm needs a PDM leader and an FSM contributor")
     stats = {"pivots": 0, "pivots_checked": 0, "solves": 0}
     if not net.leader.accepting:
         return Verdict("EMPTY", None, stats)
-    reasons = {}              # post*'s edge derivations, for find_stem
-    pairs = post_star(net, budget, reasons)
+    derivations = {}          # for find_stem
+    pairs = post_star(net, budget, derivations)
     stats["pivots"] = len(pairs)
     q_mask = net.moves.q_mask
     starts = {}               # Q -> the start nodes of its pivots
@@ -495,7 +471,7 @@ def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
         try:
             if cycle is None:
                 cycle = _model_word(grammar, model)
-            stem = find_stem(net, control, gamma, reasons, budget)
+            stem = find_stem(net, control, gamma, derivations, budget)
             witness = lasso(net, stem, net.moves.decode(control).Q, cycle,
                             gamma)
         except AssertionError as exc:

@@ -411,7 +411,7 @@ def test_bench_witness_files_replay(tmp_path, capsys):
     ((RING_LEADER, RING_CONTRIB, RING_PROP), (),
      {"reason": "more than 3 abstract configurations"}),
     ((COUNTER_LEADER, COUNTER_CONTRIB, COUNTER_PROP), (),
-     {"reason": "more than 3 saturation edges"}),
+     {"reason": "more than 3 pivots and triples"}),
     ((COUNTER_LEADER, WINDOW_CONTRIB, COUNTER_PROP), (),
      {"reason": "5-restriction exceeds 3 states", "window_bound": 5}),
     ((RING_LEADER, RING_CONTRIB, RING_PROP),

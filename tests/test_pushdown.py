@@ -19,6 +19,7 @@ from paramck.reduction import restrict_network
 from paramck import graph, parikh, pushdown
 from abstraction_oracle import abstract_moves
 import integer_oracle
+import pushdown_oracle
 from fixtures import (la, ca, random_deep_pdm_network,
                       random_pdm_leader_network, random_pdm_pdm_network)
 from differential import bench_nets, fixture_nets
@@ -89,8 +90,9 @@ def test_move_table_shapes():
     assert [(t.tid, d, g2, repl) for t, d, g2, repl
             in leader_moves(moves, "d0", "1", "Z")] == \
         [("d0", "d1", "1", ("A", "Z"))]
-    # post*'s first saturation steps: the write to 1, then at ("d0", "1")
-    # the push, then both contributor writes, whose targets are in Q
+    # the pivots in breadth-first order: the initial one, then the write
+    # to 1, then at ("d0", "1") the push and both contributor writes,
+    # whose targets are in Q
     pairs = post_star(net)
     after_write = ("d0", "1", frozenset(["q0", "q1"]))
     assert decoded_pairs(net, pairs[:2]) == \
@@ -103,7 +105,7 @@ def test_post_star_finds_deep_tops():
     pairs = post_star(net)
     tops = {gamma for _, gamma in pairs}
     assert tops == {"Z", "A"}
-    # pivots are discovered in saturation order, initial configuration first
+    # pivots come in breadth-first order, initial configuration first
     assert pairs[0] == (initial_code(net), "Z")
     assert all(isinstance(control, int) for control, _ in pairs)
 
@@ -129,7 +131,7 @@ def table_nodes(net, Q):
 def full_rule_table(net, Q):
     """loop_rules over every node of the table, as a dict."""
     rules_at = loop_rules(net)
-    return {node: rules_at(node) for node in table_nodes(net, Q)}
+    return {node: rules_at(*node) for node in table_nodes(net, Q)}
 
 
 def test_pop_relation_on_loop_automaton():
@@ -279,7 +281,7 @@ def whole_table_grammar(net, control, gamma):
         after.setdefault((s, g), []).append(x)
     for xs in after.values():
         xs.sort(key=rank.__getitem__)
-    everywhere = {node: list(rules) for node in rules}
+    everywhere = {node: [(None, node2) for node2 in rules] for node in rules}
     return build_loop_grammar(net, control, gamma, (rules, after, everywhere))
 
 
@@ -322,9 +324,10 @@ def test_check_builds_one_loop_automaton_per_q(monkeypatch):
     calls = []
     original = pushdown.pop_relation
 
-    def counting(rules_at, starts):
-        calls.append((q_of(net, starts[0][0][0]), starts))
-        return original(rules_at, starts)
+    def counting(rules_at, starts, *args):
+        if isinstance(starts[0][0], tuple):     # a loop automaton's state
+            calls.append((q_of(net, starts[0][0][0]), starts))
+        return original(rules_at, starts, *args)
 
     monkeypatch.setattr(pushdown, "pop_relation", counting)
     rng = random.Random(88)
@@ -413,8 +416,8 @@ def test_token_free_words_are_models_that_replay():
     seen = Counter()
     for name, net in pdm_text_nets((*bench_nets(), *fixture_nets())):
         seen["nets"] += 1
-        reasons = {}
-        pairs = post_star(net, reasons=reasons)
+        derivations = {}
+        pairs = post_star(net, derivations=derivations)
         automata = pivot_automata(net, pairs)
         for control, gamma in pairs:
             automaton = automata[q_of(net, control)]
@@ -436,7 +439,7 @@ def test_token_free_words_are_models_that_replay():
             moves = [net.transition(tid) for tid in word]
             assert all(t.src == t.dst for t in moves
                        if t.owner == CONTRIBUTOR), name
-            stem = find_stem(net, control, gamma, reasons)
+            stem = find_stem(net, control, gamma, derivations)
             witness = lasso(net, stem, net.moves.decode(control).Q, word,
                             gamma)
             assert replay(net, witness) == ("valid", None), name
@@ -688,30 +691,47 @@ def is_abstract_chain(net, stem, pivot_control, pivot_symbol):
     return control == pivot_control and stack[0] == pivot_symbol
 
 
-def test_read_back_stem_is_a_chain_of_abstract_moves():
-    rng = random.Random(41)
-    nets = [counter_network()]
+def test_pivots_and_stems_agree_with_the_post_star_automaton():
+    # the pivots are the reachable (control, top) pairs that Schwoon's
+    # post* automaton finds, the initial one first, and every stem read
+    # back from the pop relation is an abstract chain to its pivot
+    rng = random.Random(2024)
+    nets = [counter_network(), counter_network(accept_high=True),
+            deep_stem_network(8), doubling_calls_network(4)]
     nets += [random_pdm_leader_network(rng) for _ in range(40)]
     nets += [restrict_network(random_pdm_pdm_network(rng))
              for _ in range(40)]
+    stems = Counter()
     for net in nets:
-        reasons = {}
-        for control, gamma in post_star(net, reasons=reasons):
-            stem = find_stem(net, control, gamma, reasons)
+        derivations, reasons = {}, {}
+        pairs = post_star(net, derivations=derivations)
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == set(pushdown_oracle.post_star(net,
+                                                           reasons=reasons))
+        assert pairs[0] == (initial_code(net), net.leader.bottom)
+        for control, gamma in pairs:
+            stem = find_stem(net, control, gamma, derivations)
             assert is_abstract_chain(net, stem, control, gamma)
+            if net.moves.decode(control).leader_state == "done":
+                # every stem to done has the same length
+                assert len(stem) == 2 ** 6 - 2 == len(
+                    pushdown_oracle.find_stem(net, control, gamma, reasons))
+                stems["done"] += 1
+            stems["all"] += 1
+    assert stems["all"] > 150 and stems["done"] == 1
 
 
 def test_budget_caps_the_stem():
     net = deep_stem_network(8)
-    reasons = {}
-    pairs = post_star(net, reasons=reasons)
-    stems = {pair: find_stem(net, *pair, reasons) for pair in pairs}
+    derivations = {}
+    pairs = post_star(net, derivations=derivations)
+    stems = {pair: find_stem(net, *pair, derivations) for pair in pairs}
     pivot = max(stems, key=lambda pair: len(stems[pair]))
     n = len(stems[pivot])
     assert n >= 8
     with pytest.raises(BudgetExceeded, match=f"stem longer than {n - 1}"):
-        find_stem(net, *pivot, reasons, budget=n - 1)
-    assert find_stem(net, *pivot, reasons, budget=n) == stems[pivot]
+        find_stem(net, *pivot, derivations, budget=n - 1)
+    assert find_stem(net, *pivot, derivations, budget=n) == stems[pivot]
 
 
 def test_a_stem_past_the_budget_is_a_budget_verdict(monkeypatch):
@@ -719,8 +739,8 @@ def test_a_stem_past_the_budget_is_a_budget_verdict(monkeypatch):
     net = deep_stem_network(8)
     saturate = pushdown.post_star
     monkeypatch.setattr(pushdown, "post_star",
-                        lambda net, budget=None, reasons=None:
-                        saturate(net, EXPLORE_BUDGET, reasons))
+                        lambda net, budget=None, derivations=None:
+                        saturate(net, EXPLORE_BUDGET, derivations))
     monkeypatch.setenv("PARAMCK_BUDGET", "4")
     verdict, mode = run_check(net)
     assert (verdict.kind, mode) == ("BUDGET", "pdm-fsm")
@@ -753,15 +773,16 @@ def doubling_calls_network(n):
 
 
 def test_a_stem_may_be_exponentially_longer_than_the_saturation(monkeypatch):
-    # post* holds 122 edges, and the stem to done has 16,382 moves: the
-    # stem's budget check is not implied by the saturation's
+    # the saturation holds 74 pivots and 72 triples, and the stem to done
+    # has 16,382 moves: the stem's budget check is not implied by the
+    # saturation's
     net = doubling_calls_network(12)
-    reasons = {}
-    pairs = post_star(net, reasons=reasons)
-    assert len(reasons) == 122
+    derivations = {}
+    pairs = post_star(net, derivations=derivations)
+    assert (len(pairs), len(derivations)) == (74, 146)
     control = next(c for c, _ in pairs
                    if net.moves.decode(c).leader_state == "done")
-    assert len(find_stem(net, control, "Z", reasons)) == 2 ** 14 - 2
+    assert len(find_stem(net, control, "Z", derivations)) == 2 ** 14 - 2
     monkeypatch.setenv("PARAMCK_BUDGET", "1000")
     verdict, _ = run_check(net)
     assert verdict.kind == "BUDGET"
@@ -832,13 +853,15 @@ def test_long_loop_builds_only_what_its_pivots_reach(monkeypatch, tmp_path):
 
 
 def test_post_star_holds_at_most_budget_edges():
+    # the budget counts the saturation's pivots and triples, and the
+    # derivations hold each of them once
     net = push_pop_network()
-    edges = {}
-    post_star(net, reasons=edges)
-    assert len(edges) == 6
-    with pytest.raises(BudgetExceeded, match="more than 5 saturation edges"):
-        post_star(net, 5)
-    assert post_star(net, 6) == post_star(net)
+    derivations = {}
+    pairs = post_star(net, derivations=derivations)
+    assert (len(pairs), len(derivations)) == (5, 7)
+    with pytest.raises(BudgetExceeded, match="more than 6 pivots and triples"):
+        post_star(net, 6)
+    assert post_star(net, 7) == pairs
 
 
 def deep_stem_network(d):

@@ -40,20 +40,20 @@ def pdm_nets():
 
 
 def loop_grammars(nets):
-    """(net, pivot, reduced loop grammar, post*'s reasons) at every pivot
+    """(net, pivot, reduced loop grammar, post*'s derivations) at every pivot
     whose reduced grammar keeps its start symbol: those that pass
     loop_nonempty, as check_pdm_fsm builds them, and the accepting pivots
     whose only loop word is the empty one."""
     for net in nets:
-        reasons = {}
-        pairs = post_star(net, reasons=reasons)
+        derivations = {}
+        pairs = post_star(net, derivations=derivations)
         automata = pivot_automata(net, pairs)
         for control, gamma in pairs:
             automaton = automata[control & net.moves.q_mask]
             grammar = parikh.reduce_grammar(
                 build_loop_grammar(net, control, gamma, automaton))
             if grammar.start in grammar.nonterminals:
-                yield net, (control, gamma), grammar, reasons
+                yield net, (control, gamma), grammar, derivations
 
 
 def test_fixpoint_agrees_with_the_oracle_at_every_accepting_configuration():
@@ -75,7 +75,7 @@ def test_fixpoint_agrees_with_the_oracle_on_every_loop_system():
     # witness, LOOPS loop words long, that replays
     loops = Counter()
     refuted = 0
-    for net, pivot, grammar, reasons in loop_grammars(pdm_nets()):
+    for net, pivot, grammar, derivations in loop_grammars(pdm_nets()):
         system = loop_system(net, grammar)
         model = parikh.solve(system)
         assert (model is None) == (integer_oracle.solve(system) is None)
@@ -85,7 +85,7 @@ def test_fixpoint_agrees_with_the_oracle_on_every_loop_system():
             refuted += 1
             continue
         assert satisfies(system.atoms, model)
-        stem = find_stem(net, *pivot, reasons, EXPLORE_BUDGET)
+        stem = find_stem(net, *pivot, derivations, EXPLORE_BUDGET)
         witness = lasso(net, stem, net.moves.decode(pivot[0]).Q,
                         _model_word(grammar, model), pivot[1])
         assert replay(net, witness) == ("valid", None)
