@@ -11,7 +11,9 @@ to the PDM, and replay to the contributor's window restriction.
 Exit codes for check: 0 decided (NONEMPTY or EMPTY), 2 input error,
 3 budget exceeded, 4 internal error (a model found but no witness built).
 For replay: 0 valid, 1 invalid, 2 parse/input error, 3 budget exceeded
-(by the window restriction of a pushdown contributor).
+(by the window restriction of a pushdown contributor).  Machine and
+witness files are read as UTF-8: a file that cannot be read, is not
+UTF-8 or does not parse is an input error, reported with its path.
 The PARAMCK_BUDGET environment variable caps each state exploration:
 abstract configurations, the pdm-fsm saturation's pivots and triples,
 window states, stem moves or explicit configurations (see the README for
@@ -41,13 +43,15 @@ class InputError(Exception):
 
 
 def _parse_file(path, parse, *args):
-    """parse(the text of path, *args); a read or parse error is an
-    InputError."""
+    """parse(the text of path, *args); a read error, bytes that are not
+    UTF-8 or a parse error is an InputError."""
     try:
-        with open(path, encoding="utf-8") as f:
-            return parse(f.read(), *args)
+        with open(path, "rb") as f:
+            return parse(f.read().decode("utf-8"), *args)
     except OSError as e:
         raise InputError(f"{path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8: {e.reason} at byte {e.start}")
     except ParseError as e:
         raise InputError(f"{path}: {e}")
 

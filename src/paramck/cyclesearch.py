@@ -78,14 +78,16 @@ def refine(net, edges):
     on no cycle of the part's contributor moves (a self-loop is a cycle),
     then split what is left into strongly connected components.  A part
     that loses no move is final.  Each round removes a contributor move, so
-    this is O(E * |contributor moves|).
+    this is O(E * |contributor moves|).  The cycles of the moves are found
+    on each distinct move once, however many edges it labels.
     """
     contributor = {t.tid: t for t in net.contributor_transitions}
     final = []
     work = [tuple(edges)] if edges else []
     while work:
         part = work.pop()
-        moves = [contributor[lab] for _, lab, _ in part if lab in contributor]
+        moves = [contributor[lab] for lab in dict.fromkeys(
+            lab for _, lab, _ in part) if lab in contributor]
         states = graph.scc_index((t.src, t.dst) for t in moves)
         dead = {t.tid for t in moves if states[t.src] != states[t.dst]}
         if not dead:

@@ -40,14 +40,21 @@ class ParseError(Exception):
 
 
 _ACTION_RE = re.compile(r"^([rw])\(([^()\s]+)\)$")
+_RULE_RE = re.compile(r"^(\S+)\s+(\S+)\s+(\S+)\s+->\s+(\S+)\s+(push\s+\S+|pop)$")
 
 
-def _parse_action(token, role, line_no):
-    m = _ACTION_RE.match(token)
-    if not m:
-        raise ParseError(line_no, f"bad action {token!r}, expected r(g) or w(g)")
-    kind = READ if m.group(1) == "r" else WRITE
-    return Action(role, kind, m.group(2))
+def _parse_action(token, role, line_no, actions):
+    """The Action that token writes, from actions (token -> Action) if an
+    earlier line of the file made it."""
+    act = actions.get(token)
+    if act is None:
+        m = _ACTION_RE.match(token)
+        if not m:
+            raise ParseError(
+                line_no, f"bad action {token!r}, expected r(g) or w(g)")
+        kind = READ if m.group(1) == "r" else WRITE
+        act = actions[token] = Action(role, kind, m.group(2))
+    return act
 
 
 def parse_machine_file(text, role):
@@ -55,7 +62,7 @@ def parse_machine_file(text, role):
 
     Raises ParseError with a line number on malformed input.  Structural
     problems beyond syntax (undeclared states and the like) are left to
-    machines.validate.
+    machines.validate.  Lines that write one action share one Action.
     """
     kind = None
     values = None
@@ -66,20 +73,37 @@ def parse_machine_file(text, role):
     transitions = []
     rules = []
     seen = set()
+    actions = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, rest = line.partition("=")
+        if not eq:
             raise ParseError(line_no, "expected `key = value`")
-        key, _, rest = line.partition("=")
         key = key.strip()
         rest = rest.strip()
-        if key in ("kind", "values", "states", "initial", "accepting", "stack"):
-            if key in seen:
-                raise ParseError(line_no, f"duplicate `{key} =` line")
-            seen.add(key)
+        if key == "trans":
+            parts = rest.split()
+            if len(parts) != 3:
+                raise ParseError(line_no, "trans takes `src action dst`")
+            src, act, dst = parts
+            transitions.append((src, _parse_action(act, role, line_no, actions), dst))
+            continue
+        if key == "rule":
+            m = _RULE_RE.match(rest)
+            if not m:
+                raise ParseError(
+                    line_no, "rule takes `src action top -> dst push γ|pop`")
+            src, act, top, dst, eff = m.groups()
+            effect = ("pop",) if eff == "pop" else ("push", eff.split()[1])
+            act = _parse_action(act, role, line_no, actions)
+            rules.append(PdmRule(src, act, top, dst, effect))
+            continue
+        if key in seen:
+            raise ParseError(line_no, f"duplicate `{key} =` line")
+        seen.add(key)
         if key == "kind":
             if rest not in ("fsm", "pdm", "buchi-fsm", "buchi-pdm"):
                 raise ParseError(line_no, f"unknown kind {rest!r}")
@@ -102,22 +126,6 @@ def parse_machine_file(text, role):
             stack = rest.split()
             if not stack:
                 raise ParseError(line_no, "empty stack alphabet")
-        elif key == "trans":
-            parts = rest.split()
-            if len(parts) != 3:
-                raise ParseError(line_no, "trans takes `src action dst`")
-            src, act, dst = parts
-            transitions.append((src, _parse_action(act, role, line_no), dst))
-        elif key == "rule":
-            m = re.match(r"^(\S+)\s+(\S+)\s+(\S+)\s+->\s+(\S+)\s+(push\s+\S+|pop)$",
-                         rest)
-            if not m:
-                raise ParseError(
-                    line_no, "rule takes `src action top -> dst push γ|pop`")
-            src, act, top, dst, eff = m.groups()
-            effect = ("pop",) if eff == "pop" else ("push", eff.split()[1])
-            rules.append(PdmRule(src, _parse_action(act, role, line_no),
-                                 top, dst, effect))
         else:
             raise ParseError(line_no, f"unknown key {key!r}")
 

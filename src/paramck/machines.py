@@ -11,16 +11,20 @@ write action.
 In the abstraction, a move depends only on the leader state, the store, the
 leader's top symbol and whether the populated set Q holds the contributor's
 source.  Codec numbers the abstract configurations (leader state, store, Q)
-as integers and writes these moves out once per network over the codes,
-indexed by source, and Network.moves keeps the table: the fsm-fsm
-saturation and the pop relations of the pdm-fsm check all read it.
+as integers and lists these moves over the codes, indexed by source, in
+one pass over the transitions: a read touches the one store it reads and
+a write every store, so each entry follows from the value the move reads
+or writes.  Network.moves keeps the table: the fsm-fsm saturation and the
+pop relations of the pdm-fsm check all read it.
 """
 
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple
 
 #: marker for the uninitialized store; not a member of G
@@ -118,24 +122,30 @@ class Pdm:
         return self.stack_alphabet[0]
 
 
-@dataclass(frozen=True)
-class Transition:
-    """A leader or contributor transition with a stable identity.
+class Transition(namedtuple("Transition", "owner tid payload src action dst")):
+    """A leader (LEADER) or contributor (CONTRIBUTOR) transition with a
+    stable identity, as an immutable tuple.
 
     The tid is unique across the union of both machines' transitions and is
     used as a letter in cycle automata and as a constraint-variable index.
-    src, action and dst are copied from the payload on construction.
+    src, action and dst are copied from the payload, an Fsm transition
+    triple or a PdmRule, so owner, tid and payload decide equality and
+    hash, and they are what repr shows and pickle keeps.
     """
 
-    owner: str             # LEADER or CONTRIBUTOR
-    tid: str
-    payload: object        # an Fsm transition triple or a PdmRule
+    __slots__ = ()
 
-    def __post_init__(self):
-        p = self.payload
+    def __new__(cls, owner, tid, payload):
+        p = payload
         triple = (p.src, p.action, p.dst) if isinstance(p, PdmRule) else p
-        for name, value in zip(("src", "action", "dst"), triple):
-            object.__setattr__(self, name, value)
+        return tuple.__new__(cls, (owner, tid, p) + tuple(triple))
+
+    def __getnewargs__(self):
+        return self[:3]
+
+    def __repr__(self):
+        return (f"Transition(owner={self.owner!r}, tid={self.tid!r}, "
+                f"payload={self.payload!r})")
 
     @property
     def moves_token(self):
@@ -206,7 +216,8 @@ class Codec:
     it keeps the bits of q_mask.
 
     leader[(key, top)] lists the leader's moves from key with top on its
-    stack, top None for an FSM leader, as (t, base, replacement): from code
+    stack (the pair is absent when there are none), top None for an FSM
+    leader, as (t, base, replacement): from code
     c the move goes to base | (c & q_mask).  The replacement is what it puts
     in place of top: () for a pop, (pushed, top) for a push and (None,) for
     an FSM leader.  contributor[g] lists the moves on the g-th store as (t,
@@ -219,8 +230,9 @@ class Codec:
     def __init__(self, net):
         def named(machine, transitions):
             return tuple(sorted(
-                set(machine.states) | {machine.initial}
-                | {s for t in transitions for s in (t.src, t.dst)}, key=repr))
+                {machine.initial, *machine.states,
+                 *map(attrgetter("src"), transitions),
+                 *map(attrgetter("dst"), transitions)}, key=repr))
 
         self.leader_states = named(net.leader, net.leader_transitions)
         self.stores = (UNINIT,) + tuple(sorted(
@@ -236,20 +248,24 @@ class Codec:
         self.bit = {q: 1 << i for i, q in enumerate(self.contributor_states)}
         self.accepting = [s in net.leader.accepting
                           for s in self.leader_states for _ in self.stores]
+        # a read of v fires on store v and keeps it, a write of v fires on
+        # every store g and leaves v there: the lists follow from v alone
+        m, index = len(self.stores), self.leader_index
         self.leader = {}
         for t in net.leader_transitions:
-            top = t.payload.top if isinstance(t.payload, PdmRule) else None
-            repl = (top,) if top is None else top_replacement(t.payload, top)
-            for g in self.stores:
-                g2 = register_step(t.action, g)
-                if g2 is not None:
-                    self.leader.setdefault((self.key(t.src, g), top), []) \
-                        .append((t, self.key(t.dst, g2) << n, repl))
-        self.contributor = [
-            [(t, self.bit[t.src], self.bit[t.dst], (store[g2] - i) << n)
-             for t in net.contributor_transitions
-             if (g2 := register_step(t.action, g)) is not None]
-            for i, g in enumerate(self.stores)]
+            p = t.payload
+            top = p.top if isinstance(p, PdmRule) else None
+            repl = (top,) if top is None else top_replacement(p, top)
+            v = store[t.action.value]
+            move = (t, (index[t.dst] * m + v) << n, repl)
+            key = index[t.src] * m
+            for g in (v,) if t.action.kind == READ else range(m):
+                self.leader.setdefault((key + g, top), []).append(move)
+        self.contributor = [[] for _ in self.stores]
+        for t in net.contributor_transitions:
+            v, src, dst = store[t.action.value], self.bit[t.src], self.bit[t.dst]
+            for g in (v,) if t.action.kind == READ else range(m):
+                self.contributor[g].append((t, src, dst, (v - g) << n))
 
     def key(self, leader_state, store):
         return self.leader_index[leader_state] * len(self.stores) \

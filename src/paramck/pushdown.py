@@ -46,28 +46,39 @@ from __future__ import annotations
 import math
 
 from .machines import EXPLORE_BUDGET, BudgetExceeded, InternalError, Pdm, Fsm
-from .abstraction import initial_abstract
+from .abstraction import Successors, initial_abstract
 from .explicit import Verdict, replay
 from .cyclesearch import contributor_flow_rows, lasso
 from . import graph, parikh
 from .parikh import derive_word
 
 
-def loop_rules(net):
+class TopSuccessors(Successors):
+    """(code, top) -> net.moves.successors(code, top), made on first use:
+    post_star and the loop automata of a check read one TopSuccessors, so
+    the check expands no (code, top) pair twice."""
+
+    def __missing__(self, node):
+        succ = self[node] = self.codec.successors(*node)
+        return succ
+
+
+def loop_rules(net, memo=None):
     """The loop automaton's rules, on demand: a function from a node's
     state (code, bit) and top to the abstract rules there that keep the
     code's Q, as (tid, (code', bit'), replacement), where the sticky bit
     turns 1 at an accepting control.  They are net.moves.successors(code,
-    top) in its order, less the contributor moves whose target is not in
-    Q."""
+    top) in its order, read from memo (a new TopSuccessors if None), less
+    the contributor moves whose target is not in Q."""
     moves = net.moves
     n, q_mask, accepting = moves.width, moves.q_mask, moves.accepting
+    memo = TopSuccessors(moves) if memo is None else memo
 
     def rules_at(state, top):
         code, b = state
         Q = code & q_mask
         return [(t.tid, (c2, 1 if accepting[c2 >> n] else b), repl)
-                for t, c2, repl in moves.successors(code, top)
+                for t, c2, repl in memo[(code, top)]
                 if c2 & q_mask == Q]
     return rules_at
 
@@ -200,12 +211,13 @@ def summary_graph(rules, found):
     return after, succ
 
 
-def post_star(net, budget=EXPLORE_BUDGET, derivations=None):
+def post_star(net, budget=EXPLORE_BUDGET, derivations=None, memo=None):
     """The pivots: every reachable (control, top) pair, in breadth-first
     order from the initial one in the summary_graph of one pop_relation
-    call over every abstract rule, net.moves.successors(control, top), from
-    the initial node.  The nodes that call demands are exactly these pairs.
-    More than budget pivots and triples raise BudgetExceeded.
+    call over every abstract rule, net.moves.successors(control, top) read
+    from memo (a new TopSuccessors if None), from the initial node.  The
+    nodes that call demands are exactly these pairs.  More than budget
+    pivots and triples raise BudgetExceeded.
 
     derivations, a dict when given, receives the triples with their
     derivations and each pivot with its parent in the search's tree, for
@@ -213,7 +225,8 @@ def post_star(net, budget=EXPLORE_BUDGET, derivations=None):
     """
     moves = net.moves
     initial = (moves.encode(initial_abstract(net)), net.leader.bottom)
-    rules, found = pop_relation(moves.successors, [initial], budget)
+    memo = TopSuccessors(moves) if memo is None else memo
+    rules, found = pop_relation(lambda *node: memo[node], [initial], budget)
     reach = graph.explore(initial, summary_graph(rules, found)[1].__getitem__,
                           math.inf, None)
     if derivations is not None:
@@ -222,16 +235,16 @@ def post_star(net, budget=EXPLORE_BUDGET, derivations=None):
     return reach.order
 
 
-def loop_automaton(net, starts):
+def loop_automaton(net, starts, memo=None):
     """The part of the loop automaton that the start nodes, all with one
     populated set Q, reach: its rule table by (state, top) node
-    (loop_rules), and the pop relation's summary_graph, all from one
-    pop_relation call.  The index sorts each list by leader state, store
+    (loop_rules over memo), and the pop relation's summary_graph, all from
+    one pop_relation call.  The index sorts each list by leader state, store
     and bit as the codes sort.  Every production ("R", node) -> ...
     ("R", node') of a loop grammar that ends in node' is an edge of the
     graph.
     """
-    rules, found = pop_relation(loop_rules(net), starts)
+    rules, found = pop_relation(loop_rules(net, memo), starts)
     return (rules, *summary_graph(rules, found))
 
 
@@ -444,7 +457,8 @@ def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
     if not net.leader.accepting:
         return Verdict("EMPTY", None, stats)
     derivations = {}          # for find_stem
-    pairs = post_star(net, budget, derivations)
+    memo = TopSuccessors(net.moves)
+    pairs = post_star(net, budget, derivations, memo)
     stats["pivots"] = len(pairs)
     q_mask = net.moves.q_mask
     starts = {}               # Q -> the start nodes of its pivots
@@ -456,7 +470,7 @@ def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
         stats["pivots_checked"] += 1
         Q = control & q_mask
         if Q not in automata:
-            automata[Q] = loop_automaton(net, starts[Q])
+            automata[Q] = loop_automaton(net, starts[Q], memo)
         if not loop_nonempty(net, automata[Q], control, gamma):
             continue
         grammar = parikh.reduce_grammar(

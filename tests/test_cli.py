@@ -240,6 +240,32 @@ def test_missing_machine_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role", ["leader", "contrib", "prop"])
+def test_machine_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys,
+                                                          role):
+    paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB, RING_PROP)
+    path = tmp_path / f"{role}.mk"
+    text = path.read_bytes().replace(b"states = ", b"states = q\xff0 ", 1)
+    path.write_bytes(text)
+    assert main(check_args(paths, "--json")) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    at = text.index(b"\xff")
+    assert err == f"error: {path}: not UTF-8: invalid start byte at byte {at}\n"
+    assert main(replay_args(paths, str(tmp_path / "none.wit"))) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8")
+
+
+def test_witness_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB, RING_PROP)
+    out = tmp_path / "out.wit"
+    assert main(check_args(paths, "--witness", str(out))) == 0
+    capsys.readouterr()
+    out.write_bytes(out.read_bytes().replace(b"cycle:", b"cycle: # \xe9", 1))
+    assert main(replay_args(paths, str(out))) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}: not UTF-8")
+
+
 def test_property_must_be_buchi(tmp_path, capsys):
     paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB,
                       RING_PROP.replace("kind = buchi-fsm", "kind = fsm")

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -8,6 +11,9 @@ from paramck.machines import (AbstractConfig, Action, Fsm, Pdm, PdmRule,
                               buchi_product, env_budget, make_network,
                               register_step, stack_step, step,
                               top_replacement, validate)
+from paramck.abstraction import reachable_abstract
+from paramck.fileformat import parse_machine_file
+from paramck.pushdown import post_star
 from paramck.reduction import restrict_network
 from abstraction_oracle import abstract_moves
 from fixtures import (la, ca, random_deep_pdm_network, random_fsm_network,
@@ -178,11 +184,18 @@ def test_step_on_pdm_rules_needs_register_and_stack():
     assert step(t, "q1", ("X", "Z"), "1") is None   # wrong source state
 
 
+def leader_table(moves, key, top=None):
+    """The leader's moves from key with top on its stack, (t, base,
+    replacement) as in moves.leader: the move table's successors at an
+    empty Q, where no contributor moves."""
+    return moves.successors(key << moves.width, top)
+
+
 def leader_moves(moves, d, g, top=None):
-    """moves.leader at leader state d, store g and top symbol top, decoded
-    to (t, d', g', replacement)."""
+    """The leader's moves at leader state d, store g and top symbol top,
+    decoded to (t, d', g', replacement)."""
     return [(t, *moves.decode(base)[:2], repl) for t, base, repl
-            in moves.leader.get((moves.key(d, g), top), ())]
+            in leader_table(moves, moves.key(d, g), top)]
 
 
 def contributor_moves(moves, g):
@@ -204,12 +217,12 @@ def test_move_table_on_fsm_leader_indexes_moves_by_source():
     assert moves.stores == (UNINIT, "1", "2", "3")
     # an FSM leader's moves have no top symbol and keep the stack; the
     # target code has Q empty
-    assert moves.leader[(moves.key(("s0", "p0"), "1"), None)] == \
+    assert leader_table(moves, moves.key(("s0", "p0"), "1")) == \
         [(net.transition("d0"), moves.key(("s1", "p1"), "1") << moves.width,
           (None,))]
     assert leader_moves(moves, ("s0", "p0"), "1") == \
         [(net.transition("d0"), ("s1", "p1"), "1", (None,))]
-    assert (moves.key(("s0", "p0"), "2"), None) not in moves.leader
+    assert leader_table(moves, moves.key(("s0", "p0"), "2")) == []
     # the contributor moves on a store, whatever their source, in tid
     # order; B's only move reads 3 and is not there on store 1
     assert [(t.tid, g2) for t, g2 in contributor_moves(moves, "1")] == \
@@ -232,7 +245,7 @@ def test_move_table_on_pdm_leader_reports_top_replacement():
         [("d1", "p", "2", ("X", "X")), ("d2", "p", "3", ())]
     assert [t.tid for t, *_ in leader_moves(moves, "p", "2", "Z")] == ["d0"]
     # a write fires on every store, the uninitialized one too
-    assert all((moves.key("p", g), "Z") in moves.leader
+    assert all(leader_table(moves, moves.key("p", g), "Z")
                for g in moves.stores)
     assert [(t.tid, g2) for t, g2 in contributor_moves(moves, "3")] == \
         [("c0", "3")]
@@ -292,6 +305,83 @@ def test_move_table_agrees_with_the_oracle_scan():
                         assert table == abstract_moves(net, d, g, Q, top)
                         compared += len(table)
     assert compared > 5000
+
+
+def scanned_leader_moves(net, moves, d, g, top):
+    """The leader's moves at leader state d, store g and top, as (t, base,
+    replacement), by a scan of every leader transition."""
+    out = []
+    for t in net.leader_transitions:
+        repl = (None,) if top is None else top_replacement(t.payload, top)
+        g2 = register_step(t.action, g)
+        if t.src == d and repl is not None and g2 is not None:
+            out.append((t, moves.key(t.dst, g2) << moves.width, repl))
+    return out
+
+
+def test_move_lists_agree_with_the_transition_scan():
+    # every (key, top) list and every store's contributor list, built
+    # from the value a move reads or writes, against a scan that applies
+    # the register rule to each transition on each store; most keys are
+    # ones that the check's own search never reaches
+    compared = unreached = 0
+    for net in oracle_nets():
+        moves = net.moves
+        pdm = isinstance(net.leader, Pdm)
+        reached = {code >> moves.width for code, _ in post_star(net)} if pdm \
+            else {code >> moves.width for code in reachable_abstract(net).order}
+        tops = net.leader.stack_alphabet if pdm else (None,)
+        for d in moves.leader_states:
+            for g in moves.stores:
+                key = moves.key(d, g)
+                unreached += key not in reached
+                for top in tops:
+                    table = leader_table(moves, key, top)
+                    assert table == scanned_leader_moves(net, moves, d, g, top)
+                    compared += len(table)
+        for i, g in enumerate(moves.stores):
+            assert moves.contributor[i] == [
+                (t, moves.bit[t.src], moves.bit[t.dst],
+                 (moves.store_index[g2] - i) << moves.width)
+                for t in net.contributor_transitions
+                if (g2 := register_step(t.action, g)) is not None]
+            compared += len(moves.contributor[i])
+    assert compared > 1000 and unreached > 300
+
+
+def test_transitions_and_parsed_actions_are_immutable_values():
+    act = la("read", "1")
+    t = Transition(LEADER, "d0", ("p", act, "q"))
+    same = Transition(owner=LEADER, tid="d0",
+                      payload=("p", la("read", "1"), "q"))
+    assert t == same and hash(t) == hash(same) and {t: 1}[same] == 1
+    assert (t.owner, t.tid, t.payload, t.src, t.action, t.dst) == \
+        (LEADER, "d0", ("p", act, "q"), "p", act, "q")
+    assert t != Transition(LEADER, "d1", ("p", act, "q"))
+    assert t != Transition(CONTRIBUTOR, "d0", ("p", act, "q"))
+    assert t != Transition(LEADER, "d0", ("p", act, "p"))
+    assert repr(t) == ("Transition(owner='leader', tid='d0', payload=('p', "
+                       "Action(role='leader', kind='read', value='1'), 'q'))")
+    rule = PdmRule("p", act, "Z", "q", ("pop",))
+    r = Transition(CONTRIBUTOR, "c0", rule)
+    assert (r.src, r.action, r.dst, r.moves_token) == ("p", act, "q", True)
+    assert repr(r) == f"Transition(owner='contributor', tid='c0', " \
+                      f"payload={rule!r})"
+    for name in ("owner", "tid", "payload", "src", "action", "dst", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, "x")
+    assert pickle.loads(pickle.dumps(r)) == r
+    assert copy.deepcopy(t) == t
+    # a parsed file makes one Action per token, equal to a fresh one
+    fsm, _ = parse_machine_file(
+        "kind = fsm\nvalues = 1\nstates = p q\ninitial = p\n"
+        "trans = p r(1) q\ntrans = q r(1) p\ntrans = q w(1) q\n", LEADER)
+    (_, a, _), (_, b, _), (_, c, _) = fsm.transitions
+    assert a is b and a == act and hash(a) == hash(act)
+    assert c == Action(LEADER, "write", "1") and c != a
+    assert repr(a) == "Action(role='leader', kind='read', value='1')"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.value = "2"
 
 
 def test_codes_sort_as_their_configurations():

@@ -8,7 +8,7 @@ from paramck.abstraction import initial_abstract
 from paramck.cyclesearch import lasso
 from paramck.fileformat import parse_machine_file
 from paramck.machines import (CONTRIBUTOR, EXPLORE_BUDGET, LEADER,
-                              AbstractConfig, BudgetExceeded, Fsm, Pdm,
+                              AbstractConfig, BudgetExceeded, Codec, Fsm, Pdm,
                               PdmRule, UNINIT, buchi_product, make_network)
 from paramck.pushdown import (_loop_ends, build_loop_grammar, check_pdm_fsm,
                               derive_word, find_stem, loop_automaton,
@@ -24,7 +24,7 @@ from fixtures import (la, ca, random_deep_pdm_network,
                       random_pdm_leader_network, random_pdm_pdm_network)
 from differential import bench_nets, fixture_nets
 from test_cyclesearch import counting_solves
-from test_machines import contributor_moves, leader_moves
+from test_machines import contributor_moves, leader_moves, leader_table
 from test_trace import push_pop_network
 
 
@@ -83,7 +83,7 @@ def test_move_table_shapes():
     assert moves.decode(init) == ("d0", UNINIT, frozenset(["q0"]))
     # uninitialized store: the leader only reads, so only the contributor
     # write fires
-    assert (moves.key("d0", UNINIT), "Z") not in moves.leader
+    assert leader_table(moves, moves.key("d0", UNINIT), "Z") == []
     assert [(t.tid, g2) for t, g2 in contributor_moves(moves, UNINIT)] == \
         [("c0", "1"), ("c1", "2")]
     # a push keeps the old top below
@@ -721,6 +721,32 @@ def test_pivots_and_stems_agree_with_the_post_star_automaton():
     assert stems["all"] > 150 and stems["done"] == 1
 
 
+def test_a_check_expands_each_pair_once(monkeypatch):
+    # post* and the loop automata read one memo per check: a loop
+    # automaton's nodes are reachable pairs, so the check expands exactly
+    # the pivots, each once
+    expanded = Counter()
+    successors = Codec.successors
+
+    def counting(codec, code, top):
+        expanded[(code, top)] += 1
+        return successors(codec, code, top)
+
+    monkeypatch.setattr(Codec, "successors", counting)
+    rng = random.Random(25)
+    nets = [counter_network(), counter_network(accept_high=True)]
+    nets += [random_pdm_leader_network(rng) for _ in range(20)]
+    nets += [restrict_network(random_pdm_pdm_network(rng)) for _ in range(10)]
+    checked = 0
+    for net in nets:
+        expanded.clear()
+        verdict = check_pdm_fsm(net)
+        assert set(expanded.values()) == {1}
+        assert len(expanded) == verdict.stats["pivots"]
+        checked += verdict.stats["pivots_checked"]
+    assert checked > 40
+
+
 def test_budget_caps_the_stem():
     net = deep_stem_network(8)
     derivations = {}
@@ -739,8 +765,8 @@ def test_a_stem_past_the_budget_is_a_budget_verdict(monkeypatch):
     net = deep_stem_network(8)
     saturate = pushdown.post_star
     monkeypatch.setattr(pushdown, "post_star",
-                        lambda net, budget=None, derivations=None:
-                        saturate(net, EXPLORE_BUDGET, derivations))
+                        lambda net, budget=None, derivations=None, memo=None:
+                        saturate(net, EXPLORE_BUDGET, derivations, memo))
     monkeypatch.setenv("PARAMCK_BUDGET", "4")
     verdict, mode = run_check(net)
     assert (verdict.kind, mode) == ("BUDGET", "pdm-fsm")
