@@ -11,9 +11,10 @@ to the PDM, and replay to the contributor's window restriction.
 Exit codes for check: 0 decided (NONEMPTY or EMPTY), 2 input error,
 3 budget exceeded, 4 internal error (a model found but no witness built).
 For replay: 0 valid, 1 invalid, 2 parse/input error, 3 budget exceeded
-(by the window restriction of a pushdown contributor).  Machine and
-witness files are read as UTF-8: a file that cannot be read, is not
-UTF-8 or does not parse is an input error, reported with its path.
+(by the window restriction of a pushdown contributor).  Both exit 141, as
+SIGPIPE would, when stdout is closed early (paramck check ... | head -1).
+Machine and witness files are read as UTF-8: a file that cannot be read,
+is not UTF-8 or does not parse is an input error, reported with its path.
 The PARAMCK_BUDGET environment variable caps each state exploration:
 abstract configurations, the pdm-fsm saturation's pivots and triples,
 window states, stem moves or explicit configurations (see the README for
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .machines import (BudgetExceeded, Fsm, Pdm, LEADER, CONTRIBUTOR,
@@ -113,6 +115,9 @@ def _cmd_check(args):
     except ValueError as e:
         raise InputError(str(e))
 
+    if verdict.witness is not None and args.witness:
+        with open(args.witness, "w", encoding="utf-8") as f:
+            f.write(print_witness(verdict.witness))
     if args.json:
         report = {"verdict": verdict.kind, "mode": mode,
                   "statistics": verdict.stats}
@@ -128,9 +133,6 @@ def _cmd_check(args):
         return 3
     if verdict.kind == "ERROR":
         return 4
-    if verdict.witness is not None and args.witness:
-        with open(args.witness, "w", encoding="utf-8") as f:
-            f.write(print_witness(verdict.witness))
     return 0
 
 
@@ -154,17 +156,19 @@ def _cmd_replay(args):
 
 @functools.cache
 def _parser():
-    """The argument parser, built once per process: parse_args keeps no
-    state between calls."""
+    """The whole parser, for help and errors, and each command's own one,
+    twice as fast; built once per process (parse_args keeps no state)."""
     parser = argparse.ArgumentParser(
         prog="paramck",
         description="Liveness checker for leader/contributor register networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="decide the parameterized property")
-    p_check.add_argument("--leader", required=True)
-    p_check.add_argument("--contributor", required=True)
-    p_check.add_argument("--property", required=True)
+    p_replay = sub.add_parser("replay", help="validate a witness file")
+    p_replay.add_argument("--witness", required=True)
+    for p in (p_check, p_replay):
+        for machine in ("--leader", "--contributor", "--property"):
+            p.add_argument(machine, required=True)
     p_check.add_argument("--mode", choices=MODES, default="auto")
     p_check.add_argument("--contributors", type=int,
                          help="population size (explicit mode)")
@@ -173,23 +177,26 @@ def _parser():
     p_check.add_argument("--witness", help="write the witness here")
     p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=_cmd_check)
-
-    p_replay = sub.add_parser("replay", help="validate a witness file")
-    p_replay.add_argument("--witness", required=True)
-    p_replay.add_argument("--leader", required=True)
-    p_replay.add_argument("--contributor", required=True)
-    p_replay.add_argument("--property", required=True)
     p_replay.set_defaults(func=_cmd_replay)
-    return parser
+    return parser, {"check": p_check, "replay": p_replay}
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parser()
+    command = commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:     # to devnull, or the flush at exit fails too
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

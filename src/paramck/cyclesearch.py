@@ -20,11 +20,12 @@ decomposition), so a contributor move that lies on no cycle of the moves
 still available has count 0 in every model, and so does every edge that
 loses its place on a cycle once those moves are gone.  Deleting both until
 nothing changes leaves components that contain the support of every model.
-A configuration in no component has no cycle.  A closed walk through a
-whose contributor moves are all self-loops moves no token, so it is a model
-if the component has one; it always does when the component's contributor
-moves are all self-loops.  Only the other configurations need a solve, of
-the full system at a.
+Contributor moves dead at Q (on no cycle of those with both ends in Q) go
+before the search.  A configuration in no component has no cycle.  A closed
+walk through a whose contributor moves are all self-loops moves no token,
+so it is a model if the component has one; it always does when the
+component's contributor moves are all self-loops.  Only the other
+configurations need a solve, of the system at a.
 
 A model or walk is turned into a concrete lasso witness (stem by
 backward-demand concretization of the abstract stem, cycle by an Euler walk,
@@ -35,7 +36,7 @@ for confirmation.
 
 from __future__ import annotations
 
-import math
+import functools
 
 from .machines import CONTRIBUTOR, EXPLORE_BUDGET, InternalError
 from .abstraction import Successors, reachable_abstract
@@ -43,31 +44,43 @@ from .explicit import Verdict, lay_down, replay
 from . import graph, parikh
 
 
-def build_cycle_fsa(moves, a):
+def dead_at(net, Q):
+    """The tids of the contributor moves with both ends in Q (a bitmask of
+    net.moves) that lie on no cycle of such moves, a self-loop being one."""
+    inside = [t for t in net.contributor_transitions
+              if net.moves.bit[t.src] & Q and net.moves.bit[t.dst] & Q]
+    comp = graph.scc_index((t.src, t.dst) for t in inside)
+    return {t.tid for t in inside if comp[t.src] != comp[t.dst]}
+
+
+def build_cycle_fsa(moves, a, dead):
     """Automaton over transition ids of the Q-preserving abstract moves
-    reachable from code a, with a as initial and final state.  The moves
-    are the entries of moves (the check's abstraction.Successors, in its
-    order) whose code has a's Q bits.
+    reachable from code a, except those whose tid is in dead, with a as
+    initial and final state.  The moves are the entries of moves (the
+    check's abstraction.Successors, in its order) whose code has a's Q bits.
 
     A closed walk through a can only use edges of a's strongly connected
     component, so the automaton is trimmed to it up front; this keeps the
     realizability system small.  Every state is reachable from a, so the
-    component is the set of states that reach a back.
-    """
+    component is the set of states that reach a back."""
     mask = moves.codec.q_mask
     Q = a & mask
-    region = graph.explore(
-        a, lambda c: [(t.tid, c2) for t, c2, _ in moves[c] if c2 & mask == Q],
-        math.inf, None)       # Q fixed: at most |leader states| x |stores|
-    preds = {}
-    for c, succ in region.edges.items():
-        for _, c2 in succ:
-            preds.setdefault(c2, []).append(c)
-    comp = {c for c, _ in graph.bfs(a, lambda c: preds.get(c, ()))}
-    states = tuple(c for c in region.order if c in comp)
-    edges = tuple((c, lab, c2) for c in states
-                  for lab, c2 in region.edges[c] if c2 in comp)
-    return parikh.Fsa(states, edges, a, a)
+    order, edges, preds = [a], [], {a: []}  # Q fixed: leaders x stores
+    for c in order:
+        for t, c2, _ in moves[c]:
+            if c2 & mask == Q and t.tid not in dead:
+                edges.append((c, t.tid, c2))
+                if c2 not in preds:
+                    preds[c2] = []
+                    order.append(c2)
+                preds[c2].append(c)
+    comp, back = {a}, [a]
+    for c in back:
+        new = set(preds[c]) - comp
+        comp |= new
+        back += new
+    return parikh.Fsa(tuple(c for c in order if c in comp), tuple(
+        e for e in edges if e[0] in comp and e[2] in comp), a, a)
 
 
 def refine(net, edges):
@@ -81,13 +94,12 @@ def refine(net, edges):
     this is O(E * |contributor moves|).  The cycles of the moves are found
     on each distinct move once, however many edges it labels.
     """
-    contributor = {t.tid: t for t in net.contributor_transitions}
     final = []
     work = [tuple(edges)] if edges else []
     while work:
         part = work.pop()
-        moves = [contributor[lab] for lab in dict.fromkeys(
-            lab for _, lab, _ in part) if lab in contributor]
+        moves = [t for t in map(net.transition, dict.fromkeys(
+            lab for _, lab, _ in part)) if t.owner == CONTRIBUTOR]
         states = graph.scc_index((t.src, t.dst) for t in moves)
         dead = {t.tid for t in moves if states[t.src] != states[t.dst]}
         if not dead:
@@ -209,15 +221,16 @@ def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
 
     Each accepting configuration is decided when the abstract BFS discovers
     it, in discovery order, and the BFS stops at the first with a cycle;
-    each strongly connected component of the Q-preserving graph is refined
-    the first time one of its configurations comes up.  The statistics
-    count the configurations discovered by then (abstract_configs), the
-    accepting ones decided (accepting_checked) and the solves among them.
+    each strongly connected component of the Q-preserving moves not dead at
+    Q is refined once, when it first comes up.  The statistics count the
+    configurations discovered by then (abstract_configs), the accepting ones
+    decided (accepting_checked) and the solves among them.
     More than budget configurations discovered before the verdict raise
     BudgetExceeded, and a model that gives no witness InternalError."""
     moves = Successors(net.moves)
     accepting, width = moves.codec.accepting, moves.codec.width
     stats = {"abstract_configs": 0, "accepting_checked": 0, "solves": 0}
+    dead = functools.cache(functools.partial(dead_at, net))   # Q -> its tids
     parts = {}                # code -> its refined part, or None
     hit = []                  # (a, cycle automaton, model, cycle) at a witness
 
@@ -227,7 +240,7 @@ def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
         stats["accepting_checked"] += 1
         fsa = model = None
         if a not in parts:
-            fsa = build_cycle_fsa(moves, a)
+            fsa = build_cycle_fsa(moves, a, dead(a & net.moves.q_mask))
             parts.update(dict.fromkeys(fsa.states))
             for part in refine(net, fsa.edges):
                 parts.update((src, part) for src, _, _ in part)
@@ -236,7 +249,7 @@ def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
             return False
         cycle = closed_walk(net, part, a)
         if cycle is None:
-            fsa = fsa or build_cycle_fsa(moves, a)
+            fsa = fsa or build_cycle_fsa(moves, a, dead(a & net.moves.q_mask))
             stats["solves"] += 1
             model = parikh.solve(realizability_system(net, fsa))
             if model is None:

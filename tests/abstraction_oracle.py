@@ -3,7 +3,9 @@ tuples, as paramck computed them before it interned configurations as
 integer codes and indexed its moves by source: the oracle that the decoded
 codes and the code move table (machines.Codec) must match.  Then the
 fsm-fsm check over codes as it ran before it decided each accepting
-configuration when the BFS discovers it: saturate, then decide."""
+configuration when the BFS discovers it: saturate, then decide, with each
+cycle automaton built without the contributor moves dead at its Q
+(cyclesearch.dead_at), as the check builds it."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import math
 
 from paramck import graph, parikh
 from paramck.abstraction import AbstractReach, initial_abstract
-from paramck.cyclesearch import (closed_walk, concretize,
+from paramck.cyclesearch import (closed_walk, concretize, dead_at,
                                  realizability_system, refine)
 from paramck.explicit import Verdict, replay
 from paramck.machines import (EXPLORE_BUDGET, AbstractConfig, InternalError,
@@ -63,14 +65,14 @@ def reachable_abstract(net, budget=EXPLORE_BUDGET):
 def build_cycle_fsa(reach, a):
     """The automaton over transition ids of a's strongly connected
     component among the Q-preserving moves of reach that a reaches."""
-    return component_fsa(reach.edges, a, lambda c2: c2.Q == a.Q)
+    return component_fsa(reach.edges, a, lambda t, c2: c2.Q == a.Q)
 
 
-def component_fsa(stored, a, keeps_q):
+def component_fsa(stored, a, keeps):
     """The cycle automaton at a over the successors stored[c] of each node
-    c, of which it follows those to a node c2 with keeps_q(c2)."""
+    c, of which it follows the moves t to a node c2 with keeps(t, c2)."""
     moves = graph.explore(
-        a, lambda c: [(t.tid, c2) for t, c2 in stored[c] if keeps_q(c2)],
+        a, lambda c: [(t.tid, c2) for t, c2 in stored[c] if keeps(t, c2)],
         math.inf, None)
     preds = {}
     for c, succ in moves.edges.items():
@@ -94,10 +96,14 @@ def saturate_codes(net, budget=EXPLORE_BUDGET):
     return AbstractReach(*reach, moves)
 
 
-def saturated_cycle_fsa(reach, a):
-    """The cycle automaton at code a, read off a finished saturation."""
-    mask = reach.codec.q_mask
-    return component_fsa(reach.edges, a, lambda c2: c2 & mask == a & mask)
+def saturated_cycle_fsa(net, reach, a):
+    """The cycle automaton at code a, read off a finished saturation,
+    without the contributor moves dead at a's Q."""
+    Q = a & reach.codec.q_mask
+    dead = dead_at(net, Q)
+    return component_fsa(
+        reach.edges, a,
+        lambda t, c2: c2 & reach.codec.q_mask == Q and t.tid not in dead)
 
 
 def saturate_then_decide(net, budget=EXPLORE_BUDGET, built=None):
@@ -111,7 +117,7 @@ def saturate_then_decide(net, budget=EXPLORE_BUDGET, built=None):
              "solves": 0}
 
     def cycle_fsa(a):
-        fsa = saturated_cycle_fsa(reach, a)
+        fsa = saturated_cycle_fsa(net, reach, a)
         if built is not None:
             built.append(fsa)
         return fsa

@@ -115,7 +115,7 @@ def assert_decodes_to_the_oracle(net, anchors=None):
                                  reach.parent[c][1])
             for c in reach.order] == [oracle.parent[a] for a in oracle.order]
     for c in reach.order[::anchors or 1]:
-        fsa = build_cycle_fsa(reach.edges, c)
+        fsa = build_cycle_fsa(reach.edges, c, ())
         expected = abstraction_oracle.build_cycle_fsa(oracle, decode(c))
         assert fsa.initial == fsa.final == c
         assert [decode(s) for s in fsa.states] == list(expected.states)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -135,6 +136,88 @@ def test_check_writes_replayable_witness(tmp_path, capsys):
     capsys.readouterr()
     assert main(replay_args(paths, out)) == 0
     assert capsys.readouterr().out.strip() == "valid"
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as in paramck check ... | head -1:
+    the named method raises BrokenPipeError."""
+
+    def __init__(self, method):
+        super().__init__()
+        self.method = method
+
+    def write(self, text):
+        if self.method == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("extra", [["--json"], []])
+def test_a_closed_stdout_exits_141(tmp_path, monkeypatch, method, extra):
+    paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB, RING_PROP)
+    witness = str(tmp_path / "out.wit")
+    monkeypatch.setattr(sys, "stdout", ClosedStdout(method))
+    assert main(check_args(paths, "--witness", witness, *extra)) == 141
+    # the witness file is written all the same
+    assert main(replay_args(paths, witness)) == 141
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert main(replay_args(paths, witness)) == 0
+
+
+def test_a_closed_pipe_ends_the_process_quietly(tmp_path):
+    # the reader of stdout is gone before the first write: the process
+    # exits 141 with nothing on stderr, also after the flush at exit
+    paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB, RING_PROP)
+    src = os.path.dirname(os.path.dirname(paramck.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "paramck.cli",
+                               *check_args(paths, "--json")],
+                              stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("argv, code, stream, first, last", [
+    ([], 2, "err", "usage: paramck [-h] {check,replay} ...",
+     "paramck: error: the following arguments are required: command"),
+    (["-h"], 0, "out", "usage: paramck [-h] {check,replay} ...",
+     "  -h, --help      show this help message and exit"),
+    (["--help"], 0, "out", "usage: paramck [-h] {check,replay} ...",
+     "  -h, --help      show this help message and exit"),
+    (["bogus"], 2, "err", "usage: paramck [-h] {check,replay} ...",
+     "paramck: error: argument command: invalid choice: 'bogus' (choose"
+     " from 'check', 'replay')"),
+    (["replay", "-h"], 0, "out", "usage: paramck replay [-h] --witness"
+     " WITNESS --leader LEADER --contributor", "  --property PROPERTY"),
+    (["replay", "--witness", "w"], 2, "err", "usage: paramck replay [-h]"
+     " --witness WITNESS --leader LEADER --contributor",
+     "paramck replay: error: the following arguments are required:"
+     " --leader, --contributor, --property"),
+    (["replay", "--witness", "w", "--leader", "l", "--contributor", "c",
+      "--property", "p", "extra"], 2, "err", "usage: paramck replay [-h]"
+     " --witness WITNESS --leader LEADER --contributor",
+     "paramck replay: error: unrecognized arguments: extra"),
+], ids=["none", "h", "help", "bogus", "replay-h", "missing", "extra"])
+def test_help_and_usage_errors_exit_as_argparse_does(
+        capsys, monkeypatch, argv, code, stream, first, last):
+    # each command is parsed by its own parser, the rest by the whole one
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    lines = (out if stream == "out" else err).splitlines()
+    assert exit_.value.code == code
+    assert (lines[0], lines[-1]) == (first, last)
 
 
 def test_check_explicit_mode(tmp_path, capsys):

@@ -9,7 +9,7 @@ from paramck.abstraction import Successors, reachable_abstract
 from paramck.api import replay_network
 from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
                                  closed_walk, concretize,
-                                 contributor_flow_rows,
+                                 contributor_flow_rows, dead_at,
                                  realizability_system, refine)
 from paramck.explicit import Verdict, _ReplayState, check_explicit, replay
 from paramck import parikh
@@ -73,7 +73,7 @@ def test_cycle_fsa_is_strongly_connected_on_ring():
     net = ring_network()
     reach, a = full_q_accepting_config(net)
     assert reach.codec.decode(a).Q == frozenset("ABCDEFG")
-    fsa = build_cycle_fsa(reach.edges, a)
+    fsa = build_cycle_fsa(reach.edges, a, ())
     # anchored at a with only mutually reachable configurations kept
     assert fsa.initial == fsa.final == a
     used_leader_actions = {str(net.transition(lab).action)
@@ -90,7 +90,7 @@ def test_cycle_fsa_is_strongly_connected_on_ring():
         net = random_fsm_network(rng)
         reach = reachable_abstract(net)
         for a in reach.order:
-            fsa = build_cycle_fsa(reach.edges, a)
+            fsa = build_cycle_fsa(reach.edges, a, ())
             assert decoded_fsa(reach, fsa) == \
                 anchor_scc(net, reach.codec.decode(a))
 
@@ -110,10 +110,10 @@ def test_q_preserving_moves_keep_q():
     decode = reach.codec.decode
     dropped = 0
     for a in reach.order:
-        fsa = build_cycle_fsa(reach.edges, a)
+        fsa = build_cycle_fsa(reach.edges, a, ())
         assert all(decode(b).Q == decode(a).Q for b in fsa.states)
         # a Successors that nothing has read yet gives the same automaton
-        assert build_cycle_fsa(Successors(net.moves), a) == fsa
+        assert build_cycle_fsa(Successors(net.moves), a, ()) == fsa
         # the saturation also stored moves that grow Q, which it drops
         dropped += sum(decode(b).Q != decode(a).Q for c in fsa.states
                        for _, b, _ in reach.edges[c])
@@ -124,7 +124,7 @@ def test_realizability_infeasible_for_stalled_net():
     net = stalled_network()
     reach = reachable_abstract(net)
     for a in accepting_codes(net, reach):
-        fsa = build_cycle_fsa(reach.edges, a)
+        fsa = build_cycle_fsa(reach.edges, a, ())
         system = realizability_system(net, fsa)
         assert parikh.solve(system) is None
 
@@ -141,7 +141,7 @@ def test_row_leaving_the_anchor_is_implied():
                 + net.contributor_transitions]
         reach = reachable_abstract(net)
         for a in accepting_codes(net, reach):
-            fsa = build_cycle_fsa(reach.edges, a)
+            fsa = build_cycle_fsa(reach.edges, a, ())
             with_row = realizability_system(net, fsa)
             row_free = parikh.parikh_fsa(fsa, alphabet=tids).conjoin(
                 contributor_flow_rows(net))
@@ -203,7 +203,7 @@ def per_configuration_oracle(net):
     reach = reachable_abstract(net)
     exhausted = False
     for a in accepting_codes(net, reach):
-        fsa = build_cycle_fsa(reach.edges, a)
+        fsa = build_cycle_fsa(reach.edges, a, ())
         try:
             model = integer_oracle.solve(realizability_system(net, fsa))
         except BudgetExceeded:
@@ -230,7 +230,7 @@ def refinement_nets():
 
 def refined_part(net, reach, a):
     """The part of refine that holds a, or None."""
-    parts = refine(net, build_cycle_fsa(reach.edges, a).edges)
+    parts = refine(net, build_cycle_fsa(reach.edges, a, ()).edges)
     return next((p for p in parts if any(e[0] == a for e in p)), None)
 
 
@@ -257,7 +257,8 @@ def test_graph_decisions_agree_with_the_solver():
         reach = reachable_abstract(net)
         for a in accepting_codes(net, reach):
             part = refined_part(net, reach, a)
-            system = realizability_system(net, build_cycle_fsa(reach.edges, a))
+            system = realizability_system(
+                net, build_cycle_fsa(reach.edges, a, ()))
             if part is None:
                 dropped += 1
                 assert parikh.solve(system) is None
@@ -302,7 +303,8 @@ def test_forward_contributor_moves_need_no_solve(monkeypatch):
     assert v.kind == "EMPTY" and calls == []
     assert v.stats["solves"] == 0 and v.stats["accepting_checked"] > 0
     reach = reachable_abstract(net)
-    assert any(build_cycle_fsa(reach.edges, a).edges for a in reach.order)
+    assert any(build_cycle_fsa(reach.edges, a, ()).edges
+               for a in reach.order)
 
 
 def test_refinement_runs_to_a_fixpoint(monkeypatch):
@@ -323,7 +325,7 @@ def test_refinement_runs_to_a_fixpoint(monkeypatch):
     net = make_network(["1", "2", "3"], leader, contrib)
     reach = reachable_abstract(net)
     full = [a for a in reach.order if len(reach.codec.decode(a).Q) == 3]
-    fsa = build_cycle_fsa(reach.edges, full[0])
+    fsa = build_cycle_fsa(reach.edges, full[0], ())
     assert set(fsa.states) == set(full)
     assert {lab for _, lab, _ in fsa.edges} == {"d1", "d2", "d3",
                                                 "c0", "c1", "c2"}
@@ -339,6 +341,38 @@ def test_refinement_runs_to_a_fixpoint(monkeypatch):
     v = check_fsm_fsm(net)
     assert v.kind == "EMPTY" and calls == []
     assert check_explicit(net, 3).kind == "EMPTY"
+
+
+def test_moves_dead_at_q():
+    # q0 and q1 feed each other (c0, c1), c2 leaves q1 for q2 for good, and
+    # c3 is a self-loop at q2, which counts as a cycle
+    leader = Fsm(frozenset(["p"]), "p",
+                 (("p", la("read", "1"), "p"), ("p", la("read", "2"), "p")),
+                 frozenset(["p"]))
+    contrib = Fsm(frozenset(["q0", "q1", "q2"]), "q0",
+                  (("q0", ca("write", "1"), "q1"),
+                   ("q1", ca("read", "1"), "q0"),
+                   ("q1", ca("write", "2"), "q2"),
+                   ("q2", ca("read", "2"), "q2")))
+    net = make_network(["1", "2"], leader, contrib)
+    bit = net.moves.bit
+
+    def dead(*states):
+        return dead_at(net, sum(bit[q] for q in states))
+    assert dead("q0", "q1", "q2") == dead("q1", "q2") == {"c2"}
+    assert dead("q0", "q1") == dead("q0", "q2") == dead("q2") == set()
+    # at store 2 and the full Q, c2 is the only way back to store 2 from
+    # store 1: the automaton without it keeps a alone, with the leader's
+    # read and c3, which is the part that refine leaves at a in either
+    reach = reachable_abstract(net)
+    a = reach.codec.encode(AbstractConfig("p", "2", frozenset(bit)))
+    with_c2 = build_cycle_fsa(reach.edges, a, ())
+    fsa = build_cycle_fsa(reach.edges, a, dead("q0", "q1", "q2"))
+    assert len(with_c2.states) == 2 and "c2" in [e[1] for e in with_c2.edges]
+    assert fsa.states == (a,) and fsa.edges == ((a, "d1", a), (a, "c3", a))
+    assert refine(net, fsa.edges) == [fsa.edges]
+    assert fsa.edges in refine(net, with_c2.edges)
+    assert check_fsm_fsm(net).kind == "NONEMPTY"
 
 
 def test_ring_still_solves(monkeypatch):

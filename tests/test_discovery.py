@@ -4,6 +4,8 @@ saturate-then-decide loop it replaced (abstraction_oracle) decides, with
 the same cycle automata and witnesses, and it must decide nets whose
 abstract system is far larger than the prefix before the witness."""
 
+import itertools
+import math
 import random
 from collections import Counter
 
@@ -11,7 +13,9 @@ import pytest
 
 import abstraction_oracle
 from paramck import cyclesearch
-from paramck.cyclesearch import check_fsm_fsm
+from paramck.abstraction import Successors, reachable_abstract
+from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm, dead_at,
+                                 refine)
 from paramck.explicit import replay
 from paramck.machines import BudgetExceeded
 from perfbench import corpus
@@ -25,8 +29,8 @@ def recorded_cycle_fsas(monkeypatch):
     built = []
     real = cyclesearch.build_cycle_fsa
 
-    def recording(moves, a):
-        built.append(real(moves, a))
+    def recording(moves, a, dead):
+        built.append(real(moves, a, dead))
         return built[-1]
     monkeypatch.setattr(cyclesearch, "build_cycle_fsa", recording)
     return built
@@ -113,3 +117,53 @@ def test_large_contributor_nets_are_decided_before_saturation(tmp_path):
         if configs > 1:
             with pytest.raises(BudgetExceeded):
                 check_fsm_fsm(net, budget=configs - 1)
+
+
+def part_by_source(net, fsa, a):
+    """The edges of the refined part of fsa that holds a, grouped by source
+    in their order (what closed_walk reads), or None."""
+    part = next((p for p in refine(net, fsa.edges)
+                 if any(src == a for src, _, _ in p)), None)
+    if part is None:
+        return None
+    grouped = {}
+    for e in part:
+        grouped.setdefault(e[0], []).append(e)
+    return grouped
+
+
+def assert_dead_moves_change_no_part(net, limit):
+    """At each accepting configuration among the first limit that the
+    abstract BFS discovers, the refined part that holds it is the same
+    whether the cycle automaton keeps the moves dead at its Q or not."""
+    moves = Successors(net.moves)
+    codec = moves.codec
+    found = itertools.count(1)
+    reach = reachable_abstract(net, math.inf, lambda c: next(found) >= limit,
+                               moves)
+    checked = pruned = 0
+    for a in reach.order:
+        if not codec.accepting[a >> codec.width]:
+            continue
+        dead = dead_at(net, a & codec.q_mask)
+        fsa = build_cycle_fsa(moves, a, dead)
+        full = build_cycle_fsa(moves, a, ())
+        assert not any(lab in dead for _, lab, _ in fsa.edges)
+        assert part_by_source(net, fsa, a) == part_by_source(net, full, a)
+        checked += 1
+        pruned += len(fsa.edges) < len(full.edges)
+    return checked, pruned
+
+
+def test_moves_dead_at_q_change_no_refined_part(tmp_path):
+    # every accepting configuration of the fsm corpus and the refinement
+    # nets, and of the first 2,000 configurations of each big{n} draw
+    nets = [load_network(inst, files) for inst, *files in corpus.write_corpus(
+        corpus.make_corpus("fsm", 1), str(tmp_path))] + refinement_nets()
+    tallies = [assert_dead_moves_change_no_part(net, math.inf)
+               for net in nets]
+    tallies += [assert_dead_moves_change_no_part(net, 2_000)
+                for net in large_contributor_nets(tmp_path)]
+    checked = sum(c for c, _ in tallies)
+    pruned = sum(p for _, p in tallies)
+    assert checked >= 5_000 and pruned >= 3_000    # of 5,249 and 3,930

@@ -31,7 +31,8 @@ def fsm_systems(nets):
         reach = reachable_abstract(net)
         for a in reach.order:
             if reach.codec.decode(a).leader_state in net.leader.accepting:
-                yield realizability_system(net, build_cycle_fsa(reach.edges, a))
+                yield realizability_system(
+                    net, build_cycle_fsa(reach.edges, a, ()))
 
 
 def pdm_nets():
@@ -164,9 +165,9 @@ def test_edge_order_does_not_change_the_work(monkeypatch, tmp_path):
     a = reach.codec.encode(AbstractConfig(
         ("s1", "p3"), "2", frozenset({"q0", "q1", "q2", "q3"})))
     assert a in reach.parent
-    fsa = build_cycle_fsa(reach.edges, a)
+    fsa = build_cycle_fsa(reach.edges, a, ())
     first = next(c for c in reach.order if c in fsa.states)
-    edges = build_cycle_fsa(reach.edges, first).edges
+    edges = build_cycle_fsa(reach.edges, first, ()).edges
     assert first != a and edges != fsa.edges
     assert sorted(edges, key=repr) == sorted(fsa.edges, key=repr)
     calls = counting_lps(monkeypatch)
