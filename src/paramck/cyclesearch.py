@@ -1,5 +1,11 @@
 """Liveness decision for FSM leader / FSM contributor networks.
 
+An abstract configuration keeps the leader state and store value but
+replaces the population by the set Q of contributor states that hold at
+least one token.  The abstraction simulates every concrete path, and Q
+only ever grows along abstract paths.  The search runs over the codes of
+net.moves (machines.Codec), whose low bits are Q.
+
 Strategy: explore the abstract system breadth-first and decide each
 accepting abstract configuration a as it is discovered: does a concrete
 cycle pass through it?  Such a cycle only uses moves that keep the
@@ -38,10 +44,26 @@ from __future__ import annotations
 
 import functools
 
-from .machines import CONTRIBUTOR, EXPLORE_BUDGET, InternalError
-from .abstraction import Successors, reachable_abstract
+from .machines import CONTRIBUTOR, EXPLORE_BUDGET, Fsm, InternalError
 from .explicit import Verdict, lay_down, replay
 from . import graph, parikh
+
+
+def reachable_abstract(net, budget=EXPLORE_BUDGET, found=None):
+    """Deterministic BFS over the codes of the abstract system (FSM leader
+    and contributor), as a graph.Exploration of net.moves.successors.
+    found is graph.explore's hook; more than budget configurations
+    discovered raise BudgetExceeded.
+
+    One predecessor edge per configuration (first discovered) is kept for stem
+    extraction; any stem works because every abstract path can be covered by a
+    sufficiently large concrete population.
+    """
+    if not isinstance(net.leader, Fsm) or not isinstance(net.contributor, Fsm):
+        raise ValueError("reachable_abstract needs FSM leader and contributor")
+    return graph.explore(
+        net.moves.initial, net.moves.successors, budget,
+        f"more than {budget} abstract configurations", found)
 
 
 def dead_at(net, Q):
@@ -53,21 +75,22 @@ def dead_at(net, Q):
     return {t.tid for t in inside if comp[t.src] != comp[t.dst]}
 
 
-def build_cycle_fsa(moves, a, dead):
+def build_cycle_fsa(net, a, dead):
     """Automaton over transition ids of the Q-preserving abstract moves
     reachable from code a, except those whose tid is in dead, with a as
-    initial and final state.  The moves are the entries of moves (the
-    check's abstraction.Successors, in its order) whose code has a's Q bits.
+    initial and final state.  The moves are those of net.moves.successors,
+    in its order, whose code has a's Q bits.
 
     A closed walk through a can only use edges of a's strongly connected
     component, so the automaton is trimmed to it up front; this keeps the
     realizability system small.  Every state is reachable from a, so the
     component is the set of states that reach a back."""
-    mask = moves.codec.q_mask
+    moves = net.moves
+    mask = moves.q_mask
     Q = a & mask
     order, edges, preds = [a], [], {a: []}  # Q fixed: leaders x stores
     for c in order:
-        for t, c2, _ in moves[c]:
+        for t, c2, _ in moves.successors(c):
             if c2 & mask == Q and t.tid not in dead:
                 edges.append((c, t.tid, c2))
                 if c2 not in preds:
@@ -212,7 +235,7 @@ def concretize(net, reach, a, cycle):
     of an accepting configuration: the stored abstract stem to a, then the
     cycle."""
     stem = [t for _, t, _ in graph.path_to(reach.parent, a)]
-    return lasso(net, stem, reach.codec.decode(a).Q, cycle)
+    return lasso(net, stem, net.moves.decode(a).Q, cycle)
 
 
 def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
@@ -227,8 +250,7 @@ def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
     decided (accepting_checked) and the solves among them.
     More than budget configurations discovered before the verdict raise
     BudgetExceeded, and a model that gives no witness InternalError."""
-    moves = Successors(net.moves)
-    accepting, width = moves.codec.accepting, moves.codec.width
+    accepting, width = net.moves.accepting, net.moves.width
     stats = {"abstract_configs": 0, "accepting_checked": 0, "solves": 0}
     dead = functools.cache(functools.partial(dead_at, net))   # Q -> its tids
     parts = {}                # code -> its refined part, or None
@@ -240,7 +262,7 @@ def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
         stats["accepting_checked"] += 1
         fsa = model = None
         if a not in parts:
-            fsa = build_cycle_fsa(moves, a, dead(a & net.moves.q_mask))
+            fsa = build_cycle_fsa(net, a, dead(a & net.moves.q_mask))
             parts.update(dict.fromkeys(fsa.states))
             for part in refine(net, fsa.edges):
                 parts.update((src, part) for src, _, _ in part)
@@ -249,7 +271,7 @@ def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
             return False
         cycle = closed_walk(net, part, a)
         if cycle is None:
-            fsa = fsa or build_cycle_fsa(moves, a, dead(a & net.moves.q_mask))
+            fsa = fsa or build_cycle_fsa(net, a, dead(a & net.moves.q_mask))
             stats["solves"] += 1
             model = parikh.solve(realizability_system(net, fsa))
             if model is None:
@@ -257,7 +279,7 @@ def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
         hit.append((a, fsa, model, cycle))
         return True
 
-    reach = reachable_abstract(net, budget, decide, moves)
+    reach = reachable_abstract(net, budget, decide)
     stats["abstract_configs"] = len(reach.order)
     if not hit:
         return Verdict("EMPTY", None, stats)
@@ -272,7 +294,7 @@ def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
         status, err = replay(net, witness)
         if status == "valid":
             return Verdict("NONEMPTY", witness, stats)
-    c = moves.codec.decode(a)
+    c = net.moves.decode(a)
     at = (c.leader_state, c.store, sorted(c.Q, key=repr))
     raise InternalError(
         f"could not concretize a feasible cycle at {at}: {err}")

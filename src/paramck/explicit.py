@@ -265,6 +265,8 @@ def replay(net, w):
         if start.leader_stack[0] != w.pivot:
             return ("invalid", (idx, f"stem ends with {start.leader_stack[0]!r}"
                                      f" on top, not the pivot {w.pivot!r}"))
+    elif w.pivot is not None:
+        return ("invalid", (idx, "FSM-leader witness takes no pivot"))
     floor = len(start.leader_stack)
     accepting_seen = start.leader_state in net.leader.accepting
     for actor, tid in w.cycle:

@@ -179,6 +179,18 @@ def print_machine(machine, values):
     return "\n".join(lines) + "\n"
 
 
+def _number(text, line_no, what):
+    """The number that text writes in ASCII decimal digits, or ParseError:
+    int alone would also take signs, underscores and other scripts'
+    digits."""
+    if re.fullmatch("[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:        # more digits than int converts
+            pass
+    raise ParseError(line_no, f"bad {what} {text!r}, not decimal digits")
+
+
 def print_witness(w):
     lines = [f"k = {w.k}"]
     if w.pivot is not None:
@@ -196,9 +208,10 @@ def parse_witness(text):
     """Parse a witness file into a Witness whose pivot is the declared stack
     symbol, or None without a `pivot =` line.
 
-    Raises ParseError with a line number on malformed input, a repeated
-    key, a key after `stem:`, a pivot that is not one symbol, or section
-    headers other than one `stem:` followed by one `cycle:`.
+    Raises ParseError with a line number on malformed input, a count or
+    actor index that is not ASCII decimal digits, a repeated key, a key
+    after `stem:`, a pivot that is not one symbol, or section headers other
+    than one `stem:` followed by one `cycle:`.
     """
     k = pivot = None
     seen = set()
@@ -225,10 +238,7 @@ def parse_witness(text):
                 raise ParseError(line_no, f"`{key} =` line after `stem:`")
             seen.add(key)
             if key == "k":
-                try:
-                    k = int(rest)
-                except ValueError:
-                    raise ParseError(line_no, f"bad contributor count {rest!r}")
+                k = _number(rest, line_no, "contributor count")
             elif len(rest.split()) != 1:
                 raise ParseError(line_no, "pivot takes exactly one symbol")
             else:
@@ -239,11 +249,8 @@ def parse_witness(text):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(line_no, "expected `actor tid`")
-        try:
-            actor = int(parts[0])
-        except ValueError:
-            raise ParseError(line_no, f"bad actor index {parts[0]!r}")
-        sections[current].append((actor, parts[1]))
+        sections[current].append(
+            (_number(parts[0], line_no, "actor index"), parts[1]))
     if k is None:
         raise ParseError(0, "missing `k =` line")
     if current is None:

@@ -14,8 +14,8 @@ source.  Codec numbers the abstract configurations (leader state, store, Q)
 as integers and lists these moves over the codes, indexed by source, in
 one pass over the transitions: a read touches the one store it reads and
 a write every store, so each entry follows from the value the move reads
-or writes.  Network.moves keeps the table: the fsm-fsm saturation and the
-pop relations of the pdm-fsm check all read it.
+or writes.  Network.moves keeps the table and each move list read off it:
+the fsm-fsm search and the pop relations of the pdm-fsm check share them.
 """
 
 from __future__ import annotations
@@ -224,7 +224,9 @@ class Codec:
     source bit, target bit, shift): from c, when c has the source bit, the
     move goes to (c + shift) | target bit and keeps the leader's stack.
     Every list is in tid order.  accepting[key] tells whether the key's
-    leader state is accepting.
+    leader state is accepting, and initial is the initial configuration's
+    code.  successors keeps each list that expand builds, so the checks
+    on one network expand no (code, top) pair twice.
     """
 
     def __init__(self, net):
@@ -266,6 +268,9 @@ class Codec:
             v, src, dst = store[t.action.value], self.bit[t.src], self.bit[t.dst]
             for g in (v,) if t.action.kind == READ else range(m):
                 self.contributor[g].append((t, src, dst, (v - g) << n))
+        self.initial = self.encode(AbstractConfig(
+            net.leader.initial, UNINIT, frozenset([net.contributor.initial])))
+        self.memo = {}              # (code, top) -> its successors list
 
     def key(self, leader_state, store):
         return self.leader_index[leader_state] * len(self.stores) \
@@ -282,7 +287,15 @@ class Codec:
             frozenset(q for i, q in enumerate(self.contributor_states)
                       if (code >> i) & 1))
 
-    def successors(self, code, top):
+    def successors(self, code, top=None):
+        """expand(code, top), built on the first call and kept: every
+        caller gets the same list, and none may change it."""
+        succ = self.memo.get((code, top))
+        if succ is None:
+            succ = self.memo[code, top] = self.expand(code, top)
+        return succ
+
+    def expand(self, code, top):
         """The abstract moves from code with top on the leader's stack, as
         (t, code', replacement): the leader's, then the contributors'."""
         key, Q, keep = code >> self.width, code & self.q_mask, (top,)

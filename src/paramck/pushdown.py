@@ -20,11 +20,11 @@ The decision runs in three stages:
      and graph of (state, top) nodes.  Stage 1 finds every pivot first, so
      the automaton is built once per Q, by one pop_relation call from the
      start nodes of all the pivots with that Q, and holds only the nodes
-     those starts reach.  Each pivot is first decided by reachability on
-     the graph: the grammar derives a nonempty word exactly when the accept
-     node is reachable from the start node by a nonempty path.  Only the
-     pivots where it is get a grammar, with the productions of the nodes
-     their own start reaches;
+     those starts reach.  One search of the graph from each pivot's start
+     node decides it (loop_reach): the grammar derives a nonempty word
+     exactly when the accept node is reachable from the start node by a
+     nonempty path.  Only the pivots where it is get a grammar, with the
+     productions of the nodes that search reached;
   3. a loop word whose contributor moves are all self-loops moves no token
      and repeats forever, so a shortest such word of the reduced grammar is
      the cycle, and the pivot needs no solve (cyclesearch.closed_walk in
@@ -46,39 +46,27 @@ from __future__ import annotations
 import math
 
 from .machines import EXPLORE_BUDGET, BudgetExceeded, InternalError, Pdm, Fsm
-from .abstraction import Successors, initial_abstract
 from .explicit import Verdict, replay
 from .cyclesearch import contributor_flow_rows, lasso
 from . import graph, parikh
 from .parikh import derive_word
 
 
-class TopSuccessors(Successors):
-    """(code, top) -> net.moves.successors(code, top), made on first use:
-    post_star and the loop automata of a check read one TopSuccessors, so
-    the check expands no (code, top) pair twice."""
-
-    def __missing__(self, node):
-        succ = self[node] = self.codec.successors(*node)
-        return succ
-
-
-def loop_rules(net, memo=None):
+def loop_rules(net):
     """The loop automaton's rules, on demand: a function from a node's
     state (code, bit) and top to the abstract rules there that keep the
     code's Q, as (tid, (code', bit'), replacement), where the sticky bit
     turns 1 at an accepting control.  They are net.moves.successors(code,
-    top) in its order, read from memo (a new TopSuccessors if None), less
-    the contributor moves whose target is not in Q."""
+    top) in its order, less the contributor moves whose target is not in
+    Q."""
     moves = net.moves
     n, q_mask, accepting = moves.width, moves.q_mask, moves.accepting
-    memo = TopSuccessors(moves) if memo is None else memo
 
     def rules_at(state, top):
         code, b = state
         Q = code & q_mask
         return [(t.tid, (c2, 1 if accepting[c2 >> n] else b), repl)
-                for t, c2, repl in memo[(code, top)]
+                for t, c2, repl in moves.successors(code, top)
                 if c2 & q_mask == Q]
     return rules_at
 
@@ -211,22 +199,19 @@ def summary_graph(rules, found):
     return after, succ
 
 
-def post_star(net, budget=EXPLORE_BUDGET, derivations=None, memo=None):
+def post_star(net, budget=EXPLORE_BUDGET, derivations=None):
     """The pivots: every reachable (control, top) pair, in breadth-first
     order from the initial one in the summary_graph of one pop_relation
-    call over every abstract rule, net.moves.successors(control, top) read
-    from memo (a new TopSuccessors if None), from the initial node.  The
-    nodes that call demands are exactly these pairs.  More than budget
-    pivots and triples raise BudgetExceeded.
+    call over every abstract rule, net.moves.successors(control, top),
+    from the initial node.  The nodes that call demands are exactly these
+    pairs.  More than budget pivots and triples raise BudgetExceeded.
 
     derivations, a dict when given, receives the triples with their
     derivations and each pivot with its parent in the search's tree, for
     find_stem to read back.
     """
-    moves = net.moves
-    initial = (moves.encode(initial_abstract(net)), net.leader.bottom)
-    memo = TopSuccessors(moves) if memo is None else memo
-    rules, found = pop_relation(lambda *node: memo[node], [initial], budget)
+    initial = (net.moves.initial, net.leader.bottom)
+    rules, found = pop_relation(net.moves.successors, [initial], budget)
     reach = graph.explore(initial, summary_graph(rules, found)[1].__getitem__,
                           math.inf, None)
     if derivations is not None:
@@ -235,16 +220,16 @@ def post_star(net, budget=EXPLORE_BUDGET, derivations=None, memo=None):
     return reach.order
 
 
-def loop_automaton(net, starts, memo=None):
+def loop_automaton(net, starts):
     """The part of the loop automaton that the start nodes, all with one
     populated set Q, reach: its rule table by (state, top) node
-    (loop_rules over memo), and the pop relation's summary_graph, all from
-    one pop_relation call.  The index sorts each list by leader state, store
+    (loop_rules), and the pop relation's summary_graph, all from one
+    pop_relation call.  The index sorts each list by leader state, store
     and bit as the codes sort.  Every production ("R", node) -> ...
     ("R", node') of a loop grammar that ends in node' is an edge of the
     graph.
     """
-    rules, found = pop_relation(loop_rules(net, memo), starts)
+    rules, found = pop_relation(loop_rules(net), starts)
     return (rules, *summary_graph(rules, found))
 
 
@@ -256,10 +241,11 @@ def _loop_ends(net, pivot_control, pivot_symbol):
         ((pivot_control, 1), pivot_symbol)
 
 
-def loop_nonempty(net, automaton, pivot_control, pivot_symbol):
-    """Whether the pivot's loop grammar derives a nonempty word, by a
-    search of the loop automaton's graph, without building the grammar.
-    The automaton must have the pivot's start node among its starts.
+def loop_reach(net, automaton, pivot_control, pivot_symbol):
+    """The nodes that the pivot's start node reaches in the loop
+    automaton's graph, in breadth-first order, or None when the pivot's
+    loop grammar derives no nonempty word.  The automaton must have the
+    pivot's start node among its starts.
 
     The productive "T" symbols of a loop grammar are exactly the triples of
     the pop relation, so an ("R", s, gamma) symbol is productive exactly
@@ -273,18 +259,18 @@ def loop_nonempty(net, automaton, pivot_control, pivot_symbol):
     """
     _, _, moves = automaton
     start, accept = _loop_ends(net, pivot_control, pivot_symbol)
-    seen, queue = {start}, [start]
+    seen, queue, live = {start}, [start], False
     for node in queue:
         for _, succ in moves[node]:
             if succ == accept:
-                return True
+                live = True
             if succ not in seen:
                 seen.add(succ)
                 queue.append(succ)
-    return False
+    return queue if live else None
 
 
-def build_loop_grammar(net, pivot_control, pivot_symbol, automaton=None):
+def build_loop_grammar(net, pivot_control, pivot_symbol, automaton, reached):
     """Grammar of the loop-run words at the given pivot.
 
     Nonterminals: ("T", s, gamma, s') for balanced segments that pop gamma,
@@ -295,27 +281,21 @@ def build_loop_grammar(net, pivot_control, pivot_symbol, automaton=None):
 
     automaton is a loop_automaton of the pivot's Q with the pivot's start
     node among its starts; check_pdm_fsm builds one per Q and shares it
-    among the pivots with that Q.  Without it one is built from this start
-    alone.  Only the nodes that the start reaches in the automaton's graph
-    get productions, one per rule and per matching triple of the index,
-    and the nodes come in sorted order, the states as the index sorts them
-    and then the top in stack-alphabet order, so a shared and a fresh
+    among the pivots with that Q.  reached holds the nodes that the start
+    reaches in the automaton's graph (loop_reach), and only they get
+    productions, one per rule and per matching triple of the index.  The
+    nodes come in sorted order, the states as the index sorts them and
+    then the top in stack-alphabet order, so a shared and a fresh
     automaton give the same grammar.  Nonterminals are listed in the
     order of their first production, then the ones with none.
-    check_pdm_fsm first decides each pivot by reachability on the graph
-    (loop_nonempty) and builds the grammar only for the pivots whose
-    grammar derives a nonempty word.
+    check_pdm_fsm builds the grammar only for the pivots whose grammar
+    derives a nonempty word.
     """
     start, accept = _loop_ends(net, pivot_control, pivot_symbol)
-    if automaton is None:
-        automaton = loop_automaton(net, [start])
-    rules, after, moves = automaton
+    rules, after, _ = automaton
     tops = net.leader.stack_alphabet
-    reached = sorted(graph.explore(start, moves.__getitem__, math.inf,
-                                   None).order,
-                     key=lambda node: (node[0], tops.index(node[1])))
     prods = []
-    for node in reached:
+    for node in sorted(reached, key=lambda n: (n[0], tops.index(n[1]))):
         s, gamma = node
         R = ("R", s, gamma)
         if node == accept:
@@ -457,8 +437,7 @@ def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
     if not net.leader.accepting:
         return Verdict("EMPTY", None, stats)
     derivations = {}          # for find_stem
-    memo = TopSuccessors(net.moves)
-    pairs = post_star(net, budget, derivations, memo)
+    pairs = post_star(net, budget, derivations)
     stats["pivots"] = len(pairs)
     q_mask = net.moves.q_mask
     starts = {}               # Q -> the start nodes of its pivots
@@ -470,11 +449,12 @@ def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
         stats["pivots_checked"] += 1
         Q = control & q_mask
         if Q not in automata:
-            automata[Q] = loop_automaton(net, starts[Q], memo)
-        if not loop_nonempty(net, automata[Q], control, gamma):
+            automata[Q] = loop_automaton(net, starts[Q])
+        reached = loop_reach(net, automata[Q], control, gamma)
+        if reached is None:
             continue
         grammar = parikh.reduce_grammar(
-            build_loop_grammar(net, control, gamma, automata[Q]))
+            build_loop_grammar(net, control, gamma, automata[Q], reached))
         cycle = token_free_word(net, grammar)
         if cycle is None:
             system = loop_system(net, grammar)

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 
 from paramck import graph, parikh
-from paramck.abstraction import AbstractReach, initial_abstract
 from paramck.cyclesearch import (closed_walk, concretize, dead_at,
                                  realizability_system, refine)
 from paramck.explicit import Verdict, replay
-from paramck.machines import (EXPLORE_BUDGET, AbstractConfig, InternalError,
-                              register_step, top_replacement)
+from paramck.machines import (EXPLORE_BUDGET, UNINIT, AbstractConfig,
+                              InternalError, register_step, top_replacement)
 
 
 def abstract_moves(net, leader_state, store, Q, top=None):
@@ -56,7 +55,8 @@ def reachable_abstract(net, budget=EXPLORE_BUDGET):
     whose successors are (Transition, configuration) pairs in
     abstract_moves order."""
     return graph.explore(
-        initial_abstract(net),
+        AbstractConfig(net.leader.initial, UNINIT,
+                       frozenset([net.contributor.initial])),
         lambda a: [(t, AbstractConfig(d, g, Q))
                    for t, d, g, Q, _ in abstract_moves(net, *a)],
         budget, f"more than {budget} abstract configurations")
@@ -88,22 +88,20 @@ def component_fsa(stored, a, keeps):
 def saturate_codes(net, budget=EXPLORE_BUDGET):
     """The whole abstract system over codes, every code's successors
     stored in reach.edges."""
-    moves = net.moves
-    reach = graph.explore(
-        moves.encode(initial_abstract(net)),
-        lambda code: [(t, c2) for t, c2, _ in moves.successors(code, None)],
+    return graph.explore(
+        net.moves.initial,
+        lambda code: [(t, c2) for t, c2, _ in net.moves.expand(code, None)],
         budget, f"more than {budget} abstract configurations")
-    return AbstractReach(*reach, moves)
 
 
 def saturated_cycle_fsa(net, reach, a):
     """The cycle automaton at code a, read off a finished saturation,
     without the contributor moves dead at a's Q."""
-    Q = a & reach.codec.q_mask
+    Q = a & net.moves.q_mask
     dead = dead_at(net, Q)
     return component_fsa(
         reach.edges, a,
-        lambda t, c2: c2 & reach.codec.q_mask == Q and t.tid not in dead)
+        lambda t, c2: c2 & net.moves.q_mask == Q and t.tid not in dead)
 
 
 def saturate_then_decide(net, budget=EXPLORE_BUDGET, built=None):
@@ -112,7 +110,7 @@ def saturate_then_decide(net, budget=EXPLORE_BUDGET, built=None):
     configurations in discovery order, each cycle automaton read off the
     saturation and appended to built when built is a list."""
     reach = saturate_codes(net, budget)
-    codec = reach.codec
+    codec = net.moves
     stats = {"abstract_configs": len(reach.order), "accepting_checked": 0,
              "solves": 0}
 

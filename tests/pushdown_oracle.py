@@ -7,7 +7,6 @@ paramck.pushdown against it."""
 
 from __future__ import annotations
 
-from paramck.abstraction import initial_abstract
 from paramck.machines import EXPLORE_BUDGET, BudgetExceeded
 
 
@@ -40,7 +39,7 @@ def post_star(net, budget=EXPLORE_BUDGET, reasons=None):
     Premises are inserted before the edges they explain.  An edge that
     makes more than budget raises BudgetExceeded.
 
-    The rules at an edge (p, gamma, q) are net.moves.successors(p, gamma):
+    The rules at an edge (p, gamma, q) are net.moves.expand(p, gamma):
     the leader's moves from p with gamma on top, then the contributor moves
     whose source is in p's Q, each in tid order.
     """
@@ -72,15 +71,14 @@ def post_star(net, budget=EXPLORE_BUDGET, reasons=None):
         for gamma, q2 in list(trans_from.get(q, [])):
             add_trans(p, gamma, q2, (tid, popped, (q, gamma, q2)))
 
-    add_trans(moves.encode(initial_abstract(net)), net.leader.bottom, FINAL,
-              None)
+    add_trans(moves.initial, net.leader.bottom, FINAL, None)
     wi = 0
     while wi < len(work):
         edge = p, gamma, q = work[wi]
         wi += 1
         if not isinstance(p, int):      # the final state or a middle state
             continue
-        for t, p2, repl in moves.successors(p, gamma):
+        for t, p2, repl in moves.expand(p, gamma):
             if repl == ():
                 add_eps(p2, q, t.tid, edge)
             elif len(repl) == 1:

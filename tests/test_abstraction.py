@@ -4,8 +4,8 @@ import pytest
 
 from paramck.machines import (UNINIT, AbstractConfig, BudgetExceeded, Codec,
                               Fsm, make_network)
-from paramck.abstraction import initial_abstract, reachable_abstract
-from paramck.cyclesearch import build_cycle_fsa, check_fsm_fsm
+from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
+                                 reachable_abstract)
 from paramck.explicit import initial_config, successors
 from paramck.graph import path_to
 import abstraction_oracle
@@ -14,16 +14,16 @@ from fixtures import la, ca, ring_network, random_fsm_network
 
 def test_initial_abstract():
     net = ring_network()
-    a = initial_abstract(net)
+    a = net.moves.decode(net.moves.initial)
     assert a == AbstractConfig(net.leader.initial, UNINIT, frozenset(["A"]))
-    reach = reachable_abstract(net)
-    assert reach.codec.decode(reach.order[0]) == a
+    assert net.moves.encode(a) == net.moves.initial
+    assert reachable_abstract(net).order[0] == net.moves.initial
 
 
 def test_codes_round_trip():
     net = ring_network()
     reach = reachable_abstract(net)
-    codec = reach.codec
+    codec = net.moves
     assert codec.contributor_states == tuple("ABCDEFG")
     for code in reach.order:
         a = codec.decode(code)
@@ -35,11 +35,11 @@ def test_codes_round_trip():
 def test_q_is_monotone_along_edges():
     net = ring_network()
     reach = reachable_abstract(net)
-    decode = reach.codec.decode
+    decode = net.moves.decode
     for a in reach.order:
         for _, b, _ in reach.edges[a]:
             assert decode(a).Q <= decode(b).Q
-            assert a & ~b & reach.codec.q_mask == 0
+            assert a & ~b & net.moves.q_mask == 0
 
 
 def test_abstract_simulates_concrete():
@@ -50,7 +50,7 @@ def test_abstract_simulates_concrete():
         net = random_fsm_network(rng)
         reach = reachable_abstract(net)
         merged = {}
-        for a in map(reach.codec.decode, reach.order):
+        for a in map(net.moves.decode, reach.order):
             key = (a.leader_state, a.store)
             merged[key] = merged.get(key, frozenset()) | a.Q
         seen = {initial_config(net, 3)}
@@ -106,7 +106,7 @@ def chain_network(n):
 def assert_decodes_to_the_oracle(net, anchors=None):
     reach = reachable_abstract(net)
     oracle = abstraction_oracle.reachable_abstract(net)
-    decode = reach.codec.decode
+    decode = net.moves.decode
     assert [decode(c) for c in reach.order] == oracle.order
     assert list(reach.edges) == reach.order
     assert [[(t, decode(c2)) for t, c2, _ in reach.edges[c]]
@@ -115,7 +115,7 @@ def assert_decodes_to_the_oracle(net, anchors=None):
                                  reach.parent[c][1])
             for c in reach.order] == [oracle.parent[a] for a in oracle.order]
     for c in reach.order[::anchors or 1]:
-        fsa = build_cycle_fsa(reach.edges, c, ())
+        fsa = build_cycle_fsa(net, c, ())
         expected = abstraction_oracle.build_cycle_fsa(oracle, decode(c))
         assert fsa.initial == fsa.final == c
         assert [decode(s) for s in fsa.states] == list(expected.states)
@@ -133,11 +133,11 @@ def test_codes_match_the_tuple_saturation():
 def test_codes_past_64_contributor_states():
     net = chain_network(70)
     reach = assert_decodes_to_the_oracle(net, anchors=7)
-    assert reach.codec.width == 70
+    assert net.moves.width == 70
     # the chain is sorted by repr, so bit 69 is q9, and some code has
     # every contributor state populated
-    assert reach.codec.contributor_states[69] == "q9"
-    assert any(c & reach.codec.q_mask == reach.codec.q_mask
+    assert net.moves.contributor_states[69] == "q9"
+    assert any(c & net.moves.q_mask == net.moves.q_mask
                for c in reach.order)
     assert max(reach.order) >= 1 << 70
 

@@ -295,6 +295,39 @@ def test_replay_rejects_wrong_pivot_symbol(tmp_path, capsys):
     assert "invalid" in capsys.readouterr().out
 
 
+def test_replay_rejects_a_pivot_for_an_fsm_leader(tmp_path, capsys):
+    # the pivot line is for pushdown leaders only, like its absence there
+    paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB, RING_PROP)
+    out = tmp_path / "out.wit"
+    assert main(check_args(paths, "--witness", str(out))) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    assert "pivot" not in text
+    out.write_text(text.replace("stem:\n", "pivot = Z\nstem:\n"))
+    assert main(replay_args(paths, str(out))) == 1
+    assert capsys.readouterr().out.endswith(
+        ": FSM-leader witness takes no pivot\n")
+
+
+@pytest.mark.parametrize("old,new", [
+    (r"^k = (\d+)$", r"k = \1_0"),                  # int() reads 10 * k
+    (r"^1 (c\d+)$", "\N{ARABIC-INDIC DIGIT ONE} \\1"),  # int() reads 1
+])
+def test_replay_reads_only_ascii_decimal_numbers(tmp_path, capsys, old, new):
+    # a count or actor index that int() reads but that is not ASCII decimal
+    # digits is a parse error on its line, not a witness that replays
+    paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB, RING_PROP)
+    out = tmp_path / "out.wit"
+    assert main(check_args(paths, "--witness", str(out))) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    m = re.search(old, text, flags=re.M)
+    out.write_text(text[:m.start()] + m.expand(new) + text[m.end():])
+    assert main(replay_args(paths, str(out))) == 2
+    line = text.count("\n", 0, m.start()) + 1
+    assert f"error: {out}: line {line}: bad " in capsys.readouterr().err
+
+
 def test_replay_rejects_tampered_cycle(tmp_path, capsys):
     paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB, RING_PROP)
     out = str(tmp_path / "out.wit")

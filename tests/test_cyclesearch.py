@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import networkx
@@ -5,12 +6,12 @@ import pytest
 
 from paramck.machines import (AbstractConfig, BudgetExceeded, Fsm,
                               buchi_product, make_network)
-from paramck.abstraction import Successors, reachable_abstract
 from paramck.api import replay_network
 from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
                                  closed_walk, concretize,
                                  contributor_flow_rows, dead_at,
-                                 realizability_system, refine)
+                                 reachable_abstract, realizability_system,
+                                 refine)
 from paramck.explicit import Verdict, _ReplayState, check_explicit, replay
 from paramck import parikh
 from abstraction_oracle import abstract_moves
@@ -21,13 +22,13 @@ from fixtures import la, ca, ring_network, stalled_network, \
 
 def accepting_codes(net, reach):
     """The codes of reach's accepting configurations, in discovery order."""
-    return [a for a in reach.order if reach.codec.decode(a).leader_state
+    return [a for a in reach.order if net.moves.decode(a).leader_state
             in net.leader.accepting]
 
 
-def decoded_fsa(reach, fsa):
+def decoded_fsa(net, fsa):
     """The states and edges of a cycle automaton over codes, decoded."""
-    decode = reach.codec.decode
+    decode = net.moves.decode
     return (tuple(map(decode, fsa.states)),
             tuple((decode(s), lab, decode(d)) for s, lab, d in fsa.edges))
 
@@ -36,8 +37,8 @@ def full_q_accepting_config(net):
     reach = reachable_abstract(net)
     best = None
     for a in accepting_codes(net, reach):
-        Q = reach.codec.decode(a).Q
-        if best is None or len(Q) > len(reach.codec.decode(best).Q):
+        Q = net.moves.decode(a).Q
+        if best is None or len(Q) > len(net.moves.decode(best).Q):
             best = a
     return reach, best
 
@@ -72,8 +73,8 @@ def anchor_scc(net, a):
 def test_cycle_fsa_is_strongly_connected_on_ring():
     net = ring_network()
     reach, a = full_q_accepting_config(net)
-    assert reach.codec.decode(a).Q == frozenset("ABCDEFG")
-    fsa = build_cycle_fsa(reach.edges, a, ())
+    assert net.moves.decode(a).Q == frozenset("ABCDEFG")
+    fsa = build_cycle_fsa(net, a, ())
     # anchored at a with only mutually reachable configurations kept
     assert fsa.initial == fsa.final == a
     used_leader_actions = {str(net.transition(lab).action)
@@ -83,16 +84,16 @@ def test_cycle_fsa_is_strongly_connected_on_ring():
     g = networkx.DiGraph((src, dst) for src, _, dst in fsa.edges)
     for s in fsa.states:
         assert networkx.has_path(g, a, s) and networkx.has_path(g, s, a)
-    assert decoded_fsa(reach, fsa) == anchor_scc(net, reach.codec.decode(a))
+    assert decoded_fsa(net, fsa) == anchor_scc(net, net.moves.decode(a))
     # and on random nets, at every reachable configuration
     rng = random.Random(12)
     for _ in range(60):
         net = random_fsm_network(rng)
         reach = reachable_abstract(net)
         for a in reach.order:
-            fsa = build_cycle_fsa(reach.edges, a, ())
-            assert decoded_fsa(reach, fsa) == \
-                anchor_scc(net, reach.codec.decode(a))
+            fsa = build_cycle_fsa(net, a, ())
+            assert decoded_fsa(net, fsa) == \
+                anchor_scc(net, net.moves.decode(a))
 
 
 def test_fire_raises_assertion_when_no_contributor_can_move():
@@ -107,13 +108,14 @@ def test_fire_raises_assertion_when_no_contributor_can_move():
 def test_q_preserving_moves_keep_q():
     net = ring_network()
     reach = reachable_abstract(net)
-    decode = reach.codec.decode
+    decode = net.moves.decode
     dropped = 0
     for a in reach.order:
-        fsa = build_cycle_fsa(reach.edges, a, ())
+        fsa = build_cycle_fsa(net, a, ())
         assert all(decode(b).Q == decode(a).Q for b in fsa.states)
-        # a Successors that nothing has read yet gives the same automaton
-        assert build_cycle_fsa(Successors(net.moves), a, ()) == fsa
+        # a copy of the network whose moves nothing has read yet gives
+        # the same automaton
+        assert build_cycle_fsa(dataclasses.replace(net), a, ()) == fsa
         # the saturation also stored moves that grow Q, which it drops
         dropped += sum(decode(b).Q != decode(a).Q for c in fsa.states
                        for _, b, _ in reach.edges[c])
@@ -124,7 +126,7 @@ def test_realizability_infeasible_for_stalled_net():
     net = stalled_network()
     reach = reachable_abstract(net)
     for a in accepting_codes(net, reach):
-        fsa = build_cycle_fsa(reach.edges, a, ())
+        fsa = build_cycle_fsa(net, a, ())
         system = realizability_system(net, fsa)
         assert parikh.solve(system) is None
 
@@ -141,7 +143,7 @@ def test_row_leaving_the_anchor_is_implied():
                 + net.contributor_transitions]
         reach = reachable_abstract(net)
         for a in accepting_codes(net, reach):
-            fsa = build_cycle_fsa(reach.edges, a, ())
+            fsa = build_cycle_fsa(net, a, ())
             with_row = realizability_system(net, fsa)
             row_free = parikh.parikh_fsa(fsa, alphabet=tids).conjoin(
                 contributor_flow_rows(net))
@@ -203,7 +205,7 @@ def per_configuration_oracle(net):
     reach = reachable_abstract(net)
     exhausted = False
     for a in accepting_codes(net, reach):
-        fsa = build_cycle_fsa(reach.edges, a, ())
+        fsa = build_cycle_fsa(net, a, ())
         try:
             model = integer_oracle.solve(realizability_system(net, fsa))
         except BudgetExceeded:
@@ -230,7 +232,7 @@ def refinement_nets():
 
 def refined_part(net, reach, a):
     """The part of refine that holds a, or None."""
-    parts = refine(net, build_cycle_fsa(reach.edges, a, ()).edges)
+    parts = refine(net, build_cycle_fsa(net, a, ()).edges)
     return next((p for p in parts if any(e[0] == a for e in p)), None)
 
 
@@ -258,7 +260,7 @@ def test_graph_decisions_agree_with_the_solver():
         for a in accepting_codes(net, reach):
             part = refined_part(net, reach, a)
             system = realizability_system(
-                net, build_cycle_fsa(reach.edges, a, ()))
+                net, build_cycle_fsa(net, a, ()))
             if part is None:
                 dropped += 1
                 assert parikh.solve(system) is None
@@ -303,7 +305,7 @@ def test_forward_contributor_moves_need_no_solve(monkeypatch):
     assert v.kind == "EMPTY" and calls == []
     assert v.stats["solves"] == 0 and v.stats["accepting_checked"] > 0
     reach = reachable_abstract(net)
-    assert any(build_cycle_fsa(reach.edges, a, ()).edges
+    assert any(build_cycle_fsa(net, a, ()).edges
                for a in reach.order)
 
 
@@ -324,8 +326,8 @@ def test_refinement_runs_to_a_fixpoint(monkeypatch):
                    ("q1", ca("write", "3"), "q2")))
     net = make_network(["1", "2", "3"], leader, contrib)
     reach = reachable_abstract(net)
-    full = [a for a in reach.order if len(reach.codec.decode(a).Q) == 3]
-    fsa = build_cycle_fsa(reach.edges, full[0], ())
+    full = [a for a in reach.order if len(net.moves.decode(a).Q) == 3]
+    fsa = build_cycle_fsa(net, full[0], ())
     assert set(fsa.states) == set(full)
     assert {lab for _, lab, _ in fsa.edges} == {"d1", "d2", "d3",
                                                 "c0", "c1", "c2"}
@@ -365,9 +367,9 @@ def test_moves_dead_at_q():
     # store 1: the automaton without it keeps a alone, with the leader's
     # read and c3, which is the part that refine leaves at a in either
     reach = reachable_abstract(net)
-    a = reach.codec.encode(AbstractConfig("p", "2", frozenset(bit)))
-    with_c2 = build_cycle_fsa(reach.edges, a, ())
-    fsa = build_cycle_fsa(reach.edges, a, dead("q0", "q1", "q2"))
+    a = net.moves.encode(AbstractConfig("p", "2", frozenset(bit)))
+    with_c2 = build_cycle_fsa(net, a, ())
+    fsa = build_cycle_fsa(net, a, dead("q0", "q1", "q2"))
     assert len(with_c2.states) == 2 and "c2" in [e[1] for e in with_c2.edges]
     assert fsa.states == (a,) and fsa.edges == ((a, "d1", a), (a, "c3", a))
     assert refine(net, fsa.edges) == [fsa.edges]

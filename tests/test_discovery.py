@@ -13,9 +13,8 @@ import pytest
 
 import abstraction_oracle
 from paramck import cyclesearch
-from paramck.abstraction import Successors, reachable_abstract
 from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm, dead_at,
-                                 refine)
+                                 reachable_abstract, refine)
 from paramck.explicit import replay
 from paramck.machines import BudgetExceeded
 from perfbench import corpus
@@ -29,8 +28,8 @@ def recorded_cycle_fsas(monkeypatch):
     built = []
     real = cyclesearch.build_cycle_fsa
 
-    def recording(moves, a, dead):
-        built.append(real(moves, a, dead))
+    def recording(net, a, dead):
+        built.append(real(net, a, dead))
         return built[-1]
     monkeypatch.setattr(cyclesearch, "build_cycle_fsa", recording)
     return built
@@ -67,15 +66,15 @@ def test_fixture_nets_are_decided_as_after_saturation(monkeypatch):
 
 
 def test_each_code_is_expanded_once_per_check():
-    # the BFS and the cycle automata share one Successors
+    # the BFS and the cycle automata share the memo of net.moves
     for net in [ring_network()] + refinement_nets():
         calls = Counter()
-        real = net.moves.successors
+        real = net.moves.expand
 
         def counting(code, top, real=real, calls=calls):
             calls[code] += 1
             return real(code, top)
-        net.moves.successors = counting
+        net.moves.expand = counting
         check_fsm_fsm(net)
         assert set(calls.values()) == {1}
 
@@ -136,18 +135,16 @@ def assert_dead_moves_change_no_part(net, limit):
     """At each accepting configuration among the first limit that the
     abstract BFS discovers, the refined part that holds it is the same
     whether the cycle automaton keeps the moves dead at its Q or not."""
-    moves = Successors(net.moves)
-    codec = moves.codec
+    codec = net.moves
     found = itertools.count(1)
-    reach = reachable_abstract(net, math.inf, lambda c: next(found) >= limit,
-                               moves)
+    reach = reachable_abstract(net, math.inf, lambda c: next(found) >= limit)
     checked = pruned = 0
     for a in reach.order:
         if not codec.accepting[a >> codec.width]:
             continue
         dead = dead_at(net, a & codec.q_mask)
-        fsa = build_cycle_fsa(moves, a, dead)
-        full = build_cycle_fsa(moves, a, ())
+        fsa = build_cycle_fsa(net, a, dead)
+        full = build_cycle_fsa(net, a, ())
         assert not any(lab in dead for _, lab, _ in fsa.edges)
         assert part_by_source(net, fsa, a) == part_by_source(net, full, a)
         checked += 1

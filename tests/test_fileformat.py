@@ -120,6 +120,14 @@ def test_witness_accepts_comments_and_empty_cycle_section():
 
 @pytest.mark.parametrize("text,msg", [
     ("k = two\nstem:\ncycle:\n", "bad contributor count"),
+    ("k = 1_0\nstem:\ncycle:\n", "line 1: bad contributor count '1_0'"),
+    ("k = -1\nstem:\ncycle:\n", "line 1: bad contributor count '-1'"),
+    ("k = \N{DEVANAGARI DIGIT TWO}\nstem:\ncycle:\n",
+     "line 1: bad contributor count"),
+    ("k = " + "1" * 5000 + "\nstem:\ncycle:\n",      # past int's digits
+     "line 1: bad contributor count"),
+    ("k = 1\nstem:\n+1 d0\ncycle:\n", "line 3: bad actor index '+1'"),
+    ("k = 1\nstem:\ncycle:\n0_0 d0\n", "line 4: bad actor index '0_0'"),
     ("k = 1\n0 d0\n", "outside of stem:/cycle:"),
     ("k = 1\nstem:\nd0\ncycle:\n", "expected `actor tid`"),
     ("k = 1\nstem:\nx d0\ncycle:\n", "bad actor index"),

@@ -2,18 +2,19 @@ import copy
 import dataclasses
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
-from paramck.machines import (AbstractConfig, Action, Fsm, Pdm, PdmRule,
-                              Transition, UNINIT,
+from paramck.machines import (AbstractConfig, Action, Codec, Fsm, Pdm,
+                              PdmRule, Transition, UNINIT,
                               LEADER, CONTRIBUTOR, EXPLORE_BUDGET,
                               buchi_product, env_budget, make_network,
                               register_step, stack_step, step,
                               top_replacement, validate)
-from paramck.abstraction import reachable_abstract
 from paramck.fileformat import parse_machine_file
-from paramck.pushdown import post_star
+from paramck.cyclesearch import check_fsm_fsm, reachable_abstract
+from paramck.pushdown import check_pdm_fsm, post_star
 from paramck.reduction import restrict_network
 from abstraction_oracle import abstract_moves
 from fixtures import (la, ca, random_deep_pdm_network, random_fsm_network,
@@ -382,6 +383,40 @@ def test_transitions_and_parsed_actions_are_immutable_values():
     assert repr(a) == "Action(role='leader', kind='read', value='1')"
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.value = "2"
+
+
+def test_a_second_check_on_a_network_expands_nothing(monkeypatch):
+    # net.moves keeps its move lists past a check: a second check on the
+    # same network reads them all and decides as the first did
+    expanded = []
+    expand = Codec.expand
+
+    def counting(codec, code, top):
+        expanded.append((code, top))
+        return expand(codec, code, top)
+
+    monkeypatch.setattr(Codec, "expand", counting)
+    rng = random.Random(7)
+    nets = [("fsm-fsm", ring_network()), ("fsm-fsm", stalled_network())]
+    for _ in range(10):
+        nets += [("fsm-fsm", random_fsm_network(rng)),
+                 ("pdm-fsm", random_pdm_leader_network(rng)),
+                 ("pdm-pdm", restrict_network(random_pdm_pdm_network(rng)))]
+    seen, work = Counter(), Counter()
+    for mode, net in nets:
+        check = check_pdm_fsm if isinstance(net.leader, Pdm) else check_fsm_fsm
+        expanded.clear()
+        first = check(net)
+        n = len(expanded)
+        second = check(net)
+        assert len(expanded) == n
+        assert (second.kind, second.witness, second.stats) == \
+            (first.kind, first.witness, first.stats)
+        seen[mode, first.kind] += 1
+        work[mode] += n
+    assert all(seen[mode, kind] for mode in work
+               for kind in ("EMPTY", "NONEMPTY"))
+    assert min(work.values()) > 10
 
 
 def test_codes_sort_as_their_configurations():

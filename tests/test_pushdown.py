@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from paramck.api import replay_network, run_check
-from paramck.abstraction import initial_abstract
 from paramck.cyclesearch import lasso
 from paramck.fileformat import parse_machine_file
 from paramck.machines import (CONTRIBUTOR, EXPLORE_BUDGET, LEADER,
@@ -12,7 +11,7 @@ from paramck.machines import (CONTRIBUTOR, EXPLORE_BUDGET, LEADER,
                               PdmRule, UNINIT, buchi_product, make_network)
 from paramck.pushdown import (_loop_ends, build_loop_grammar, check_pdm_fsm,
                               derive_word, find_stem, loop_automaton,
-                              loop_nonempty, loop_rules, loop_system,
+                              loop_reach, loop_rules, loop_system,
                               pop_relation, post_star, token_free_word)
 from paramck.explicit import check_explicit, replay
 from paramck.reduction import restrict_network
@@ -52,10 +51,6 @@ def encode(net, d, g, Q):
     return net.moves.encode(AbstractConfig(d, g, frozenset(Q)))
 
 
-def initial_code(net):
-    return net.moves.encode(initial_abstract(net))
-
-
 def q_of(net, control):
     """The populated set of a control, as the bits of its code."""
     return control & net.moves.q_mask
@@ -79,7 +74,7 @@ def abstract_pdm_rules(net, control, top):
 def test_move_table_shapes():
     net = counter_network()
     moves = net.moves
-    init = initial_code(net)
+    init = net.moves.initial
     assert moves.decode(init) == ("d0", UNINIT, frozenset(["q0"]))
     # uninitialized store: the leader only reads, so only the contributor
     # write fires
@@ -106,7 +101,7 @@ def test_post_star_finds_deep_tops():
     tops = {gamma for _, gamma in pairs}
     assert tops == {"Z", "A"}
     # pivots come in breadth-first order, initial configuration first
-    assert pairs[0] == (initial_code(net), "Z")
+    assert pairs[0] == (net.moves.initial, "Z")
     assert all(isinstance(control, int) for control, _ in pairs)
 
 
@@ -235,6 +230,25 @@ def pivot_automata(net, pairs):
             for Q, starts in pivot_starts(net, pairs).items()}
 
 
+def bfs_reach(net, automaton, control, gamma):
+    """The nodes that the pivot's start reaches in the automaton's graph,
+    by graph.bfs."""
+    moves = automaton[2]
+    return [node for node, _ in graph.bfs(
+        _loop_ends(net, control, gamma)[0],
+        lambda node: [succ for _, succ in moves[node]])]
+
+
+def loop_grammar(net, control, gamma, automaton=None):
+    """The pivot's loop grammar over the automaton (one built from the
+    pivot's start alone if None), with the productions of every node in
+    bfs_reach, whether or not loop_reach finds a nonempty loop there."""
+    if automaton is None:
+        automaton = loop_automaton(net, [_loop_ends(net, control, gamma)[0]])
+    return build_loop_grammar(net, control, gamma, automaton,
+                              bfs_reach(net, automaton, control, gamma))
+
+
 def test_pop_relation_agrees_with_naive_fixpoint():
     # demanded from every node, the pop relation is the whole table's
     triples = 0
@@ -271,8 +285,8 @@ def whole_graph(rules, P):
 def whole_table_grammar(net, control, gamma):
     """The loop grammar with the productions of every node of the whole
     rule table at the pivot's Q, from the naive fixpoint, each index list
-    in table order: build_loop_grammar given an automaton whose graph
-    leads from every node to every node."""
+    in table order: build_loop_grammar given every node of the table as
+    reached."""
     Q = q_of(net, control)
     rules = naive_rule_table(net, Q)
     rank = {s: i for i, s in enumerate(loop_controls(net, Q))}
@@ -281,8 +295,8 @@ def whole_table_grammar(net, control, gamma):
         after.setdefault((s, g), []).append(x)
     for xs in after.values():
         xs.sort(key=rank.__getitem__)
-    everywhere = {node: [(None, node2) for node2 in rules] for node in rules}
-    return build_loop_grammar(net, control, gamma, (rules, after, everywhere))
+    return build_loop_grammar(net, control, gamma, (rules, after, None),
+                              list(rules))
 
 
 def test_demand_driven_automata_agree_with_the_whole_table():
@@ -309,11 +323,11 @@ def test_demand_driven_automata_agree_with_the_whole_table():
         for control, gamma in pairs:
             automaton = automata[q_of(net, control)]
             # an accepting pivot's grammar keeps its start symbol for the
-            # empty loop even where loop_nonempty finds no other
-            if loop_nonempty(net, automaton, control, gamma) or \
+            # empty loop even where loop_reach finds no other
+            if loop_reach(net, automaton, control, gamma) is not None or \
                     is_accepting(net, control):
                 grammar = parikh.reduce_grammar(
-                    build_loop_grammar(net, control, gamma, automaton))
+                    loop_grammar(net, control, gamma, automaton))
                 assert grammar == parikh.reduce_grammar(
                     whole_table_grammar(net, control, gamma))
                 passed += 1
@@ -371,10 +385,13 @@ def test_reachability_decides_the_reduced_grammar():
         for control, gamma in pairs:
             automaton = automata[q_of(net, control)]
             grammar = parikh.reduce_grammar(
-                build_loop_grammar(net, control, gamma, automaton))
-            found = loop_nonempty(net, automaton, control, gamma)
+                loop_grammar(net, control, gamma, automaton))
+            reached = loop_reach(net, automaton, control, gamma)
+            found = reached is not None
             assert found == any(lhs == grammar.start and rhs
                                 for lhs, rhs in grammar.productions)
+            # a live pivot's search reaches what graph.bfs does
+            assert reached in (None, bfs_reach(net, automaton, control, gamma))
             # an accepting pivot control starts with its bit set: the start
             # node is the accept node, and the empty loop is in the grammar
             accepting = is_accepting(net, control)
@@ -422,9 +439,9 @@ def test_token_free_words_are_models_that_replay():
         for control, gamma in pairs:
             automaton = automata[q_of(net, control)]
             grammar = parikh.reduce_grammar(
-                build_loop_grammar(net, control, gamma, automaton))
+                loop_grammar(net, control, gamma, automaton))
             model = parikh.solve(loop_system(net, grammar))
-            found = loop_nonempty(net, automaton, control, gamma)
+            found = loop_reach(net, automaton, control, gamma) is not None
             assert found == any(lhs == grammar.start and rhs
                                 for lhs, rhs in grammar.productions), name
             if not found:
@@ -482,9 +499,9 @@ def test_check_builds_grammars_only_for_pivots_that_pass(monkeypatch):
     built = []
     original = pushdown.build_loop_grammar
 
-    def counting(net, control, gamma, automaton=None):
+    def counting(net, control, gamma, automaton, reached):
         built.append((control, gamma))
-        return original(net, control, gamma, automaton)
+        return original(net, control, gamma, automaton, reached)
 
     monkeypatch.setattr(pushdown, "build_loop_grammar", counting)
     net = unreachable_accepting_network()
@@ -499,9 +516,9 @@ def test_check_builds_grammars_only_for_pivots_that_pass(monkeypatch):
         v = check_pdm_fsm(net)
         checked = post_star(net)[:v.stats["pivots_checked"]]
         passing = [(control, gamma) for control, gamma in checked
-                   if loop_nonempty(net, loop_automaton(
+                   if loop_reach(net, loop_automaton(
                        net, [_loop_ends(net, control, gamma)[0]]),
-                       control, gamma)]
+                       control, gamma) is not None]
         assert built == passing
         skipped += len(checked) - len(passing)
     assert skipped > 0
@@ -514,16 +531,18 @@ def test_shared_loop_automata_give_the_same_grammars():
         pairs = post_star(net)
         automata = pivot_automata(net, pairs)
         for control, gamma in pairs:
-            assert build_loop_grammar(net, control, gamma,
-                                      automata[q_of(net, control)]) == \
-                build_loop_grammar(net, control, gamma)
+            start = _loop_ends(net, control, gamma)[0]
+            assert loop_grammar(net, control, gamma,
+                                automata[q_of(net, control)]) == \
+                loop_grammar(net, control, gamma,
+                             loop_automaton(net, [start]))
         assert list(automata) == pivot_qs(net)
 
 
 def test_loop_grammar_derives_balanced_words():
     net = counter_network(accept_high=True)
     control = encode(net, "d1", "1", ["q0", "q1"])
-    grammar = parikh.reduce_grammar(build_loop_grammar(net, control, "A"))
+    grammar = parikh.reduce_grammar(loop_grammar(net, control, "A"))
     assert grammar.start in grammar.nonterminals
     system = parikh.parikh_cfg(grammar)
     # d2 pushes an A at d1, d3 pops one; ask for a loop with at least one
@@ -677,7 +696,7 @@ def leftmost_greedy(g, counts):
 def is_abstract_chain(net, stem, pivot_control, pivot_symbol):
     """stem fires as abstract moves from the initial configuration and ends
     at the pivot control with the pivot symbol on top."""
-    control, stack = initial_code(net), (net.leader.bottom,)
+    control, stack = net.moves.initial, (net.leader.bottom,)
     for t in stem:
         moves = [(c2, repl) for tid, c2, repl
                  in abstract_pdm_rules(net, control, stack[0])
@@ -708,7 +727,7 @@ def test_pivots_and_stems_agree_with_the_post_star_automaton():
         assert len(set(pairs)) == len(pairs)
         assert set(pairs) == set(pushdown_oracle.post_star(net,
                                                            reasons=reasons))
-        assert pairs[0] == (initial_code(net), net.leader.bottom)
+        assert pairs[0] == (net.moves.initial, net.leader.bottom)
         for control, gamma in pairs:
             stem = find_stem(net, control, gamma, derivations)
             assert is_abstract_chain(net, stem, control, gamma)
@@ -722,17 +741,17 @@ def test_pivots_and_stems_agree_with_the_post_star_automaton():
 
 
 def test_a_check_expands_each_pair_once(monkeypatch):
-    # post* and the loop automata read one memo per check: a loop
+    # post* and the loop automata read the memo of net.moves: a loop
     # automaton's nodes are reachable pairs, so the check expands exactly
     # the pivots, each once
     expanded = Counter()
-    successors = Codec.successors
+    expand = Codec.expand
 
     def counting(codec, code, top):
         expanded[(code, top)] += 1
-        return successors(codec, code, top)
+        return expand(codec, code, top)
 
-    monkeypatch.setattr(Codec, "successors", counting)
+    monkeypatch.setattr(Codec, "expand", counting)
     rng = random.Random(25)
     nets = [counter_network(), counter_network(accept_high=True)]
     nets += [random_pdm_leader_network(rng) for _ in range(20)]
@@ -765,8 +784,8 @@ def test_a_stem_past_the_budget_is_a_budget_verdict(monkeypatch):
     net = deep_stem_network(8)
     saturate = pushdown.post_star
     monkeypatch.setattr(pushdown, "post_star",
-                        lambda net, budget=None, derivations=None, memo=None:
-                        saturate(net, EXPLORE_BUDGET, derivations, memo))
+                        lambda net, budget=None, derivations=None:
+                        saturate(net, EXPLORE_BUDGET, derivations))
     monkeypatch.setenv("PARAMCK_BUDGET", "4")
     verdict, mode = run_check(net)
     assert (verdict.kind, mode) == ("BUDGET", "pdm-fsm")

@@ -11,18 +11,17 @@ import pytest
 import integer_oracle
 from paramck import parikh
 from paramck.api import run_check
-from paramck.abstraction import reachable_abstract
 from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
                                  contributor_flow_rows, lasso,
-                                 realizability_system)
+                                 reachable_abstract, realizability_system)
 from paramck.explicit import replay
 from paramck.machines import EXPLORE_BUDGET, AbstractConfig, InternalError
-from paramck.pushdown import (LOOPS, _model_word, build_loop_grammar,
-                              check_pdm_fsm, find_stem, loop_system,
-                              post_star)
+from paramck.pushdown import (LOOPS, _model_word, check_pdm_fsm, find_stem,
+                              loop_system, post_star)
 from fixtures import ring_network, satisfies
 from test_cyclesearch import refinement_nets
-from test_pushdown import gf_product_network, loop_test_nets, pivot_automata
+from test_pushdown import (gf_product_network, loop_grammar, loop_test_nets,
+                           pivot_automata)
 
 
 def fsm_systems(nets):
@@ -30,9 +29,8 @@ def fsm_systems(nets):
     for net in nets:
         reach = reachable_abstract(net)
         for a in reach.order:
-            if reach.codec.decode(a).leader_state in net.leader.accepting:
-                yield realizability_system(
-                    net, build_cycle_fsa(reach.edges, a, ()))
+            if net.moves.decode(a).leader_state in net.leader.accepting:
+                yield realizability_system(net, build_cycle_fsa(net, a, ()))
 
 
 def pdm_nets():
@@ -43,7 +41,7 @@ def pdm_nets():
 def loop_grammars(nets):
     """(net, pivot, reduced loop grammar, post*'s derivations) at every pivot
     whose reduced grammar keeps its start symbol: those that pass
-    loop_nonempty, as check_pdm_fsm builds them, and the accepting pivots
+    loop_reach, as check_pdm_fsm builds them, and the accepting pivots
     whose only loop word is the empty one."""
     for net in nets:
         derivations = {}
@@ -52,7 +50,7 @@ def loop_grammars(nets):
         for control, gamma in pairs:
             automaton = automata[control & net.moves.q_mask]
             grammar = parikh.reduce_grammar(
-                build_loop_grammar(net, control, gamma, automaton))
+                loop_grammar(net, control, gamma, automaton))
             if grammar.start in grammar.nonterminals:
                 yield net, (control, gamma), grammar, derivations
 
@@ -162,12 +160,12 @@ def test_edge_order_does_not_change_the_work(monkeypatch, tmp_path):
     (_, *files), = write_corpus([inst], str(tmp_path))
     net = load_network(inst, files)
     reach = reachable_abstract(net)
-    a = reach.codec.encode(AbstractConfig(
+    a = net.moves.encode(AbstractConfig(
         ("s1", "p3"), "2", frozenset({"q0", "q1", "q2", "q3"})))
     assert a in reach.parent
-    fsa = build_cycle_fsa(reach.edges, a, ())
+    fsa = build_cycle_fsa(net, a, ())
     first = next(c for c in reach.order if c in fsa.states)
-    edges = build_cycle_fsa(reach.edges, first, ()).edges
+    edges = build_cycle_fsa(net, first, ()).edges
     assert first != a and edges != fsa.edges
     assert sorted(edges, key=repr) == sorted(fsa.edges, key=repr)
     calls = counting_lps(monkeypatch)
