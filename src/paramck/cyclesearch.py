@@ -14,11 +14,12 @@ component of the Q-preserving graph, explored from a (build_cycle_fsa).
 A Parikh vector of that component's automaton, anchored at a, describes a
 candidate abstract cycle; it lifts to a concrete cycle iff the contributor
 moves are flow-balanced per contributor state and the cycle is nonempty.
-One more row says that some edge leaving a is used.  The connectivity atom
-already implies it (a nonempty cycle whose edges are all reachable from
-a).  As an "at least one" row it is a condition that parikh.solve checks
-on the support of the cone, and it makes the short points that solve tries
-first leave a.
+Its system (realizability_system) has one column per edge and no other:
+the automaton's flow rows, token rows over the edges, and the row that
+some edge leaving a is used, which makes the cycle nonempty (connectivity
+gives every nonempty cycle such an edge).  As an "at least one" row it is
+a condition that parikh.solve checks on the support of the cone, and it
+makes the short points that solve tries first leave a.
 
 Most configurations are decided by the graph alone (refine).  A balanced
 contributor flow is a sum of cycles of contributor moves (flow
@@ -150,38 +151,33 @@ def closed_walk(net, part, a):
     return graph.closed_walk(lambda c: succ.get(c, ()), a)
 
 
-def contributor_flow_rows(net):
-    """The atoms that make a Parikh vector of moves concretely realizable:
-    zero net population change per contributor state, then at least one
-    move.  Shared by the fsm-fsm and pdm-fsm checks."""
-    rows = []
-    for q in sorted(net.contributor.states, key=repr):
-        coeffs = {}
-        for t in net.contributor_transitions:
-            if not t.moves_token:
-                continue
-            var = parikh.letter_var(t.tid)
-            if t.dst == q:
-                coeffs[var] = coeffs.get(var, 0) + 1
-            if t.src == q:
-                coeffs[var] = coeffs.get(var, 0) - 1
-        rows.append(parikh.eq({v: c for v, c in coeffs.items() if c}, 0))
-    rows.append(parikh.ge(
-        {parikh.letter_var(t.tid): 1
-         for t in net.leader_transitions + net.contributor_transitions}, 1))
-    return rows
+def contributor_flow_rows(net, columns):
+    """The rows that make a Parikh vector of moves concretely realizable:
+    zero net population change at each contributor state of net.moves,
+    declared or only named by a move, written over columns given as
+    (variable, tids) pairs, one unit of a variable firing each move of its
+    tids once.  Shared by the fsm-fsm and pdm-fsm checks."""
+    rows = {q: {} for q in net.moves.contributor_states}
+    for var, tids in columns:
+        for t in map(net.transition, tids):
+            if t.moves_token:
+                rows[t.dst][var] = rows[t.dst].get(var, 0) + 1
+                rows[t.src][var] = rows[t.src].get(var, 0) - 1
+    return [parikh.eq({v: c for v, c in row.items() if c}, 0)
+            for row in rows.values()]
 
 
 def realizability_system(net, fsa):
-    """Parikh constraints of the cycle automaton strengthened to concrete
-    realizability (contributor_flow_rows), plus the implied row that some
-    edge leaving the anchor fsa.initial is used."""
-    tids = [t.tid for t in net.leader_transitions + net.contributor_transitions]
-    system = parikh.parikh_fsa(fsa, alphabet=tids)
-    leaves = parikh.ge({parikh.edge_var(i): 1
-                        for i, (src, _, _) in enumerate(fsa.edges)
+    """The flow system of the cycle automaton over its edge columns alone
+    (parikh.fsa_flow), strengthened to concrete realizability
+    (contributor_flow_rows), plus the row that some edge leaving the anchor
+    fsa.initial is used, which makes the cycle nonempty."""
+    system = parikh.fsa_flow(fsa)
+    edges = list(zip(system.variables, fsa.edges))
+    leaves = parikh.ge({e: 1 for e, (src, _, _) in edges
                         if src == fsa.initial}, 1)
-    return system.conjoin(contributor_flow_rows(net) + [leaves])
+    return system.conjoin(contributor_flow_rows(
+        net, [(e, (tid,)) for e, (_, tid, _) in edges]) + [leaves])
 
 
 def _stem_multiplicities(net, stem, Q_a, tokens_per_state):

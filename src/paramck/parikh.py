@@ -5,9 +5,10 @@ linear systems, and the words those decisions stand for.
 The encodings follow the classic flow construction: one multiplicity variable
 per edge (or production), flow balance per state (or nonterminal), and a
 connectivity side condition forcing the used part of the graph to be
-reachable from the start.  Connectivity is a first-class atom, so a system is
-a conjunction of integer-linear rows and connectivity atoms over named
-natural variables.
+reachable from the start: fsa_flow and cfg_flow, which the checkers build
+on, and parikh_fsa and parikh_cfg add a variable and a row per letter.
+Connectivity is a first-class atom, so a system is a conjunction of
+integer-linear rows and connectivity atoms over named natural variables.
 
 solve decides the systems the checkers build: homogeneous rows, "at least
 one" rows and one connectivity atom.  There integer and rational models
@@ -96,45 +97,46 @@ def edge_var(i):
     return f"e{i}"
 
 
-def parikh_fsa(fsa, alphabet=None):
-    """Linear system whose solutions, projected to the letter variables
-    x[label], are exactly the Parikh vectors of the automaton's language.
-
-    Variables: e{i} per edge (multiplicity) and x[label] per label, tied by a
-    flow-balance system plus the connectivity side condition.  Letters of the
-    alphabet without any edge are constrained to zero; by default the
-    alphabet is the set of labels appearing on edges.
-
-    All rows are filled in one pass over the edges.  Each row lists its edge
-    variables in edge order, and a self-loop keeps its zero coefficient in
-    its state's flow row.
-    """
-    labels = dict.fromkeys(alphabet if alphabet is not None else ())
-    for _, lab, _ in fsa.edges:
-        labels.setdefault(lab)
-
-    evars = [edge_var(i) for i in range(len(fsa.edges))]
-    xvars = [letter_var(lab) for lab in labels]
-    variables = tuple(xvars + evars)
-
-    # flow balance: in - out = [final] - [initial]; letters count edge uses
+def fsa_flow(fsa):
+    """The flow system of the automaton over its edge columns e{i} alone:
+    flow balance per state, in - out = [final] - [initial], then the
+    connectivity atom, every used edge reachable from the initial state.
+    Each row lists its edge variables in edge order, and a self-loop keeps
+    its zero coefficient in its state's flow row."""
+    evars = tuple(edge_var(i) for i in range(len(fsa.edges)))
     flow = {s: {} for s in fsa.states}
-    letters = {lab: {x: 1} for lab, x in zip(labels, xvars)}
-    for e, (src, lab, dst) in zip(evars, fsa.edges):
+    for e, (src, _, dst) in zip(evars, fsa.edges):
         if dst in flow:
             flow[dst][e] = 1
         if src in flow:
             flow[src][e] = flow[src].get(e, 0) - 1
-        letters[lab][e] = -1
     atoms = [eq(flow[s], (1 if s == fsa.final else 0)
                 - (1 if s == fsa.initial else 0)) for s in fsa.states]
-    atoms += [eq(letters[lab], 0) for lab in labels]
-
-    # every used edge must be reachable from the initial state
     atoms.append(connected(fsa.initial,
                            [(e, src, dst)
                             for e, (src, _, dst) in zip(evars, fsa.edges)]))
-    return LinearSystem(variables, tuple(atoms))
+    return LinearSystem(evars, tuple(atoms))
+
+
+def parikh_fsa(fsa, alphabet=None):
+    """Linear system whose solutions, projected to the letter variables
+    x[label], are exactly the Parikh vectors of the automaton's language.
+
+    Variables: x[label] per label, then fsa_flow's e{i} per edge, and a
+    letter row x[label] = sum of its edges before the connectivity atom.
+    Letters of the alphabet without any edge are constrained to zero; by
+    default the alphabet is the set of labels appearing on edges.
+    """
+    labels = dict.fromkeys(alphabet if alphabet is not None else ())
+    for _, lab, _ in fsa.edges:
+        labels.setdefault(lab)
+    flow = fsa_flow(fsa)
+    letters = {lab: {letter_var(lab): 1} for lab in labels}
+    for e, (_, lab, _) in zip(flow.variables, fsa.edges):
+        letters[lab][e] = -1
+    return LinearSystem(
+        tuple(map(letter_var, labels)) + flow.variables, flow.atoms[:-1]
+        + tuple(eq(row, 0) for row in letters.values()) + flow.atoms[-1:])
 
 
 def shortest_derivations(productions, terminals):
@@ -206,48 +208,54 @@ def reduce_grammar(g):
     return Grammar(nts, g.terminals, g.start, prods)
 
 
-def parikh_cfg(g):
-    """Linear system for the Parikh image of a context-free grammar.
-
-    Variables: y{i} per production and x[t] per terminal.  Balance: each
-    nonterminal is produced as often as it is expanded (the start symbol once
-    more); connectivity mirrors the automaton case over the derivation
-    forest.  All rows are filled in one pass over the productions.
-    """
-    g = reduce_grammar(g)
-    if g.start not in g.nonterminals:
-        return LinearSystem((), (FALSE,))
-
-    yvars = [f"y{i}" for i in range(len(g.productions))]
-    xvars = [letter_var(t) for t in g.terminals]
-    variables = tuple(xvars + yvars)
+def cfg_flow(g):
+    """The flow system of a reduced grammar whose start symbol derives a
+    word, over its production columns y{i} alone.  Balance: each
+    nonterminal is produced as often as it is expanded (the start symbol
+    once more); connectivity mirrors the automaton case over the derivation
+    forest.  All rows are filled in one pass over the productions."""
     terminals = set(g.terminals)
-
-    nt_rows = {nt: {} for nt in g.nonterminals}
-    t_rows = {t: {letter_var(t): 1} for t in g.terminals}
+    yvars = tuple(f"y{i}" for i in range(len(g.productions)))
+    rows = {nt: {} for nt in g.nonterminals}
     conn_edges = []
-    for i, (lhs, rhs) in enumerate(g.productions):
-        y = f"y{i}"
+    for y, (lhs, rhs) in zip(yvars, g.productions):
         uses = {lhs: 0}
         for sym in rhs:
             uses[sym] = uses.get(sym, 0) + 1
         for sym, n in uses.items():
             c = (1 if sym == lhs else 0) - n
-            if c and sym in nt_rows:
-                nt_rows[sym][y] = c
-            if n and sym in t_rows:
-                t_rows[sym][y] = -n
+            if c and sym in rows:
+                rows[sym][y] = c
         # every used nonterminal must be reachable from the start in the
         # derivation forest; the self edge marks lhs as used even when rhs
         # is all terminals
         conn_edges.append((y, lhs, lhs))
         for nt in dict.fromkeys(s for s in rhs if s not in terminals):
             conn_edges.append((y, lhs, nt))
-    atoms = [eq(nt_rows[nt], 1 if nt == g.start else 0)
-             for nt in g.nonterminals]
-    atoms += [eq(t_rows[t], 0) for t in g.terminals]
+    atoms = [eq(rows[nt], 1 if nt == g.start else 0) for nt in g.nonterminals]
     atoms.append(connected(g.start, conn_edges))
-    return LinearSystem(variables, tuple(atoms))
+    return LinearSystem(yvars, tuple(atoms))
+
+
+def parikh_cfg(g):
+    """Linear system for the Parikh image of a context-free grammar.
+
+    Variables: x[t] per terminal, then cfg_flow's y{i} per production of
+    the reduced grammar, and a letter row x[t] = the occurrences of t in
+    the productions used, before the connectivity atom.
+    """
+    g = reduce_grammar(g)
+    if g.start not in g.nonterminals:
+        return LinearSystem((), (FALSE,))
+    flow = cfg_flow(g)
+    letters = {t: {letter_var(t): 1} for t in g.terminals}
+    for y, (_, rhs) in zip(flow.variables, g.productions):
+        for sym in rhs:
+            if sym in letters:
+                letters[sym][y] = letters[sym].get(y, 0) - 1
+    return LinearSystem(
+        tuple(map(letter_var, g.terminals)) + flow.variables, flow.atoms[:-1]
+        + tuple(eq(row, 0) for row in letters.values()) + flow.atoms[-1:])
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +434,8 @@ def _split(system):
 class _Index:
     """One system of solve, indexed once: each column's rows and signs,
     each node's out-edges as (column, dst), each column's edge sources (no
-    atom means a bare root), and the LP parts of each support met."""
+    atom means a bare root), the LP parts of each support met, and each
+    point _cone_point has computed, by support, kind and cuts."""
 
     def __init__(self, cone, least, conn, n):
         self.cone, self.least, self.conn, self.n = \
@@ -435,7 +444,7 @@ class _Index:
         for r, row in enumerate(cone):
             for j, c in row.items():
                 self.signs[j].append((r, c > 0))
-        self.succ, self.supports = {}, {}
+        self.succ, self.supports, self.points = {}, {}, {}
         for j, src, dst in self.conn[1]:
             self.succ.setdefault(src, []).append((j, dst))
             self.sources[j].append(src)
@@ -519,7 +528,8 @@ def _cone_point(ix, cols, largest, cuts=()):
     columns cols, as integers, or None: linprog's optimum on the free
     columns times the lcm of their denominators, and the columns a row
     defines (_definitions) read back as integer sums.  A support's
-    definitions, free columns and LP rows are made once per index.
+    definitions, free columns and LP rows are made once per index, and so
+    is each point: no LP is solved twice on one index.
 
     largest: x = t + s, and maximise the sum of t subject to t <= 1.  The
     cone is closed under scaling, so the optimum has t_j = 1 exactly on the
@@ -529,7 +539,10 @@ def _cone_point(ix, cols, largest, cuts=()):
     whose support need not be connected.  A point that fails the check in
     integers raises InternalError.
     """
-    if (key := frozenset(cols)) not in ix.supports:
+    point = (key := frozenset(cols), largest, tuple(map(frozenset, cuts)))
+    if point in ix.points:
+        return ix.points[point]
+    if key not in ix.supports:
         rows, defs = _definitions(ix.cone, cols)
         free = sorted(cols - defs.keys())
         pos = {j: k for k, j in enumerate(free)}
@@ -558,6 +571,7 @@ def _cone_point(ix, cols, largest, cuts=()):
                       for i, group in enumerate(groups)],
                      [None] * (m + len(groups)))
     if lp is None:
+        ix.points[point] = None
         return None
     values = [lp[k] + lp[m + k] for k in range(m)] if largest else lp[:m]
     scale = math.lcm(*(f.denominator for f in values))
@@ -566,10 +580,11 @@ def _cone_point(ix, cols, largest, cuts=()):
         x[j] = f.numerator * (scale // f.denominator)
     for v, sub in defs.items():
         x[v] = sum(c * x[j] for j, c in sub.items())
-    if min(x) < 0 or any(sum(c * x[j] for j, c in row.items())
-                         for row in ix.cone) or not largest and \
+    if min(x, default=0) < 0 or any(sum(c * x[j] for j, c in row.items())
+                                    for row in ix.cone) or not largest and \
             not all(any(x[j] for j in row) for row in ix.least):
         raise InternalError("linprog returned a point off the cone")
+    ix.points[point] = x
     return x
 
 

@@ -330,18 +330,23 @@ LOOPS = "loops"
 
 
 def loop_system(net, grammar):
-    """Parikh constraints of the loop grammar, with the start symbol
-    expanded LOOPS >= 1 times more than it is produced, plus concrete
-    realizability (cyclesearch.contributor_flow_rows).  Loop words in a row
-    make a loop word (each ends at the pivot control with the pivot symbol
-    on top), so this has a model exactly when LOOPS = 1 has one, and it is
-    the kind of system parikh.solve decides."""
-    system = parikh.parikh_cfg(grammar)
+    """The flow system of the reduced loop grammar over its production
+    columns alone (parikh.cfg_flow), with the start symbol expanded LOOPS
+    >= 1 times more than it is produced, plus concrete realizability
+    (cyclesearch.contributor_flow_rows) and the row that some production
+    that emits a move is used.  Loop words in a row make a loop word (each
+    ends at the pivot control with the pivot symbol on top), so this has a
+    model exactly when LOOPS = 1 has one, and it is the kind of system
+    parikh.solve decides."""
+    system = parikh.cfg_flow(grammar)
     atoms = tuple(("eq", {**atom[1], LOOPS: -1}, 0)
                   if atom[0] == "eq" and atom[2] == 1 else atom
                   for atom in system.atoms)
+    columns = [(y, [sym for sym in rhs if not isinstance(sym, tuple)])
+               for y, (_, rhs) in zip(system.variables, grammar.productions)]
     return parikh.LinearSystem(system.variables + (LOOPS,), atoms).conjoin(
-        [parikh.ge({LOOPS: 1}, 1)] + contributor_flow_rows(net))
+        [parikh.ge({LOOPS: 1}, 1)] + contributor_flow_rows(net, columns)
+        + [parikh.ge({y: 1 for y, tids in columns if tids}, 1)])
 
 
 def find_stem(net, pivot_control, pivot_symbol, derivations,

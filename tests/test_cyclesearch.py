@@ -6,13 +6,14 @@ import pytest
 
 from paramck.machines import (AbstractConfig, BudgetExceeded, Fsm,
                               buchi_product, make_network)
-from paramck.api import replay_network
+from paramck.api import replay_network, run_check
 from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
                                  closed_walk, concretize,
                                  contributor_flow_rows, dead_at,
                                  reachable_abstract, realizability_system,
                                  refine)
 from paramck.explicit import Verdict, _ReplayState, check_explicit, replay
+from paramck.pushdown import LOOPS, loop_system
 from paramck import parikh
 from abstraction_oracle import abstract_moves
 import integer_oracle
@@ -131,10 +132,47 @@ def test_realizability_infeasible_for_stalled_net():
         assert parikh.solve(system) is None
 
 
-def test_row_leaving_the_anchor_is_implied():
-    # realizability_system adds "some edge leaving a is used" to the flow
-    # encoding, whose connectivity atom already implies it: both systems
-    # must have the same models, up to which one the solver returns
+def letter_rows(net):
+    """The token rows and the "some move" row of the letter systems that
+    realizability_system and loop_system replace: one balance row per
+    contributor state over one letter x[tid] per move, then at least one
+    move."""
+    rows = {q: {} for q in net.moves.contributor_states}
+    for t in net.contributor_transitions:
+        if t.moves_token:
+            x = parikh.letter_var(t.tid)
+            rows[t.dst][x] = rows[t.dst].get(x, 0) + 1
+            rows[t.src][x] = rows[t.src].get(x, 0) - 1
+    tids = [t.tid for t in net.leader_transitions + net.contributor_transitions]
+    return [parikh.eq(row, 0) for row in rows.values()] + [
+        parikh.ge({parikh.letter_var(tid): 1 for tid in tids}, 1)]
+
+
+def assert_agrees_with_the_letter_system(system, letters, columns):
+    """Both systems have a model or neither does, and system's model, with
+    each letter x[tid] set to the sum of the columns that emit tid (columns
+    as (variable, tids) pairs), satisfies the letter system.  Returns both
+    models."""
+    model, oracle = parikh.solve(system), parikh.solve(letters)
+    assert (model is None) == (oracle is None)
+    if model is not None:
+        lettered = dict(model)
+        for var, tids in columns:
+            for tid in tids:
+                x = parikh.letter_var(tid)
+                lettered[x] = lettered.get(x, 0) + model.get(var, 0)
+        assert satisfies(letters.atoms, lettered)
+    return model, oracle
+
+
+def test_edge_and_production_systems_agree_with_the_letter_systems():
+    # realizability_system and loop_system write their token rows over the
+    # edge and production columns; the letter systems they replace
+    # (parikh_fsa or parikh_cfg, letter token rows and "some move") are the
+    # oracle.  In fsm-fsm the row "some edge leaving a is used" stands in
+    # for "some move": every model of the letter system meets it, by
+    # connectivity, and without it the zero point is a model
+    from test_solve import loop_grammars, pdm_nets
     rng = random.Random(31)
     solved = 0
     for _ in range(200):
@@ -144,21 +182,56 @@ def test_row_leaving_the_anchor_is_implied():
         reach = reachable_abstract(net)
         for a in accepting_codes(net, reach):
             fsa = build_cycle_fsa(net, a, ())
-            with_row = realizability_system(net, fsa)
-            row_free = parikh.parikh_fsa(fsa, alphabet=tids).conjoin(
-                contributor_flow_rows(net))
-            row = with_row.atoms[-1]
-            assert row == parikh.ge({parikh.edge_var(i): 1
-                                     for i, (src, _, _) in enumerate(fsa.edges)
-                                     if src == a}, 1)
-            model = parikh.solve(with_row)
-            free_model = parikh.solve(row_free)
-            assert (model is None) == (free_model is None)
+            system = realizability_system(net, fsa)
+            *rows, leaves = system.atoms
+            assert leaves == parikh.ge({parikh.edge_var(i): 1
+                                        for i, (src, _, _)
+                                        in enumerate(fsa.edges)
+                                        if src == a}, 1)
+            assert parikh.solve(parikh.LinearSystem(system.variables, rows)) \
+                == dict.fromkeys(system.variables, 0)
+            letters = parikh.parikh_fsa(fsa, alphabet=tids).conjoin(
+                letter_rows(net))
+            model, oracle = assert_agrees_with_the_letter_system(
+                system, letters, [(parikh.edge_var(i), (tid,))
+                                  for i, (_, tid, _) in enumerate(fsa.edges)])
             if model is not None:
                 solved += 1
-                assert satisfies(row_free.atoms, model)
-                assert satisfies([row], free_model)
+                assert satisfies([leaves], oracle)
     assert solved >= 250          # of 458 accepting configurations
+    looped = 0
+    for net, _, grammar, _ in loop_grammars(pdm_nets()):
+        # the letter system with loop_system's LOOPS >= 1 start row
+        cfg = parikh.parikh_cfg(grammar)
+        letters = parikh.LinearSystem(cfg.variables + (LOOPS,), tuple(
+            ("eq", {**atom[1], LOOPS: -1}, 0)
+            if atom[0] == "eq" and atom[2] == 1 else atom
+            for atom in cfg.atoms)).conjoin(
+                [parikh.ge({LOOPS: 1}, 1)] + letter_rows(net))
+        model, _ = assert_agrees_with_the_letter_system(
+            loop_system(net, grammar), letters,
+            [(f"y{i}", [sym for sym in rhs if not isinstance(sym, tuple)])
+             for i, (_, rhs) in enumerate(grammar.productions)])
+        looped += model is not None
+    assert looped >= 50           # of 119 loop grammars
+
+
+def test_token_rows_cover_undeclared_contributor_states():
+    # make_network does not validate: the contributor declares q0 alone and
+    # moves through q1 and q2, which need their token rows too, or the
+    # solver returns a model whose cycle leaves tokens behind
+    contrib = Fsm(frozenset(["q0"]), "q0", (("q0", ca("write", "1"), "q1"),
+                                            ("q1", ca("write", "2"), "q2"),
+                                            ("q2", ca("write", "3"), "q0")))
+    leader = Fsm(frozenset(["p0", "p1"]), "p0",
+                 (("p0", la("read", "1"), "p1"), ("p1", la("read", "3"), "p0")),
+                 frozenset(["p0"]))
+    net = make_network(["1", "2", "3"], leader, contrib)
+    v, mode = run_check(net)
+    assert (v.kind, mode) == ("NONEMPTY", "fsm-fsm") and v.stats["solves"] == 1
+    assert replay(net, v.witness) == ("valid", None)
+    assert [check_explicit(net, k).kind for k in (1, 2, 3)] == ["NONEMPTY"] * 3
+    assert len(contributor_flow_rows(net, [])) == 3
 
 
 def test_ring_decision_with_witness():

@@ -64,10 +64,12 @@ def assert_same_bookkeeping(system, rng, optima):
     _cone_point on each of those sets and on what _prune keeps: the point
     is the oracle's, built in Fractions from the same optimum (optima
     records linprog's), and a support prepared once for all its LPs (one
-    index) gives the same points as one prepared afresh for each."""
+    index) gives the same points as one prepared afresh for each.  The
+    shared index solves an LP only for a point it has not computed yet."""
     variables, cone, least, conn = parikh._split(system)
     n = len(variables)
     ix = parikh._Index(cone, least, conn, n)
+    seen = set()              # (support, kind, cuts) of the points computed
     starts = [set(range(n))] + [{j for j in range(n) if rng.random() < 0.7}
                                 for _ in range(2)]
     for start in starts:
@@ -78,11 +80,15 @@ def assert_same_bookkeeping(system, rng, optima):
             for largest, cuts in ((True, ()), (False, ()), (False, [cut])):
                 optima.clear()
                 x = parikh._cone_point(ix, cols, largest, cuts)
+                key = (frozenset(cols), largest, tuple(map(frozenset, cuts)))
+                assert len(optima) == (key not in seen)
+                seen.add(key)
+                optima.clear()
+                fresh = parikh._Index(cone, least, conn, n)
+                assert parikh._cone_point(fresh, cols, largest, cuts) == x
                 [lp] = optima
                 assert x == (None if lp is None else integer_oracle.point(
                     cone, n, cols, largest, lp))
-                fresh = parikh._Index(cone, least, conn, n)
-                assert parikh._cone_point(fresh, cols, largest, cuts) == x
 
 
 def test_bookkeeping_agrees_with_the_oracle_on_random_cone_systems(

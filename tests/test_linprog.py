@@ -164,12 +164,15 @@ def test_linprog_edge_cases():
 
 
 def cone_systems():
-    """The realizability systems of test_solve's nets, whose letter and
-    flow rows define columns."""
-    from test_solve import fsm_systems
+    """The realizability and loop systems of test_solve's nets, whose flow
+    rows define columns."""
+    from paramck.pushdown import loop_system
+    from test_solve import fsm_systems, loop_grammars, pdm_nets
     from test_cyclesearch import refinement_nets
-    return [parikh._split(system)
-            for system in fsm_systems(refinement_nets()[:60])]
+    return [parikh._split(system) for system in [
+        *fsm_systems(refinement_nets()[:60]),
+        *(loop_system(net, grammar)
+          for net, _, grammar, _ in loop_grammars(pdm_nets()))]]
 
 
 def test_cone_point_gives_the_same_optimum_without_substitution(

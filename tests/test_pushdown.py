@@ -986,6 +986,25 @@ def assert_nonempty_and_replays(net):
     assert replay(net, verdict.witness) == ("valid", None)
 
 
+def test_pdm_fsm_token_rows_cover_undeclared_contributor_states():
+    # the contributor declares q0 alone and moves through q1 and q2; each
+    # needs its token row in the loop systems, or a model's loop leaves
+    # tokens behind and does not replay
+    leader = Pdm(frozenset(["p0", "p1"]), ("Z", "X"), "p0",
+                 (PdmRule("p0", la("read", "1"), "Z", "p1", ("push", "X")),
+                  PdmRule("p1", la("read", "3"), "X", "p0", ("push", "X")),
+                  PdmRule("p0", la("read", "1"), "X", "p1", ("pop",)),
+                  PdmRule("p1", la("read", "3"), "Z", "p0", ("push", "X"))),
+                 frozenset(["p0"]))
+    contrib = Fsm(frozenset(["q0"]), "q0", (("q0", ca("write", "1"), "q1"),
+                                            ("q1", ca("write", "2"), "q2"),
+                                            ("q2", ca("write", "3"), "q0")))
+    net = make_network(["1", "2", "3"], leader, contrib)
+    assert_nonempty_and_replays(net)
+    assert [check_explicit(net, k, 3).kind for k in (1, 2, 3)] \
+        == ["NONEMPTY"] * 3
+
+
 def test_pdm_fsm_numbers_every_store():
     # stores in the table's order, UNINIT first and then by repr, so a
     # domain that mixes types sorts too

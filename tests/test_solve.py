@@ -11,15 +11,14 @@ import pytest
 import integer_oracle
 from paramck import parikh
 from paramck.api import run_check
-from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm,
-                                 contributor_flow_rows, lasso,
+from paramck.cyclesearch import (build_cycle_fsa, check_fsm_fsm, lasso,
                                  reachable_abstract, realizability_system)
 from paramck.explicit import replay
 from paramck.machines import EXPLORE_BUDGET, AbstractConfig, InternalError
 from paramck.pushdown import (LOOPS, _model_word, check_pdm_fsm, find_stem,
                               loop_system, post_star)
 from fixtures import ring_network, satisfies
-from test_cyclesearch import refinement_nets
+from test_cyclesearch import letter_rows, refinement_nets
 from test_pushdown import (gf_product_network, loop_grammar, loop_test_nets,
                            pivot_automata)
 
@@ -78,7 +77,7 @@ def test_fixpoint_agrees_with_the_oracle_on_every_loop_system():
         system = loop_system(net, grammar)
         model = parikh.solve(system)
         assert (model is None) == (integer_oracle.solve(system) is None)
-        once = parikh.parikh_cfg(grammar).conjoin(contributor_flow_rows(net))
+        once = parikh.parikh_cfg(grammar).conjoin(letter_rows(net))
         assert (model is None) == (integer_oracle.solve(once) is None)
         if model is None:
             refuted += 1
@@ -117,6 +116,26 @@ def counting_lps(monkeypatch):
 
     monkeypatch.setattr(parikh, "linprog", counting)
     return calls
+
+
+def test_no_solve_solves_an_lp_twice(monkeypatch):
+    # _cone_point keeps each point on the system's index, so _shrink's
+    # first LP, on the support of a ball's fixpoint, is not solved again
+    # when it is the ball's short point
+    systems = list(fsm_systems(refinement_nets())) + [
+        loop_system(net, grammar)
+        for net, _, grammar, _ in loop_grammars(pdm_nets())]
+    calls = counting_lps(monkeypatch)
+    lps = 0
+    for system in systems:
+        calls.clear()
+        parikh.solve(system)
+        lp = [(tuple(cost), tuple((tuple(sorted(row.items())), const)
+                                  for row, const in rows), tuple(upper))
+              for cost, rows, upper in calls]
+        assert len(set(lp)) == len(lp)
+        lps += len(lp)
+    assert lps >= 300
 
 
 def test_a_point_off_the_cone_is_an_error(monkeypatch):
