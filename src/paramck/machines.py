@@ -127,7 +127,7 @@ class Transition(namedtuple("Transition", "owner tid payload src action dst")):
     stable identity, as an immutable tuple.
 
     The tid is unique across the union of both machines' transitions and is
-    used as a letter in cycle automata and as a constraint-variable index.
+    used as a letter in cycle automata and loop grammars.
     src, action and dst are copied from the payload, an Fsm transition
     triple or a PdmRule, so owner, tid and payload decide equality and
     hash, and they are what repr shows and pickle keeps.
