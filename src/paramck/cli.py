@@ -14,12 +14,15 @@ For replay: 0 valid, 1 invalid, 2 parse/input error, 3 budget exceeded
 (by the window restriction of a pushdown contributor).  Both exit 141, as
 SIGPIPE would, when stdout is closed early (paramck check ... | head -1).
 Machine and witness files are read as UTF-8: a file that cannot be read,
-is not UTF-8 or does not parse is an input error, reported with its path.
+is not UTF-8 or does not parse is an input error, reported with its path,
+and so is a --witness OUT that cannot be written (a missing directory, a
+directory); check then prints no report.
 The PARAMCK_BUDGET environment variable caps each state exploration:
 abstract configurations, the pdm-fsm saturation's pivots and triples,
 window states, stem moves or explicit configurations (see the README for
 the default); solves have no budget.  It is read once per
-command, and a value that is not an integer of at least 1 exits 2.
+command, and a value that is not an integer of at least 1, written in
+ASCII digits, exits 2.
 BUDGET and ERROR verdicts carry statistics.reason, and every verdict on
 a restricted pushdown contributor carries statistics.window_bound (N).
 """
@@ -116,8 +119,11 @@ def _cmd_check(args):
         raise InputError(str(e))
 
     if verdict.witness is not None and args.witness:
-        with open(args.witness, "w", encoding="utf-8") as f:
-            f.write(print_witness(verdict.witness))
+        try:
+            with open(args.witness, "w", encoding="utf-8") as f:
+                f.write(print_witness(verdict.witness))
+        except OSError as e:
+            raise InputError(f"{args.witness}: {e.strerror or e}")
     if args.json:
         report = {"verdict": verdict.kind, "mode": mode,
                   "statistics": verdict.stats}

@@ -21,6 +21,7 @@ the fsm-fsm search and the pop relations of the pdm-fsm check share them.
 from __future__ import annotations
 
 import os
+import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -55,14 +56,20 @@ class InternalError(Exception):
 
 def env_budget():
     """PARAMCK_BUDGET, or EXPLORE_BUDGET when it is unset.  Raises
-    ValueError unless it holds an integer of at least 1."""
+    ValueError unless it holds an integer of at least 1 in ASCII decimal
+    digits, with whitespace around them allowed: other scripts' digits and
+    more digits than int converts are refused too."""
     raw = os.environ.get("PARAMCK_BUDGET")
     if raw is None:
         return EXPLORE_BUDGET
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ValueError(
-            f"PARAMCK_BUDGET must be an integer of at least 1, not {raw!r}")
-    return int(raw)
+    if re.fullmatch("[0-9]+", raw.strip()):
+        try:
+            if int(raw) >= 1:
+                return int(raw)
+        except ValueError:        # more digits than int converts
+            pass
+    raise ValueError(
+        f"PARAMCK_BUDGET must be an integer of at least 1, not {raw!r}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ one" rows and one connectivity atom.  There integer and rational models
 have the same supports, so the decision is a fixpoint of linear programs
 and graph pruning, with no search and no budget.  linprog, an exact
 simplex in integers, solves each program, so the supports it finds are the
-largest and need no certificate; models are still checked in integers.
+largest and need no certificate; models are still checked in integers.  A
+connectivity cut is added to the program it tightens, which resumes from
+its last optimal tableau instead of starting again.
 
 A model becomes a word by one construction, derive_word; an automaton is a
 right-linear grammar, so euler_witness is derive_word too.  One
@@ -270,6 +272,11 @@ DEGENERATE_RUN = 12
 #: the key of a tableau row's constant
 RHS = -1
 
+#: the index of a tableau's first artificial column: past every column of
+#: a program, cut surplus columns included, so that artificial columns
+#: rank last in the ratio test's ties
+ARTIFICIAL = 1 << 60
+
 
 def _combine(row, pivot, col):
     """row minus the multiple of pivot (pivot[col] > 0) that clears col, as
@@ -295,44 +302,76 @@ def _enter(tab, basis, r, e):
     basis[r] = e
 
 
-def linprog(cost, rows, upper):
+class Tableau:
+    """The tableau linprog leaves at the optimum of a program, for a later
+    call to add rows to: its rows, the basic column of each, each column's
+    upper bound (None: none) and the complemented columns.  Row r's
+    artificial column, if it has one, is ARTIFICIAL + r.  A new one is the
+    program of no rows."""
+
+    def __init__(self):
+        self.tab, self.basis, self.upper, self.flipped = [], [], {}, set()
+
+
+def linprog(cost, rows, upper, tableau=None):
     """A point x that minimizes cost·x subject to the rows, each (coeffs,
     const) for coeffs·x = const with coeffs a dict from column index to an
     integer, and 0 <= x[j] <= upper[j] (None: no upper bound), as
     Fractions; None when no point meets them, ValueError when cost·x has no
     lower bound.
 
+    tableau, when given, is where an earlier call left the optimum of a
+    program over the first columns, and rows are added to that program:
+    cost and upper cover every column, and columns past the program's are
+    new ones.  The tableau is then left at the new optimum, so that a cut
+    re-optimizes the program it tightens (Dantzig, Fulkerson and Johnson,
+    Solution of a large-scale traveling-salesman problem, 1954); after
+    None or ValueError it is spent.  Without one, the program starts from
+    no rows: a program solved afresh is one resumed from none.
+
     A bounded-variable primal simplex in integers.  A tableau row is a
     dict, its constant at RHS, a primitive positive multiple of its
     equation.  A nonbasic column is at 0, or complemented (x = upper - x')
-    at its upper bound.  A "= 0" row gets its basic column by elimination,
-    since x = 0 meets it; only the others get an artificial column, which
-    phase 1 drives to 0 and phase 2 keeps there.  Pricing is Dantzig's
-    rule, or Bland's (Bland 1977), which cannot cycle, after DEGENERATE_RUN
-    pivots in a row that leave the point where it was.
+    at its upper bound.  A new row is first written over the nonbasic
+    columns.  If the current point meets it, as x = 0 meets a "= 0" row,
+    it gets its basic column by elimination; only the others get an
+    artificial column, which phase 1 drives to 0 and phase 2 keeps there.
+    Phase 1 starts from the previous optimal basis, and phase 2 from where
+    phase 1 ends.  Pricing is Dantzig's rule, or Bland's (Bland 1977),
+    which cannot cycle, after DEGENERATE_RUN pivots in a row that leave the
+    point where it was.
     """
+    t = Tableau() if tableau is None else tableau
+    tab, basis, flipped, bound = t.tab, t.basis, t.flipped, t.upper
     n = len(upper)
-    tab = []
+    bound.update(enumerate(upper))
+    where = {b: r for r, b in enumerate(basis)}
+    first = len(tab)
     for coeffs, const in rows:
         row = {j: c for j, c in coeffs.items() if c and upper[j] != 0}
+        for j in flipped & row.keys():
+            const -= row[j] * upper[j]
+            row[j] = -row[j]
         row.update({RHS: const} if const else {})
-        g = math.gcd(*row.values()) * (-1 if const < 0 else 1)
-        tab += [{k: c // g for k, c in row.items()}] if g else []
-    upper = list(upper) + [None] * len(tab)     # then the artificial columns
-    flipped = [False] * len(upper)
-    basis = [None] * len(tab)
-    for r, row in enumerate(tab):
+        for j in [j for j in row if j in where]:
+            row = _combine(row, tab[where[j]], j)
+        g = math.gcd(*row.values()) * (-1 if row.get(RHS, 0) < 0 else 1)
+        if g:
+            tab.append({k: c // g for k, c in row.items()})
+            basis.append(None)
+    for r in range(first, len(tab)):
+        row = tab[r]
         if RHS not in row and row:
-            e = min(row, key=lambda j: (upper[j] is not None, abs(row[j])))
+            e = min(row, key=lambda j: (bound[j] is not None, abs(row[j])))
             tab[r] = {k: -c for k, c in row.items()} if row[e] < 0 else row
             _enter(tab, basis, r, e)
 
     def flip(j, rows):
         """Complement column j in rows."""
-        flipped[j] = not flipped[j]
+        flipped.symmetric_difference_update((j,))
         for row in rows:
             if row.get(j):
-                row[RHS] = row.get(RHS, 0) - row[j] * upper[j]
+                row[RHS] = row.get(RHS, 0) - row[j] * bound[j]
                 row[j] = -row[j]
 
     def run(obj):
@@ -344,13 +383,13 @@ def linprog(cost, rows, upper):
                 if degenerate < DEGENERATE_RUN else min(better)
             # the longest step num / den along e, to e's bound or where a
             # basic value meets 0 or its bound; ties go to the lowest basic
-            num, den, r = upper[e], 1, None
+            num, den, r = bound[e], 1, None
             for i, row in enumerate(tab):
                 a, beta = row.get(e, 0), basis[i]
                 if a > 0:
                     t = (row.get(RHS, 0), a)
-                elif a and upper[beta] is not None:
-                    t = (row[beta] * upper[beta] - row.get(RHS, 0), -a)
+                elif a and bound[beta] is not None:
+                    t = (row[beta] * bound[beta] - row.get(RHS, 0), -a)
                 else:
                     continue
                 if num is None or (t[0] * den, beta) < (
@@ -371,89 +410,99 @@ def linprog(cost, rows, upper):
             if e in obj:
                 obj = _combine(obj, tab[r], e)
             _enter(tab, basis, r, e)
-            if beta >= n:                # an artificial column left
+            if beta >= ARTIFICIAL:       # an artificial column left
                 for row in tab + [obj]:
                     row.pop(beta, None)
         return obj
 
     obj = {}
-    for r, b in enumerate(basis):
-        if b is None:
-            basis[r] = n + r
+    for r in range(first, len(tab)):
+        if basis[r] is None:
+            basis[r] = ARTIFICIAL + r
+            bound[basis[r]] = None
             for k, c in tab[r].items():
                 obj[k] = obj.get(k, 0) + c
-            tab[r][n + r] = 1
+            tab[r][basis[r]] = 1
     if obj and run(obj).get(RHS, 0) > 0:
         return None
-    upper[n:] = [0] * len(tab)
-    obj = {j: c if flipped[j] else -c
+    bound.update((ARTIFICIAL + r, 0) for r in range(first, len(tab)))
+    obj = {j: c if j in flipped else -c
            for j, c in enumerate(cost) if c and upper[j] != 0}
-    obj[RHS] = sum(c * upper[j] for j, c in enumerate(cost) if flipped[j])
+    obj[RHS] = sum(c * upper[j] for j, c in enumerate(cost) if j in flipped)
     for row, b in zip(tab, basis):
         obj = _combine(obj, row, b) if b in obj else obj
     run(obj)
     x = dict.fromkeys(range(n), Fraction(0))
     x.update((b, Fraction(row.get(RHS, 0), row[b]))
              for row, b in zip(tab, basis))
-    return [upper[j] - x[j] if flipped[j] else x[j] for j in range(n)]
+    return [upper[j] - x[j] if j in flipped else x[j] for j in range(n)]
 
 
 # the benchmark's tracer wraps parikh.milp, HiGHS's name here, by name
 milp = linprog
 
 
-def _split(system):
-    """The system's variables (declared ones first, then the ones only
-    mentioned), its "= 0" rows as dicts from column to nonzero coefficient,
-    the column sets of its "at least one" rows, and its connectivity atom
-    as (root, [(column, src, dst)]) or None; ValueError outside that
-    class."""
-    variables = dict.fromkeys(system.variables)
-    for atom in system.atoms:
-        names = [v for v, _, _ in atom[2]] if atom[0] == "conn" else atom[1]
-        variables.update(dict.fromkeys(names))
-    col = {v: j for j, v in enumerate(variables)}
-    cone, least, conns = [], [], []
-    for atom in system.atoms:
-        kind, coeffs, const = atom
-        if kind == "conn":
-            conns.append((coeffs, [(col[v], s, d) for v, s, d in const]))
-        elif kind == "eq" and const == 0:
-            cone.append({col[v]: c for v, c in coeffs.items() if c})
-        elif kind == "le" and const == -1 and \
-                all(c <= 0 for c in coeffs.values()):
-            least.append({col[v] for v, c in coeffs.items() if c})
-        else:
-            raise ValueError("solve takes '= 0' rows and '>= 1' rows over "
-                             f"non-negative coefficients, not {atom!r}")
-    if len(conns) > 1:
-        raise ValueError("solve takes at most one connectivity atom")
-    return tuple(variables), cone, least, (conns[0] if conns else None)
-
-
 class _Index:
-    """One system of solve, indexed once: each column's rows and signs,
-    each node's out-edges as (column, dst), each column's edge sources (no
-    atom means a bare root), the LP parts of each support met, and each
-    point _cone_point has computed, by support, kind and cuts."""
+    """One system of solve, indexed in one pass over its atoms: its
+    variables (declared ones first, then the ones only mentioned), its
+    "= 0" rows as dicts from column to nonzero coefficient and each
+    column's rows and signs there, the column sets of its "at least one"
+    rows, and its connectivity atom as (root, [(column, src, dst)]) or
+    None, with each node's out-edges as (column, dst) and each column's
+    edge sources (no atom means a bare root); ValueError outside that
+    class.  Then, as solve goes, the LP parts of each support met, each
+    point _cone_point has computed, by support, kind and cuts, and the
+    tableau of each short point, for its next cut to resume."""
 
-    def __init__(self, cone, least, conn, n):
-        self.cone, self.least, self.conn, self.n = \
-            cone, least, conn or (None, ()), n
-        self.signs, self.sources = [[] for _ in range(n)], [[] for _ in range(n)]
-        for r, row in enumerate(cone):
-            for j, c in row.items():
-                self.signs[j].append((r, c > 0))
-        self.succ, self.supports, self.points = {}, {}, {}
-        for j, src, dst in self.conn[1]:
-            self.succ.setdefault(src, []).append((j, dst))
-            self.sources[j].append(src)
+    def __init__(self, system):
+        col = {v: j for j, v in enumerate(dict.fromkeys(system.variables))}
+        signs, sources = [[] for _ in col], [[] for _ in col]
+        cone, least, conn, succ = [], [], None, {}
+
+        def declare(names):
+            """A new column for each of names not declared yet, in order."""
+            for v in names:
+                if v not in col:
+                    col[v] = len(col)
+                    signs.append([])
+                    sources.append([])
+
+        for atom in system.atoms:
+            kind, coeffs, const = atom
+            if kind == "conn":
+                if conn is not None:
+                    raise ValueError("solve takes at most one connectivity"
+                                     " atom")
+                declare(v for v, _, _ in const)
+                conn = coeffs, [(col[v], s, d) for v, s, d in const]
+                for j, src, dst in conn[1]:
+                    succ.setdefault(src, []).append((j, dst))
+                    sources[j].append(src)
+                continue
+            if not col.keys() >= coeffs.keys():
+                declare(coeffs)
+            if kind == "eq" and const == 0:
+                r, row = len(cone), {col[v]: c for v, c in coeffs.items() if c}
+                for j, c in row.items():
+                    signs[j].append((r, c > 0))
+                cone.append(row)
+            elif kind == "le" and const == -1 and \
+                    all(c <= 0 for c in coeffs.values()):
+                least.append({col[v] for v, c in coeffs.items() if c})
+            else:
+                raise ValueError("solve takes '= 0' rows and '>= 1' rows over"
+                                 f" non-negative coefficients, not {atom!r}")
+        self.cone, self.least, self.conn, self.succ = cone, least, conn, succ
+        self.signs, self.sources = signs, sources
+        self.variables, self.n = tuple(col), len(col)
+        self.root = self.conn[0] if self.conn else None
+        self.supports, self.points, self.tableaus = {}, {}, {}
 
 
 def _distances(ix, cols):
     """The distance from the root of each node that the root reaches along
     the connectivity edges of the columns cols."""
-    return dict(graph.bfs(ix.conn[0], lambda node: (
+    return dict(graph.bfs(ix.root, lambda node: (
         dst for j, dst in ix.succ.get(node, ()) if j in cols)))
 
 
@@ -489,13 +538,18 @@ def _prune(ix, alive):
 
 
 def _balls(ix, alive):
-    """Growing sets of columns around the root, the last one alive: for
-    each distance d, the columns whose connectivity edges all leave nodes
-    at most d from the root.  alive must be _prune's."""
-    dist = _distances(ix, alive)
-    depth = {j: max((dist[s] for s in ix.sources[j]), default=0) for j in alive}
-    return [{j for j in alive if depth[j] <= d}
-            for d in sorted(set(depth.values()))]
+    """Growing sets of columns around the root, the last one alive, made
+    one at a time: for each distance d, the columns whose connectivity
+    edges all leave nodes at most d from the root.  alive must be
+    _prune's."""
+    dist, shells = _distances(ix, alive), {}
+    for j in alive:
+        shells.setdefault(max((dist[s] for s in ix.sources[j]), default=0),
+                          []).append(j)
+    ball = set()
+    for d in sorted(shells):
+        ball.update(shells[d])
+        yield set(ball)
 
 
 def _definitions(cone, cols):
@@ -528,16 +582,21 @@ def _cone_point(ix, cols, largest, cuts=()):
     columns cols, as integers, or None: linprog's optimum on the free
     columns times the lcm of their denominators, and the columns a row
     defines (_definitions) read back as integer sums.  A support's
-    definitions, free columns and LP rows are made once per index, and so
-    is each point: no LP is solved twice on one index.
+    definitions, free columns, LP rows and the cone rows it meets are made
+    once per index, and so is each point: no LP is solved twice on one
+    index.
 
     largest: x = t + s, and maximise the sum of t subject to t <= 1.  The
     cone is closed under scaling, so the optimum has t_j = 1 exactly on the
     columns that some point uses: its support is the largest.  Otherwise
     minimise the sum of x subject to every "at least one" row and every cut
     (a column set) summing to >= 1: a short point that meets those rows,
-    whose support need not be connected.  A point that fails the check in
-    integers raises InternalError.
+    whose support need not be connected.  Its program resumes the tableau
+    of the point with one cut fewer, when this index made that one, and
+    adds only the last cut's row; else it is solved from no rows.  A point
+    that fails the check in integers raises InternalError; the check reads
+    only the cone rows of the columns cols, since every other row is 0 at
+    a point that is 0 off them.
     """
     point = (key := frozenset(cols), largest, tuple(map(frozenset, cuts)))
     if point in ix.points:
@@ -546,9 +605,10 @@ def _cone_point(ix, cols, largest, cuts=()):
         rows, defs = _definitions(ix.cone, cols)
         free = sorted(cols - defs.keys())
         pos = {j: k for k, j in enumerate(free)}
+        met = sorted({r for j in cols for r, _ in ix.signs[j]})
         ix.supports[key] = defs, free, pos, [
-            {pos[j]: c for j, c in row.items()} for row in rows]
-    defs, free, pos, rows = ix.supports[key]
+            {pos[j]: c for j, c in row.items()} for row in rows], met
+    defs, free, pos, rows, met = ix.supports[key]
     m = len(free)
 
     def total(group):
@@ -559,17 +619,27 @@ def _cone_point(ix, cols, largest, cuts=()):
                 coeffs[pos[i]] += c
         return coeffs
 
+    def cut(i, group):
+        """The row "the columns of group sum to >= 1", surplus column m + i."""
+        return {**dict(enumerate(total(group))), m + i: -1}, 1
+
     if largest:
         lp = linprog([-1] * m + [0] * m,
                      [({**row, **{m + k: c for k, c in row.items()}}, 0)
                       for row in rows], [1] * m + [None] * m)
     else:
         groups = [row & cols for row in ix.least] + list(cuts)
-        lp = linprog(total(cols) + [0] * len(groups),
-                     [(row, 0) for row in rows] +
-                     [({**dict(enumerate(total(group))), m + i: -1}, 1)
-                      for i, group in enumerate(groups)],
-                     [None] * (m + len(groups)))
+        tableau = ix.tableaus.pop((key, point[2][:-1]), None) \
+            if cuts else None
+        if tableau is None:
+            tableau, new = Tableau(), [(row, 0) for row in rows] + [
+                cut(i, group) for i, group in enumerate(groups)]
+        else:
+            new = [cut(len(groups) - 1, groups[-1])]
+        lp = linprog(total(cols) + [0] * len(groups), new,
+                     [None] * (m + len(groups)), tableau)
+        if lp is not None:
+            ix.tableaus[key, point[2]] = tableau
     if lp is None:
         ix.points[point] = None
         return None
@@ -580,9 +650,10 @@ def _cone_point(ix, cols, largest, cuts=()):
         x[j] = f.numerator * (scale // f.denominator)
     for v, sub in defs.items():
         x[v] = sum(c * x[j] for j, c in sub.items())
-    if min(x, default=0) < 0 or any(sum(c * x[j] for j, c in row.items())
-                                    for row in ix.cone) or not largest and \
-            not all(any(x[j] for j in row) for row in ix.least):
+    if any(x[j] < 0 for j in cols) or any(
+            sum(c * x[j] for j, c in ix.cone[r].items()) for r in met) or \
+            not largest and not all(any(x[j] for j in row)
+                                    for row in ix.least):
         raise InternalError("linprog returned a point off the cone")
     ix.points[point] = x
     return x
@@ -594,8 +665,9 @@ def _shrink(ix, x):
     "at least one" rows, with a cut for each earlier point whose support
     was not connected.  A cut says that some edge of the support enters
     the nodes that point strands; x meets every such cut, since its support
-    reaches all of them, so every LP has a point.  After SHRINK_CUTS cuts,
-    x itself.  Every LP here is on one support, prepared once."""
+    reaches all of them, so every LP has a point.  The support's program is
+    kept, and each cut is added to it and resumed from its last optimum
+    (_cone_point), not solved anew.  After SHRINK_CUTS cuts, x itself."""
     support = {j for j in range(ix.n) if x[j]}
     cuts = []
     while len(cuts) <= SHRINK_CUTS:
@@ -646,35 +718,35 @@ def solve(system):
 
     That point uses every column it can, and witnesses should be short.
     So balls of columns around the root are tried first, smallest first
-    (_balls): in each, the shortest point that meets every "at least one"
-    row is a model if its support is connected; if not, the ball's
-    fixpoint is tried, and a model it gives is shortened (_shrink).  The
-    last ball holds every column, and its fixpoint decides.  All steps
-    share one index of the system (_Index).
+    (_balls, made as they are reached): in each, the shortest point that
+    meets every "at least one" row is a model if its support is connected;
+    if not, the ball's fixpoint is tried, and a model it gives is shortened
+    (_shrink).  The last ball holds every column, and its fixpoint
+    decides.  All steps share one index of the system (_Index), made in
+    one pass over its atoms; one _prune of every column comes first, and
+    most systems without a model end there.
     """
-    variables, cone, least, conn = _split(system)
-    n = len(variables)
-    ix = _Index(cone, least, conn, n)
-    alive = _prune(ix, set(range(n)))
-    if not all(row & alive for row in least):
+    ix = _Index(system)
+    alive = _prune(ix, set(range(ix.n)))
+    if not all(row & alive for row in ix.least):
         return None
-    if not least:
-        return dict.fromkeys(variables, 0)
+    if not ix.least:
+        return dict.fromkeys(ix.variables, 0)
     for ball in _balls(ix, alive):
         ball = _prune(ix, ball)
-        if not all(row & ball for row in least):
+        if not all(row & ball for row in ix.least):
             continue
         x = _cone_point(ix, ball, False)
         if x is not None:
-            support = {j for j in range(n) if x[j]}
+            support = {j for j in range(ix.n) if x[j]}
             if _reached(ix, support) == support:
-                return dict(zip(variables, x))
+                return dict(zip(ix.variables, x))
         if x is not None or ball == alive:
             x = _fixpoint(ix, ball)
             if x is not None:
-                if conn is not None:
+                if ix.conn is not None:
                     x = _shrink(ix, x)
-                return dict(zip(variables, x))
+                return dict(zip(ix.variables, x))
     return None
 
 

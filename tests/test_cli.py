@@ -382,6 +382,19 @@ def test_witness_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {out}: not UTF-8")
 
 
+
+@pytest.mark.parametrize("where, reason", [
+    ("missing/out.wit", "No such file or directory"),
+    ("", "Is a directory")], ids=["missing-directory", "directory"])
+def test_witness_path_that_cannot_be_written_is_an_input_error(
+        tmp_path, capsys, where, reason):
+    # the check decides, but the witness cannot be written: exit 2 with
+    # the path and the reason, and no report
+    paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB, RING_PROP)
+    out = str(tmp_path / where)
+    assert main(check_args(paths, "--json", "--witness", out)) == 2
+    assert capsys.readouterr() == ("", f"error: {out}: {reason}\n")
+
 def test_property_must_be_buchi(tmp_path, capsys):
     paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB,
                       RING_PROP.replace("kind = buchi-fsm", "kind = fsm")
@@ -412,6 +425,21 @@ def test_invalid_budget_is_an_input_error(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "PARAMCK_BUDGET" in captured.err
+
+
+@pytest.mark.parametrize("raw", ["\u0661\u0660", "1" * 5000],
+                         ids=["arabic-indic-digits", "5000-digits"])
+def test_budget_in_other_digits_or_too_long_is_an_input_error(
+        tmp_path, capsys, monkeypatch, raw):
+    # Arabic-Indic digits are not ASCII ones, and 5,000 digits are more
+    # than int converts: both get paramck's own message
+    paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB, RING_PROP)
+    monkeypatch.setenv("PARAMCK_BUDGET", raw)
+    assert main(check_args(paths, "--json")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: PARAMCK_BUDGET must be an integer of at"
+                            f" least 1, not {raw!r}\n")
 
 
 WINDOW_LEADER = """\
@@ -548,6 +576,24 @@ def test_bench_witness_files_replay(tmp_path, capsys):
             assert main(replay_args(paths, str(out))) == 1
     capsys.readouterr()
 
+
+def test_bench_reports_do_not_depend_on_the_checks_before(tmp_path, capsys):
+    # both benchmark corpora at seed 1 checked twice in one process, the
+    # second pass in reverse order: every report is byte-identical, so no
+    # state of a check, such as an LP tableau, outlives it
+    nets = []
+    for name, *texts in bench_nets():
+        directory = tmp_path / name
+        directory.mkdir(parents=True)
+        nets.append((name, write_net(directory, *texts)))
+    reports, solves = {}, 0
+    for order in (nets, nets[::-1]):
+        for name, paths in order:
+            assert main(check_args(paths, "--json")) == 0
+            out = capsys.readouterr().out
+            assert reports.setdefault(name, out) == out
+            solves += json.loads(out)["statistics"].get("solves", 0)
+    assert len(reports) == len(nets) and solves >= 30
 
 @pytest.mark.parametrize("net,extra,stats", [
     ((RING_LEADER, RING_CONTRIB, RING_PROP), (),

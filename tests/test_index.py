@@ -64,12 +64,12 @@ def assert_same_bookkeeping(system, rng, optima):
     _cone_point on each of those sets and on what _prune keeps: the point
     is the oracle's, built in Fractions from the same optimum (optima
     records linprog's), and a support prepared once for all its LPs (one
-    index) gives the same points as one prepared afresh for each.  The
-    shared index solves an LP only for a point it has not computed yet."""
-    variables, cone, least, conn = parikh._split(system)
-    n = len(variables)
-    ix = parikh._Index(cone, least, conn, n)
-    seen = set()              # (support, kind, cuts) of the points computed
+    index) gives the same points as one prepared afresh for each, with a
+    cut's point resumed on both or on neither.  The shared index solves an
+    LP only for a point it has not computed yet."""
+    ix = parikh._Index(system)
+    cone, conn, n = ix.cone, ix.conn, ix.n
+    resumed = {}    # (support, kind, cuts) of each point computed -> resumed
     starts = [set(range(n))] + [{j for j in range(n) if rng.random() < 0.7}
                                 for _ in range(2)]
     for start in starts:
@@ -79,12 +79,19 @@ def assert_same_bookkeeping(system, rng, optima):
             cut = {j for j in cols if rng.random() < 0.5}
             for largest, cuts in ((True, ()), (False, ()), (False, [cut])):
                 optima.clear()
-                x = parikh._cone_point(ix, cols, largest, cuts)
                 key = (frozenset(cols), largest, tuple(map(frozenset, cuts)))
-                assert len(optima) == (key not in seen)
-                seen.add(key)
+                new = key not in resumed
+                if new:
+                    # a cut's point resumes the program of the point without
+                    # it while this index holds that program's tableau
+                    resumed[key] = bool(cuts) and \
+                        (frozenset(cols), ()) in ix.tableaus
+                x = parikh._cone_point(ix, cols, largest, cuts)
+                assert len(optima) == new
+                fresh = parikh._Index(system)
+                if resumed[key]:
+                    parikh._cone_point(fresh, cols, False, ())
                 optima.clear()
-                fresh = parikh._Index(cone, least, conn, n)
                 assert parikh._cone_point(fresh, cols, largest, cuts) == x
                 [lp] = optima
                 assert x == (None if lp is None else integer_oracle.point(
@@ -99,9 +106,9 @@ def test_bookkeeping_agrees_with_the_oracle_on_random_cone_systems(
     for _ in range(1000):
         system = random_cone_system(rng)
         assert_same_bookkeeping(system, rng, optima)
-        _, cone, least, conn = parikh._split(system)
-        n = len(system.variables)
-        alive = integer_oracle.prune(cone, conn, set(range(n)))
+        ix = parikh._Index(system)
+        cone, n = ix.cone, ix.n
+        alive = integer_oracle.prune(cone, ix.conn, set(range(n)))
         pruned += 0 < len(alive) < n
         defined += bool(parikh._definitions(cone, alive)[1])
     # both rules, and points with defined columns, get work

@@ -6,6 +6,7 @@ and solve on a dense system against the integer oracle."""
 import json
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy
@@ -163,16 +164,50 @@ def test_linprog_edge_cases():
                    [None, None]) == [2, 0]
 
 
+def test_resumed_programs_agree_with_highs_and_with_a_cold_start():
+    # a random program solved to its optimum, then extended by 1-4 ">= 1"
+    # rows, each with a fresh surplus column, and resumed after each: its
+    # status and value are HiGHS's on every row so far, and its value is
+    # that of linprog solving every row afresh
+    rng = random.Random(65)
+    seen = Counter()
+    for _ in range(1500):
+        cost, rows, upper = random_lp(rng, rng.random() < 0.5)
+        if highs_optimum(cost, rows, upper)[0] != 0:
+            continue
+        tableau = parikh.Tableau()
+        assert linprog(cost, rows, upper, tableau) is not None
+        for _ in range(rng.randint(1, 4)):
+            n = len(upper)
+            coeffs = {j: c for j in range(n)
+                      if (c := rng.choice([0, 0, -1, 1, 1, 2, 3]))}
+            new = [({**coeffs, n: -1}, 1)]
+            rows, upper = rows + new, upper + [None]
+            cost = cost + [rng.choice([0, 0, 1, 2])]
+            status, value = highs_optimum(cost, rows, upper)
+            seen[status] += 1
+            x = linprog(cost, new, upper, tableau)
+            assert (x is None) == (status == 2)
+            if x is None:
+                break
+            check_point(x, rows, upper)
+            optimum = sum(c * v for c, v in zip(cost, x))
+            assert abs(optimum - value) < 1e-9
+            assert optimum == sum(c * v for c, v in zip(
+                cost, linprog(cost, rows, upper)))
+    # a surplus column costs >= 0, so no row makes the cost unbounded
+    assert seen[0] >= 800 and seen[2] >= 400 and not seen[3]
+
+
 def cone_systems():
     """The realizability and loop systems of test_solve's nets, whose flow
     rows define columns."""
     from paramck.pushdown import loop_system
     from test_solve import fsm_systems, loop_grammars, pdm_nets
     from test_cyclesearch import refinement_nets
-    return [parikh._split(system) for system in [
-        *fsm_systems(refinement_nets()[:60]),
-        *(loop_system(net, grammar)
-          for net, _, grammar, _ in loop_grammars(pdm_nets()))]]
+    return [*fsm_systems(refinement_nets()[:60]),
+            *(loop_system(net, grammar)
+              for net, _, grammar, _ in loop_grammars(pdm_nets()))]
 
 
 def test_cone_point_gives_the_same_optimum_without_substitution(
@@ -182,8 +217,8 @@ def test_cone_point_gives_the_same_optimum_without_substitution(
     # column through the columns of its sum)
     optima = []
 
-    def recording(cost, rows, upper):
-        x = real(cost, rows, upper)
+    def recording(cost, *args):
+        x = real(cost, *args)
         optima.append(None if x is None else
                       sum(c * v for c, v in zip(cost, x)))
         return x
@@ -191,10 +226,10 @@ def test_cone_point_gives_the_same_optimum_without_substitution(
     real = parikh.linprog
     monkeypatch.setattr(parikh, "linprog", recording)
     substituted = 0
-    for variables, cone, least, conn in cone_systems():
-        n = len(variables)
-        alive = parikh._prune(parikh._Index(cone, least, conn, n),
-                              set(range(n)))
+    for system in cone_systems():
+        ix = parikh._Index(system)
+        cone, n = ix.cone, ix.n
+        alive = parikh._prune(ix, set(range(n)))
         results = []
         for definitions in (parikh._definitions,
                             lambda cone, cols: (
@@ -202,7 +237,7 @@ def test_cone_point_gives_the_same_optimum_without_substitution(
                                  for row in cone], {})):
             monkeypatch.setattr(parikh, "_definitions", definitions)
             optima.clear()
-            ix = parikh._Index(cone, least, conn, n)
+            ix = parikh._Index(system)
             big = parikh._cone_point(ix, alive, True)
             short = parikh._cone_point(ix, alive, False)
             results.append(({j for j in range(n) if big[j]}, optima[1],

@@ -455,3 +455,19 @@ def test_env_budget_reads_an_integer_or_falls_back(monkeypatch):
         monkeypatch.setenv("PARAMCK_BUDGET", raw)
         with pytest.raises(ValueError, match="PARAMCK_BUDGET"):
             env_budget()
+
+
+def test_env_budget_takes_ascii_digits_only(monkeypatch):
+    # other scripts' decimal digits, signs, underscores and more digits
+    # than int converts are refused with the same message; whitespace
+    # around ASCII digits is still allowed
+    for raw, budget in (("\t12 ", 12), ("0010", 10)):
+        monkeypatch.setenv("PARAMCK_BUDGET", raw)
+        assert env_budget() == budget
+    for raw in ("\u0661\u0660", "\uff11", "+5", "1_000", "1" * 5000,
+                "\u0661"):
+        monkeypatch.setenv("PARAMCK_BUDGET", raw)
+        with pytest.raises(ValueError) as e:
+            env_budget()
+        assert str(e.value) == ("PARAMCK_BUDGET must be an integer of at"
+                                f" least 1, not {raw!r}")

@@ -3,6 +3,7 @@ replaced (integer_oracle) on the systems the checkers build, and what a
 wrong LP point turns into."""
 
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -108,11 +109,17 @@ def test_every_nonempty_witness_replays():
 
 
 def counting_lps(monkeypatch):
-    calls = []
+    """Patch parikh.linprog to record each call as the whole program it
+    solves, (cost, rows, upper): a call that resumes a tableau adds its
+    rows to the rows of the calls that tableau has seen."""
+    calls, programs = [], weakref.WeakKeyDictionary()
 
-    def counting(*args, _real=parikh.linprog):
-        calls.append(args)
-        return _real(*args)
+    def counting(cost, rows, upper, tableau=None, _real=parikh.linprog):
+        program = [*(programs.get(tableau, ()) if tableau else ()), *rows]
+        if tableau is not None:
+            programs[tableau] = program
+        calls.append((cost, program, upper))
+        return _real(cost, rows, upper, tableau)
 
     monkeypatch.setattr(parikh, "linprog", counting)
     return calls
@@ -121,7 +128,8 @@ def counting_lps(monkeypatch):
 def test_no_solve_solves_an_lp_twice(monkeypatch):
     # _cone_point keeps each point on the system's index, so _shrink's
     # first LP, on the support of a ball's fixpoint, is not solved again
-    # when it is the ball's short point
+    # when it is the ball's short point; a cut's LP resumes the program
+    # before it, and is counted as that program with the cut's row added
     systems = list(fsm_systems(refinement_nets())) + [
         loop_system(net, grammar)
         for net, _, grammar, _ in loop_grammars(pdm_nets())]
@@ -138,6 +146,49 @@ def test_no_solve_solves_an_lp_twice(monkeypatch):
     assert lps >= 300
 
 
+def test_every_resumed_cut_has_the_cold_optimum(monkeypatch, tmp_path):
+    # each LP of _shrink's cut sequences resumes the program before it with
+    # its cut's row: its value is that of the whole program solved afresh,
+    # and its point passes _cone_point's integer check (solve would raise).
+    # The realizability and loop systems of the fixture nets reach no cut;
+    # the systems of the seed-1 fsm bench corpus and random cone systems do
+    from perfbench.corpus import make_corpus, write_corpus
+    from perfbench.worker import load_network
+    from test_index import random_cone_system
+    programs = weakref.WeakKeyDictionary()
+    resumed = []
+
+    def checking(cost, rows, upper, tableau=None, _real=parikh.linprog):
+        before = programs.get(tableau, ()) if tableau else ()
+        x = _real(cost, rows, upper, tableau)
+        if tableau is not None:
+            programs[tableau] = [*before, *rows]
+        if before:
+            cold = _real(cost, [*before, *rows], upper)
+            resumed.append(len(rows))
+            assert (x is None) == (cold is None)
+            assert x is None or sum(c * v for c, v in zip(cost, x)) == \
+                sum(c * v for c, v in zip(cost, cold))
+        return x
+
+    systems = []
+    monkeypatch.setattr(parikh, "solve", lambda system, _real=parikh.solve:
+                        systems.append(system) or _real(system))
+    for inst, *files in write_corpus(make_corpus("fsm", 1), str(tmp_path)):
+        run_check(load_network(inst, files))
+    monkeypatch.undo()
+    rng = random.Random(73)
+    systems += [*fsm_systems(refinement_nets()),
+                *(loop_system(net, grammar)
+                  for net, _, grammar, _ in loop_grammars(pdm_nets())),
+                *(random_cone_system(rng) for _ in range(2000))]
+    monkeypatch.setattr(parikh, "linprog", checking)
+    for system in systems:
+        model = parikh.solve(system)
+        assert model is None or satisfies(system.atoms, model)
+    # one cut's row at a time
+    assert set(resumed) == {1} and len(resumed) >= 80
+
 def test_a_point_off_the_cone_is_an_error(monkeypatch):
     # a linprog whose point fails the integer check makes _cone_point
     # raise, and every check that reaches an LP ends in ERROR, never in a
@@ -149,13 +200,11 @@ def test_a_point_off_the_cone_is_an_error(monkeypatch):
         calls.clear()
         verdict, mode = run_check(net)
         before.append((verdict.kind, mode if calls else None))
-    monkeypatch.setattr(parikh, "linprog", lambda cost, rows, upper:
+    monkeypatch.setattr(parikh, "linprog", lambda cost, rows, upper, *_:
                         [Fraction(-1)] * len(upper))
-    system = next(fsm_systems(refinement_nets()))
-    n = len(system.variables)
-    ix = parikh._Index(*parikh._split(system)[1:], n)
+    ix = parikh._Index(next(fsm_systems(refinement_nets())))
     with pytest.raises(InternalError):
-        parikh._cone_point(ix, set(range(n)), False)
+        parikh._cone_point(ix, set(range(ix.n)), False)
     for net, (kind, lp_mode) in zip(nets, before):
         verdict, _ = run_check(net)
         if lp_mode:
