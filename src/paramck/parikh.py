@@ -456,7 +456,7 @@ class _Index:
 
     def __init__(self, system):
         col = {v: j for j, v in enumerate(dict.fromkeys(system.variables))}
-        signs, sources = [[] for _ in col], [[] for _ in col]
+        signs, sources = [[] for _ in col], [set() for _ in col]
         cone, least, conn, succ = [], [], None, {}
 
         def declare(names):
@@ -465,7 +465,7 @@ class _Index:
                 if v not in col:
                     col[v] = len(col)
                     signs.append([])
-                    sources.append([])
+                    sources.append(set())
 
         for atom in system.atoms:
             kind, coeffs, const = atom
@@ -477,7 +477,7 @@ class _Index:
                 conn = coeffs, [(col[v], s, d) for v, s, d in const]
                 for j, src, dst in conn[1]:
                     succ.setdefault(src, []).append((j, dst))
-                    sources[j].append(src)
+                    sources[j].add(src)
                 continue
             if not col.keys() >= coeffs.keys():
                 declare(coeffs)
@@ -510,7 +510,7 @@ def _reached(ix, cols):
     """The columns of cols whose connectivity edges all leave nodes that the
     root reaches along edges of cols."""
     dist = _distances(ix, cols)
-    return {j for j in cols if all(s in dist for s in ix.sources[j])}
+    return {j for j in cols if dist.keys() >= ix.sources[j]}
 
 
 def _prune(ix, alive):
@@ -582,9 +582,9 @@ def _cone_point(ix, cols, largest, cuts=()):
     columns cols, as integers, or None: linprog's optimum on the free
     columns times the lcm of their denominators, and the columns a row
     defines (_definitions) read back as integer sums.  A support's
-    definitions, free columns, LP rows and the cone rows it meets are made
-    once per index, and so is each point: no LP is solved twice on one
-    index.
+    definitions, free columns and LP rows are made once per index from the
+    cone rows its columns are in, and so is each point: no LP is solved
+    twice on one index.
 
     largest: x = t + s, and maximise the sum of t subject to t <= 1.  The
     cone is closed under scaling, so the optimum has t_j = 1 exactly on the
@@ -602,10 +602,10 @@ def _cone_point(ix, cols, largest, cuts=()):
     if point in ix.points:
         return ix.points[point]
     if key not in ix.supports:
-        rows, defs = _definitions(ix.cone, cols)
+        met = sorted({r for j in cols for r, _ in ix.signs[j]})
+        rows, defs = _definitions([ix.cone[r] for r in met], cols)
         free = sorted(cols - defs.keys())
         pos = {j: k for k, j in enumerate(free)}
-        met = sorted({r for j in cols for r, _ in ix.signs[j]})
         ix.supports[key] = defs, free, pos, [
             {pos[j]: c for j, c in row.items()} for row in rows], met
     defs, free, pos, rows, met = ix.supports[key]
@@ -738,7 +738,7 @@ def solve(system):
             continue
         x = _cone_point(ix, ball, False)
         if x is not None:
-            support = {j for j in range(ix.n) if x[j]}
+            support = {j for j in ball if x[j]}
             if _reached(ix, support) == support:
                 return dict(zip(ix.variables, x))
         if x is not None or ball == alive:
