@@ -686,19 +686,17 @@ def _shrink(ix, x):
 
 
 def _fixpoint(ix, alive):
-    """The largest support that a model on alive can have, found by
-    repeating _prune and one largest point of the columns left until
-    nothing changes: the fixpoint's point as integers, or None if it misses
-    an "at least one" row."""
-    while True:
-        alive = _prune(ix, alive)
-        if not all(row & alive for row in ix.least):
-            return None
+    """The largest support that a model on alive, a set that _prune keeps,
+    can have, found by repeating one largest point of the columns left and
+    _prune until nothing changes: the fixpoint's point as integers, or None
+    if it misses an "at least one" row."""
+    while all(row & alive for row in ix.least):
         x = _cone_point(ix, alive, True)
         support = {j for j in alive if x[j]}
         if support == alive:
             return x
-        alive = support
+        alive = _prune(ix, support)
+    return None
 
 
 def solve(system):
@@ -733,7 +731,7 @@ def solve(system):
     if not ix.least:
         return dict.fromkeys(ix.variables, 0)
     for ball in _balls(ix, alive):
-        ball = _prune(ix, ball)
+        ball = _prune(ix, ball) if len(ball) < len(alive) else alive
         if not all(row & ball for row in ix.least):
             continue
         x = _cone_point(ix, ball, False)
