@@ -538,18 +538,27 @@ def _prune(ix, alive):
 
 
 def _balls(ix, alive):
-    """Growing sets of columns around the root, the last one alive, made
-    one at a time: for each distance d, the columns whose connectivity
-    edges all leave nodes at most d from the root.  alive must be
-    _prune's."""
-    dist, shells = _distances(ix, alive), {}
-    for j in alive:
-        shells.setdefault(max((dist[s] for s in ix.sources[j]), default=0),
-                          []).append(j)
-    ball = set()
-    for d in sorted(shells):
-        ball.update(shells[d])
-        yield set(ball)
+    """Growing sets of columns around the root, the last one alive: for
+    each distance d, the columns whose connectivity edges all leave nodes
+    at most d from the root.  Each is made when a breadth-first search
+    from the root has passed distance d, so the first ones need only the
+    nodes near the root.  alive must be _prune's."""
+    waiting = {j: len(ix.sources[j]) for j in alive}
+    ball, shell, level = set(), [j for j, k in waiting.items() if not k], 0
+    for node, d in graph.bfs(ix.root, lambda node: [
+            dst for j, dst in ix.succ.get(node, ()) if j in alive]):
+        if d > level and shell:
+            ball.update(shell)
+            shell = []
+            yield set(ball)
+        level = d
+        for j in {j for j, _ in ix.succ.get(node, ()) if j in alive}:
+            waiting[j] -= 1
+            if not waiting[j]:
+                shell.append(j)
+    if shell:
+        ball.update(shell)
+        yield ball
 
 
 def _definitions(cone, cols):
