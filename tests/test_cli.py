@@ -382,7 +382,6 @@ def test_witness_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {out}: not UTF-8")
 
 
-
 @pytest.mark.parametrize("where, reason", [
     ("missing/out.wit", "No such file or directory"),
     ("", "Is a directory")], ids=["missing-directory", "directory"])
@@ -394,6 +393,7 @@ def test_witness_path_that_cannot_be_written_is_an_input_error(
     out = str(tmp_path / where)
     assert main(check_args(paths, "--json", "--witness", out)) == 2
     assert capsys.readouterr() == ("", f"error: {out}: {reason}\n")
+
 
 def test_property_must_be_buchi(tmp_path, capsys):
     paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB,
@@ -594,6 +594,7 @@ def test_bench_reports_do_not_depend_on_the_checks_before(tmp_path, capsys):
             assert reports.setdefault(name, out) == out
             solves += json.loads(out)["statistics"].get("solves", 0)
     assert len(reports) == len(nets) and solves >= 30
+
 
 @pytest.mark.parametrize("net,extra,stats", [
     ((RING_LEADER, RING_CONTRIB, RING_PROP), (),

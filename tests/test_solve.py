@@ -155,22 +155,6 @@ def test_every_resumed_cut_has_the_cold_optimum(monkeypatch, tmp_path):
     from perfbench.corpus import make_corpus, write_corpus
     from perfbench.worker import load_network
     from test_index import random_cone_system
-    programs = weakref.WeakKeyDictionary()
-    resumed = []
-
-    def checking(cost, rows, upper, tableau=None, _real=parikh.linprog):
-        before = programs.get(tableau, ()) if tableau else ()
-        x = _real(cost, rows, upper, tableau)
-        if tableau is not None:
-            programs[tableau] = [*before, *rows]
-        if before:
-            cold = _real(cost, [*before, *rows], upper)
-            resumed.append(len(rows))
-            assert (x is None) == (cold is None)
-            assert x is None or sum(c * v for c, v in zip(cost, x)) == \
-                sum(c * v for c, v in zip(cost, cold))
-        return x
-
     systems = []
     monkeypatch.setattr(parikh, "solve", lambda system, _real=parikh.solve:
                         systems.append(system) or _real(system))
@@ -182,12 +166,26 @@ def test_every_resumed_cut_has_the_cold_optimum(monkeypatch, tmp_path):
                 *(loop_system(net, grammar)
                   for net, _, grammar, _ in loop_grammars(pdm_nets())),
                 *(random_cone_system(rng) for _ in range(2000))]
+    cold, calls, resumed = parikh.linprog, counting_lps(monkeypatch), []
+
+    def checking(cost, rows, upper, tableau=None, _counting=parikh.linprog):
+        x = _counting(cost, rows, upper, tableau)
+        _, program, _ = calls[-1]
+        if len(program) > len(rows):
+            y = cold(cost, program, upper)
+            resumed.append(len(rows))
+            assert (x is None) == (y is None)
+            assert x is None or sum(c * v for c, v in zip(cost, x)) == \
+                sum(c * v for c, v in zip(cost, y))
+        return x
+
     monkeypatch.setattr(parikh, "linprog", checking)
     for system in systems:
         model = parikh.solve(system)
         assert model is None or satisfies(system.atoms, model)
     # one cut's row at a time
     assert set(resumed) == {1} and len(resumed) >= 80
+
 
 def test_a_point_off_the_cone_is_an_error(monkeypatch):
     # a linprog whose point fails the integer check makes _cone_point
