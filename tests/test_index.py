@@ -139,3 +139,27 @@ def test_bookkeeping_agrees_with_the_oracle_on_the_fixture_systems(
     for system in systems:
         assert_same_bookkeeping(system, rng, optima)
     assert checked >= 5 and len(systems) - checked >= 400
+
+
+def test_balls_are_the_distance_balls_in_order():
+    # _balls yields, as the search from the root reaches them, the balls
+    # that the distances of all of alive give: for each distance d, the
+    # columns whose edges all leave nodes at most d from the root
+    rng = random.Random(74)
+    systems = [*fsm_systems(refinement_nets()),
+               *(loop_system(net, grammar)
+                 for net, _, grammar, _ in loop_grammars(pdm_nets())),
+               *(random_cone_system(rng) for _ in range(2000))]
+    several = 0
+    for system in systems:
+        ix = parikh._Index(system)
+        alive = parikh._prune(ix, set(range(ix.n)))
+        dist = parikh._distances(ix, alive)
+        depth = {j: max((dist[s] for s in ix.sources[j]), default=0)
+                 for j in alive}
+        want = [{j for j in alive if depth[j] <= d}
+                for d in sorted(set(depth.values()))]
+        assert list(parikh._balls(ix, alive)) == want
+        several += len(want) > 2
+    # 162 of them have more than two balls
+    assert several >= 150
