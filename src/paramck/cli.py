@@ -13,10 +13,11 @@ Exit codes for check: 0 decided (NONEMPTY or EMPTY), 2 input error,
 For replay: 0 valid, 1 invalid, 2 parse/input error, 3 budget exceeded
 (by the window restriction of a pushdown contributor).  Both exit 141, as
 SIGPIPE would, when stdout is closed early (paramck check ... | head -1).
-Machine and witness files are read as UTF-8: a file that cannot be read,
-is not UTF-8 or does not parse is an input error, reported with its path,
-and so is a --witness OUT that cannot be written (a missing directory, a
-directory); check then prints no report.
+Machine and witness files are read as UTF-8, a leading byte-order mark
+skipped: a file that cannot be read, is not UTF-8 or does not parse is an
+input error, reported with its path, and so is a --witness OUT that cannot
+be written (a missing directory, a directory); check then prints no
+report.
 The PARAMCK_BUDGET environment variable caps each state exploration:
 abstract configurations, the pdm-fsm saturation's pivots and triples,
 window states, stem moves or explicit configurations (see the README for
@@ -48,11 +49,14 @@ class InputError(Exception):
 
 
 def _parse_file(path, parse, *args):
-    """parse(the text of path, *args); a read error, bytes that are not
-    UTF-8 or a parse error is an InputError."""
+    """parse(the text of path, *args), a leading byte-order mark skipped as
+    the utf-8-sig codec would (its decoder, in Python, costs more than the
+    read); a read error, bytes that are not UTF-8 or a parse error is an
+    InputError, at its offset in the file."""
     try:
         with open(path, "rb") as f:
-            return parse(f.read().decode("utf-8"), *args)
+            text = f.read().decode("utf-8").removeprefix("\ufeff")
+        return parse(text, *args)
     except OSError as e:
         raise InputError(f"{path}: {e.strerror or e}")
     except UnicodeDecodeError as e:

@@ -14,25 +14,25 @@ take a stack bound and are semi-decisions: EMPTY means empty within the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import graph
 from .machines import (EXPLORE_BUDGET, BudgetExceeded, Pdm, UNINIT, LEADER,
                        CONTRIBUTOR, step)
 
 
-@dataclass(frozen=True)
-class ConcreteConfig:
-    leader_state: object
-    leader_stack: tuple    # top first; () when the leader is an FSM
-    store: str             # a value of G, or the uninitialized marker
-    population: tuple      # sorted ((local, count), ...); local is a state, or
-                           # (state, stack) for a PDM contributor
+class ConcreteConfig(namedtuple("ConcreteConfig", "leader_state leader_stack"
+                                 " store population")):
+    """leader_stack is top first, () when the leader is an FSM; store is a
+    value of G or the uninitialized marker; population is sorted ((local,
+    count), ...), where local is a state, or (state, stack) for a PDM
+    contributor."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A replayable lasso: stem then cycle, both lists of (actor, tid).
+class Witness(namedtuple("Witness", "k stem cycle pivot", defaults=(None,))):
+    """A replayable lasso: stem then cycle, both tuples of (actor, tid).
 
     Actor 0 is the leader, actors 1..k are contributors.  For PDM leaders the
     pivot, the stack symbol on top after the stem, anchors the cycle: the
@@ -40,17 +40,17 @@ class Witness:
     with the pivot on top.  pivot is None for an FSM leader.
     """
 
-    k: int
-    stem: tuple
-    cycle: tuple
-    pivot: object = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str              # "NONEMPTY", "EMPTY", "BUDGET" or "ERROR"
-    witness: Witness | None = None
-    stats: dict = field(default_factory=dict, compare=False)
+class Verdict(namedtuple("Verdict", "kind witness stats")):
+    """kind is "NONEMPTY", "EMPTY", "BUDGET" or "ERROR"; witness is a
+    Witness or None.  A verdict made without stats gets a fresh dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, witness=None, stats=None):
+        return tuple.__new__(cls, (kind, witness, {} if stats is None else stats))
 
 
 def _pop_of(items):

@@ -82,15 +82,16 @@ def parse_machine_file(text, role):
         key, eq, rest = line.partition("=")
         if not eq:
             raise ParseError(line_no, "expected `key = value`")
-        key = key.strip()
-        rest = rest.strip()
+        key = key.rstrip()          # the line is stripped already
         if key == "trans":
             parts = rest.split()
             if len(parts) != 3:
                 raise ParseError(line_no, "trans takes `src action dst`")
             src, act, dst = parts
-            transitions.append((src, _parse_action(act, role, line_no, actions), dst))
+            act = actions.get(act) or _parse_action(act, role, line_no, actions)
+            transitions.append((src, act, dst))
             continue
+        rest = rest.lstrip()
         if key == "rule":
             m = _RULE_RE.match(rest)
             if not m:

@@ -9,15 +9,17 @@ pairs, in the order the searches follow them.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .machines import BudgetExceeded
 
 
-class Exploration(NamedTuple):
-    order: list            # discovery order
-    edges: dict            # node -> its successors(node) list
-    parent: dict           # node -> (predecessor, label), None at the root
+class Exploration(namedtuple("Exploration", "order edges parent")):
+    """order lists the nodes in discovery order; edges maps a node to its
+    successors(node) list, and parent a node to (predecessor, label), None
+    at the root."""
+
+    __slots__ = ()
 
 
 def explore(initial, successors, budget, too_many, found=None):

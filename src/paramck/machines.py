@@ -23,10 +23,8 @@ from __future__ import annotations
 import os
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import NamedTuple
 
 #: marker for the uninitialized store; not a member of G
 UNINIT = "#"
@@ -72,57 +70,55 @@ def env_budget():
         f"PARAMCK_BUDGET must be an integer of at least 1, not {raw!r}")
 
 
-@dataclass(frozen=True)
-class Action:
-    role: str          # LEADER or CONTRIBUTOR
-    kind: str          # READ or WRITE
-    value: str
+class Action(namedtuple("Action", "role kind value")):
+    """role is LEADER or CONTRIBUTOR, kind READ or WRITE."""
 
-    def __post_init__(self):
-        if self.role not in (LEADER, CONTRIBUTOR):
-            raise ValueError(f"bad role {self.role!r}")
-        if self.kind not in (READ, WRITE):
-            raise ValueError(f"bad kind {self.kind!r}")
-        if self.value == UNINIT:
+    __slots__ = ()
+
+    def __new__(cls, role, kind, value):
+        if role not in (LEADER, CONTRIBUTOR):
+            raise ValueError(f"bad role {role!r}")
+        if kind not in (READ, WRITE):
+            raise ValueError(f"bad kind {kind!r}")
+        if value == UNINIT:
             raise ValueError("action value may not be the uninitialized marker")
+        return tuple.__new__(cls, (role, kind, value))
+
+    @classmethod
+    def _make(cls, iterable):       # so that _replace validates too
+        return cls(*iterable)
 
     def __str__(self):
         letter = "r" if self.kind == READ else "w"
         return f"{letter}({self.value})"
 
 
-@dataclass(frozen=True)
-class Fsm:
-    """Finite-state machine; with an accepting set it is a Buchi automaton."""
+class Fsm(namedtuple("Fsm", "states initial transitions accepting",
+                     defaults=(None,))):
+    """Finite-state machine; with an accepting set it is a Buchi automaton.
+    transitions holds (src, Action, dst) triples; states and accepting are
+    frozensets."""
 
-    states: frozenset
-    initial: object
-    transitions: tuple     # of (src, Action, dst)
-    accepting: frozenset | None = None
-
-
-@dataclass(frozen=True)
-class PdmRule:
-    src: object
-    action: Action
-    top: str               # stack symbol the rule fires on
-    dst: object
-    effect: tuple          # ("push", symbol) or ("pop",)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pdm:
-    """Pushdown machine.  stack_alphabet[0] is the bottom symbol.
+class PdmRule(namedtuple("PdmRule", "src action top dst effect")):
+    """A pushdown rule: it fires on top (a stack symbol), and its effect is
+    ("push", symbol) or ("pop",)."""
+
+    __slots__ = ()
+
+
+class Pdm(namedtuple("Pdm", "states stack_alphabet initial rules accepting",
+                     defaults=(None,))):
+    """Pushdown machine.  stack_alphabet[0] is the bottom symbol, and rules
+    holds PdmRules.
 
     A push rule applied to top gamma yields stack gamma' gamma w (gamma is
     retained below the pushed symbol); a pop rule removes gamma.
     """
 
-    states: frozenset
-    stack_alphabet: tuple
-    initial: object
-    rules: tuple           # of PdmRule
-    accepting: frozenset | None = None
+    __slots__ = ()
 
     @property
     def bottom(self):
@@ -202,10 +198,11 @@ def step(t, state, stack, store):
     return t.dst, stack, store
 
 
-class AbstractConfig(NamedTuple):
-    leader_state: object
-    store: str
-    Q: frozenset           # populated contributor states, never empty
+class AbstractConfig(namedtuple("AbstractConfig", "leader_state store Q")):
+    """An abstract configuration: Q is the frozenset of populated
+    contributor states, never empty."""
+
+    __slots__ = ()
 
 
 class Codec:
@@ -255,7 +252,8 @@ class Codec:
         self.leader_index = {s: i for i, s in enumerate(self.leader_states)}
         self.store_index = store = {g: i for i, g in enumerate(self.stores)}
         self.bit = {q: 1 << i for i, q in enumerate(self.contributor_states)}
-        self.accepting = [s in net.leader.accepting
+        accepting = net.leader.accepting
+        self.accepting = [s in accepting
                           for s in self.leader_states for _ in self.stores]
         # a read of v fires on store v and keeps it, a write of v fires on
         # every store g and leaves v there: the lists follow from v alone
@@ -324,48 +322,49 @@ def validate(machine, values):
         diags.append("error: value domain contains the uninitialized marker")
     if not values:
         diags.append("error: value domain is empty")
-    if machine.initial not in machine.states:
+    states = machine.states
+    if machine.initial not in states:
         diags.append(f"error: initial state {machine.initial!r} not declared")
 
     roles = set()
     used_values = set()
 
     if isinstance(machine, Fsm):
-        for src, act, dst in machine.transitions:
-            if src not in machine.states:
+        for src, (role, _, value), dst in machine.transitions:
+            if src not in states:
                 diags.append(f"error: transition source {src!r} not declared")
-            if dst not in machine.states:
+            if dst not in states:
                 diags.append(f"error: transition target {dst!r} not declared")
-            if act.value not in values:
-                diags.append(f"error: transition uses undeclared value {act.value!r}")
-            roles.add(act.role)
-            used_values.add(act.value)
+            if value not in values:
+                diags.append(f"error: transition uses undeclared value {value!r}")
+            roles.add(role)
+            used_values.add(value)
     else:
         alphabet = set(machine.stack_alphabet)
         if len(alphabet) != len(machine.stack_alphabet):
             diags.append("error: duplicate stack symbols")
-        for rule in machine.rules:
-            if rule.src not in machine.states:
-                diags.append(f"error: rule source {rule.src!r} not declared")
-            if rule.dst not in machine.states:
-                diags.append(f"error: rule target {rule.dst!r} not declared")
-            if rule.top not in alphabet:
-                diags.append(f"error: rule top symbol {rule.top!r} not declared")
-            if rule.action.value not in values:
-                diags.append(f"error: rule uses undeclared value {rule.action.value!r}")
-            if rule.effect[0] == "push":
-                if rule.effect[1] == machine.bottom:
+        for src, (role, _, value), top, dst, effect in machine.rules:
+            if src not in states:
+                diags.append(f"error: rule source {src!r} not declared")
+            if dst not in states:
+                diags.append(f"error: rule target {dst!r} not declared")
+            if top not in alphabet:
+                diags.append(f"error: rule top symbol {top!r} not declared")
+            if value not in values:
+                diags.append(f"error: rule uses undeclared value {value!r}")
+            if effect[0] == "push":
+                if effect[1] == machine.bottom:
                     diags.append("error: bottom symbol may not be pushed")
-                elif rule.effect[1] not in alphabet:
-                    diags.append(f"error: pushed symbol {rule.effect[1]!r} not declared")
-            elif rule.effect[0] != "pop":
-                diags.append(f"error: bad rule effect {rule.effect!r}")
-            roles.add(rule.action.role)
-            used_values.add(rule.action.value)
+                elif effect[1] not in alphabet:
+                    diags.append(f"error: pushed symbol {effect[1]!r} not declared")
+            elif effect[0] != "pop":
+                diags.append(f"error: bad rule effect {effect!r}")
+            roles.add(role)
+            used_values.add(value)
 
     if machine.accepting is not None:
         for q in machine.accepting:
-            if q not in machine.states:
+            if q not in states:
                 diags.append(f"error: accepting state {q!r} not declared")
     if len(roles) > 1:
         diags.append("error: machine mixes leader and contributor actions")
@@ -450,16 +449,16 @@ def buchi_product(prop, leader):
     return Pdm(states, leader.stack_alphabet, initial, tuple(rules), accepting)
 
 
-@dataclass(frozen=True)
-class Network:
-    """A fully assembled network: value domain, Buchi leader (already the
-    property product), contributor machine, and stably numbered transitions."""
+class Network(namedtuple("Network", "values leader contributor"
+                         " leader_transitions contributor_transitions",
+                         defaults=((), ()))):
+    """A fully assembled network: value domain (a frozenset), Buchi leader
+    (already the property product, an Fsm or Pdm), contributor machine,
+    and stably numbered transitions.  It has no __slots__: _by_tid and
+    moves are cached in its __dict__, and it takes no other attribute."""
 
-    values: frozenset
-    leader: object         # Buchi Fsm or Buchi Pdm
-    contributor: object    # Fsm or Pdm
-    leader_transitions: tuple = field(default=())
-    contributor_transitions: tuple = field(default=())
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}")
 
     def transition(self, tid):
         return self._by_tid[tid]
@@ -483,15 +482,17 @@ def make_network(values, leader, contributor):
     """
     if leader.accepting is None:
         raise ValueError("leader must carry a Buchi acceptance condition")
-    if isinstance(leader, Pdm):
-        lts = tuple(Transition(LEADER, f"d{i}", r) for i, r in enumerate(leader.rules))
-    else:
-        lts = tuple(Transition(LEADER, f"d{i}", t)
-                    for i, t in enumerate(leader.transitions))
-    if isinstance(contributor, Pdm):
-        cts = tuple(Transition(CONTRIBUTOR, f"c{i}", r)
-                    for i, r in enumerate(contributor.rules))
-    else:
-        cts = tuple(Transition(CONTRIBUTOR, f"c{i}", t)
-                    for i, t in enumerate(contributor.transitions))
-    return Network(frozenset(values), leader, contributor, lts, cts)
+
+    def numbered(owner, prefix, machine):
+        # Transition(owner, tid, payload) with the machine's kind tested once
+        new = tuple.__new__
+        if isinstance(machine, Pdm):
+            return tuple(new(Transition, (owner, f"{prefix}{i}", r, r.src,
+                                          r.action, r.dst))
+                         for i, r in enumerate(machine.rules))
+        return tuple(new(Transition, (owner, f"{prefix}{i}", t, *t))
+                     for i, t in enumerate(machine.transitions))
+
+    return Network(frozenset(values), leader, contributor,
+                   numbered(LEADER, "d", leader),
+                   numbered(CONTRIBUTOR, "c", contributor))

@@ -382,6 +382,31 @@ def test_witness_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {out}: not UTF-8")
 
 
+@pytest.mark.parametrize("role", ["leader", "contrib", "prop"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, capsys, role):
+    # a machine file and a witness file that start with the UTF-8 BOM read
+    # as they do without it
+    paths = write_net(tmp_path, RING_LEADER, RING_CONTRIB, RING_PROP)
+    out = tmp_path / "out.wit"
+    assert main(check_args(paths, "--json", "--witness", str(out))) == 0
+    report = capsys.readouterr().out
+    for path in (tmp_path / f"{role}.mk", out):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(check_args(paths, "--json")) == 0
+    assert capsys.readouterr() == (report, "")
+    assert main(replay_args(paths, str(out))) == 0
+    assert capsys.readouterr() == ("valid\n", "")
+    # bytes that are not UTF-8 after the mark are an input error, reported
+    # at their offset in the file
+    path = tmp_path / f"{role}.mk"
+    text = path.read_bytes().replace(b"states = ", b"states = q\xff0 ", 1)
+    path.write_bytes(text)
+    at = text.index(b"\xff")
+    assert main(check_args(paths)) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}: not UTF-8: invalid start byte at byte {at}\n"
+
+
 @pytest.mark.parametrize("where, reason", [
     ("missing/out.wit", "No such file or directory"),
     ("", "Is a directory")], ids=["missing-directory", "directory"])

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import networkx
@@ -116,7 +115,7 @@ def test_q_preserving_moves_keep_q():
         assert all(decode(b).Q == decode(a).Q for b in fsa.states)
         # a copy of the network whose moves nothing has read yet gives
         # the same automaton
-        assert build_cycle_fsa(dataclasses.replace(net), a, ()) == fsa
+        assert build_cycle_fsa(net._replace(), a, ()) == fsa
         # the saturation also stored moves that grow Q, which it drops
         dropped += sum(decode(b).Q != decode(a).Q for c in fsa.states
                        for _, b, _ in reach.edges[c])
