@@ -49,10 +49,10 @@ class InputError(Exception):
 
 
 def _parse_file(path, parse, *args):
-    """parse(the text of path, *args), a leading byte-order mark skipped as
-    the utf-8-sig codec would (its decoder, in Python, costs more than the
-    read); a read error, bytes that are not UTF-8 or a parse error is an
-    InputError, at its offset in the file."""
+    """parse(the text of path, *args), a leading byte-order mark skipped (as
+    utf-8-sig would, whose decoder is Python); a read error, bytes that are
+    not UTF-8 (at their offset in the file) or a parse error is an
+    InputError."""
     try:
         with open(path, "rb") as f:
             text = f.read().decode("utf-8").removeprefix("\ufeff")

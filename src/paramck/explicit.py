@@ -23,10 +23,9 @@ from .machines import (EXPLORE_BUDGET, BudgetExceeded, Pdm, UNINIT, LEADER,
 
 class ConcreteConfig(namedtuple("ConcreteConfig", "leader_state leader_stack"
                                  " store population")):
-    """leader_stack is top first, () when the leader is an FSM; store is a
-    value of G or the uninitialized marker; population is sorted ((local,
-    count), ...), where local is a state, or (state, stack) for a PDM
-    contributor."""
+    """The leader's stack is top first, () for an FSM; the store is a value
+    or UNINIT; population is sorted ((local, count), ...), local being a
+    state, or (state, stack) for a PDM contributor."""
 
     __slots__ = ()
 

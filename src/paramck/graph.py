@@ -15,9 +15,8 @@ from .machines import BudgetExceeded
 
 
 class Exploration(namedtuple("Exploration", "order edges parent")):
-    """order lists the nodes in discovery order; edges maps a node to its
-    successors(node) list, and parent a node to (predecessor, label), None
-    at the root."""
+    """The nodes in discovery order, each node's successors(node) list, and
+    each node's (predecessor, label), None at the root."""
 
     __slots__ = ()
 

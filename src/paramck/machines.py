@@ -95,9 +95,8 @@ class Action(namedtuple("Action", "role kind value")):
 
 class Fsm(namedtuple("Fsm", "states initial transitions accepting",
                      defaults=(None,))):
-    """Finite-state machine; with an accepting set it is a Buchi automaton.
-    transitions holds (src, Action, dst) triples; states and accepting are
-    frozensets."""
+    """Finite-state machine of (src, Action, dst) transitions; with an
+    accepting set it is a Buchi automaton."""
 
     __slots__ = ()
 
@@ -111,8 +110,7 @@ class PdmRule(namedtuple("PdmRule", "src action top dst effect")):
 
 class Pdm(namedtuple("Pdm", "states stack_alphabet initial rules accepting",
                      defaults=(None,))):
-    """Pushdown machine.  stack_alphabet[0] is the bottom symbol, and rules
-    holds PdmRules.
+    """Pushdown machine of PdmRules.  stack_alphabet[0] is the bottom symbol.
 
     A push rule applied to top gamma yields stack gamma' gamma w (gamma is
     retained below the pushed symbol); a pop rule removes gamma.
@@ -199,8 +197,7 @@ def step(t, state, stack, store):
 
 
 class AbstractConfig(namedtuple("AbstractConfig", "leader_state store Q")):
-    """An abstract configuration: Q is the frozenset of populated
-    contributor states, never empty."""
+    """Q is the frozenset of populated contributor states, never empty."""
 
     __slots__ = ()
 
@@ -452,10 +449,9 @@ def buchi_product(prop, leader):
 class Network(namedtuple("Network", "values leader contributor"
                          " leader_transitions contributor_transitions",
                          defaults=((), ()))):
-    """A fully assembled network: value domain (a frozenset), Buchi leader
-    (already the property product, an Fsm or Pdm), contributor machine,
-    and stably numbered transitions.  It has no __slots__: _by_tid and
-    moves are cached in its __dict__, and it takes no other attribute."""
+    """A fully assembled network: value domain, Buchi leader (already the
+    property product), contributor machine, and stably numbered transitions.
+    _by_tid and moves are cached in its __dict__ (so it has no __slots__)."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}")
