@@ -12,9 +12,7 @@ For pushdown machines the state space is infinite, so checks involving a PDM
 take a stack bound and are semi-decisions: EMPTY means empty within the bound.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from . import graph
 from .machines import (EXPLORE_BUDGET, BudgetExceeded, Pdm, UNINIT, LEADER,
@@ -222,7 +220,6 @@ class _ReplayState:
             raise AssertionError(err)
 
     def config(self):
-        from collections import Counter
         return ConcreteConfig(self.leader_state, self.leader_stack, self.store,
                               _pop_of(Counter(self.locals).items()))
 

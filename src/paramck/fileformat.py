@@ -44,16 +44,14 @@ _RULE_RE = re.compile(r"^(\S+)\s+(\S+)\s+(\S+)\s+->\s+(\S+)\s+(push\s+\S+|pop)$"
 
 
 def _parse_action(token, role, line_no, actions):
-    """The Action that token writes, from actions (token -> Action) if an
-    earlier line of the file made it."""
-    act = actions.get(token)
-    if act is None:
-        m = _ACTION_RE.match(token)
-        if not m:
-            raise ParseError(
-                line_no, f"bad action {token!r}, expected r(g) or w(g)")
-        kind = READ if m.group(1) == "r" else WRITE
-        act = actions[token] = Action(role, kind, m.group(2))
+    """The Action that token writes, kept in actions (token -> Action) for
+    the later lines of the file, which look it up there."""
+    m = _ACTION_RE.match(token)
+    if not m:
+        raise ParseError(
+            line_no, f"bad action {token!r}, expected r(g) or w(g)")
+    kind = READ if m.group(1) == "r" else WRITE
+    act = actions[token] = Action(role, kind, m.group(2))
     return act
 
 
@@ -99,7 +97,7 @@ def parse_machine_file(text, role):
                     line_no, "rule takes `src action top -> dst push γ|pop`")
             src, act, top, dst, eff = m.groups()
             effect = ("pop",) if eff == "pop" else ("push", eff.split()[1])
-            act = _parse_action(act, role, line_no, actions)
+            act = actions.get(act) or _parse_action(act, role, line_no, actions)
             rules.append(PdmRule(src, act, top, dst, effect))
             continue
         if key in seen:

@@ -7,8 +7,6 @@ values.  A labelled successor function maps a node to its (label, node)
 pairs, in the order the searches follow them.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .machines import BudgetExceeded

@@ -18,8 +18,6 @@ or writes.  Network.moves keeps the table and each move list read off it:
 the fsm-fsm search and the pop relations of the pdm-fsm check share them.
 """
 
-from __future__ import annotations
-
 import os
 import re
 from collections import namedtuple
@@ -143,6 +141,10 @@ class Transition(namedtuple("Transition", "owner tid payload src action dst")):
 
     def __getnewargs__(self):
         return self[:3]
+
+    @classmethod
+    def _make(cls, iterable):       # so that _replace rereads the payload
+        return cls(*tuple(iterable)[:3])
 
     def __repr__(self):
         return (f"Transition(owner={self.owner!r}, tid={self.tid!r}, "

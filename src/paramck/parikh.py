@@ -25,8 +25,6 @@ shortest-derivation pass, shortest_derivations, finds the productive
 symbols for reduce_grammar and the shortest words the checkers look for
 first."""
 
-from __future__ import annotations
-
 import heapq
 import math
 from collections import namedtuple

@@ -143,6 +143,14 @@ def test_actions_validate_however_they_are_made():
     assert str(ACT) == "r(1)"
 
 
+def test_a_replaced_transition_payload_gives_its_src_action_and_dst():
+    t = Transition(LEADER, "d0", ("p", ACT, "q"))
+    u = t._replace(payload=RULE._replace(dst="r"))
+    assert u == Transition(LEADER, "d0", RULE._replace(dst="r"))
+    assert (u.src, u.action, u.dst) == ("p", ACT, "r")
+    assert t._replace(tid="d1") == Transition(LEADER, "d1", ("p", ACT, "q"))
+
+
 def test_each_verdict_made_without_stats_gets_its_own_dict():
     first, second = Verdict("EMPTY"), Verdict("EMPTY", None)
     assert first.stats == {} and first.stats is not second.stats
