@@ -29,10 +29,10 @@ loses its place on a cycle once those moves are gone.  Deleting both until
 nothing changes leaves components that contain the support of every model.
 Contributor moves dead at Q (on no cycle of those with both ends in Q) go
 before the search.  A configuration in no component has no cycle.  A closed
-walk through a whose contributor moves are all self-loops moves no token,
-so it is a model if the component has one; it always does when the
-component's contributor moves are all self-loops.  Only the other
-configurations need a solve, of the system at a.
+walk through a in which one token makes every token-moving move and comes
+back to its state is a model if the component has one (closed_walk); one
+that moves no token exists if the component's contributor moves are all
+self-loops.  Only the other configurations need a solve, of the system at a.
 
 A model or walk is turned into a concrete lasso witness (stem by
 backward-demand concretization of the abstract stem, cycle by an Euler walk,
@@ -141,14 +141,29 @@ def refine(net, edges):
 
 def closed_walk(net, part, a):
     """A shortest closed walk through a, as transition ids, over the edges
-    of the part that move no token (leader moves and contributor
-    self-loops), or None.  Such a walk leaves every contributor state's
-    count as it was."""
-    succ = {}
+    of the part, in which one token makes every move that moves a token
+    and comes back to its state, or None.  Such a walk leaves every
+    contributor state's count as it was.  It searches (code, token state)
+    pairs: first with no token, for a walk that moves none (leader moves
+    and contributor self-loops), then from each state that a move of the
+    part leaves, in Codec order."""
+    succ, sources = {}, set()
     for src, lab, dst in part:
-        if not net.transition(lab).moves_token:
-            succ.setdefault(src, []).append((lab, dst))
-    return graph.closed_walk(lambda c: succ.get(c, ()), a)
+        t = net.transition(lab)
+        move = (t.src, t.dst) if t.moves_token else None
+        succ.setdefault(src, []).append((lab, dst, move))
+        if move:
+            sources.add(t.src)
+
+    def step(node):
+        c, q = node
+        return [(lab, (dst, move[1] if move else q)) for lab, dst, move
+                in succ.get(c, ()) if not move or move[0] == q]
+    for q in (None, *sorted(sources, key=net.moves.bit.get)):
+        walk = graph.closed_walk(step, (a, q))
+        if walk is not None:
+            return walk
+    return None
 
 
 def contributor_flow_rows(net, columns):
@@ -241,7 +256,8 @@ def check_fsm_fsm(net, budget=EXPLORE_BUDGET):
     Each accepting configuration is decided when the abstract BFS discovers
     it, in discovery order, and the BFS stops at the first with a cycle;
     each strongly connected component of the Q-preserving moves not dead at
-    Q is refined once, when it first comes up.  The statistics count the
+    Q is refined once, when it first comes up; a closed walk that one token
+    runs (closed_walk) needs no solve.  The statistics count the
     configurations discovered by then (abstract_configs), the accepting ones
     decided (accepting_checked) and the solves among them.
     More than budget configurations discovered before the verdict raise

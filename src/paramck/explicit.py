@@ -263,15 +263,15 @@ def replay(net, w):
                                      f" on top, not the pivot {w.pivot!r}"))
     elif w.pivot is not None:
         return ("invalid", (idx, "FSM-leader witness takes no pivot"))
-    floor = len(start.leader_stack)
-    accepting_seen = start.leader_state in net.leader.accepting
+    floor, accepting = len(start.leader_stack), net.leader.accepting
+    accepting_seen = start.leader_state in accepting
     for actor, tid in w.cycle:
         err = st.apply(actor, tid)
         if err is not None:
             return ("invalid", (idx, err))
         if is_pdm_leader and len(st.leader_stack) < floor:
             return ("invalid", (idx, "cycle pops below the pivot symbol"))
-        if st.leader_state in net.leader.accepting:
+        if st.leader_state in accepting:
             accepting_seen = True
         idx += 1
     end = st.config()

@@ -28,7 +28,8 @@ The decision runs in three stages:
   3. a loop word whose contributor moves are all self-loops moves no token
      and repeats forever, so a shortest such word of the reduced grammar is
      the cycle, and the pivot needs no solve (cyclesearch.closed_walk in
-     the finite-state case).  Only the other pivots get a solve: a Parikh
+     the finite-state case, which also takes walks that move one token
+     and bring it back).  Only the other pivots get a solve: a Parikh
      model of the grammar, strengthened with contributor flow balance and
      nonemptiness, denotes a concretely realizable cycle, derived from the
      model's production counts.  The witness is the cycle after a stem read

@@ -236,3 +236,20 @@ def lift_fsm_to_pdm(fsm):
         rules.append(PdmRule(src, act, "Z", dst, ("push", "X")))
         rules.append(PdmRule(src, act, "X", dst, ("pop",)))
     return Pdm(fsm.states, stack, fsm.initial, tuple(rules), fsm.accepting)
+
+
+def turn_taking_network(n):
+    """n >= 2 values and a contributor that writes some value i and then
+    waits for value i + 1 (mod n), which only another contributor can
+    write: every cycle needs n contributors, one per value, and no cycle
+    moves a single contributor alone.  The leader never moves but is always
+    accepting, so a cycle is made of contributor moves."""
+    values = [str(i) for i in range(1, n + 1)]
+    leader = Fsm(frozenset(["d0"]), "d0", (), frozenset(["d0"]))
+    transitions = []
+    for i, v in enumerate(values, 1):
+        transitions += [("q0", ca("write", v), f"q{i}"),
+                        (f"q{i}", ca("read", values[i % n]), "q0")]
+    contributor = Fsm(frozenset(f"q{i}" for i in range(n + 1)), "q0",
+                      tuple(transitions))
+    return make_network(values, leader, contributor)

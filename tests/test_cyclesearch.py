@@ -17,7 +17,8 @@ from paramck import parikh
 from abstraction_oracle import abstract_moves
 import integer_oracle
 from fixtures import la, ca, ring_network, stalled_network, \
-    random_fsm_leader, random_fsm_network, random_pdm_contributor, satisfies
+    random_fsm_leader, random_fsm_network, random_pdm_contributor, satisfies, \
+    turn_taking_network
 
 
 def accepting_codes(net, reach):
@@ -218,19 +219,37 @@ def test_edge_and_production_systems_agree_with_the_letter_systems():
 def test_token_rows_cover_undeclared_contributor_states():
     # make_network does not validate: the contributor declares q0 alone and
     # moves through q1 and q2, which need their token rows too, or the
-    # solver returns a model whose cycle leaves tokens behind
+    # solver returns a model whose cycle leaves tokens behind (q0 w(1) q1
+    # and q2 r(1) q0 balance q0).  A contributor that writes 1 waits for 2,
+    # and the other way round, so every cycle takes two contributors and
+    # the check solves
     contrib = Fsm(frozenset(["q0"]), "q0", (("q0", ca("write", "1"), "q1"),
-                                            ("q1", ca("write", "2"), "q2"),
-                                            ("q2", ca("write", "3"), "q0")))
+                                            ("q1", ca("read", "2"), "q0"),
+                                            ("q0", ca("write", "2"), "q2"),
+                                            ("q2", ca("read", "1"), "q0")))
     leader = Fsm(frozenset(["p0", "p1"]), "p0",
-                 (("p0", la("read", "1"), "p1"), ("p1", la("read", "3"), "p0")),
+                 (("p0", la("read", "1"), "p1"), ("p1", la("read", "2"), "p0")),
                  frozenset(["p0"]))
-    net = make_network(["1", "2", "3"], leader, contrib)
+    net = make_network(["1", "2"], leader, contrib)
     v, mode = run_check(net)
     assert (v.kind, mode) == ("NONEMPTY", "fsm-fsm") and v.stats["solves"] == 1
     assert replay(net, v.witness) == ("valid", None)
-    assert [check_explicit(net, k).kind for k in (1, 2, 3)] == ["NONEMPTY"] * 3
+    assert [check_explicit(net, k).kind for k in (1, 2, 3)] == \
+        ["EMPTY", "NONEMPTY", "NONEMPTY"]
     assert len(contributor_flow_rows(net, [])) == 3
+    # every model of a realizability system replays, and some
+    # configuration has one
+    reach = reachable_abstract(net)
+    solved = 0
+    for a in accepting_codes(net, reach):
+        fsa = build_cycle_fsa(net, a, ())
+        model = parikh.solve(realizability_system(net, fsa))
+        if model is not None:
+            solved += 1
+            witness = concretize(net, reach, a,
+                                 parikh.euler_witness(fsa, model))
+            assert replay(net, witness) == ("valid", None)
+    assert solved >= 1
 
 
 def test_ring_decision_with_witness():
@@ -321,18 +340,38 @@ def test_refinement_agrees_with_the_per_configuration_oracle():
     assert 40 <= kinds.count("NONEMPTY") <= 220
 
 
+def assert_one_token_walk(net, part, a, walk):
+    """The edges of walk, which must be a closed walk through a over the
+    part's edges whose moves that move a token chain into one contributor
+    closed walk."""
+    step = {(src, lab): dst for src, lab, dst in part}
+    assert len(step) == len(part)
+    edges, c = [], a
+    for lab in walk:
+        edges.append((c, lab, step[c, lab]))
+        c = edges[-1][2]
+    assert c == a
+    moved = [t for t in map(net.transition, walk) if t.moves_token]
+    assert all(t.dst == u.src for t, u in zip(moved, moved[1:] + moved[:1]))
+    return edges
+
+
 def test_graph_decisions_agree_with_the_solver():
     # at every accepting configuration: a configuration that refine drops
-    # has no model, and one with a closed walk through it that moves no
-    # token has one, of which that walk is a witness; such a walk exists
-    # whenever the part's contributor moves are all self-loops
-    dropped = walked = loops_only = 0
-    for net in refinement_nets():
+    # has no model, and one with a closed walk through it in which one
+    # token makes every token-moving move and returns to its state has
+    # one, of which that walk is a witness: its edge counts satisfy the
+    # realizability rows, checked here without the solver.  A walk that
+    # moves no token exists whenever the part's contributor moves are all
+    # self-loops.  Some configurations have no such walk and still a
+    # model, which only the solver finds
+    dropped = walked = loops_only = moving = solver_only = 0
+    for net in [ring_network(), turn_taking_network(2)] + refinement_nets():
         reach = reachable_abstract(net)
         for a in accepting_codes(net, reach):
             part = refined_part(net, reach, a)
-            system = realizability_system(
-                net, build_cycle_fsa(net, a, ()))
+            fsa = build_cycle_fsa(net, a, ())
+            system = realizability_system(net, fsa)
             if part is None:
                 dropped += 1
                 assert parikh.solve(system) is None
@@ -342,12 +381,22 @@ def test_graph_decisions_agree_with_the_solver():
                    for _, lab, _ in part if lab.startswith("c")):
                 loops_only += 1
                 assert walk is not None
-            if walk is not None:
-                walked += 1
-                assert parikh.solve(system) is not None
-                witness = concretize(net, reach, a, walk)
-                assert replay(net, witness) == ("valid", None)
+            if walk is None:
+                solver_only += parikh.solve(system) is not None
+                continue
+            walked += 1
+            assert parikh.solve(system) is not None
+            edges = assert_one_token_walk(net, part, a, walk)
+            moving += any(net.transition(lab).moves_token for lab in walk)
+            column = {e: parikh.edge_var(i) for i, e in enumerate(fsa.edges)}
+            model = dict.fromkeys(system.variables, 0)
+            for e in edges:
+                model[column[e]] += 1
+            assert satisfies(system.atoms, model)
+            witness = concretize(net, reach, a, walk)
+            assert replay(net, witness) == ("valid", None)
     assert dropped >= 100 and loops_only >= 100 and walked > loops_only
+    assert moving >= 5 and solver_only >= 1
 
 
 def counting_solves(monkeypatch):
@@ -454,3 +503,21 @@ def test_ring_still_solves(monkeypatch):
     v = check_fsm_fsm(ring_network())
     assert v.kind == "NONEMPTY"
     assert v.stats["solves"] == len(calls) >= 1
+
+
+def test_a_cycle_that_one_contributor_runs_needs_no_solve(monkeypatch):
+    # as in fsm/random27 of the fsm bench corpus: the leader stops in an
+    # accepting state, and the cycles there are contributor moves alone.
+    # No walk moves no token, but one contributor goes round q0 w(0) q3,
+    # q3 w(2) q0 and comes back to its state, so the graph decides
+    leader = Fsm(frozenset(["p0", "p1"]), "p0",
+                 (("p0", la("write", "1"), "p1"),), frozenset(["p1"]))
+    contrib = Fsm(frozenset(["q0", "q3"]), "q0",
+                  (("q0", ca("write", "0"), "q3"),
+                   ("q3", ca("write", "2"), "q0")))
+    net = make_network(["0", "1", "2"], leader, contrib)
+    calls = counting_solves(monkeypatch)
+    v = check_fsm_fsm(net)
+    assert v.kind == "NONEMPTY" and v.stats["solves"] == 0 and calls == []
+    assert replay(net, v.witness) == ("valid", None)
+    assert check_explicit(net, 1).kind == "NONEMPTY"

@@ -18,7 +18,7 @@ from paramck.explicit import replay
 from paramck.machines import EXPLORE_BUDGET, AbstractConfig, InternalError
 from paramck.pushdown import (LOOPS, _model_word, check_pdm_fsm, find_stem,
                               loop_system, post_star)
-from fixtures import ring_network, satisfies
+from fixtures import ring_network, satisfies, turn_taking_network
 from test_cyclesearch import letter_rows, refinement_nets
 from test_pushdown import (gf_product_network, loop_grammar, loop_test_nets,
                            pivot_automata)
@@ -190,8 +190,10 @@ def test_every_resumed_cut_has_the_cold_optimum(monkeypatch, tmp_path):
 def test_a_point_off_the_cone_is_an_error(monkeypatch):
     # a linprog whose point fails the integer check makes _cone_point
     # raise, and every check that reaches an LP ends in ERROR, never in a
-    # verdict; the others keep theirs
-    nets = [ring_network()] + refinement_nets() + pdm_nets()
+    # verdict; the others keep theirs.  The ring and the two-token
+    # turn-taking net are fsm-fsm nets that still need a solve
+    nets = [ring_network(), turn_taking_network(2)] + refinement_nets() \
+        + pdm_nets()
     calls = counting_lps(monkeypatch)
     before = []                   # (verdict, mode when it made an LP)
     for net in nets:
