@@ -141,25 +141,28 @@ def refine(net, edges):
 
 def closed_walk(net, part, a):
     """A shortest closed walk through a, as transition ids, over the edges
-    of the part, in which one token makes every move that moves a token
-    and comes back to its state, or None.  Such a walk leaves every
-    contributor state's count as it was.  It searches (code, token state)
-    pairs: first with no token, for a walk that moves none (leader moves
-    and contributor self-loops), then from each state that a move of the
-    part leaves, in Codec order."""
-    succ, sources = {}, set()
+    of the part, in which one token makes every token-moving move and
+    comes back to its state, or None; every state keeps its count.  Walks
+    that move no token (leader moves and contributor self-loops) come
+    first; then the search runs over (code, token state) pairs from each
+    state that a move of the part leaves, in Codec order."""
+    free, moving = {}, {}
     for src, lab, dst in part:
         t = net.transition(lab)
-        move = (t.src, t.dst) if t.moves_token else None
-        succ.setdefault(src, []).append((lab, dst, move))
-        if move:
-            sources.add(t.src)
+        if t.moves_token:
+            moving.setdefault(src, []).append((lab, dst, t.src, t.dst))
+        else:
+            free.setdefault(src, []).append((lab, dst))
+    walk = graph.closed_walk(lambda c: free.get(c, ()), a)
+    if walk is not None:
+        return walk
 
     def step(node):
         c, q = node
-        return [(lab, (dst, move[1] if move else q)) for lab, dst, move
-                in succ.get(c, ()) if not move or move[0] == q]
-    for q in (None, *sorted(sources, key=net.moves.bit.get)):
+        return [(lab, (dst, q)) for lab, dst in free.get(c, ())] + [
+            (lab, (dst, d)) for lab, dst, s, d in moving.get(c, ()) if s == q]
+    for q in sorted({s for es in moving.values() for _, _, s, _ in es},
+                    key=net.moves.bit.get):
         walk = graph.closed_walk(step, (a, q))
         if walk is not None:
             return walk

@@ -241,9 +241,9 @@ def lift_fsm_to_pdm(fsm):
 def turn_taking_network(n):
     """n >= 2 values and a contributor that writes some value i and then
     waits for value i + 1 (mod n), which only another contributor can
-    write: every cycle needs n contributors, one per value, and no cycle
-    moves a single contributor alone.  The leader never moves but is always
-    accepting, so a cycle is made of contributor moves."""
+    write: no cycle moves a single contributor alone, and two suffice.  The
+    leader never moves but is always accepting, so a cycle is made of
+    contributor moves."""
     values = [str(i) for i in range(1, n + 1)]
     leader = Fsm(frozenset(["d0"]), "d0", (), frozenset(["d0"]))
     transitions = []

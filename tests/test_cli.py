@@ -605,9 +605,9 @@ def test_bench_witness_files_replay(tmp_path, capsys):
 
 def solving_nets():
     """(name, leader, contributor, property) texts of fsm-fsm nets that
-    still need a solve, since no cycle of them moves a single contributor
-    alone: the ring, draw248 of the differential set and the turn-taking
-    nets of 2 to 9 values."""
+    still need a solve, since every cycle through the configuration that
+    decides each moves two contributors or more: the ring, draw248 of the
+    differential set and the turn-taking nets of 2 to 9 values."""
     yield "ring", RING_LEADER, RING_CONTRIB, RING_PROP
     yield next(net for net in draw_nets() if net[0] == "draw248")
     yield from written_nets(None, [
