@@ -198,18 +198,19 @@ def realizability_system(net, fsa):
         net, [(e, (tid,)) for e, (_, tid, _) in edges]) + [leaves])
 
 
-def _stem_multiplicities(net, stem, Q_a, tokens_per_state):
+def _stem_multiplicities(net, stem, demand):
     """Backward-demand pass: how often each stem step fires, and the needed k.
 
-    Walking the abstract stem backwards with demand initialized to the cycle's
-    token requirement, a contributor step fires max(demand at its target, 1)
-    times: at least once so its store effect survives, and enough times to
-    feed every later consumer.  A contributor self-loop fires once and needs
-    one token at its state, which it leaves there.  Surplus tokens park on
-    states inside Q_a and never move again.  All residual demand lands on the
-    contributor's initial state, which fixes the population size.
+    demand maps each state to the tokens the cycle needs there.  Walking
+    the abstract stem backwards from it, a contributor step fires
+    max(demand at its target, 1) times: at least once so its store effect
+    survives, and enough times to feed every later consumer.  A contributor self-loop
+    fires once and needs one token at its state, which it leaves there.
+    Surplus tokens park where they land and never move again.  All residual
+    demand lands on the contributor's initial state, which fixes the
+    population size.
     """
-    demand = {q: tokens_per_state for q in Q_a}
+    demand = dict(demand)
     mults = [1] * len(stem)
     for i in range(len(stem) - 1, -1, -1):
         t = stem[i]
@@ -230,15 +231,23 @@ def _stem_multiplicities(net, stem, Q_a, tokens_per_state):
     return mults, k
 
 
-def lasso(net, stem, Q, cycle, pivot=None):
+def lasso(net, stem, cycle, pivot=None):
     """The concrete lasso witness of an abstract stem (the transitions of an
-    abstract path to a configuration with populated set Q) and a cycle there
-    (transition ids).  Every contributor move of the cycle needs a token in
-    Q, and the stem's multiplicities bring them there.  pivot is the
-    witness's pivot stack symbol for a PDM leader."""
-    tokens = sum(1 for tid in cycle
-                 if net.transition(tid).owner == CONTRIBUTOR)
-    mults, k = _stem_multiplicities(net, stem, Q, tokens)
+    abstract path to a configuration) and a cycle there (transition ids).
+    A contributor move of the cycle needs a token at its source, so the
+    cycle needs at a state the largest 1 - b over the moves that leave it,
+    b being the tokens the moves before it have brought there net; the
+    stem's multiplicities bring them.  pivot is the witness's pivot stack
+    symbol for a PDM leader."""
+    demand, balance = {}, {}
+    for tid in cycle:
+        t = net.transition(tid)
+        if t.owner == CONTRIBUTOR:
+            here = balance.get(t.src, 0)
+            demand[t.src] = max(demand.get(t.src, 0), 1 - here)
+            balance[t.src] = here - 1
+            balance[t.dst] = balance.get(t.dst, 0) + 1
+    mults, k = _stem_multiplicities(net, stem, demand)
     return lay_down(net, k,
                     [(t, None) for t, m in zip(stem, mults) for _ in range(m)],
                     [(net.transition(tid), None) for tid in cycle], pivot)
@@ -249,7 +258,7 @@ def concretize(net, reach, a, cycle):
     of an accepting configuration: the stored abstract stem to a, then the
     cycle."""
     stem = [t for _, t, _ in graph.path_to(reach.parent, a)]
-    return lasso(net, stem, net.moves.decode(a).Q, cycle)
+    return lasso(net, stem, cycle)
 
 
 def check_fsm_fsm(net, budget=EXPLORE_BUDGET):

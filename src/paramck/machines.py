@@ -388,28 +388,15 @@ def buchi_product(prop, leader):
     """
     if prop.accepting is None:
         raise ValueError("property automaton must have an accepting set")
-    degen = leader.accepting is not None
+    # a product state is (a, d) + phase, the phase () when the leader has
+    # no Buchi set, else (0,) or (1,)
+    phases = [()] if leader.accepting is None else [(0,), (1,)]
 
-    def step_phase(phase, a, d):
-        if phase == 0 and a in prop.accepting:
-            return 1
-        if phase == 1 and d in leader.accepting:
-            return 0
-        return phase
-
-    if degen:
-        states = frozenset(
-            (a, d, i) for a in prop.states for d in leader.states for i in (0, 1))
-        initial = (prop.initial, leader.initial, 0)
-        accepting = frozenset(
-            (a, d, 0) for a in prop.states if a in prop.accepting
-            for d in leader.states)
-    else:
-        states = frozenset((a, d) for a in prop.states for d in leader.states)
-        initial = (prop.initial, leader.initial)
-        accepting = frozenset(
-            (a, d) for a in prop.states if a in prop.accepting
-            for d in leader.states)
+    states = frozenset((a, d) + i for a in prop.states
+                       for d in leader.states for i in phases)
+    initial = (prop.initial, leader.initial) + phases[0]
+    accepting = frozenset((a, d) + phases[0] for a in prop.states
+                          if a in prop.accepting for d in leader.states)
 
     by_action = {}
     for a_src, act, a_dst in prop.transitions:
@@ -417,35 +404,21 @@ def buchi_product(prop, leader):
             raise ValueError("property automaton must use leader actions")
         by_action.setdefault(act, []).append((a_src, a_dst))
 
-    if isinstance(leader, Fsm):
-        transitions = []
-        for d_src, act, d_dst in leader.transitions:
-            if act.role != LEADER:
-                raise ValueError("leader machine must use leader actions")
-            for a_src, a_dst in by_action.get(act, ()):
-                if degen:
-                    for i in (0, 1):
-                        src = (a_src, d_src, i)
-                        dst = (a_dst, d_dst, step_phase(i, a_src, d_src))
-                        transitions.append((src, act, dst))
-                else:
-                    transitions.append(((a_src, d_src), act, (a_dst, d_dst)))
-        return Fsm(states, initial, tuple(transitions), accepting)
-
-    rules = []
-    for rule in leader.rules:
-        if rule.action.role != LEADER:
+    fsm, moves = isinstance(leader, Fsm), []
+    for move in leader.transitions if fsm else leader.rules:
+        d_src, act, d_dst = move if fsm else (move.src, move.action, move.dst)
+        if act.role != LEADER:
             raise ValueError("leader machine must use leader actions")
-        for a_src, a_dst in by_action.get(rule.action, ()):
-            if degen:
-                for i in (0, 1):
-                    src = (a_src, rule.src, i)
-                    dst = (a_dst, rule.dst, step_phase(i, a_src, rule.src))
-                    rules.append(PdmRule(src, rule.action, rule.top, dst, rule.effect))
-            else:
-                rules.append(PdmRule((a_src, rule.src), rule.action, rule.top,
-                                     (a_dst, rule.dst), rule.effect))
-    return Pdm(states, leader.stack_alphabet, initial, tuple(rules), accepting)
+        for a_src, a_dst in by_action.get(act, ()):
+            for i in phases:
+                j = (1,) if i == (0,) and a_src in prop.accepting else \
+                    (0,) if i == (1,) and d_src in leader.accepting else i
+                src, dst = (a_src, d_src) + i, (a_dst, d_dst) + j
+                moves.append((src, act, dst) if fsm else
+                             PdmRule(src, act, move.top, dst, move.effect))
+    if fsm:
+        return Fsm(states, initial, tuple(moves), accepting)
+    return Pdm(states, leader.stack_alphabet, initial, tuple(moves), accepting)
 
 
 class Network(namedtuple("Network", "values leader contributor"

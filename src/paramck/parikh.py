@@ -15,9 +15,8 @@ one" rows and one connectivity atom.  There integer and rational models
 have the same supports, so the decision is a fixpoint of linear programs
 and graph pruning, with no search and no budget.  linprog, an exact
 simplex in integers, solves each program, so the supports it finds are the
-largest and need no certificate; models are still checked in integers.  A
-connectivity cut is added to the program it tightens, which resumes from
-its last optimal tableau instead of starting again.
+largest and need no certificate; models are still checked in integers.
+Every program, a connectivity cut's included, is solved from its rows.
 
 A model becomes a word by one construction, derive_word; an automaton is a
 right-linear grammar, so euler_witness is derive_word too.  One
@@ -264,11 +263,6 @@ DEGENERATE_RUN = 12
 #: the key of a tableau row's constant
 RHS = -1
 
-#: the index of a tableau's first artificial column: past every column of
-#: a program, cut surplus columns included, so that artificial columns
-#: rank last in the ratio test's ties
-ARTIFICIAL = 1 << 60
-
 
 def _combine(row, pivot, col):
     """row minus the multiple of pivot (pivot[col] > 0) that clears col, as
@@ -294,65 +288,32 @@ def _enter(tab, basis, r, e):
     basis[r] = e
 
 
-class Tableau:
-    """The tableau linprog leaves at the optimum of a program, for a later
-    call to add rows to: its rows, the basic column of each, each column's
-    upper bound (None: none) and the complemented columns.  Row r's
-    artificial column, if it has one, is ARTIFICIAL + r.  A new one is the
-    program of no rows."""
-
-    def __init__(self):
-        self.tab, self.basis, self.upper, self.flipped = [], [], {}, set()
-
-
-def linprog(cost, rows, upper, tableau=None):
+def linprog(cost, rows, upper):
     """A point x that minimizes cost·x subject to the rows, each (coeffs,
     const) for coeffs·x = const with coeffs a dict from column index to an
     integer, and 0 <= x[j] <= upper[j] (None: no upper bound), as
     Fractions; None when no point meets them, ValueError when cost·x has no
     lower bound.
 
-    tableau, when given, is where an earlier call left the optimum of a
-    program over the first columns, and rows are added to that program:
-    cost and upper cover every column, and columns past the program's are
-    new ones.  The tableau is then left at the new optimum, so that a cut
-    re-optimizes the program it tightens (Dantzig, Fulkerson and Johnson,
-    Solution of a large-scale traveling-salesman problem, 1954); after
-    None or ValueError it is spent.  Without one, the program starts from
-    no rows: a program solved afresh is one resumed from none.
-
     A bounded-variable primal simplex in integers.  A tableau row is a
     dict, its constant at RHS, a primitive positive multiple of its
     equation.  A nonbasic column is at 0, or complemented (x = upper - x')
-    at its upper bound.  A new row is first written over the nonbasic
-    columns.  If the current point meets it, as x = 0 meets a "= 0" row,
-    it gets its basic column by elimination; only the others get an
-    artificial column, which phase 1 drives to 0 and phase 2 keeps there.
-    Phase 1 starts from the previous optimal basis, and phase 2 from where
-    phase 1 ends.  Pricing is Dantzig's rule, or Bland's (Bland 1977),
-    which cannot cycle, after DEGENERATE_RUN pivots in a row that leave the
-    point where it was.
+    at its upper bound.  A "= 0" row gets its basic column by elimination,
+    since x = 0 meets it; only the others get an artificial column, which
+    phase 1 drives to 0 and phase 2 keeps there.  Pricing is Dantzig's
+    rule, or Bland's (Bland 1977), which cannot cycle, after DEGENERATE_RUN
+    pivots in a row that leave the point where it was.
     """
-    t = Tableau() if tableau is None else tableau
-    tab, basis, flipped, bound = t.tab, t.basis, t.flipped, t.upper
     n = len(upper)
-    bound.update(enumerate(upper))
-    where = {b: r for r, b in enumerate(basis)}
-    first = len(tab)
+    tab = []
     for coeffs, const in rows:
         row = {j: c for j, c in coeffs.items() if c and upper[j] != 0}
-        for j in flipped & row.keys():
-            const -= row[j] * upper[j]
-            row[j] = -row[j]
         row.update({RHS: const} if const else {})
-        for j in [j for j in row if j in where]:
-            row = _combine(row, tab[where[j]], j)
-        g = math.gcd(*row.values()) * (-1 if row.get(RHS, 0) < 0 else 1)
-        if g:
-            tab.append({k: c // g for k, c in row.items()})
-            basis.append(None)
-    for r in range(first, len(tab)):
-        row = tab[r]
+        g = math.gcd(*row.values()) * (-1 if const < 0 else 1)
+        tab += [{k: c // g for k, c in row.items()}] if g else []
+    bound = list(upper) + [None] * len(tab)     # then the artificial columns
+    basis, flipped = [None] * len(tab), set()
+    for r, row in enumerate(tab):
         if RHS not in row and row:
             e = min(row, key=lambda j: (bound[j] is not None, abs(row[j])))
             tab[r] = {k: -c for k, c in row.items()} if row[e] < 0 else row
@@ -402,22 +363,21 @@ def linprog(cost, rows, upper, tableau=None):
             if e in obj:
                 obj = _combine(obj, tab[r], e)
             _enter(tab, basis, r, e)
-            if beta >= ARTIFICIAL:       # an artificial column left
+            if beta >= n:                # an artificial column left
                 for row in tab + [obj]:
                     row.pop(beta, None)
         return obj
 
     obj = {}
-    for r in range(first, len(tab)):
-        if basis[r] is None:
-            basis[r] = ARTIFICIAL + r
-            bound[basis[r]] = None
+    for r, b in enumerate(basis):
+        if b is None:
+            basis[r] = n + r
             for k, c in tab[r].items():
                 obj[k] = obj.get(k, 0) + c
-            tab[r][basis[r]] = 1
+            tab[r][n + r] = 1
     if obj and run(obj).get(RHS, 0) > 0:
         return None
-    bound.update((ARTIFICIAL + r, 0) for r in range(first, len(tab)))
+    bound[n:] = [0] * len(tab)
     obj = {j: c if j in flipped else -c
            for j, c in enumerate(cost) if c and upper[j] != 0}
     obj[RHS] = sum(c * upper[j] for j, c in enumerate(cost) if j in flipped)
@@ -443,9 +403,8 @@ class _Index:
     rows, and its connectivity atom as (root, [(column, src, dst)]) or
     None, with each node's out-edges as (column, dst) and each column's
     edge sources (no atom means a bare root); ValueError outside that
-    class.  Then, as solve goes, the LP parts of each support met, each
-    point _cone_point has computed, by support, kind and cuts, and the
-    tableau of each short point, for its next cut to resume."""
+    class.  Then, as solve goes, the LP parts of each support met and each
+    point _cone_point has computed, by support, kind and cuts."""
 
     def __init__(self, system):
         col = {v: j for j, v in enumerate(dict.fromkeys(system.variables))}
@@ -489,7 +448,7 @@ class _Index:
         self.signs, self.sources = signs, sources
         self.variables, self.n = tuple(col), len(col)
         self.root = self.conn[0] if self.conn else None
-        self.supports, self.points, self.tableaus = {}, {}, {}
+        self.supports, self.points = {}, {}
 
 
 def _distances(ix, cols):
@@ -593,12 +552,10 @@ def _cone_point(ix, cols, largest, cuts=()):
     columns that some point uses: its support is the largest.  Otherwise
     minimise the sum of x subject to every "at least one" row and every cut
     (a column set) summing to >= 1: a short point that meets those rows,
-    whose support need not be connected.  Its program resumes the tableau
-    of the point with one cut fewer, when this index made that one, and
-    adds only the last cut's row; else it is solved from no rows.  A point
-    that fails the check in integers raises InternalError; the check reads
-    only the cone rows of the columns cols, since every other row is 0 at
-    a point that is 0 off them.
+    whose support need not be connected.  A point that fails the check in
+    integers raises InternalError; the check reads only the cone rows of
+    the columns cols, since every other row is 0 at a point that is 0 off
+    them.
     """
     point = (key := frozenset(cols), largest, tuple(map(frozenset, cuts)))
     if point in ix.points:
@@ -621,27 +578,17 @@ def _cone_point(ix, cols, largest, cuts=()):
                 coeffs[pos[i]] += c
         return coeffs
 
-    def cut(i, group):
-        """The row "the columns of group sum to >= 1", surplus column m + i."""
-        return {**dict(enumerate(total(group))), m + i: -1}, 1
-
     if largest:
         lp = linprog([-1] * m + [0] * m,
                      [({**row, **{m + k: c for k, c in row.items()}}, 0)
                       for row in rows], [1] * m + [None] * m)
     else:
         groups = [row & cols for row in ix.least] + list(cuts)
-        tableau = ix.tableaus.pop((key, point[2][:-1]), None) \
-            if cuts else None
-        if tableau is None:
-            tableau, new = Tableau(), [(row, 0) for row in rows] + [
-                cut(i, group) for i, group in enumerate(groups)]
-        else:
-            new = [cut(len(groups) - 1, groups[-1])]
-        lp = linprog(total(cols) + [0] * len(groups), new,
-                     [None] * (m + len(groups)), tableau)
-        if lp is not None:
-            ix.tableaus[key, point[2]] = tableau
+        lp = linprog(total(cols) + [0] * len(groups),
+                     [(row, 0) for row in rows] +
+                     [({**dict(enumerate(total(group))), m + i: -1}, 1)
+                      for i, group in enumerate(groups)],
+                     [None] * (m + len(groups)))
     if lp is None:
         ix.points[point] = None
         return None
@@ -667,9 +614,8 @@ def _shrink(ix, x):
     "at least one" rows, with a cut for each earlier point whose support
     was not connected.  A cut says that some edge of the support enters
     the nodes that point strands; x meets every such cut, since its support
-    reaches all of them, so every LP has a point.  The support's program is
-    kept, and each cut is added to it and resumed from its last optimum
-    (_cone_point), not solved anew.  After SHRINK_CUTS cuts, x itself."""
+    reaches all of them, so every LP has a point.  Each point is solved
+    with all its cuts (_cone_point).  After SHRINK_CUTS cuts, x itself."""
     support = {j for j in range(ix.n) if x[j]}
     cuts = []
     while len(cuts) <= SHRINK_CUTS:

@@ -472,8 +472,7 @@ def check_pdm_fsm(net, budget=EXPLORE_BUDGET):
             if cycle is None:
                 cycle = _model_word(grammar, model)
             stem = find_stem(net, control, gamma, derivations, budget)
-            witness = lasso(net, stem, net.moves.decode(control).Q, cycle,
-                            gamma)
+            witness = lasso(net, stem, cycle, gamma)
         except AssertionError as exc:
             err = str(exc)
         else:

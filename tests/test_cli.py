@@ -619,7 +619,7 @@ def test_bench_reports_do_not_depend_on_the_checks_before(tmp_path, capsys):
     # both benchmark corpora at seed 1, then the nets that still need a
     # solve, checked twice in one process, the second pass in reverse
     # order: every report is byte-identical, so no state of a check, such
-    # as an LP tableau, outlives it
+    # as solve's index of points, outlives it
     nets = []
     for name, *texts in (*bench_nets(), *solving_nets()):
         directory = tmp_path / name

@@ -521,3 +521,15 @@ def test_a_cycle_that_one_contributor_runs_needs_no_solve(monkeypatch):
     assert v.kind == "NONEMPTY" and v.stats["solves"] == 0 and calls == []
     assert replay(net, v.witness) == ("valid", None)
     assert check_explicit(net, 1).kind == "NONEMPTY"
+
+
+@pytest.mark.parametrize("n,most", [(2, 3), (10, 13)])
+def test_a_witness_brings_only_the_tokens_its_cycle_needs(n, most):
+    # the turn-taking net of n values: a cycle of 4n - 4 contributor moves
+    # at a configuration where all n + 1 states hold tokens.  Each state
+    # gets the tokens the cycle runs short of there, not one per move of
+    # the cycle, which took k to 12 at n = 2 and to 2,200 at n = 10
+    net = turn_taking_network(n)
+    v = check_fsm_fsm(net)
+    assert v.kind == "NONEMPTY" and v.witness.k <= most
+    assert replay(net, v.witness) == ("valid", None)

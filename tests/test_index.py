@@ -64,12 +64,11 @@ def assert_same_bookkeeping(system, rng, optima):
     _cone_point on each of those sets and on what _prune keeps: the point
     is the oracle's, built in Fractions from the same optimum (optima
     records linprog's), and a support prepared once for all its LPs (one
-    index) gives the same points as one prepared afresh for each, with a
-    cut's point resumed on both or on neither.  The shared index solves an
-    LP only for a point it has not computed yet."""
+    index) gives the same points as one prepared afresh for each.  The
+    shared index solves an LP only for a point it has not computed yet."""
     ix = parikh._Index(system)
     cone, conn, n = ix.cone, ix.conn, ix.n
-    resumed = {}    # (support, kind, cuts) of each point computed -> resumed
+    seen = set()    # (support, kind, cuts) of each point computed
     starts = [set(range(n))] + [{j for j in range(n) if rng.random() < 0.7}
                                 for _ in range(2)]
     for start in starts:
@@ -80,19 +79,13 @@ def assert_same_bookkeeping(system, rng, optima):
             for largest, cuts in ((True, ()), (False, ()), (False, [cut])):
                 optima.clear()
                 key = (frozenset(cols), largest, tuple(map(frozenset, cuts)))
-                new = key not in resumed
-                if new:
-                    # a cut's point resumes the program of the point without
-                    # it while this index holds that program's tableau
-                    resumed[key] = bool(cuts) and \
-                        (frozenset(cols), ()) in ix.tableaus
+                new = key not in seen
+                seen.add(key)
                 x = parikh._cone_point(ix, cols, largest, cuts)
                 assert len(optima) == new
-                fresh = parikh._Index(system)
-                if resumed[key]:
-                    parikh._cone_point(fresh, cols, False, ())
                 optima.clear()
-                assert parikh._cone_point(fresh, cols, largest, cuts) == x
+                assert parikh._cone_point(parikh._Index(system), cols,
+                                          largest, cuts) == x
                 [lp] = optima
                 assert x == (None if lp is None else integer_oracle.point(
                     cone, n, cols, largest, lp))

@@ -6,7 +6,6 @@ and solve on a dense system against the integer oracle."""
 import json
 import os
 import random
-from collections import Counter
 from fractions import Fraction
 
 import numpy
@@ -162,41 +161,6 @@ def test_linprog_edge_cases():
     assert linprog([0], [({}, 2)], [None]) is None
     assert linprog([1, 1], [({0: 1, 1: 1}, 2), ({0: 2, 1: 2}, 4)],
                    [None, None]) == [2, 0]
-
-
-def test_resumed_programs_agree_with_highs_and_with_a_cold_start():
-    # a random program solved to its optimum, then extended by 1-4 ">= 1"
-    # rows, each with a fresh surplus column, and resumed after each: its
-    # status and value are HiGHS's on every row so far, and its value is
-    # that of linprog solving every row afresh
-    rng = random.Random(65)
-    seen = Counter()
-    for _ in range(1500):
-        cost, rows, upper = random_lp(rng, rng.random() < 0.5)
-        if highs_optimum(cost, rows, upper)[0] != 0:
-            continue
-        tableau = parikh.Tableau()
-        assert linprog(cost, rows, upper, tableau) is not None
-        for _ in range(rng.randint(1, 4)):
-            n = len(upper)
-            coeffs = {j: c for j in range(n)
-                      if (c := rng.choice([0, 0, -1, 1, 1, 2, 3]))}
-            new = [({**coeffs, n: -1}, 1)]
-            rows, upper = rows + new, upper + [None]
-            cost = cost + [rng.choice([0, 0, 1, 2])]
-            status, value = highs_optimum(cost, rows, upper)
-            seen[status] += 1
-            x = linprog(cost, new, upper, tableau)
-            assert (x is None) == (status == 2)
-            if x is None:
-                break
-            check_point(x, rows, upper)
-            optimum = sum(c * v for c, v in zip(cost, x))
-            assert abs(optimum - value) < 1e-9
-            assert optimum == sum(c * v for c, v in zip(
-                cost, linprog(cost, rows, upper)))
-    # a surplus column costs >= 0, so no row makes the cost unbounded
-    assert seen[0] >= 800 and seen[2] >= 400 and not seen[3]
 
 
 def cone_systems():

@@ -16,7 +16,8 @@ from paramck.cyclesearch import check_fsm_fsm, reachable_abstract
 from paramck.pushdown import check_pdm_fsm, post_star
 from paramck.reduction import restrict_network
 from abstraction_oracle import abstract_moves
-from fixtures import (la, ca, random_deep_pdm_network, random_fsm_network,
+from fixtures import (la, ca, random_deep_pdm_network, random_fsm_leader,
+                      random_fsm_network, random_pdm_leader,
                       random_pdm_leader_network, random_pdm_pdm_network,
                       ring_network, stalled_network, updown_pdm)
 
@@ -95,6 +96,69 @@ def test_product_degeneralizes_two_acceptance_sets():
     assert all(len(q) == 3 for q in prod.states)
     # only phase-0 property-accepting states accept
     assert all(q[2] == 0 and q[0] == "s1" for q in prod.accepting)
+
+
+def brute_force_product(prop, leader):
+    """The product by its definition, checked on every pair of product
+    states: its states, initial state, accepting states and set of moves,
+    each (src, action, dst) and, for a PDM leader, the rule's top and
+    effect.  Phases are 0 and 1 when the leader has an acceptance set, and
+    None (pairs for states) when not."""
+    phases = [None] if leader.accepting is None else [0, 1]
+
+    def state(a, d, i):
+        return (a, d) if i is None else (a, d, i)
+
+    def next_phase(i, a, d):
+        if i == 0:
+            return 1 if a in prop.accepting else 0
+        if i == 1:
+            return 0 if d in leader.accepting else 1
+        return None
+
+    triples = [(a, d, i) for a in prop.states for d in leader.states
+               for i in phases]
+    leader_moves = set(leader.transitions) if isinstance(leader, Fsm) else {
+        (r.src, r.action, r.dst, r.top, r.effect) for r in leader.rules}
+    moves = {(state(a, d, i), act, state(a2, d2, j), *rest)
+             for a, d, i in triples for a2, d2, j in triples
+             if j == next_phase(i, a, d)
+             for src, act, dst, *rest in leader_moves
+             if (src, dst) == (d, d2) and (a, act, a2) in prop.transitions}
+    return ({state(*t) for t in triples},
+            state(prop.initial, leader.initial, phases[0]),
+            {state(a, d, i) for a, d, i in triples
+             if a in prop.accepting and i in (0, None)}, moves)
+
+
+def test_product_agrees_with_the_brute_force_product():
+    # random property automata against random FSM and PDM leaders, each
+    # with and without its own acceptance set
+    rng = random.Random(31)
+    values = ["1", "2"]
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        prop_states = [f"s{i}" for i in range(n)]
+        prop = Fsm(frozenset(prop_states), "s0", tuple(
+            (rng.choice(prop_states),
+             la(rng.choice(["read", "write"]), rng.choice(values)),
+             rng.choice(prop_states)) for _ in range(rng.randint(1, 6))),
+            frozenset(rng.sample(prop_states, rng.randint(0, n))))
+        make = rng.choice([random_fsm_leader, random_pdm_leader])
+        leader = make(rng, values)
+        if rng.random() < 0.5:
+            leader = leader._replace(accepting=None)
+        prod = buchi_product(prop, leader)
+        fsm = isinstance(leader, Fsm)
+        seen[fsm, leader.accepting is None] += 1
+        moves = prod.transitions if fsm else [
+            (r.src, r.action, r.dst, r.top, r.effect) for r in prod.rules]
+        assert type(prod) is type(leader)
+        assert fsm or prod.stack_alphabet == leader.stack_alphabet
+        assert (prod.states, prod.initial, prod.accepting, set(moves)) == \
+            brute_force_product(prop, leader)
+    assert len(seen) == 4 and min(seen.values()) >= 80
 
 
 def test_product_requires_property_acceptance():

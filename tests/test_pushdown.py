@@ -457,8 +457,7 @@ def test_token_free_words_are_models_that_replay():
             assert all(t.src == t.dst for t in moves
                        if t.owner == CONTRIBUTOR), name
             stem = find_stem(net, control, gamma, derivations)
-            witness = lasso(net, stem, net.moves.decode(control).Q, word,
-                            gamma)
+            witness = lasso(net, stem, word, gamma)
             assert replay(net, witness) == ("valid", None), name
             seen["token-free"] += 1
     assert seen["nets"] == 105
